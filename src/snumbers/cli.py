@@ -408,7 +408,7 @@ def _verify_carl_bracket(cfg, violations):
             for e in rep.violations:
                 violations.append({"check": "bracket", "detail": f"diag{diag}: {e.detail}",
                                    "lhs": _num(e.lhs), "rhs": _num(e.rhs)})
-        for k in range(1, k_max):
+        for k in range(1, k_max + 1):
             if lowers[k - 1].lower > padded[k - 1] * (1 + cfg.tol) + cfg.tol:
                 violations.append({"check": "entropy-bracket",
                                    "detail": f"diag{diag}: lower_{k} above padded upper",

@@ -37,10 +37,8 @@ from .spaces import (
 
 METHOD_PACKING = "packing"
 METHOD_VOLUMETRIC = "volumetric"
-METHOD_SIGN_VECTORS = "sign-vectors"
 METHOD_HAMMING = "hamming"
 METHOD_GREEDY_COVER = "greedy-cover"
-METHOD_NORM_BOUND = "norm-bound"
 
 REGIME_SMALL = "small-k"
 REGIME_MID = "mid-k"
@@ -105,8 +103,47 @@ class Envelope:
 # ---------------------------------------------------------------------------
 
 
-def _dist_to_point(points, c, q):
-    return _norm_rows(points - c[None, :], q)
+def _row_sum(terms):
+    """``np.stack(terms, axis=1).sum(axis=1)``, bit for bit.
+
+    numpy sums a row of fewer than 8 items left to right, so short rows are
+    added term by term into ``terms[0]`` without building the (N, n) array.
+    """
+    if len(terms) >= 8:
+        return np.stack(terms, axis=1).sum(axis=1)
+    total = terms[0]
+    for t in terms[1:]:
+        total += t
+    return total
+
+
+def _dist_cols(cols, c, q):
+    """Distances from the points with coordinate columns ``cols`` to ``c``.
+
+    ``cols`` is the (n, N) transpose of the point array and ``c`` has one
+    entry per coordinate (scalars, or arrays broadcasting against a column).
+    The elementwise operations are those of ``_norm_rows(points - c, q)`` in
+    the same order, so the result is bit-identical, but they run over n
+    contiguous length-N columns instead of N short rows, in place.
+    """
+    a = [np.abs(col - cj) for col, cj in zip(cols, c)]
+    if math.isinf(q):
+        out = a[0]
+        for t in a[1:]:
+            np.maximum(out, t, out=out)
+        return out
+    if q == 2.0:
+        for t in a:
+            t *= t
+        total = _row_sum(a)
+        return np.sqrt(total, out=total)
+    if q == 1.0:
+        return _row_sum(a)
+    for t in a:
+        t **= q
+    total = _row_sum(a)
+    total **= 1.0 / q
+    return total
 
 
 def image_cloud(T, size, seed):
@@ -132,22 +169,49 @@ def image_cloud(T, size, seed):
     return X @ T.matrix.T
 
 
-def max_nn_gap(points, q, chunk=512):
-    """Max over points of the distance to the nearest other point."""
+def max_nn_gap(points, q):
+    """Max over points of the distance to the nearest other point, exactly.
+
+    A k-d tree on the real coordinates ([re | im] for complex points; l_q
+    metric for real q >= 1, Euclidean for complex points, Chebyshev for
+    q < 1) proposes four neighbours of every point i.  The exact l_q
+    distance to the closest of them other than i is an upper bound u_i on
+    the true gap r_i = min_{j != i} d(i, j): it is one of the terms of that
+    minimum, computed by the same floating-point expression, so u_i >= r_i
+    holds bit for bit.  Points are then rechecked against the whole cloud in
+    descending u_i, and the scan stops at the first u_i <= best gap found,
+    because every remaining r_i <= u_i <= best.  The result therefore does
+    not depend on the tree metric (which only makes u_i tight) and equals
+    the brute-force maximum for every q and field.
+    """
     N = points.shape[0]
     if N < 2:
         return 0.0
-    worst = 0.0
-    for start in range(0, N, chunk):
-        block = points[start : start + chunk]
-        if math.isinf(q):
-            D = np.abs(block[:, None, :] - points[None, :, :]).max(axis=2)
-        else:
-            D = (np.abs(block[:, None, :] - points[None, :, :]) ** q).sum(axis=2) ** (1.0 / q)
-        for i in range(block.shape[0]):
-            D[i, start + i] = np.inf
-        worst = max(worst, float(D.min(axis=1).max()))
-    return worst
+    if not np.all(np.isfinite(points)):
+        raise ValueError("max_nn_gap needs finite points")
+    from scipy.spatial import cKDTree
+
+    if np.iscomplexobj(points):
+        coords, metric = np.hstack([points.real, points.imag]), 2.0
+    else:
+        coords, metric = points, (q if q >= 1.0 else math.inf)
+    _, nbrs = cKDTree(coords).query(coords, k=min(4, N), p=metric)
+
+    cols = np.ascontiguousarray(points.T)
+    upper = np.full(N, math.inf)
+    for j in nbrs.T:
+        d = _dist_cols(cols[:, j], cols, q)
+        d[j == np.arange(N)] = math.inf
+        np.minimum(upper, d, out=upper)
+
+    best = 0.0
+    for i in np.argsort(upper)[::-1]:
+        if upper[i] <= best:
+            break
+        d = _dist_cols(cols, cols[:, i], q)
+        d[i] = math.inf
+        best = max(best, float(d.min()))
+    return best
 
 
 def _greedy_cover_radii(points, n_centers, q, subsample=256):
@@ -161,18 +225,17 @@ def _greedy_cover_radii(points, n_centers, q, subsample=256):
     standard greedy covering heuristic.
     """
     N = points.shape[0]
+    cols = np.ascontiguousarray(points.T)
     m = min(N, subsample)
     cand_idx = np.linspace(0, N - 1, m).astype(int)
-    worst = np.zeros(m)
-    for i, ci in enumerate(cand_idx):
-        worst[i] = _dist_to_point(points, points[ci], q).max()
+    worst = np.array([_dist_cols(cols, cols[:, ci], q).max() for ci in cand_idx])
     first = int(cand_idx[int(np.argmin(worst))])
 
-    d = _dist_to_point(points, points[first], q)
+    d = _dist_cols(cols, cols[:, first], q)
     radii = [float(d.max())]
     for _ in range(1, n_centers):
         j = int(np.argmax(d))
-        d = np.minimum(d, _dist_to_point(points, points[j], q))
+        np.minimum(d, _dist_cols(cols, cols[:, j], q), out=d)
         radii.append(float(d.max()))
     return np.array(radii)
 
@@ -242,27 +305,31 @@ def entropy_lower_pack_sequence(T, k_max, budget=512, seed=0):
     e_k >= s / 2^(1/qbar), which is s/2 for q >= 1.  The separation of the
     first K traversal points is exactly the minimum insertion distance, so
     the bound is certified.
+
+    The traversal stops after min(budget, 2^(k_max-1) + 1) points: e_k only
+    reads the first 2^(k-1) + 1 of them, and the traversal does not depend
+    on k_max, so the bounds for k <= k_max are the same for every k_max (a
+    shorter sequence is a prefix of a longer one).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     q = T.codomain.p
     pts = image_cloud(T, budget, seed)
     N = pts.shape[0]
+    cols = np.ascontiguousarray(pts.T)
 
     start = int(np.argmax(_norm_rows(pts, q)))
-    d = _dist_to_point(pts, pts[start], q)
+    d = _dist_cols(cols, cols[:, start], q)
     d[start] = -np.inf
     insert_dists = []
-    chosen = 1
-    while chosen < N:
+    for _ in range(min(N, 2 ** (k_max - 1) + 1) - 1):
         j = int(np.argmax(d))
         gap = float(d[j])
         if not gap > 0.0:
             break
         insert_dists.append(gap)
-        d = np.minimum(d, _dist_to_point(pts, pts[j], q))
+        np.minimum(d, _dist_cols(cols, cols[:, j], q), out=d)
         d[j] = -np.inf
-        chosen += 1
     # separation of the first (i+2) points = min of the first (i+1) insertions
     prefix_sep = np.minimum.accumulate(insert_dists) if insert_dists else np.array([])
 

@@ -229,15 +229,17 @@ def _parse_scalar(token, path, lineno, colno):
     if not text:
         raise ValueError(f"{path}: line {lineno}, column {colno}: empty entry")
     try:
-        return float(text), False
+        value, was_complex = float(text), False
     except ValueError:
-        pass
-    try:
-        return complex(text.replace(" ", "").replace("i", "j")), True
-    except ValueError:
-        raise ValueError(
-            f"{path}: line {lineno}, column {colno}: cannot parse {token.strip()!r}"
-        ) from None
+        try:
+            value, was_complex = complex(text.replace(" ", "").replace("i", "j")), True
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}, column {colno}: cannot parse {text!r}"
+            ) from None
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError(f"{path}: line {lineno}, column {colno}: non-finite entry {text!r}")
+    return value, was_complex
 
 
 def read_matrix_csv(path):

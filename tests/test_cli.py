@@ -170,6 +170,22 @@ def test_ragged_csv_exits_two(tmp_path):
     assert "line 2" in r.stderr
 
 
+def test_infinite_csv_entry_exits_two_and_names_position(tmp_path, capsys):
+    bad = tmp_path / "inf.csv"
+    bad.write_text("1,0\ninf,1\n")
+    assert main(["estimate", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2, column 1: non-finite entry 'inf'" in err
+
+
+def test_nan_csv_entry_exits_two_and_names_position(tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    bad.write_text("1,nan+1i\n0,1\n")
+    assert main(["estimate", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1, column 2: non-finite entry 'nan+1i'" in err
+
+
 def test_bad_exponent_exits_two():
     r = run_cli("idnumbers", "--p", "banana", "--q", "2", "--n", "4", "--k", "1")
     assert r.returncode == 2

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snumbers.entropy import (
     REGIME_LARGE,
@@ -23,7 +25,8 @@ from snumbers.entropy import (
     regime_envelope,
     regime_piece,
 )
-from snumbers.operators import diagonal_operator, identity_operator, operator
+from snumbers.entropy import _dist_cols, _greedy_cover_radii
+from snumbers.operators import _norm_rows, diagonal_operator, identity_operator, operator
 from snumbers.spaces import COMPLEX, REAL
 
 INF = math.inf
@@ -155,6 +158,123 @@ def test_image_cloud_deterministic_and_in_image():
 def test_max_nn_gap_line():
     pts = np.array([[0.0], [1.0], [3.0]])
     assert max_nn_gap(pts, 2.0) == pytest.approx(2.0)
+
+
+def test_max_nn_gap_rejects_non_finite_points():
+    for bad in (np.inf, np.nan, complex(0.0, np.inf)):
+        pts = np.zeros((3, 2), dtype=type(bad))
+        pts[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            max_nn_gap(pts, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# fast kernels against the brute-force and row-major references
+# ---------------------------------------------------------------------------
+
+GAP_QS = [0.3, 0.5, 1.0, 1.5, 2.0, 3.0, INF]
+
+
+def _reference_nn_gap(points, q):
+    """Chunked all-pairs nearest-neighbour gap, the brute-force definition."""
+    chunk = 512
+    N = points.shape[0]
+    if N < 2:
+        return 0.0
+    worst = 0.0
+    for start in range(0, N, chunk):
+        block = points[start : start + chunk]
+        if math.isinf(q):
+            D = np.abs(block[:, None, :] - points[None, :, :]).max(axis=2)
+        else:
+            D = (np.abs(block[:, None, :] - points[None, :, :]) ** q).sum(axis=2) ** (1.0 / q)
+        for i in range(block.shape[0]):
+            D[i, start + i] = np.inf
+        worst = max(worst, float(D.min(axis=1).max()))
+    return worst
+
+
+def _reference_cover_radii(points, n_centers, q, subsample=256):
+    """Farthest-point k-center with row-major distances (_norm_rows)."""
+    N = points.shape[0]
+    m = min(N, subsample)
+    cand_idx = np.linspace(0, N - 1, m).astype(int)
+    worst = [_norm_rows(points - points[ci], q).max() for ci in cand_idx]
+    d = _norm_rows(points - points[int(cand_idx[int(np.argmin(worst))])], q)
+    radii = [float(d.max())]
+    for _ in range(1, n_centers):
+        j = int(np.argmax(d))
+        d = np.minimum(d, _norm_rows(points - points[j], q))
+        radii.append(float(d.max()))
+    return np.array(radii)
+
+
+def _cloud(seed, N, n, field, kind):
+    """Test clouds: Gaussian, scattered magnitudes, half-integer grids, duplicates."""
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        X = rng.integers(-3, 4, (N, n)) * 0.5  # many exact ties
+    elif kind == "duplicates":
+        X = rng.standard_normal((max(1, N // 3), n))
+        X = X[rng.integers(0, X.shape[0], N)]
+    elif kind == "scales":
+        X = rng.standard_normal((N, n)) * 10.0 ** rng.integers(-6, 7, (N, 1))
+    else:
+        X = rng.standard_normal((N, n))
+    if field == COMPLEX:
+        Y = rng.integers(-2, 3, X.shape) * 0.5 if kind == "grid" else rng.standard_normal(X.shape)
+        X = X + 1j * (Y if kind != "duplicates" else Y[0])
+    return X
+
+
+cloud_args = dict(
+    seed=st.integers(0, 2**32 - 1),
+    N=st.integers(1, 300),
+    n=st.integers(1, 6),
+    field=st.sampled_from([REAL, COMPLEX]),
+    kind=st.sampled_from(["gauss", "grid", "duplicates", "scales"]),
+    q=st.sampled_from(GAP_QS),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**cloud_args)
+def test_max_nn_gap_equals_brute_force(seed, N, n, field, kind, q):
+    X = _cloud(seed, N, n, field, kind)
+    assert max_nn_gap(X, q) == _reference_nn_gap(X, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**cloud_args)
+def test_cover_radii_equal_row_major_reference(seed, N, n, field, kind, q):
+    X = _cloud(seed, N, n, field, kind)
+    centers = max(1, N // 2)
+    assert np.array_equal(_greedy_cover_radii(X, centers, q), _reference_cover_radii(X, centers, q))
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 8, 9, 15, 16, 17, 64, 129, 130, 300])
+def test_dist_cols_matches_norm_rows_bitwise(n):
+    # n >= 8 exercises the pairwise-summation order of a row sum
+    for field in (REAL, COMPLEX):
+        X = _cloud(n, 200, n, field, "scales")
+        c = X[17]
+        for q in GAP_QS:
+            assert np.array_equal(_dist_cols(np.ascontiguousarray(X.T), c, q),
+                                  _norm_rows(X - c[None, :], q))
+            assert max_nn_gap(X[:60], q) == _reference_nn_gap(X[:60], q)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, INF])
+def test_packing_sequence_is_prefix_of_longer_one(field, q):
+    M = np.random.default_rng(3).standard_normal((3, 3))
+    if field == COMPLEX:
+        M = M + 1j * np.eye(3)
+    T = operator(M, 1.0, q, field=field)
+    K = 10
+    full = entropy_lower_pack_sequence(T, K, budget=400, seed=2)
+    for k in range(1, K):
+        assert entropy_lower_pack_sequence(T, k, budget=400, seed=2) == full[:k]
 
 
 # ---------------------------------------------------------------------------
