@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _norm_rows, _unit_directions
+from .operators import _norm_rows, _unit_directions, is_identity
 from .spaces import (
     COMPLEX,
     REAL,
@@ -477,8 +477,7 @@ def best_certified_lower(T, k, budget=512, seed=0):
     pair = entropy_lower_pack(T, k, budget=budget, seed=seed)
     best, method = pair.lower, pair.method_lower
     n = T.domain.n
-    M = T.matrix
-    if T.shape[0] == T.shape[1] and np.array_equal(M, np.eye(n, dtype=M.dtype)):
+    if is_identity(T.matrix):
         p, q = T.domain.p, T.codomain.p
         vol = entropy_lower_volumetric(p, q, n, k, T.field)
         if vol > best:

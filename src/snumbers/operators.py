@@ -137,6 +137,11 @@ def numerical_rank(T, tol=1e-10):
     return int((s > tol * s[0]).sum())
 
 
+def is_identity(M):
+    """True when the matrix M is exactly a square identity matrix."""
+    return M.shape[0] == M.shape[1] and np.array_equal(M, np.eye(M.shape[0], dtype=M.dtype))
+
+
 def _norm_rows(A, q):
     """lp_norm applied to each row of A."""
     a = np.abs(A)
@@ -207,7 +212,7 @@ def op_norm(T, budget=2000, seed=0):
     p, q = T.domain.p, T.codomain.p
     n = T.domain.n
 
-    if T.shape[0] == T.shape[1] and np.array_equal(M, np.eye(n, dtype=M.dtype)):
+    if is_identity(M):
         value = float(n) ** max(0.0, inv_exponent(q) - inv_exponent(p))
         return OpNormResult(value, True, "identity-formula")
     if p <= 1.0 and q >= 1.0:

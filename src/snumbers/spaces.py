@@ -259,6 +259,10 @@ def aoki_norm(x, p, depth=3, trials=32, seed=0):
 # ---------------------------------------------------------------------------
 
 
+# most m x m subsystems the exact q < 1 distance solves; larger bases descend
+MAX_VERTEX_SYSTEMS = 512
+
+
 def _lq_power(x, q):
     return float((np.abs(x) ** q).sum())
 
@@ -305,24 +309,26 @@ def _smooth_descent(x, B, q, starts):
     return best ** (1.0 / q)
 
 
-def _arrangement_vertex_min(x, B, q, max_systems=512):
-    """Best l_q^q residual over vertices of the arrangement {x_i = (Bc)_i}.
+def _arrangement_vertex_min(x, B, q):
+    """Best l_q residual over vertices of the arrangement {x_i = (Bc)_i}.
 
-    Each vertex solves an m x m subsystem (m = subspace dimension).  Skipped
-    when the number of coordinate subsets would exceed max_systems; for the
-    common small cases this makes the nonconvex distance exact.
+    B must have full column rank.  Each vertex solves an m x m subsystem
+    (m = subspace dimension), one per nonsingular choice of m rows.  The
+    solved rows count as exactly 0, as they are at the vertex itself: their
+    rounding residue (about 1e-16) would otherwise add |1e-16|^q, which is
+    1e-8 at q = 1/2.
     """
     n, m = B.shape
-    if math.comb(n, m) > max_systems:
-        return math.inf
     best = math.inf
     for rows in itertools.combinations(range(n), m):
-        sub = B[list(rows)]
+        rows = list(rows)
         try:
-            c = np.linalg.solve(sub, x[list(rows)])
+            c = np.linalg.solve(B[rows], x[rows])
         except np.linalg.LinAlgError:
             continue
-        best = min(best, lp_norm(x - B @ c, q))
+        r = x - B @ c
+        r[rows] = 0.0
+        best = min(best, lp_norm(r, q))
     return best
 
 
@@ -341,10 +347,13 @@ def dist_to_subspace(x, basis, q, budget=2000, seed=0):
     This equals the quotient norm of the class of x in l_q^n / span(basis).
     Exact for q = 2 (orthogonal projection) and, on real data, for q in
     {1, inf} (linear programming).  Other q >= 1 use convex descent from the
-    l_2 projection.  For q < 1 the problem is not convex; a randomized
-    multi-start descent returns an upper approximation of the infimum.
-    The zero coefficient is always in the candidate set, so the result never
-    exceeds ||x||_q.
+    l_2 projection.  Real q < 1 is not convex but concave on each cell of
+    the arrangement {x_i = (Bc)_i}; it is exact, up to rounding, when the
+    basis vectors are linearly independent and comb(n, len(basis)) <=
+    MAX_VERTEX_SYSTEMS, by minimising over the cell vertices.  Otherwise,
+    and for complex q < 1, a randomized multi-start descent returns an
+    upper approximation of the infimum.  The zero coefficient is always in the
+    candidate set, so the result never exceeds ||x||_q.
     """
     _check_exponent(q, "q")
     x = np.asarray(x)
@@ -365,13 +374,13 @@ def dist_to_subspace(x, basis, q, budget=2000, seed=0):
         x = x.astype(float)
         B = B.astype(float)
 
-    c_ls, *_ = np.linalg.lstsq(B, x, rcond=None)
+    c_ls, _, rank, _ = np.linalg.lstsq(B, x, rcond=None)
     r_ls = x - B @ c_ls
     if q == 2.0:
         return float(np.linalg.norm(r_ls))
 
     best = min(lp_norm(x, q), lp_norm(r_ls, q))
-    m = B.shape[1]
+    n, m = B.shape
 
     if not iscomplex:
         if q >= 1.0:
@@ -381,9 +390,12 @@ def dist_to_subspace(x, basis, q, budget=2000, seed=0):
                 best = min(best, _smooth_descent(x, B, q, [c_ls, np.zeros(m)]))
             return float(best)
         # q < 1: the objective is concave on every cell of the arrangement
-        # {x_i = (Bc)_i}, so its minimum sits at a cell vertex; enumerate
-        # those exactly when cheap, then polish by multi-start descent
-        best = min(best, _arrangement_vertex_min(x, B, q))
+        # {x_i = (Bc)_i}.  With full column rank every cell is a pointed
+        # polyhedron, and a concave function that is bounded below on one
+        # is smallest at a vertex, so the vertex minimum is the distance
+        if rank == m and math.comb(n, m) <= MAX_VERTEX_SYSTEMS:
+            return float(min(best, _arrangement_vertex_min(x, B, q)))
+        # rank-deficient (no vertices) or too many vertices: multi-start descent
         rng = np.random.default_rng(_stable_seed(seed, x))
         scale = max(1.0, float(np.abs(c_ls).max(initial=0.0)))
         starts = [c_ls, np.zeros(m)]

@@ -354,15 +354,25 @@ def _random_like(rng, X):
 
 @dataclass(frozen=True)
 class SubspaceCandidate:
-    """Diagnostics for one evaluated subspace in the Kolmogorov search."""
+    """Diagnostics for one evaluated subspace in the Kolmogorov search.
+
+    ``direct`` is the supremum of per-point distances through the basis.
+    ``quotient`` is the same supremum through the quotient map: the exact
+    operator norm of the projected matrix in the Hilbert case (and ||T|| for
+    the zero subspace).  Elsewhere it is None, since the only other route
+    would repeat the same distances on the same orthonormal basis.
+    """
 
     kind: str  # svd | svd-jitter | random
     value: float
     direct: float
-    quotient: float
+    quotient: float | None
 
     @property
     def agreement_gap(self):
+        """Relative gap between the two routes; None without a quotient route."""
+        if self.quotient is None:
+            return None
         return abs(self.direct - self.quotient) / max(1.0, self.direct, self.quotient)
 
 
@@ -372,14 +382,17 @@ def _orthonormal_columns(M):
 
 
 def _kolmogorov_candidate_value(T, basis, q, n_samples, seed):
-    """sup over the unit ball of the distance to span(basis), two routes.
+    """sup over the unit ball of the distance to span(basis).
 
-    direct: per-point distances via the raw basis; quotient: the same
-    supremum through the quotient-map formulation (exact operator norm of
-    the projected matrix in the Hilbert case, the column maximum for
-    p <= 1 <= q, otherwise per-point distances through an orthonormalised
-    basis).  The two are the same number mathematically; the gap measures
-    evaluation error only.
+    Returns (value, direct, quotient).  Hilbert case: quotient is the exact
+    operator norm of the projected matrix, direct the least-squares distance
+    at its maximiser, and value the larger of the two; they are the same
+    number mathematically, so their gap measures evaluation error only.
+    Otherwise direct is the largest distance over the signed unit vectors
+    and n_samples sphere points, one dist_to_subspace call each, quotient is
+    None, and value is direct, raised for p <= 1 <= q to the column maximum,
+    which is then the exact supremum.  The searched bases are orthonormal,
+    so no second, re-orthonormalised route is evaluated.
     """
     M = T.matrix
     p = T.domain.p
@@ -388,9 +401,8 @@ def _kolmogorov_candidate_value(T, basis, q, n_samples, seed):
         v = op_norm(T).value
         return v, v, v
 
-    hilbert = p == 2.0 and q == 2.0
-    Q = _orthonormal_columns(basis)
-    if hilbert:
+    if p == 2.0 and q == 2.0:
+        Q = _orthonormal_columns(basis)
         P = np.eye(M.shape[0]) - Q @ Q.conj().T
         PM = P @ M
         u, s, vh = np.linalg.svd(PM)
@@ -404,23 +416,13 @@ def _kolmogorov_candidate_value(T, basis, q, n_samples, seed):
     rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, n, int(n_samples)])
     X = np.vstack([_unit_directions(n, T.field), sample_sphere(rng, n, p, T.field, n_samples)])
     basis_cols = list(basis.T)
-    ortho_cols = list(Q.T)
-    direct = 0.0
-    quotient = 0.0
-    value = 0.0
-    for x in X:
-        y = M @ x
-        d1 = dist_to_subspace(y, basis_cols, q, seed=seed)
-        d2 = dist_to_subspace(y, ortho_cols, q, seed=seed + 1)
-        direct = max(direct, d1)
-        quotient = max(quotient, d2)
-        value = max(value, min(d1, d2))
+    direct = max(dist_to_subspace(M @ x, basis_cols, q, seed=seed) for x in X)
+    value = direct
     if p <= 1.0 and q >= 1.0:
         # the signed unit vectors are extreme, so the column max is the sup
         cols = max(dist_to_subspace(M[:, j], basis_cols, q, seed=seed) for j in range(n))
-        quotient = max(quotient, cols)
         value = max(value, cols)
-    return value, direct, quotient
+    return value, direct, None
 
 
 def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
@@ -428,11 +430,14 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
 
     Candidate (k-1)-dimensional subspaces: the span of the top left singular
     vectors plus jitters of it (about a fifth of the candidates), and random
-    orthonormal frames for the rest.  For each candidate the supremum is
-    evaluated both directly and through the quotient-map formulation; in the
-    Hilbert and convex (q >= 1) regimes the two must agree to about 1e-6.
-    For k - 1 >= rank(T) the singular candidate contains the range, so the
-    result is 0.
+    orthonormal frames for the rest.  In the Hilbert case each candidate's
+    supremum is evaluated both directly and through the quotient-map
+    formulation, and the two must agree to about 1e-6.  Elsewhere it is the
+    largest distance over sampled points of the unit ball, one distance per
+    point, which only estimates the supremum from below; for p <= 1 <= q
+    one distance per column is added, and that column maximum is the exact
+    supremum.  For k - 1 >= rank(T) the singular candidate contains the
+    range, so the result is 0.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

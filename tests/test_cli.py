@@ -1,5 +1,7 @@
 """Command-line surface: schemas, exit codes, determinism, parsing."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -191,6 +193,37 @@ def test_bad_exponent_exits_two():
     assert r.returncode == 2
     r = run_cli("idnumbers", "--p", "-1", "--q", "2", "--n", "4", "--k", "1")
     assert r.returncode == 2
+
+
+def test_tiny_exponent_exits_two_and_names_it():
+    r = run_cli("idnumbers", "--p", "0.001", "--q", "1e-300")
+    assert r.returncode == 2
+    assert "--q 1e-300" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_exact_rows_have_equal_bounds(capsys, tmp_path):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("2,1,0,0\n1,3,1,0\n0,1,-1,2\n0.5,0,2,1\n")
+    readme = [
+        ["idnumbers", "--p", "1", "--q", "inf", "--n", "8", "--k", "1..6", "--field", "complex"],
+        ["idnumbers", "--p", "2", "--q", "2", "--n", "4", "--k", "1..4"],
+        ["estimate", "--input", str(matrix), "--k", "1..4"],
+        ["verify", "--budget", "2000", "--seed", "7"],
+        ["volume", "--p", "0.5", "--n", "3"],
+        ["sweep", "--p", "1", "--q", "2", "--n", "64", "--k", "3", "--output", "csv"],
+    ]
+    for argv in readme:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if "csv" in argv:
+            rows = list(csv.DictReader(io.StringIO(out)))
+            exact = [r for r in rows if r["exact"] == "True"]
+        else:
+            rows = json.loads(out)["rows"]
+            exact = [r for r in rows if r["exact"]]
+        for r in exact:
+            assert r["lower"] == r["upper"], (argv, r)
 
 
 def test_dimension_mismatch_exits_two(tmp_path):

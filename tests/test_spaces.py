@@ -1,12 +1,16 @@
 """Quasi-norm geometry: norms, the equivalent rho-norm, volumes, distances."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
+from snumbers import spaces
 from snumbers.spaces import (
     COMPLEX,
     REAL,
@@ -198,10 +202,116 @@ def test_dist_quasi_matches_kink_oracle():
     for _ in range(8):
         x = rng.standard_normal(3)
         v = rng.standard_normal(3)
-        oracle = min(lp_norm(x - (x[i] / v[i]) * v, q) for i in range(3))
+        oracle = min(lp_norm(_kink_residual(x, v, i), q) for i in range(3))
         d = dist_to_subspace(x, [v], q, budget=4000, seed=0)
         assert d <= lp_norm(x, q) + TOL
         assert d == pytest.approx(oracle, rel=1e-9)
+
+
+def _kink_residual(x, v, i):
+    # coordinate i vanishes exactly at the kink; evaluated in floating point
+    # it keeps a residue near 1e-16 that |.|^q inflates to about 1e-8
+    r = x - (x[i] / v[i]) * v
+    r[i] = 0.0
+    return r
+
+
+def _old_quasi_distance(x, B, q, budget=2000, seed=0):
+    """The previous q < 1 path: vertices scored in floating point, then an
+    8-start Nelder-Mead polish.  Kept only to check the new path against."""
+    n, m = B.shape
+    c_ls = np.linalg.lstsq(B, x, rcond=None)[0]
+    best = min(lp_norm(x, q), lp_norm(x - B @ c_ls, q))
+    if math.comb(n, m) <= 512:
+        for rows in itertools.combinations(range(n), m):
+            try:
+                c = np.linalg.solve(B[list(rows)], x[list(rows)])
+            except np.linalg.LinAlgError:
+                continue
+            best = min(best, lp_norm(x - B @ c, q))
+    rng = np.random.default_rng(spaces._stable_seed(seed, x))
+    scale = max(1.0, float(np.abs(c_ls).max(initial=0.0)))
+    starts = [c_ls, np.zeros(m)] + [c_ls + 0.5 * scale * rng.standard_normal(m) for _ in range(6)]
+    maxfev = max(100, budget // len(starts))
+    for c0 in starts:
+        res = optimize.minimize(lambda c: float((np.abs(x - B @ c) ** q).sum()), c0,
+                                method="Nelder-Mead",
+                                options={"maxfev": maxfev, "xatol": 1e-12, "fatol": 1e-14})
+        best = min(best, float(res.fun) ** (1.0 / q))
+    return best
+
+
+def _exact_solve(A, b):
+    """Gauss-Jordan elimination in rationals; None for a singular A."""
+    m = len(b)
+    rows = [[Fraction(float(a)) for a in A[i]] + [Fraction(float(b[i]))] for i in range(m)]
+    for col in range(m):
+        piv = next((r for r in range(col, m) if rows[r][col] != 0), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        for r in range(m):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [a - f * c for a, c in zip(rows[r], rows[col])]
+    return [rows[i][m] / rows[i][i] for i in range(m)]
+
+
+def _vertex_oracle(x, B, q):
+    """min ||x - Bc||_q over the arrangement vertices, each solved exactly."""
+    n, m = B.shape
+    best = lp_norm(x, q)
+    for rows in itertools.combinations(range(n), m):
+        c = _exact_solve(B[list(rows)], x[list(rows)])
+        if c is None:
+            continue
+        r = [Fraction(float(x[i])) - sum(Fraction(float(B[i, j])) * c[j] for j in range(m))
+             for i in range(n)]
+        best = min(best, lp_norm(np.array([float(t) for t in r]), q))
+    return best
+
+
+def _random_quasi_instances(seed, count):
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(1, n))
+        q = (0.3, 0.5, 0.7, 0.9)[t % 4]
+        yield rng.standard_normal(n), rng.standard_normal((n, m)), q
+
+
+def test_dist_quasi_full_rank_is_exact_vertex_minimum():
+    for x, B, q in _random_quasi_instances(11, 48):
+        d = dist_to_subspace(x, list(B.T), q, seed=3)
+        assert d <= _old_quasi_distance(x, B, q, seed=3) * (1.0 + 1e-12)
+        assert d == pytest.approx(_vertex_oracle(x, B, q), rel=1e-10)
+
+
+def test_dist_quasi_full_rank_skips_descent(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Nelder-Mead ran on a full-rank basis")
+
+    monkeypatch.setattr(spaces, "_derivative_free_descent", forbidden)
+    for x, B, q in _random_quasi_instances(12, 40):
+        dist_to_subspace(x, list(B.T), q, seed=0)
+
+
+def test_dist_quasi_rank_deficient_falls_back_to_descent(monkeypatch):
+    calls = []
+    descent = spaces._derivative_free_descent
+
+    def recording(*args, **kwargs):
+        calls.append(1)
+        return descent(*args, **kwargs)
+
+    monkeypatch.setattr(spaces, "_derivative_free_descent", recording)
+    rng = np.random.default_rng(13)
+    for q in (0.3, 0.5, 0.9):
+        x = rng.standard_normal(5)
+        v = rng.standard_normal(5)
+        d = dist_to_subspace(x, [v, v], q, seed=0)
+        assert d <= lp_norm(x, q)
+    assert len(calls) == 3
 
 
 def test_dist_empty_basis_is_norm():

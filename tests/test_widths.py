@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from snumbers import widths
 from snumbers.operators import diagonal_operator, op_norm, operator, realify
-from snumbers.spaces import COMPLEX, REAL
+from snumbers.spaces import COMPLEX, REAL, dist_to_subspace
 from snumbers.widths import (
     KIND_APPROXIMATION,
     KIND_KOLMOGOROV,
@@ -178,6 +179,60 @@ def test_kolmogorov_search_hilbert():
     assert v == pytest.approx(2.0, rel=0.05)
     # in the Hilbert case the direct distance and the quotient-map norm agree
     assert all(c.agreement_gap <= 1e-6 for c in cands)
+
+
+def test_dist_raw_and_orthonormal_bases_agree():
+    # the cross-check the non-Hilbert Kolmogorov search no longer pays for:
+    # a raw basis and its orthonormalisation span the same subspace
+    rng = np.random.default_rng(17)
+    for t in range(24):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(1, n))
+        x = rng.standard_normal(n)
+        B = rng.standard_normal((n, m))
+        Q = np.linalg.qr(B)[0]
+        for q in (1.0, INF, 0.5):
+            raw = dist_to_subspace(x, list(B.T), q, seed=t)
+            ortho = dist_to_subspace(x, list(Q.T), q, seed=t + 1)
+            assert abs(raw - ortho) <= 1e-9 * max(1.0, raw, ortho)
+
+
+@pytest.mark.parametrize("n, field, p, q, k, columns", [
+    (4, REAL, 1.0, 0.5, 2, False),
+    (4, REAL, 1.0, 1.0, 2, True),
+    (5, REAL, 2.0, INF, 3, False),
+    (3, COMPLEX, 2.0, 1.0, 2, False),
+    (4, COMPLEX, 0.5, 1.5, 2, True),
+])
+def test_kolmogorov_search_one_distance_per_sample_point(monkeypatch, n, field, p, q, k, columns):
+    points, calls = [], []
+    dist, unit, sphere = widths.dist_to_subspace, widths._unit_directions, widths.sample_sphere
+
+    def count_dist(*args, **kwargs):
+        calls.append(1)
+        return dist(*args, **kwargs)
+
+    def count_unit(*args, **kwargs):
+        X = unit(*args, **kwargs)
+        points.append(X.shape[0])
+        return X
+
+    def count_sphere(*args, **kwargs):
+        X = sphere(*args, **kwargs)
+        points.append(X.shape[0])
+        return X
+
+    monkeypatch.setattr(widths, "dist_to_subspace", count_dist)
+    monkeypatch.setattr(widths, "_unit_directions", count_unit)
+    monkeypatch.setattr(widths, "sample_sphere", count_sphere)
+    rng = np.random.default_rng(19)
+    M = rng.standard_normal((n, n))
+    if field == COMPLEX:
+        M = M + 1j * rng.standard_normal((n, n))
+    _, cands = kolmogorov_upper_search(operator(M, p, q, field=field), k, budget=100,
+                                       seed=1, return_details=True)
+    assert all(c.quotient is None and c.agreement_gap is None for c in cands)
+    assert len(calls) == sum(points) + (len(cands) * n if columns else 0)
 
 
 def test_kolmogorov_search_never_below_sigma():
