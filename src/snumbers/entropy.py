@@ -169,19 +169,36 @@ def image_cloud(T, size, seed):
     return X @ T.matrix.T
 
 
+# neighbours on each side of a point, in each sorted order, that propose u_i
+_NN_SORTED_NEIGHBOURS = 16
+# sorted orders (widest real coordinates) that propose u_i
+_NN_SORTED_AXES = 3
+
+
 def max_nn_gap(points, q):
     """Max over points of the distance to the nearest other point, exactly.
 
-    A k-d tree on the real coordinates ([re | im] for complex points; l_q
-    metric for real q >= 1, Euclidean for complex points, Chebyshev for
-    q < 1) proposes four neighbours of every point i.  The exact l_q
-    distance to the closest of them other than i is an upper bound u_i on
-    the true gap r_i = min_{j != i} d(i, j): it is one of the terms of that
-    minimum, computed by the same floating-point expression, so u_i >= r_i
-    holds bit for bit.  Points are then rechecked against the whole cloud in
-    descending u_i, and the scan stops at the first u_i <= best gap found,
-    because every remaining r_i <= u_i <= best.  The result therefore does
-    not depend on the tree metric (which only makes u_i tight) and equals
+    Sort-by-projection search (Friedman, Baskett & Shustek, IEEE Trans.
+    Comput. C-24, 1975) on the real coordinates ([re | im] for complex
+    points), in numpy alone.  The points are sorted along each of the three
+    widest coordinates, and u_i is the exact l_q distance from i to the
+    closest of its 16 neighbours on each side in those orders.  u_i is an
+    upper bound on the true gap r_i = min_{j != i} d(i, j): it is one of the
+    terms of that minimum, computed by the same floating-point expression
+    (which is symmetric in i and j bit for bit), so u_i >= r_i.  Points are
+    then rechecked in descending u_i, and the scan stops at the first
+    u_i <= best gap found, because every remaining r_i <= u_i <= best.  A
+    recheck of i also lowers u_j to d(i, j) for the points j it meets, and a
+    point whose lowered u_j <= best is skipped for the same reason.
+
+    A recheck of i scans only the slab |key_j - key_i| <= u_i on the widest
+    coordinate.  That is exact for every q in (0, inf] and both fields,
+    because |Re a_c| <= |a_c| <= ||a||_q and |Im a_c| <= |a_c| <= ||a||_q,
+    so every j with d(i, j) <= u_i lies in the slab.  The computed distance
+    can round below the key gap (sqrt(1.5)**2 < 1.5), so the half-width is
+    u_i times 1 plus a bound on that relative error (an n-term sum and the
+    powers q and 1/q), plus 4 eps |key_i| for the rounding of key_i +- u_i,
+    which scales with |key_i|, not with u_i.  The result therefore equals
     the brute-force maximum for every q and field.
     """
     N = points.shape[0]
@@ -189,28 +206,47 @@ def max_nn_gap(points, q):
         return 0.0
     if not np.all(np.isfinite(points)):
         raise ValueError("max_nn_gap needs finite points")
-    from scipy.spatial import cKDTree
+    coords = np.hstack([points.real, points.imag]) if np.iscomplexobj(points) else points
+    widest = np.argsort(-np.ptp(coords, axis=0), kind="stable")[:_NN_SORTED_AXES]
+    # work in the sorted order of the widest coordinate, where every slab
+    # is a contiguous range of columns
+    perm = np.argsort(coords[:, widest[0]], kind="stable")
+    coords = coords[perm]
+    keys = np.ascontiguousarray(coords[:, widest[0]])
+    cols = np.ascontiguousarray(points[perm].T)
 
-    if np.iscomplexobj(points):
-        coords, metric = np.hstack([points.real, points.imag]), 2.0
-    else:
-        coords, metric = points, (q if q >= 1.0 else math.inf)
-    _, nbrs = cKDTree(coords).query(coords, k=min(4, N), p=metric)
-
-    cols = np.ascontiguousarray(points.T)
+    orders = [np.argsort(coords[:, axis], kind="stable") for axis in widest[1:]]
     upper = np.full(N, math.inf)
-    for j in nbrs.T:
-        d = _dist_cols(cols[:, j], cols, q)
-        d[j == np.arange(N)] = math.inf
-        np.minimum(upper, d, out=upper)
+    for s in range(1, min(_NN_SORTED_NEIGHBOURS, N - 1) + 1):
+        # the distance is symmetric bit for bit: fl(a - b) = -fl(b - a)
+        d = _dist_cols(cols[:, :-s], cols[:, s:], q)
+        np.minimum(upper[:-s], d, out=upper[:-s])
+        np.minimum(upper[s:], d, out=upper[s:])
+        for order in orders:
+            a, b = order[:-s], order[s:]
+            d = _dist_cols(cols[:, a], cols[:, b], q)
+            upper[a] = np.minimum(upper[a], d)
+            upper[b] = np.minimum(upper[b], d)
 
+    eps = np.finfo(float).eps
+    # relative error bound of _dist_cols: an n-term sum and the powers q, 1/q
+    widen = 1.0 + 4.0 * (points.shape[1] + 4) * eps / min(1.0, q)
     best = 0.0
-    for i in np.argsort(upper)[::-1]:
-        if upper[i] <= best:
+    scan = np.argsort(upper)[::-1]
+    bound = upper[scan]
+    for i, u_i in zip(scan.tolist(), bound.tolist()):
+        if u_i <= best:
             break
-        d = _dist_cols(cols, cols[:, i], q)
-        d[i] = math.inf
+        if upper[i] <= best:  # tightened by an earlier recheck
+            continue
+        half = float(upper[i]) * widen + 4.0 * eps * abs(float(keys[i]))
+        lo = int(np.searchsorted(keys, keys[i] - half, side="left"))
+        hi = int(np.searchsorted(keys, keys[i] + half, side="right"))
+        d = _dist_cols(cols[:, lo:hi], cols[:, i], q)
+        d[i - lo] = math.inf
         best = max(best, float(d.min()))
+        # d(i, j) is also a term of r_j's minimum
+        np.minimum(upper[lo:hi], d, out=upper[lo:hi])
     return best
 
 

@@ -26,8 +26,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.special import gammaln
 
 REAL = "real"
 COMPLEX = "complex"
@@ -269,6 +267,8 @@ def _lq_power(x, q):
 
 def _linprog_distance(x, B, q):
     """Exact min_c ||x - B c||_q for q in {1, inf} on real data (LP)."""
+    from scipy import optimize
+
     n, m = B.shape
     if math.isinf(q):
         # minimise t  s.t.  -t <= x - B c <= t
@@ -293,6 +293,7 @@ def _linprog_distance(x, B, q):
 
 def _smooth_descent(x, B, q, starts):
     """Gradient descent on ||x - B c||_q^q for real data, 1 < q < inf."""
+    from scipy import optimize
 
     def fg(c):
         r = x - B @ c
@@ -333,6 +334,8 @@ def _arrangement_vertex_min(x, B, q):
 
 
 def _derivative_free_descent(objective, starts, maxfev):
+    from scipy import optimize
+
     best = math.inf
     for c0 in starts:
         res = optimize.minimize(objective, c0, method="Nelder-Mead",
@@ -473,7 +476,8 @@ def sample_sphere(rng, n, p, field=REAL, size=1):
     Finite p uses the Gamma(1/p) representation, which is uniform with
     respect to the cone measure of the sphere; p = inf scales uniform cube
     points onto the boundary.  Complex points get independent uniform phases
-    on top of real moduli.
+    on top of real moduli.  Raises ValueError when p is so small that a
+    power 1/p of the draws or of their norm overflows a float.
     """
     _check_exponent(p)
     if field == COMPLEX:
@@ -485,9 +489,13 @@ def sample_sphere(rng, n, p, field=REAL, size=1):
         m = np.abs(x).max(axis=1, keepdims=True)
         m[m == 0.0] = 1.0
         return x / m
-    g = rng.gamma(1.0 / p, 1.0, (size, n)) ** (1.0 / p)
-    g *= rng.choice([-1.0, 1.0], (size, n))
-    norms = (np.abs(g) ** p).sum(axis=1) ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        g = rng.gamma(1.0 / p, 1.0, (size, n)) ** (1.0 / p)
+        g *= rng.choice([-1.0, 1.0], (size, n))
+        norms = (np.abs(g) ** p).sum(axis=1) ** (1.0 / p)
+    if not np.all(np.isfinite(norms)):
+        raise ValueError(f"exponent p={p!r} is too small to sample the l_p sphere: "
+                         f"a power 1/p of its Gamma(1/p) draws overflows a float")
     norms[norms == 0.0] = 1.0
     return g / norms[:, None]
 

@@ -390,8 +390,10 @@ def _kolmogorov_candidate_value(T, basis, q, n_samples, seed):
     number mathematically, so their gap measures evaluation error only.
     Otherwise direct is the largest distance over the signed unit vectors
     and n_samples sphere points, one dist_to_subspace call each, quotient is
-    None, and value is direct, raised for p <= 1 <= q to the column maximum,
-    which is then the exact supremum.  The searched bases are orthonormal,
+    None, and value is direct.  For p <= 1 <= q the supremum is the column
+    maximum, and direct already contains it: the first n points are the
+    +e_j, M @ e_j equals M[:, j] bit for bit, and the seed is the same, so
+    no separate column pass is made.  The searched bases are orthonormal,
     so no second, re-orthonormalised route is evaluated.
     """
     M = T.matrix
@@ -417,12 +419,7 @@ def _kolmogorov_candidate_value(T, basis, q, n_samples, seed):
     X = np.vstack([_unit_directions(n, T.field), sample_sphere(rng, n, p, T.field, n_samples)])
     basis_cols = list(basis.T)
     direct = max(dist_to_subspace(M @ x, basis_cols, q, seed=seed) for x in X)
-    value = direct
-    if p <= 1.0 and q >= 1.0:
-        # the signed unit vectors are extreme, so the column max is the sup
-        cols = max(dist_to_subspace(M[:, j], basis_cols, q, seed=seed) for j in range(n))
-        value = max(value, cols)
-    return value, direct, None
+    return direct, direct, None
 
 
 def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
@@ -435,9 +432,9 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     formulation, and the two must agree to about 1e-6.  Elsewhere it is the
     largest distance over sampled points of the unit ball, one distance per
     point, which only estimates the supremum from below; for p <= 1 <= q
-    one distance per column is added, and that column maximum is the exact
-    supremum.  For k - 1 >= rank(T) the singular candidate contains the
-    range, so the result is 0.
+    the points include the columns (the images of the +e_j), whose maximum
+    is the exact supremum.  For k - 1 >= rank(T) the singular candidate
+    contains the range, so the result is 0.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

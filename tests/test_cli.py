@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import jsonschema
 import pytest
@@ -200,6 +201,41 @@ def test_tiny_exponent_exits_two_and_names_it():
     assert r.returncode == 2
     assert "--q 1e-300" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("p", ["0.001", "1e-4", "2e-3"])
+def test_sphere_overflow_at_tiny_p_exits_two_and_names_p(p):
+    r = run_cli("idnumbers", "--p", p, "--q", "2")
+    assert r.returncode == 2
+    assert f"exponent p={float(p)!r} is too small" in r.stderr
+    assert "RuntimeWarning" not in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_cli_commands_load_no_scipy():
+    # scipy is imported only by the real LP, smooth-descent and Nelder-Mead
+    # distance paths, none of which these commands reach
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        import snumbers, snumbers.cli
+
+        def loaded():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        assert not loaded(), ("import", loaded())
+        for argv in (
+            ["volume", "--p", "0.5", "--n", "3"],
+            ["idnumbers", "--p", "1", "--q", "inf", "--n", "8", "--k", "1..6",
+             "--field", "complex"],
+            ["sweep", "--p", "1", "--q", "2", "--n", "64", "--k", "3", "--output", "csv"],
+            ["verify", "--budget", "2000"],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert snumbers.cli.main(argv) == 0, argv
+            assert not loaded(), (argv, loaded())
+    """)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
 
 
 def test_exact_rows_have_equal_bounds(capsys, tmp_path):

@@ -160,6 +160,17 @@ def test_max_nn_gap_line():
     assert max_nn_gap(pts, 2.0) == pytest.approx(2.0)
 
 
+def test_max_nn_gap_slab_covers_distances_rounded_below_the_key_gap():
+    # (1.5^q)^(1/q) rounds to 1.4999999999999998 at q = 0.5, and 3 to
+    # 2.9999999999999996 at q = 3, below the key gap that bounds the slab;
+    # the point at key 0 is rechecked first and its nearest neighbour lies
+    # exactly that key gap away
+    for gap, q in ((1.5, 0.5), (3.0, 3.0), (0.7, 0.3)):
+        for shift in (0.0, 1e7):
+            pts = np.array([[shift, 1.0], [shift + gap, 1.0], [shift + gap, 1.0 + gap / 100]])
+            assert max_nn_gap(pts, q) == _reference_nn_gap(pts, q) < gap
+
+
 def test_max_nn_gap_rejects_non_finite_points():
     for bad in (np.inf, np.nan, complex(0.0, np.inf)):
         pts = np.zeros((3, 2), dtype=type(bad))
@@ -209,10 +220,18 @@ def _reference_cover_radii(points, n_centers, q, subsample=256):
     return np.array(radii)
 
 
+def _offset(rng, n):
+    """A shift of 1e6 to 1e8 per coordinate, either sign."""
+    return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(6, 8, n)
+
+
 def _cloud(seed, N, n, field, kind):
-    """Test clouds: Gaussian, scattered magnitudes, half-integer grids, duplicates."""
+    """Test clouds: Gaussian, scattered magnitudes, half-integer grids, duplicates,
+    and Gaussians far from the origin (gaps of order 1 at |coordinate| ~ 1e6-1e8)."""
     rng = np.random.default_rng(seed)
-    if kind == "grid":
+    if kind == "offset":
+        X = rng.standard_normal((N, n)) + _offset(rng, n)
+    elif kind == "grid":
         X = rng.integers(-3, 4, (N, n)) * 0.5  # many exact ties
     elif kind == "duplicates":
         X = rng.standard_normal((max(1, N // 3), n))
@@ -223,6 +242,8 @@ def _cloud(seed, N, n, field, kind):
         X = rng.standard_normal((N, n))
     if field == COMPLEX:
         Y = rng.integers(-2, 3, X.shape) * 0.5 if kind == "grid" else rng.standard_normal(X.shape)
+        if kind == "offset":
+            Y = Y + _offset(rng, n)
         X = X + 1j * (Y if kind != "duplicates" else Y[0])
     return X
 
@@ -232,7 +253,7 @@ cloud_args = dict(
     N=st.integers(1, 300),
     n=st.integers(1, 6),
     field=st.sampled_from([REAL, COMPLEX]),
-    kind=st.sampled_from(["gauss", "grid", "duplicates", "scales"]),
+    kind=st.sampled_from(["gauss", "grid", "duplicates", "scales", "offset"]),
     q=st.sampled_from(GAP_QS),
 )
 
@@ -241,6 +262,26 @@ cloud_args = dict(
 @given(**cloud_args)
 def test_max_nn_gap_equals_brute_force(seed, N, n, field, kind, q):
     X = _cloud(seed, N, n, field, kind)
+    assert max_nn_gap(X, q) == _reference_nn_gap(X, q)
+
+
+IMAGE_QS = [0.5, 1.0, 2.0, INF]
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("kind", ["gauss", "identity"])
+@pytest.mark.parametrize("q", IMAGE_QS)
+def test_max_nn_gap_on_image_clouds_equals_brute_force(field, kind, q):
+    # the cloud sizes and operator shapes of the entropy brackets
+    case = 8 * [REAL, COMPLEX].index(field) + 4 * ["gauss", "identity"].index(kind)
+    case += IMAGE_QS.index(q)
+    rng = np.random.default_rng([case, 29])
+    n = 4 if field == REAL else 3
+    M = np.eye(n) if kind == "identity" else rng.standard_normal((n, n))
+    if field == COMPLEX:
+        M = M + 1j * (0.0 if kind == "identity" else rng.standard_normal((n, n)))
+    T = operator(M, (0.5, 1.0, 2.0)[case % 3], q, field=field)
+    X = image_cloud(T, (2048, 3072, 4096)[case % 3], seed=case)
     assert max_nn_gap(X, q) == _reference_nn_gap(X, q)
 
 

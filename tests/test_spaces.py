@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -192,6 +195,25 @@ def test_dist_linf_and_l1_lines():
     # min_c max(|1-c|, |c|) = 1/2 at c = 1/2; min_c |1-c| + |c| = 1 on [0,1]
     assert dist_to_subspace(x, b, math.inf) == pytest.approx(0.5, abs=1e-9)
     assert dist_to_subspace(x, b, 1.0) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_dist_l1_first_call_in_fresh_interpreter_is_lp_value():
+    # scipy.optimize is imported inside the LP path, on its first call;
+    # the median point c = 1 gives 9, below ||x||_1 = 13 and the
+    # least-squares residual's 13.5, so only the LP reaches it
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from snumbers.spaces import dist_to_subspace
+
+        assert "scipy.optimize" not in sys.modules
+        d = dist_to_subspace(np.array([1.0, 1.0, 1.0, 10.0]), [np.ones(4)], 1.0)
+        assert "scipy.optimize" in sys.modules
+        print(repr(d))
+    """)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert float(r.stdout) == pytest.approx(9.0, abs=1e-9)
 
 
 def test_dist_quasi_matches_kink_oracle():

@@ -205,16 +205,17 @@ def test_dist_raw_and_orthonormal_bases_agree():
     (4, COMPLEX, 0.5, 1.5, 2, True),
 ])
 def test_kolmogorov_search_one_distance_per_sample_point(monkeypatch, n, field, p, q, k, columns):
-    points, calls = [], []
+    points, calls, firsts = [], [], []
     dist, unit, sphere = widths.dist_to_subspace, widths._unit_directions, widths.sample_sphere
 
     def count_dist(*args, **kwargs):
-        calls.append(1)
+        calls.append(np.array(args[0]))
         return dist(*args, **kwargs)
 
     def count_unit(*args, **kwargs):
         X = unit(*args, **kwargs)
         points.append(X.shape[0])
+        firsts.append(len(calls))
         return X
 
     def count_sphere(*args, **kwargs):
@@ -232,7 +233,13 @@ def test_kolmogorov_search_one_distance_per_sample_point(monkeypatch, n, field, 
     _, cands = kolmogorov_upper_search(operator(M, p, q, field=field), k, budget=100,
                                        seed=1, return_details=True)
     assert all(c.quotient is None and c.agreement_gap is None for c in cands)
-    assert len(calls) == sum(points) + (len(cands) * n if columns else 0)
+    assert len(calls) == sum(points)
+    if columns:
+        # p <= 1 <= q: each candidate's first n points are the columns, whose
+        # distance maximum is the supremum, so no separate column pass is needed
+        for first in firsts:
+            for j in range(n):
+                assert np.array_equal(calls[first + j], M[:, j])
 
 
 def test_kolmogorov_search_never_below_sigma():
