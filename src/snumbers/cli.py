@@ -30,7 +30,8 @@ all randomness flows from --seed (SNUM_SEED serves as a fallback).
 Exponents accept decimal literals or the token "inf" and are serialized
 back the same way.
 
-Exit codes: 0 clean, 1 property violation, 2 usage or parse error.
+Exit codes: 0 clean, 1 property violation, 2 usage or parse error,
+3 internal error (an unexpected exception, named on the last line of stderr).
 """
 
 import argparse
@@ -216,11 +217,15 @@ def _num(x):
 
 
 def _row(quantity, k, lower, upper, exact, method, label, elapsed_ms=0.0):
+    lower, upper = _num(lower), _num(upper)
+    if exact and (lower is None or lower != upper):
+        raise RuntimeError(f"{quantity}_{k} ({method}) is marked exact "
+                           f"but its bounds differ: {lower} vs {upper}")
     return {
         "quantity": quantity,
         "k": int(k),
-        "lower": _num(lower),
-        "upper": _num(upper),
+        "lower": lower,
+        "upper": upper,
         "exact": bool(exact),
         "method": method,
         "label": label,
@@ -340,13 +345,16 @@ def run_estimate(cfg):
         norm = op_norm(T, budget=min(cfg.budget, 4000), seed=cfg.seed)
         cheap_norm = T.domain.p <= 1.0 and T.codomain.p >= 1.0
         for k in range(cfg.k_lo, k_hi + 1):
+            # a_1 = d_1 = ||T||; for k >= 2 the norm is only an upper bound
+            exact = norm.exact and k == 1
+            lower = norm.value if exact else None
             if cheap_norm and T.domain.n <= 8:
                 a = approx_upper_search(T, k, budget=min(cfg.budget, 400), seed=cfg.seed)
                 rows.append(_row("a", k, None, a, False, "rank-search", "estimator", clock.lap()))
             else:
-                rows.append(_row("a", k, None, norm.value, norm.exact,
+                rows.append(_row("a", k, lower, norm.value, exact,
                                  "norm-bound", "estimator", clock.lap()))
-            rows.append(_row("d", k, None, norm.value, norm.exact,
+            rows.append(_row("d", k, lower, norm.value, exact,
                              "norm-bound", "estimator", clock.lap()))
 
     return {"config": cfg.to_json_dict(), "rows": _sort_rows(rows), "violations": []}, 0
@@ -672,10 +680,17 @@ def main(argv=None):
             name, value = min((("p", cfg.p), ("q", cfg.q)), key=lambda t: t[1])
             raise ValueError(f"exponent --{name} {value!r} is too small: "
                              f"a power of n in 1/{name} overflows a float") from None
+        text = render(report, cfg.output)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(render(report, cfg.output))
+    except Exception as exc:  # a fault of the program, not of its input
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    sys.stdout.write(text)
     return code
 
 

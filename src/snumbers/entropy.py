@@ -191,15 +191,22 @@ def max_nn_gap(points, q):
     recheck of i also lowers u_j to d(i, j) for the points j it meets, and a
     point whose lowered u_j <= best is skipped for the same reason.
 
-    A recheck of i scans only the slab |key_j - key_i| <= u_i on the widest
-    coordinate.  That is exact for every q in (0, inf] and both fields,
-    because |Re a_c| <= |a_c| <= ||a||_q and |Im a_c| <= |a_c| <= ||a||_q,
-    so every j with d(i, j) <= u_i lies in the slab.  The computed distance
-    can round below the key gap (sqrt(1.5)**2 < 1.5), so the half-width is
-    u_i times 1 plus a bound on that relative error (an n-term sum and the
-    powers q and 1/q), plus 4 eps |key_i| for the rounding of key_i +- u_i,
-    which scales with |key_i|, not with u_i.  The result therefore equals
-    the brute-force maximum for every q and field.
+    A recheck of i scans only slabs |key_j - key_i| <= r on the widest
+    coordinate, every j with d(i, j) <= r lying in the slab of radius r.
+    That holds for every q in (0, inf] and both fields, because
+    |Re a_c| <= |a_c| <= ||a||_q and |Im a_c| <= |a_c| <= ||a||_q.  The
+    computed distance can round below the key gap (sqrt(1.5)**2 < 1.5), so
+    the half-width is r times 1 plus a bound on that relative error (an
+    n-term sum and the powers q and 1/q), plus 4 eps |key_i| for the
+    rounding of key_i +- r, which scales with |key_i|, not with r.  The
+    recheck first scans the slab of radius best.  If it holds a j with
+    d(i, j) <= best, then r_i <= best and i cannot raise the maximum, so i
+    is done.  Otherwise the nearest j lies within m = min(u_i, the slab's
+    minimum) of i, and the recheck scans the rest of the slab of radius m,
+    which is its two side ranges (the slab of radius best is inside it,
+    since best < m and rounding is monotone).  Either way r_i is known
+    whenever it exceeds best, so the result equals the brute-force maximum
+    for every q and field.
     """
     N = points.shape[0]
     if N < 2:
@@ -231,6 +238,21 @@ def max_nn_gap(points, q):
     eps = np.finfo(float).eps
     # relative error bound of _dist_cols: an n-term sum and the powers q, 1/q
     widen = 1.0 + 4.0 * (points.shape[1] + 4) * eps / min(1.0, q)
+
+    def slab(key, radius):
+        half = radius * widen + 4.0 * eps * abs(key)
+        lo = int(np.searchsorted(keys, key - half, side="left"))
+        return lo, int(np.searchsorted(keys, key + half, side="right"))
+
+    def nearest(i, lo, hi):
+        """min of d(i, j) over j != i in lo:hi, lowering u_j on the way."""
+        d = _dist_cols(cols[:, lo:hi], cols[:, i], q)
+        if lo <= i < hi:
+            d[i - lo] = math.inf
+        # d(i, j) is also a term of r_j's minimum
+        np.minimum(upper[lo:hi], d, out=upper[lo:hi])
+        return float(d.min())
+
     best = 0.0
     scan = np.argsort(upper)[::-1]
     bound = upper[scan]
@@ -239,14 +261,16 @@ def max_nn_gap(points, q):
             break
         if upper[i] <= best:  # tightened by an earlier recheck
             continue
-        half = float(upper[i]) * widen + 4.0 * eps * abs(float(keys[i]))
-        lo = int(np.searchsorted(keys, keys[i] - half, side="left"))
-        hi = int(np.searchsorted(keys, keys[i] + half, side="right"))
-        d = _dist_cols(cols[:, lo:hi], cols[:, i], q)
-        d[i - lo] = math.inf
-        best = max(best, float(d.min()))
-        # d(i, j) is also a term of r_j's minimum
-        np.minimum(upper[lo:hi], d, out=upper[lo:hi])
+        key = float(keys[i])
+        lo_b, hi_b = slab(key, best)  # holds i
+        r_i = nearest(i, lo_b, hi_b)
+        if r_i <= best:
+            continue
+        lo, hi = slab(key, min(float(upper[i]), r_i))
+        for a, b in ((lo, lo_b), (hi_b, hi)):
+            if a < b:
+                r_i = min(r_i, nearest(i, a, b))
+        best = max(best, r_i)
     return best
 
 
@@ -268,12 +292,33 @@ def _greedy_cover_radii(points, n_centers, q, subsample=256):
     first = int(cand_idx[int(np.argmin(worst))])
 
     d = _dist_cols(cols, cols[:, first], q)
-    radii = [float(d.max())]
+    # the farthest point is the next center, and its distance is the radius
+    # (d[argmax(d)] is d.max() bit for bit)
+    j = int(np.argmax(d))
+    radii = [float(d[j])]
     for _ in range(1, n_centers):
-        j = int(np.argmax(d))
         np.minimum(d, _dist_cols(cols, cols[:, j], q), out=d)
-        radii.append(float(d.max()))
+        j = int(np.argmax(d))
+        radii.append(float(d[j]))
     return np.array(radii)
+
+
+def _cover_radii_doubling(points, k_max, q):
+    """Greedy covering radii with 1, 2, 4, ..., 2^(k_max-1) centers.
+
+    Entry k-1 equals ``_greedy_cover_radii(points, 2^(k_max-1), q)[2^(k-1) - 1]``.
+    When 2^(k_max-1) equals the number N > 1 of points, the last radius is
+    exactly 0 and only the first N/2 centers are run: while max d > 0 each
+    center is a point with d > 0, whose own distance becomes 0 exactly
+    (``_dist_cols`` gives d(x, x) = 0), so after N centers no point is
+    uncovered, duplicates included.
+    """
+    need = 2 ** (k_max - 1)
+    N = points.shape[0]
+    if need == N and N > 1:
+        return _cover_radii_doubling(points, k_max - 1, q) + [0.0]
+    radii = _greedy_cover_radii(points, need, q)
+    return [float(radii[2 ** (k - 1) - 1]) for k in range(1, k_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +331,10 @@ def entropy_upper_cover_sequence(T, k_max, cloud=1024, seed=0):
 
     A single farthest-point traversal serves every k (the covering radius
     after 2^(k-1) insertions), which also makes the reported uppers
-    nonincreasing in k by construction.
+    nonincreasing in k by construction.  When 2^(k_max-1) centers would take
+    every cloud point, the traversal stops at half of them and e_{k_max}'s
+    radius is the 0 that the remaining centers would reach (see
+    ``_cover_radii_doubling``).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -301,14 +349,14 @@ def entropy_upper_cover_sequence(T, k_max, cloud=1024, seed=0):
                       certified_upper=False, delta=0.0)
             for k in range(1, k_max + 1)
         ]
-    radii = _greedy_cover_radii(pts, need, q)
+    radii = _cover_radii_doubling(pts, k_max, q)
     delta = max_nn_gap(pts, q)
     out = []
     for k in range(1, k_max + 1):
         out.append(
             BoundPair(
                 k=k,
-                upper=float(radii[2 ** (k - 1) - 1]),
+                upper=radii[k - 1],
                 method_upper=METHOD_GREEDY_COVER,
                 certified_upper=False,
                 delta=delta,
@@ -331,6 +379,51 @@ def _qbar(q):
     return 1.0 if math.isinf(q) else min(1.0, q)
 
 
+class _PackingTraversal:
+    """Farthest-point packing of ``image_cloud(T, budget, seed)``, grown on demand.
+
+    Starts at the point of largest norm; each insertion takes the point
+    farthest from the points taken so far and records that distance in
+    ``gaps``.  ``extend(count)`` continues the loop exactly where it stopped,
+    so the gaps after any sequence of extensions are those of one
+    uninterrupted traversal.
+    """
+
+    def __init__(self, T, budget, seed):
+        self.q = T.codomain.p
+        pts = image_cloud(T, budget, seed)
+        self.cols = np.ascontiguousarray(pts.T)
+        start = int(np.argmax(_norm_rows(pts, self.q)))
+        self.d = _dist_cols(self.cols, self.cols[:, start], self.q)
+        self.d[start] = -np.inf
+        self.gaps = []
+
+    def extend(self, count):
+        """Run insertions until ``count`` gaps are known or none is left.
+
+        None is left once every point is taken or the rest duplicate taken
+        ones; the loop then stops without changing the state.
+        """
+        d, cols, q = self.d, self.cols, self.q
+        while len(self.gaps) < count:
+            j = int(np.argmax(d))
+            gap = float(d[j])
+            if not gap > 0.0:
+                break
+            self.gaps.append(gap)
+            np.minimum(d, _dist_cols(cols, cols[:, j], q), out=d)
+            d[j] = -np.inf
+
+
+def _packing_traversal(T, budget, seed):
+    """The packing traversal of T's cloud, kept on T (its matrix is read-only)."""
+    key = ("packing", budget, seed)
+    trav = T._memo.get(key)
+    if trav is None:
+        trav = T._memo[key] = _PackingTraversal(T, budget, seed)
+    return trav
+
+
 def entropy_lower_pack_sequence(T, k_max, budget=512, seed=0):
     """Certified packing lower bounds for e_1 .. e_{k_max}.
 
@@ -342,30 +435,22 @@ def entropy_lower_pack_sequence(T, k_max, budget=512, seed=0):
     first K traversal points is exactly the minimum insertion distance, so
     the bound is certified.
 
-    The traversal stops after min(budget, 2^(k_max-1) + 1) points: e_k only
-    reads the first 2^(k-1) + 1 of them, and the traversal does not depend
-    on k_max, so the bounds for k <= k_max are the same for every k_max (a
-    shorter sequence is a prefix of a longer one).
+    e_k only reads the first 2^(k-1) + 1 traversal points, and the traversal
+    does not depend on k_max, so the bounds for k <= k_max are the same for
+    every k_max (a shorter sequence is a prefix of a longer one).  One
+    traversal per (budget, seed) is therefore kept on the operator and
+    extended to min(budget, 2^(k_max-1) + 1) points only when a call needs
+    more of it: calls in any order, including the per-k calls of
+    ``entropy_lower_pack`` and ``best_certified_lower``, return exactly what
+    a fresh traversal returns.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     q = T.codomain.p
-    pts = image_cloud(T, budget, seed)
-    N = pts.shape[0]
-    cols = np.ascontiguousarray(pts.T)
-
-    start = int(np.argmax(_norm_rows(pts, q)))
-    d = _dist_cols(cols, cols[:, start], q)
-    d[start] = -np.inf
-    insert_dists = []
-    for _ in range(min(N, 2 ** (k_max - 1) + 1) - 1):
-        j = int(np.argmax(d))
-        gap = float(d[j])
-        if not gap > 0.0:
-            break
-        insert_dists.append(gap)
-        np.minimum(d, _dist_cols(cols, cols[:, j], q), out=d)
-        d[j] = -np.inf
+    need = 2 ** (k_max - 1)
+    trav = _packing_traversal(T, budget, seed)
+    trav.extend(need)
+    insert_dists = trav.gaps[:need]
     # separation of the first (i+2) points = min of the first (i+1) insertions
     prefix_sep = np.minimum.accumulate(insert_dists) if insert_dists else np.array([])
 
@@ -508,7 +593,9 @@ def best_certified_lower(T, k, budget=512, seed=0):
 
     Packing always applies; for identity operators the volumetric bound and
     (p <= q, n >= 4) the Hamming bound join the maximum.  Returns a
-    BoundPair with the winning method recorded.
+    BoundPair with the winning method recorded.  The packing reads the
+    traversal kept on T, so the calls for k = 1 .. K together build one
+    cloud and run one traversal of 2^(K-1) + 1 points.
     """
     pair = entropy_lower_pack(T, k, budget=budget, seed=seed)
     best, method = pair.lower, pair.method_lower

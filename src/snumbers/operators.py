@@ -9,6 +9,7 @@ singular value).  Everything else falls back to a seeded sampled-ascent
 lower bound that is reported as non-exact.
 """
 
+import dataclasses
 import math
 import zlib
 from dataclasses import dataclass
@@ -40,9 +41,18 @@ class OpNormResult:
 
 @dataclass(frozen=True)
 class LinOp:
+    """A matrix as an operator from ``domain`` to ``codomain``.
+
+    The matrix is a private read-only copy, so results that depend only on
+    the operator can be kept in ``_memo`` (the entropy packing keeps its
+    traversal there) for as long as the operator lives.
+    """
+
     matrix: np.ndarray
     domain: SpaceSpec
     codomain: SpaceSpec
+    # a dataclasses.field, spelled out: the class has a `field` property
+    _memo: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         M = np.asarray(self.matrix)
@@ -58,7 +68,8 @@ class LinOp:
         if np.iscomplexobj(M) and self.domain.field != COMPLEX:
             raise ValueError("complex matrix over real spaces")
         dtype = complex if self.domain.field == COMPLEX else float
-        M = np.ascontiguousarray(M, dtype=dtype)
+        # a copy: the caller's array stays writable and cannot change T
+        M = np.array(M, dtype=dtype, order="C")
         M.setflags(write=False)
         object.__setattr__(self, "matrix", M)
 

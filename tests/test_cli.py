@@ -10,6 +10,7 @@ import sys
 import textwrap
 
 import jsonschema
+import numpy as np
 import pytest
 
 from snumbers.cli import (
@@ -119,6 +120,53 @@ def test_estimate_diagonal_exact(capsys, diag_csv):
     assert [r["lower"] for r in rows_of(doc, "a")] == [3.0, 2.0, 1.0]
     assert [r["lower"] for r in rows_of(doc, "d")] == [3.0, 2.0, 1.0]
     assert all(r["exact"] for r in rows_of(doc, "a"))
+
+
+@pytest.mark.parametrize("matrix, n_a_norm", [
+    # real, n = 9 > 8: the a rows are norm bounds too
+    ([[(i * 9 + j) % 7 - 3.0 for j in range(9)] for i in range(3)], 3),
+    # complex, n = 3: the a rows come from the rank search
+    ([[1 + 2j, 0, 0.5], [0, 1 - 1j, 2], [3j, 1, 0]], 0),
+])
+def test_estimate_norm_bound_is_exact_only_at_k1(capsys, tmp_path, matrix, n_a_norm):
+    path = tmp_path / "m.csv"
+    fmt = lambda z: f"{z.real}{z.imag:+}i" if isinstance(z, complex) else str(z)  # noqa: E731
+    path.write_text("".join(",".join(map(fmt, row)) + "\n" for row in matrix))
+    # p = 1, q = 2: the column maximum is the exact norm
+    _, doc = cli_json(capsys, "estimate", "--input", str(path), "--p", "1", "--q", "2",
+                      "--k", "1..3", "--budget", "400")
+    norm_rows = [r for r in doc["rows"] if r["method"] == "norm-bound"]
+    assert len(norm_rows) == 3 + n_a_norm
+    column_max = float(np.linalg.norm(np.array(matrix), axis=0).max())
+    for r in norm_rows:
+        assert r["upper"] == pytest.approx(column_max, rel=1e-12)
+        if r["k"] == 1:  # a_1 = d_1 = ||T||
+            assert r["exact"] and r["lower"] == r["upper"]
+        else:
+            assert not r["exact"] and r["lower"] is None
+
+
+def test_row_refuses_exact_with_unequal_bounds():
+    from snumbers.cli import _row
+
+    assert _row("a", 1, 2.0, 2.0, True, "m", "l")["exact"]
+    for lower, upper in ((None, 2.0), (1.0, 2.0), (math.nan, math.nan)):
+        with pytest.raises(RuntimeError, match="marked exact"):
+            _row("a", 2, lower, upper, True, "m", "l")
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    import snumbers.cli
+
+    def broken(cfg):
+        raise AssertionError("Eckart-Young residual mismatch")
+
+    monkeypatch.setitem(snumbers.cli._RUNNERS, "volume", broken)
+    assert main(["volume", "--p", "2", "--n", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "internal error: AssertionError: Eckart-Young residual mismatch")
 
 
 def test_volume_unit_disc(capsys):

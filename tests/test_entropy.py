@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snumbers.entropy import (
+    METHOD_HAMMING,
+    METHOD_PACKING,
+    METHOD_VOLUMETRIC,
     REGIME_LARGE,
     REGIME_MID,
     REGIME_SMALL,
@@ -25,7 +28,13 @@ from snumbers.entropy import (
     regime_envelope,
     regime_piece,
 )
-from snumbers.entropy import _dist_cols, _greedy_cover_radii
+from snumbers import entropy as entropy_mod
+from snumbers.entropy import (
+    _cover_radii_doubling,
+    _dist_cols,
+    _greedy_cover_radii,
+    _packing_traversal,
+)
 from snumbers.operators import _norm_rows, diagonal_operator, identity_operator, operator
 from snumbers.spaces import COMPLEX, REAL
 
@@ -316,6 +325,133 @@ def test_packing_sequence_is_prefix_of_longer_one(field, q):
     full = entropy_lower_pack_sequence(T, K, budget=400, seed=2)
     for k in range(1, K):
         assert entropy_lower_pack_sequence(T, k, budget=400, seed=2) == full[:k]
+
+
+def _reference_pack_sequence(T, k_max, budget, seed):
+    """The packing traversal run anew for one call, with no memo."""
+    q = T.codomain.p
+    pts = image_cloud(T, budget, seed)
+    N = pts.shape[0]
+    start = int(np.argmax(_norm_rows(pts, q)))
+    d = _norm_rows(pts - pts[start], q)
+    d[start] = -np.inf
+    insert_dists = []
+    for _ in range(min(N, 2 ** (k_max - 1) + 1) - 1):
+        j = int(np.argmax(d))
+        if not d[j] > 0.0:
+            break
+        insert_dists.append(float(d[j]))
+        d = np.minimum(d, _norm_rows(pts - pts[j], q))
+        d[j] = -np.inf
+    denom = 2.0 ** (1.0 / (1.0 if math.isinf(q) else min(1.0, q)))
+    out = []
+    for k in range(1, k_max + 1):
+        K = 2 ** (k - 1) + 1
+        lower = min(insert_dists[: K - 1]) / denom if K - 1 <= len(insert_dists) else 0.0
+        out.append(BoundPair(k=k, lower=lower, method_lower=METHOD_PACKING,
+                             certified_lower=True))
+    return out
+
+
+def _reference_best_lower(T, k, budget, seed):
+    best, method = _reference_pack_sequence(T, k, budget, seed)[-1].lower, METHOD_PACKING
+    if np.array_equal(T.matrix, np.eye(T.domain.n)):
+        p, q, n = T.domain.p, T.codomain.p, T.domain.n
+        vol = entropy_lower_volumetric(p, q, n, k, T.field)
+        if vol > best:
+            best, method = vol, METHOD_VOLUMETRIC
+        if p <= q and n >= 4:
+            ham = hamming_pack_lower(p, q, n, k)
+            if ham > best:
+                best, method = ham, METHOD_HAMMING
+    return BoundPair(k=k, lower=best, method_lower=method, certified_lower=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    matrix_seed=st.integers(0, 2**32 - 1),
+    field=st.sampled_from([REAL, COMPLEX]),
+    kind=st.sampled_from(["gauss", "identity"]),
+    exponents=st.lists(st.tuples(st.sampled_from([0.5, 1.0, 2.0]),
+                                 st.sampled_from([0.5, 1.0, 2.0, INF])),
+                       min_size=1, max_size=3),
+    calls=st.lists(st.tuples(st.sampled_from(["sequence", "pack", "best"]),
+                             st.integers(0, 2), st.integers(1, 9),
+                             st.sampled_from([40, 130, 300]), st.sampled_from([0, 1, 7])),
+                   min_size=1, max_size=12),
+)
+def test_memoised_packing_equals_a_fresh_traversal(matrix_seed, field, kind, exponents, calls):
+    # calls in any order, on operators that share one matrix but differ in p
+    # or q, read what a fresh traversal of their own cloud gives
+    rng = np.random.default_rng(matrix_seed)
+    n = 4 if field == REAL else 3
+    M = np.eye(n) if kind == "identity" else rng.standard_normal((n, n))
+    if field == COMPLEX:
+        M = M + 1j * (0.0 if kind == "identity" else rng.standard_normal((n, n)))
+    ops = [operator(M, p, q, field=field) for p, q in exponents]
+    for what, which, k, budget, seed in calls:
+        T = ops[which % len(ops)]
+        if what == "sequence":
+            got = entropy_lower_pack_sequence(T, k, budget=budget, seed=seed)
+            assert got == _reference_pack_sequence(T, k, budget, seed)
+        elif what == "pack":
+            got = entropy_lower_pack(T, k, budget=budget, seed=seed)
+            assert got == _reference_pack_sequence(T, k, budget, seed)[-1]
+        else:
+            got = best_certified_lower(T, k, budget=budget, seed=seed)
+            assert got == _reference_best_lower(T, k, budget, seed)
+
+
+@pytest.mark.parametrize("sequence_first", [True, False])
+def test_pack_sequence_and_per_k_lowers_build_one_cloud(monkeypatch, sequence_first):
+    built = []
+    real_cloud = entropy_mod.image_cloud
+    monkeypatch.setattr(entropy_mod, "image_cloud",
+                        lambda *args, **kwargs: built.append(args) or real_cloud(*args, **kwargs))
+    T = operator(np.random.default_rng(5).standard_normal((4, 4)), 1.0, 2.0)
+    K = 7
+    ks = range(1, K + 1) if sequence_first else range(K, 0, -1)
+    if sequence_first:
+        entropy_lower_pack_sequence(T, K, budget=300, seed=3)
+    bests = [best_certified_lower(T, k, budget=300, seed=3) for k in ks]
+    if not sequence_first:
+        entropy_lower_pack_sequence(T, K, budget=300, seed=3)
+    assert len(built) == 1
+    # the traversal went exactly as far as e_K reads: 2^(K-1) insertions
+    assert len(_packing_traversal(T, 300, 3).gaps) == 2 ** (K - 1)
+    assert {b.k: b for b in bests} == {
+        k: _reference_best_lower(T, k, 300, 3) for k in range(1, K + 1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log2_N=st.integers(0, 8),
+    short=st.integers(0, 2),
+    n=st.integers(1, 5),
+    field=st.sampled_from([REAL, COMPLEX]),
+    kind=st.sampled_from(["gauss", "grid", "duplicates", "scales", "offset"]),
+    q=st.sampled_from(GAP_QS),
+)
+def test_cover_radii_doubling_equal_a_full_run(seed, log2_N, short, n, field, kind, q):
+    # k_max = log2(N) + 1 is the zero-tail case (2^(k_max-1) = N centers);
+    # shorter k_max run the traversal as it is
+    X = _cloud(seed, 2**log2_N, n, field, kind)
+    k_max = max(1, log2_N + 1 - short)
+    full = _greedy_cover_radii(X, 2 ** (k_max - 1), q)
+    expected = [float(full[2 ** (k - 1) - 1]) for k in range(1, k_max + 1)]
+    got = _cover_radii_doubling(X, k_max, q)
+    assert [float(r).hex() for r in got] == [r.hex() for r in expected]
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, INF])
+def test_cover_sequence_on_a_cloud_of_exactly_2_to_k_max_minus_1_points(q):
+    T = operator(np.random.default_rng(2).standard_normal((3, 3)), 1.0, q)
+    k_max = 7
+    seq = entropy_upper_cover_sequence(T, k_max, cloud=2 ** (k_max - 1), seed=4)
+    full = _greedy_cover_radii(image_cloud(T, 2 ** (k_max - 1), seed=4), 2 ** (k_max - 1), q)
+    assert [b.upper for b in seq] == [float(full[2 ** (k - 1) - 1]) for k in range(1, k_max + 1)]
+    assert seq[-1].upper == 0.0
 
 
 # ---------------------------------------------------------------------------

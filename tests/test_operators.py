@@ -38,6 +38,22 @@ def test_matrix_is_frozen():
         T.matrix[0, 0] = 5.0
 
 
+def test_operator_copies_the_callers_array():
+    A = np.arange(4.0).reshape(2, 2)
+    T = operator(A, 1, 2)
+    assert T.matrix is not A
+    assert A.flags.writeable  # the caller's array is not frozen
+    A[0, 0] = 5.0
+    assert T.matrix[0, 0] == 0.0
+
+
+def test_operator_from_a_view_ignores_writes_to_its_base():
+    B = np.arange(9.0).reshape(3, 3)
+    T2 = operator(B[:2, :2], 2, 2)
+    B[0, 0] = 5.0
+    assert np.array_equal(T2.matrix, [[0.0, 1.0], [3.0, 4.0]])
+
+
 def test_add_compose_validation():
     S = operator(np.eye(2), 1, 2)
     T = operator(np.eye(2), 1, 2)
