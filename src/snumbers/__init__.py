@@ -67,8 +67,6 @@ from .entropy import (
 )
 from .widths import (
     NO_CLOSED_FORM,
-    AxiomReport,
-    AxiomViolation,
     SNumberSeq,
     WidthEnvelope,
     approx_id_envelope,

@@ -58,7 +58,7 @@ from .spaces import (
     lp_norm,
     quasi_constant,
 )
-from .spectral import carl_check, hilbert_entropy_bracket, weyl_check
+from .spectral import CheckReport, carl_check, hilbert_entropy_bracket, weyl_check
 from .widths import (
     approx_id_envelope,
     approx_upper_search,
@@ -281,22 +281,27 @@ def _envelope_rows(p, q, n, k_lo, k_hi, field, clock, n_tag=""):
     return rows
 
 
+def _entropy_rows(T, cfg, cloud, clock):
+    """e rows for k_lo..k_hi, capped at log2(cloud) + 1: certified packing
+    lowers and cover uppers padded by the cloud's nearest-neighbour gap."""
+    k_cap = min(cfg.k_hi, int(math.log2(cloud)) + 1)
+    if k_cap < cfg.k_lo:
+        return []
+    uppers = entropy_mod.entropy_upper_cover_sequence(T, k_cap, cloud=cloud, seed=cfg.seed)
+    lowers = entropy_mod.entropy_lower_pack_sequence(
+        T, k_cap, budget=max(64, min(cloud, 512)), seed=cfg.seed)
+    return [_row("e", k, lowers[k - 1].lower, entropy_mod.padded_upper(uppers[k - 1], cfg.q),
+                 False, "pack/cover", "estimator", clock.lap())
+            for k in range(cfg.k_lo, k_cap + 1)]
+
+
 def run_idnumbers(cfg):
     clock = _Clock(cfg.timings)
     rows = _envelope_rows(cfg.p, cfg.q, cfg.n, cfg.k_lo, cfg.k_hi, cfg.field, clock)
 
     if cfg.n <= 16:
         T = identity_operator(cfg.n, cfg.p, cfg.q, field=cfg.field)
-        cloud = min(2048, max(256, cfg.budget // 8))
-        k_cap = min(cfg.k_hi, int(math.log2(cloud)) + 1)
-        if k_cap >= cfg.k_lo:
-            uppers = entropy_mod.entropy_upper_cover_sequence(T, k_cap, cloud=cloud, seed=cfg.seed)
-            lowers = entropy_mod.entropy_lower_pack_sequence(
-                T, k_cap, budget=max(64, min(cloud, 512)), seed=cfg.seed)
-            for k in range(cfg.k_lo, k_cap + 1):
-                up = entropy_mod.padded_upper(uppers[k - 1], cfg.q)
-                rows.append(_row("e", k, lowers[k - 1].lower, up, False,
-                                 "pack/cover", "estimator", clock.lap()))
+        rows += _entropy_rows(T, cfg, min(2048, max(256, cfg.budget // 8)), clock)
         hilbert = cfg.p == 2.0 and cfg.q == 2.0
         cheap_norm = cfg.p <= 1.0 and cfg.q >= 1.0
         if hilbert:
@@ -320,19 +325,8 @@ def run_estimate(cfg):
         raise ValueError(
             f"domain error: --n {cfg.n} does not match matrix columns {T.domain.n}"
         )
-    rows = []
+    rows = _entropy_rows(T, cfg, min(4096, max(256, cfg.budget // 4)), clock)
     k_hi = cfg.k_hi
-
-    cloud = min(4096, max(256, cfg.budget // 4))
-    k_cap = min(k_hi, int(math.log2(cloud)) + 1)
-    if k_cap >= cfg.k_lo:
-        uppers = entropy_mod.entropy_upper_cover_sequence(T, k_cap, cloud=cloud, seed=cfg.seed)
-        lowers = entropy_mod.entropy_lower_pack_sequence(
-            T, k_cap, budget=max(64, min(cloud, 512)), seed=cfg.seed)
-        for k in range(cfg.k_lo, k_cap + 1):
-            up = entropy_mod.padded_upper(uppers[k - 1], cfg.q)
-            rows.append(_row("e", k, lowers[k - 1].lower, up, False,
-                             "pack/cover", "estimator", clock.lap()))
 
     hilbert = T.domain.p == 2.0 and T.codomain.p == 2.0
     if hilbert:
@@ -360,10 +354,10 @@ def run_estimate(cfg):
     return {"config": cfg.to_json_dict(), "rows": _sort_rows(rows), "violations": []}, 0
 
 
-def _verify_weyl(cfg, violations):
+def _verify_weyl(cfg):
     rng = np.random.default_rng([cfg.seed, 1])
     n_instances = max(3, min(40, cfg.budget // 250))
-    checks = 0
+    rep = CheckReport()
     for t in range(n_instances):
         n = int(rng.integers(1, 7))
         complex_case = t % 2 == 1
@@ -371,25 +365,17 @@ def _verify_weyl(cfg, violations):
         if complex_case:
             M = M + 1j * rng.standard_normal((n, n))
         T = operator(M, 2, 2, field=COMPLEX if complex_case else REAL)
-        rep = weyl_check(T, tol=cfg.tol)
-        checks += len(rep.entries)
-        for e in rep.violations:
-            violations.append({"check": "weyl", "detail": f"instance {t}: {e.detail}",
-                               "lhs": _num(e.lhs), "rhs": _num(e.rhs)})
+        rep.merge(weyl_check(T, tol=cfg.tol), "weyl", f"instance {t}: ")
     if cfg.inject_bug == "weyl":
         # test hook: flip the k=1 product inequality on a Jordan block, where
         # the margin is strictly positive, so the flipped form must fail
-        rep = weyl_check(operator(np.array([[1.0, 1.0], [0.0, 1.0]]), 2, 2), tol=cfg.tol)
-        e = rep.entries[0]
-        checks += 1
-        if not (e.rhs <= e.lhs * (1.0 + cfg.tol) + cfg.tol):
-            violations.append({"check": "weyl", "detail": f"injected flip of {e.detail}",
-                               "lhs": _num(e.rhs), "rhs": _num(e.lhs)})
-    return checks
+        e = weyl_check(operator(np.array([[1.0, 1.0], [0.0, 1.0]]), 2, 2), tol=cfg.tol).entries[0]
+        rep.check("weyl", e.rhs, e.lhs, f"injected flip of {e.detail}", cfg.tol)
+    return rep
 
 
-def _verify_carl_bracket(cfg, violations):
-    checks = 0
+def _verify_carl_bracket(cfg):
+    rep = CheckReport()
     cloud = max(64, min(1024, cfg.budget // 4))
     for idx, diag in enumerate([(1.0, 0.5), (2.0, 1.0, 0.25)]):
         T = operator(np.diag(diag), 2, 2)
@@ -398,11 +384,7 @@ def _verify_carl_bracket(cfg, violations):
         lowers = entropy_mod.entropy_lower_pack_sequence(T, k_max, budget=min(cloud, 256),
                                                          seed=cfg.seed + idx)
         padded = [entropy_mod.padded_upper(b, 2.0) for b in bounds]
-        rep = carl_check(T, padded, k_max, tol=cfg.tol)
-        checks += len(rep.entries)
-        for e in rep.violations:
-            violations.append({"check": "carl", "detail": f"diag{diag}: {e.detail}",
-                               "lhs": _num(e.lhs), "rhs": _num(e.rhs)})
+        rep.merge(carl_check(T, padded, k_max, tol=cfg.tol), "carl", f"diag{diag}: ")
         for n_index in range(1, 4):
             pair = entropy_mod.BoundPair(
                 k=n_index, lower=lowers[n_index - 1].lower, upper=bounds[n_index - 1].upper,
@@ -410,23 +392,17 @@ def _verify_carl_bracket(cfg, violations):
                 method_upper=bounds[n_index - 1].method_upper,
                 certified_lower=True, certified_upper=False,
                 delta=bounds[n_index - 1].delta)
-            rep = hilbert_entropy_bracket(T, n_index, pair, tol=cfg.tol)
-            checks += len(rep.entries)
-            for e in rep.violations:
-                violations.append({"check": "bracket", "detail": f"diag{diag}: {e.detail}",
-                                   "lhs": _num(e.lhs), "rhs": _num(e.rhs)})
+            rep.merge(hilbert_entropy_bracket(T, n_index, pair, tol=cfg.tol),
+                      "bracket", f"diag{diag}: ")
         for k in range(1, k_max + 1):
-            if lowers[k - 1].lower > padded[k - 1] * (1 + cfg.tol) + cfg.tol:
-                violations.append({"check": "entropy-bracket",
-                                   "detail": f"diag{diag}: lower_{k} above padded upper",
-                                   "lhs": _num(lowers[k - 1].lower), "rhs": _num(padded[k - 1])})
-            checks += 1
-    return checks
+            rep.check("entropy-bracket", lowers[k - 1].lower, padded[k - 1],
+                      f"diag{diag}: lower_{k} above padded upper", cfg.tol)
+    return rep
 
 
-def _verify_aoki(cfg, violations):
+def _verify_aoki(cfg):
     rng = np.random.default_rng([cfg.seed, 3])
-    checks = 0
+    rep = CheckReport()
     n_vectors = max(10, min(50, cfg.budget // 200))
     for p in (0.5, 0.8):
         C0 = 2.0 * quasi_constant(p)
@@ -435,18 +411,13 @@ def _verify_aoki(cfg, violations):
             x = rng.standard_normal(n) * rng.integers(1, 4)
             val = aoki_norm(x, p, depth=2, trials=8, seed=cfg.seed + t)
             ref = lp_norm(x, p)
-            checks += 2
-            if val > ref * (1 + cfg.tol) + cfg.tol:
-                violations.append({"check": "aoki-sandwich", "detail": f"p={p}, t={t}: above",
-                                   "lhs": _num(val), "rhs": _num(ref)})
-            if ref / C0**2 > val * (1 + cfg.tol) + cfg.tol:
-                violations.append({"check": "aoki-sandwich", "detail": f"p={p}, t={t}: below",
-                                   "lhs": _num(ref / C0**2), "rhs": _num(val)})
-    return checks
+            rep.check("aoki-sandwich", val, ref, f"p={p}, t={t}: above", cfg.tol)
+            rep.check("aoki-sandwich", ref / C0**2, val, f"p={p}, t={t}: below", cfg.tol)
+    return rep
 
 
-def _verify_entropy_consistency(cfg, violations):
-    checks = 0
+def _verify_entropy_consistency(cfg):
+    rep = CheckReport()
     cloud = max(64, min(512, cfg.budget // 8))
     for (p, q) in ((1.0, 2.0), (1.0, math.inf), (0.5, 1.0)):
         for n in (2, 3):
@@ -456,17 +427,14 @@ def _verify_entropy_consistency(cfg, violations):
             for k in range(1, k_max + 1):
                 low = entropy_mod.best_certified_lower(T, k, budget=min(cloud, 256), seed=cfg.seed)
                 up = entropy_mod.padded_upper(bounds[k - 1], q)
-                checks += 1
-                if low.lower > up * (1 + cfg.tol) + cfg.tol:
-                    violations.append({"check": "entropy-bracket",
-                                       "detail": f"id l_{p}^{n}->l_{q}: k={k} ({low.method_lower})",
-                                       "lhs": _num(low.lower), "rhs": _num(up)})
-    return checks
+                rep.check("entropy-bracket", low.lower, up,
+                          f"id l_{p}^{n}->l_{q}: k={k} ({low.method_lower})", cfg.tol)
+    return rep
 
 
-def _verify_quotient(cfg, violations):
+def _verify_quotient(cfg):
     rng = np.random.default_rng([cfg.seed, 5])
-    checks = 0
+    rep = CheckReport()
     for t in range(4):
         n = int(rng.integers(2, 5))
         T = operator(rng.standard_normal((n, n)), 2, 2)
@@ -474,16 +442,13 @@ def _verify_quotient(cfg, violations):
             _, cands = kolmogorov_upper_search(T, k, budget=min(cfg.budget, 4000),
                                                seed=cfg.seed + t, return_details=True)
             for c in cands:
-                checks += 1
-                if c.agreement_gap > 1e-6:
-                    violations.append({"check": "quotient-agreement",
-                                       "detail": f"instance {t}, k={k}, {c.kind}",
-                                       "lhs": _num(c.agreement_gap), "rhs": 1e-6})
-    return checks
+                rep.check("quotient-agreement", c.agreement_gap, 1e-6,
+                          f"instance {t}, k={k}, {c.kind}", tol=0.0)
+    return rep
 
 
-def _verify_regimes(cfg, violations):
-    checks = 0
+def _verify_regimes(cfg):
+    rep = CheckReport()
     for n_exp in range(2, 7):
         n = 2**n_exp
         for (p, q) in ((1.0, 2.0), (2.0, math.inf), (1.0, math.inf)):
@@ -495,22 +460,16 @@ def _verify_regimes(cfg, violations):
                                                (kb2, entropy_mod.REGIME_MID, entropy_mod.REGIME_LARGE)):
                     a = entropy_mod.regime_piece(lo_piece, p, q, n, kb, field=field)
                     b = entropy_mod.regime_piece(hi_piece, p, q, n, kb, field=field)
-                    ratio = max(a, b) / min(a, b)
-                    checks += 1
-                    if ratio > 2.0 * (1 + cfg.tol):
-                        violations.append({"check": "regime-continuity",
-                                           "detail": f"n={n}, p={p}, q={q}, {field}, k={kb}",
-                                           "lhs": _num(ratio), "rhs": 2.0})
-    return checks
+                    # the pieces meet within a factor 2, relative slack only
+                    rep.check("regime-continuity", max(a, b) / min(a, b), 2.0 * (1 + cfg.tol),
+                              f"n={n}, p={p}, q={q}, {field}, k={kb}", tol=0.0)
+    return rep
 
 
-def _verify_axioms(cfg, violations):
+def _verify_axioms(cfg):
     trials = max(5, min(60, cfg.budget // 500))
     rep = s_axiom_suite(hilbert_s_numbers, trials=trials, seed=cfg.seed, max_dim=5)
-    for v in rep.violations:
-        violations.append({"check": f"axiom-{v.axiom}", "detail": v.detail,
-                           "lhs": _num(v.lhs), "rhs": _num(v.rhs)})
-    return rep.checks
+    return CheckReport().merge(rep, "axiom-{}")
 
 
 def run_verify(cfg):
@@ -527,11 +486,12 @@ def run_verify(cfg):
         ("axioms", _verify_axioms),
     ]
     for name, fn in families:
-        before = len(violations)
-        checks = fn(cfg, violations)
-        n_viol = len(violations) - before
-        rows.append(_row(f"check:{name}", checks, float(n_viol), float(n_viol), True,
-                         "suite", "violated" if n_viol else "ok", clock.lap()))
+        rep = fn(cfg)
+        bad = rep.violations
+        rows.append(_row(f"check:{name}", len(rep.entries), float(len(bad)), float(len(bad)),
+                         True, "suite", "violated" if bad else "ok", clock.lap()))
+        violations += [{"check": e.name, "detail": e.detail,
+                        "lhs": _num(e.lhs), "rhs": _num(e.rhs)} for e in bad]
     report = {"config": cfg.to_json_dict(), "rows": _sort_rows(rows), "violations": violations}
     return report, (1 if violations else 0)
 

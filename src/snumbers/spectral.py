@@ -19,11 +19,12 @@ sequence we check
 
 Everything is report-generating: functions return a CheckReport whose
 entries carry the two sides of each inequality and a margin, rather than
-raising on violation, so sweeps can aggregate witnesses.
+raising on violation, so sweeps can aggregate witnesses.  CheckReport is
+the report of every check, the axiom suites of ``widths`` included.
 """
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -98,9 +99,19 @@ class CheckReport:
     extras: dict = dataclass_field(default_factory=dict)
 
     def check(self, name, lhs, rhs, detail, tol=1e-9):
+        """Record lhs <= rhs up to relative and absolute slack tol; NaN fails."""
         ok = lhs <= rhs * (1.0 + tol) + tol
         self.entries.append(CheckEntry(name, float(lhs), float(rhs), detail, bool(ok)))
         return ok
+
+    def merge(self, other, name="{}", prefix=""):
+        """Append other's entries, each renamed by the template ``name`` ("{}"
+        is its own name) and with ``prefix`` before its detail; returns self."""
+        self.entries.extend(
+            replace(e, name=name.format(e.name), detail=prefix + e.detail)
+            for e in other.entries
+        )
+        return self
 
     def assert_finite(self, name, value, detail):
         ok = math.isfinite(value)

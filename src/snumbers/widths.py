@@ -23,7 +23,7 @@ boundary, or the pair (1, inf)).
 
 import math
 import zlib
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .spaces import (
     quasi_constant,
     sample_sphere,
 )
+from .spectral import CheckReport
 
 KIND_APPROXIMATION = "approximation"
 KIND_KOLMOGOROV = "kolmogorov"
@@ -144,17 +145,6 @@ def _validate_id_args(p, q, n, k):
         raise ValueError("k must be >= 1")
 
 
-def _phi_approx(n, k, p, q):
-    """Three-case approximation shape for the identity, 1 <= p < q <= inf."""
-    ip, iq = inv_exponent(p), inv_exponent(q)
-    root = math.sqrt(1.0 - k / n) if k < n else 0.0
-    if p >= 2.0:
-        return min(1.0, n**iq / math.sqrt(k)) ** ((ip - iq) / (0.5 - iq))
-    if q <= 2.0:
-        return max(n ** (iq - ip), root ** ((ip - iq) / (ip - 0.5)))
-    return max(n ** (iq - ip), min(1.0, n**iq / math.sqrt(k)) * root)
-
-
 def approx_id_envelope(p, q, n, k):
     """Envelope for a_k(id: l_p^n -> l_q^n), strongest applicable case first.
 
@@ -189,10 +179,10 @@ def approx_id_envelope(p, q, n, k):
 
     if p >= 1.0 and not (p == 1.0 and math.isinf(q)):
         if q < pp:
-            v = _phi_approx(n, k, p, q)
+            v, _ = _phi_kolmogorov(n, k, p, q)
             return WidthEnvelope(v, v, "psi-direct", False)
         if q > max(p, pp):
-            v = _phi_approx(n, k, conjugate_exponent(q), pp)
+            v, _ = _phi_kolmogorov(n, k, conjugate_exponent(q), pp)
             return WidthEnvelope(v, v, "psi-dual", False)
         # q == p': the equivalence theorems leave this boundary open
 
@@ -203,6 +193,8 @@ def approx_id_envelope(p, q, n, k):
 
 
 def _phi_kolmogorov(n, k, p, q):
+    """Phi shape of the identity widths and its case label; cases 2-4 (p < q)
+    are also the approximation shape, directly and through the dual (q', p')."""
     ip, iq = inv_exponent(p), inv_exponent(q)
     if q <= p:
         return float(n - k + 1) ** (iq - ip), "phi-case-1"
@@ -501,29 +493,6 @@ def real_complex_bracket(seq_real, seq_complex, k, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
-    axiom: str
-    lhs: float
-    rhs: float
-    detail: str
-
-
-@dataclass
-class AxiomReport:
-    checks: int = 0
-    violations: list = dataclass_field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.violations
-
-    def record(self, axiom, lhs, rhs, detail, tol=1e-9):
-        self.checks += 1
-        if lhs > rhs * (1.0 + tol) + tol:
-            self.violations.append(AxiomViolation(axiom, float(lhs), float(rhs), detail))
-
-
 def _random_square(rng, n, complex_case):
     G = rng.standard_normal((n, n))
     if complex_case:
@@ -537,11 +506,12 @@ def s_axiom_suite(snumbers_of, trials=100, seed=0, max_dim=6):
     ``snumbers_of`` maps a LinOp to an SNumberSeq (the exact Hilbert source
     is ``hilbert_s_numbers``).  Checks norming (s_1 = ||T||, monotone),
     additivity, two-sided ideal behaviour, rank annihilation, normalisation
-    on the identity, and multiplicativity; every failure is recorded with a
-    witness description.
+    on the identity, and multiplicativity.  Returns a CheckReport with one
+    entry per check, named after its axiom and carrying a witness
+    description; NaN s-numbers fail their checks.
     """
     rng = np.random.default_rng(seed)
-    report = AxiomReport()
+    report = CheckReport()
     for t in range(trials):
         n = int(rng.integers(1, max_dim + 1))
         complex_case = bool(t % 3 == 2)
@@ -555,10 +525,10 @@ def s_axiom_suite(snumbers_of, trials=100, seed=0, max_dim=6):
         tag = f"trial {t} (n={n}, {field})"
 
         # (M): ||T|| = s_1 >= s_2 >= ... >= 0
-        report.record("norming", sT.value(1), op_norm(T).value, f"{tag}: s_1 vs norm")
-        report.record("norming", op_norm(T).value, sT.value(1), f"{tag}: norm vs s_1")
+        report.check("norming", sT.value(1), op_norm(T).value, f"{tag}: s_1 vs norm")
+        report.check("norming", op_norm(T).value, sT.value(1), f"{tag}: norm vs s_1")
         for j in range(1, n):
-            report.record("monotone", sT.value(j + 1), sT.value(j), f"{tag}: k={j}")
+            report.check("monotone", sT.value(j + 1), sT.value(j), f"{tag}: k={j}")
 
         # (A): s_{m+l-1}(S+T) <= C (s_m(S) + s_l(T)); C = 1 on l_2
         sS = snumbers_of(S)
@@ -566,7 +536,7 @@ def s_axiom_suite(snumbers_of, trials=100, seed=0, max_dim=6):
         C = quasi_constant(2.0)
         for m in range(1, n + 1):
             for l in range(1, n - m + 2):
-                report.record(
+                report.check(
                     "additivity",
                     sSum.value(m + l - 1),
                     C * (sS.value(m) + sT.value(l)),
@@ -578,7 +548,7 @@ def s_axiom_suite(snumbers_of, trials=100, seed=0, max_dim=6):
         nR = op_norm(R).value
         nU = op_norm(Uo).value
         for j in range(1, n + 1):
-            report.record(
+            report.check(
                 "ideal", sRTU.value(j), nR * sT.value(j) * nU, f"{tag}: j={j}"
             )
 
@@ -589,19 +559,19 @@ def s_axiom_suite(snumbers_of, trials=100, seed=0, max_dim=6):
             Tlow = operator((u_[:, :rank] * s_[:rank]) @ vh_[:rank], 2, 2, field=field)
             sLow = snumbers_of(Tlow)
             for j in range(rank + 1, n + 1):
-                report.record("rank", sLow.value(j), 0.0, f"{tag}: j={j}", tol=1e-9)
+                report.check("rank", sLow.value(j), 0.0, f"{tag}: j={j}", tol=1e-9)
 
         # (I): s_j(id: l_2^n -> l_2^n) = 1
         sId = snumbers_of(identity_operator(n, 2, 2, field=field))
         for j in range(1, n + 1):
-            report.record("normalised", abs(sId.value(j) - 1.0), 0.0, f"{tag}: j={j}")
+            report.check("normalised", abs(sId.value(j) - 1.0), 0.0, f"{tag}: j={j}")
 
         # (P): s_{m+l-1}(R T) <= s_m(R) s_l(T)
         sR = snumbers_of(R)
         sRT = snumbers_of(compose(R, T))
         for m in range(1, n + 1):
             for l in range(1, n - m + 2):
-                report.record(
+                report.check(
                     "multiplicativity",
                     sRT.value(m + l - 1),
                     sR.value(m) * sT.value(l),
@@ -618,10 +588,10 @@ def bound_respecting_axioms(trials=6, seed=0, cloud=400, k_max=3):
     entropy estimators over mixed l_p -> l_q instances, the norm bracket
     C_q e_1-uppers >= ||T|| >= e_1-lower, monotone sequences, and the
     Kolmogorov additivity/multiplicativity on Hilbert instances where exact
-    sigma lower data exists.
+    sigma lower data exists.  Returns a CheckReport, as s_axiom_suite does.
     """
     rng = np.random.default_rng(seed)
-    report = AxiomReport()
+    report = CheckReport()
     grid = [(1.0, 2.0), (1.0, math.inf), (0.5, 1.0), (2.0, 2.0)]
     for t in range(trials):
         p, q = grid[t % len(grid)]
@@ -641,19 +611,19 @@ def bound_respecting_axioms(trials=6, seed=0, cloud=400, k_max=3):
 
         # (M_e) in bound form: nonincreasing estimator sequences, norm bracket
         for j in range(1, k_max):
-            report.record("e-monotone-upper", upS[j].upper, upS[j - 1].upper, f"{tag}: k={j+1}")
+            report.check("e-monotone-upper", upS[j].upper, upS[j - 1].upper, f"{tag}: k={j+1}")
         loS = entropy_mod.entropy_lower_pack_sequence(S, k_max, budget=cloud, seed=seed + t)
         for j in range(1, k_max):
-            report.record("e-monotone-lower", loS[j].lower, loS[j - 1].lower, f"{tag}: k={j+1}")
+            report.check("e-monotone-lower", loS[j].lower, loS[j - 1].lower, f"{tag}: k={j+1}")
         if p <= 1.0 and q >= 1.0:
             norm = op_norm(S).value
-            report.record("e-norm-bracket", loS[0].lower, norm, f"{tag}: lower_1 vs norm")
-            report.record("e-norm-bracket", norm, C * padS[0], f"{tag}: norm vs C upper_1")
+            report.check("e-norm-bracket", loS[0].lower, norm, f"{tag}: lower_1 vs norm")
+            report.check("e-norm-bracket", norm, C * padS[0], f"{tag}: norm vs C upper_1")
 
         # (A_e): lower_{m+l-1}(S+T) <= C (upper_m(S) + upper_l(T))
         for m in range(1, k_max + 1):
             for l in range(1, k_max + 1):
-                report.record(
+                report.check(
                     "e-additivity",
                     loSum[m + l - 2].lower,
                     C * (padS[m - 1] + padT[l - 1]),
@@ -669,7 +639,7 @@ def bound_respecting_axioms(trials=6, seed=0, cloud=400, k_max=3):
         )
         for m in range(1, k_max + 1):
             for l in range(1, k_max + 1):
-                report.record(
+                report.check(
                     "e-multiplicativity",
                     loProd[m + l - 2].lower,
                     padS2[m - 1] * padT[l - 1],
@@ -686,14 +656,14 @@ def bound_respecting_axioms(trials=6, seed=0, cloud=400, k_max=3):
         for m in range(1, k_max + 1):
             for l in range(1, k_max + 1):
                 if m + l - 2 < sSum.size:
-                    report.record(
+                    report.check(
                         "d-additivity",
                         float(sSum[m + l - 2]),
                         ku1[m - 1] + ku2[l - 1],
                         f"{tag}: m={m}, l={l}",
                     )
                 if m + l - 2 < sProd.size:
-                    report.record(
+                    report.check(
                         "d-multiplicativity",
                         float(sProd[m + l - 2]),
                         ku1[m - 1] * ku2[l - 1],

@@ -264,7 +264,7 @@ def test_criterion_10_axiom_suite():
     verdict(10, "normed/additivity/ideal/rank axioms, 100 triples + estimators",
             exact.ok and bounded.ok,
             f"{len(exact.violations)}+{len(bounded.violations)} violations "
-            f"in {exact.checks}+{bounded.checks} checks")
+            f"in {len(exact.entries)}+{len(bounded.entries)} checks")
 
 
 def test_criterion_11_power_root_convergence():

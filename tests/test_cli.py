@@ -202,6 +202,29 @@ def test_verify_injected_bug_exits_one():
     assert doc["violations"], "expected a witness"
     w = doc["violations"][0]
     assert w["lhs"] > w["rhs"]
+    assert (w["check"], w["detail"]) == ("weyl", "injected flip of k=1")
+    r = run_cli("verify", "--budget", "300", "--inject-bug", "weyl", "--output", "csv")
+    assert r.returncode == 1
+    witness = [line for line in r.stdout.splitlines() if line.startswith("violation:")]
+    assert len(witness) == 1
+    assert witness[0].startswith("violation:weyl,")
+    assert witness[0].endswith(",witness,injected flip of k=1,0.0")
+
+
+def test_verify_check_counts(capsys):
+    code, doc = cli_json(capsys, "verify", "--budget", "2000", "--seed", "7")
+    assert code == 0
+    assert doc["violations"] == []
+    counts = {r["quantity"]: r["k"] for r in doc["rows"]}
+    assert counts == {
+        "check:weyl": 202,
+        "check:carl+bracket": 36,
+        "check:aoki-sandwich": 40,
+        "check:entropy-bracket": 30,
+        "check:quotient-agreement": 34,
+        "check:regime-continuity": 60,
+        "check:axioms": 132,
+    }
 
 
 def test_malformed_csv_exits_two_and_names_position(tmp_path):
