@@ -606,6 +606,8 @@ def config_from_args(args):
         raise ValueError("dimension must be >= 1")
     if args.budget < 1:
         raise ValueError("budget must be >= 1")
+    if not 0.0 <= args.tol < math.inf:
+        raise ValueError(f"--tol {args.tol!r} must be finite and >= 0")
     return RunConfig(
         command=args.command,
         p=args.p,

@@ -83,7 +83,7 @@ def padded_upper(pair, q):
     """
     if pair.upper is None:
         return None
-    qbar = min(1.0, q) if not math.isinf(q) else 1.0
+    qbar = _qbar(q)
     if qbar == 1.0:
         return pair.upper + pair.delta
     return (pair.upper**qbar + pair.delta**qbar) ** (1.0 / qbar)
@@ -274,7 +274,50 @@ def max_nn_gap(points, q):
     return best
 
 
-def _greedy_cover_radii(points, n_centers, q, subsample=256):
+class _FarthestPoints:
+    """Farthest-point traversal of the cloud with columns ``cols``, grown on demand.
+
+    Starts at point ``start``; each insertion takes the point farthest from
+    the points taken so far (d = -inf) and records that distance in ``gaps``.
+    gaps[i] is the covering radius of the first i+1 points and min(gaps[:i+1])
+    the separation of the first i+2 (Gonzalez, Theor. Comput. Sci. 38, 1985).
+    ``extend(count)`` continues the loop exactly where it stopped, so the gaps
+    after any sequence of extensions are those of one uninterrupted traversal.
+    """
+
+    def __init__(self, cols, start, q):
+        self.cols, self.q = cols, q
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.d = _dist_cols(cols, cols[:, start], q)
+        self.d[start] = -np.inf
+        self.gaps = []
+
+    def extend(self, count):
+        """Run insertions until ``count`` gaps are known or none is left.
+
+        None is left once every point is taken or the rest duplicate taken
+        ones; the loop then stops without changing the state.  A gap of +inf
+        or NaN means the distances overflowed, and raises ValueError.
+        """
+        d, cols, q = self.d, self.cols, self.q
+        with np.errstate(over="ignore", invalid="ignore"):
+            while len(self.gaps) < count:
+                j = int(np.argmax(d))
+                gap = float(d[j])
+                if not gap < math.inf:
+                    raise ValueError(f"image-cloud distances overflow a float (gap {gap})")
+                if not gap > 0.0:
+                    break
+                self.gaps.append(gap)
+                np.minimum(d, _dist_cols(cols, cols[:, j], q), out=d)
+                d[j] = -np.inf
+
+
+# candidate first centres of the greedy cover
+_COVER_CANDIDATES = 256
+
+
+def _greedy_cover_radii(points, n_centers, q):
     """Farthest-point k-center; radii[i] is the covering radius with i+1 centers.
 
     The first center approximates the Chebyshev center of the cloud: among
@@ -282,25 +325,17 @@ def _greedy_cover_radii(points, n_centers, q, subsample=256):
     are both represented whatever order the cloud was built in), take the one
     minimising the max distance to the whole cloud, ties broken by lowest
     index; later centers are the current farthest points, which is the
-    standard greedy covering heuristic.
+    standard greedy covering heuristic.  Radii past the traversal's end are
+    exactly 0: every point is then a center or duplicates one.
     """
     N = points.shape[0]
     cols = np.ascontiguousarray(points.T)
-    m = min(N, subsample)
-    cand_idx = np.linspace(0, N - 1, m).astype(int)
-    worst = np.array([_dist_cols(cols, cols[:, ci], q).max() for ci in cand_idx])
-    first = int(cand_idx[int(np.argmin(worst))])
-
-    d = _dist_cols(cols, cols[:, first], q)
-    # the farthest point is the next center, and its distance is the radius
-    # (d[argmax(d)] is d.max() bit for bit)
-    j = int(np.argmax(d))
-    radii = [float(d[j])]
-    for _ in range(1, n_centers):
-        np.minimum(d, _dist_cols(cols, cols[:, j], q), out=d)
-        j = int(np.argmax(d))
-        radii.append(float(d[j]))
-    return np.array(radii)
+    cand_idx = np.linspace(0, N - 1, min(N, _COVER_CANDIDATES)).astype(int)
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = np.array([_dist_cols(cols, cols[:, ci], q).max() for ci in cand_idx])
+    trav = _FarthestPoints(cols, int(cand_idx[int(np.argmin(worst))]), q)
+    trav.extend(n_centers)
+    return np.array(trav.gaps + [0.0] * (n_centers - len(trav.gaps)))
 
 
 def _cover_radii_doubling(points, k_max, q):
@@ -308,17 +343,14 @@ def _cover_radii_doubling(points, k_max, q):
 
     Entry k-1 equals ``_greedy_cover_radii(points, 2^(k_max-1), q)[2^(k-1) - 1]``.
     When 2^(k_max-1) equals the number N > 1 of points, the last radius is
-    exactly 0 and only the first N/2 centers are run: while max d > 0 each
-    center is a point with d > 0, whose own distance becomes 0 exactly
-    (``_dist_cols`` gives d(x, x) = 0), so after N centers no point is
-    uncovered, duplicates included.
+    exactly 0 (N centers take every point) and only the first N/2 centers
+    are run.
     """
     need = 2 ** (k_max - 1)
-    N = points.shape[0]
-    if need == N and N > 1:
-        return _cover_radii_doubling(points, k_max - 1, q) + [0.0]
-    radii = _greedy_cover_radii(points, need, q)
-    return [float(radii[2 ** (k - 1) - 1]) for k in range(1, k_max + 1)]
+    run = need // 2 if need == points.shape[0] > 1 else need
+    radii = _greedy_cover_radii(points, run, q)
+    return [float(radii[2 ** (k - 1) - 1]) if 2 ** (k - 1) <= run else 0.0
+            for k in range(1, k_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +375,6 @@ def entropy_upper_cover_sequence(T, k_max, cloud=1024, seed=0):
         raise ValueError(f"cloud size {cloud} is below 2^(k-1) = {need}")
     q = T.codomain.p
     pts = image_cloud(T, cloud, seed)
-    if not np.any(np.abs(pts) > 0.0):
-        return [
-            BoundPair(k=k, upper=0.0, method_upper=METHOD_GREEDY_COVER,
-                      certified_upper=False, delta=0.0)
-            for k in range(1, k_max + 1)
-        ]
     radii = _cover_radii_doubling(pts, k_max, q)
     delta = max_nn_gap(pts, q)
     out = []
@@ -379,48 +405,16 @@ def _qbar(q):
     return 1.0 if math.isinf(q) else min(1.0, q)
 
 
-class _PackingTraversal:
-    """Farthest-point packing of ``image_cloud(T, budget, seed)``, grown on demand.
-
-    Starts at the point of largest norm; each insertion takes the point
-    farthest from the points taken so far and records that distance in
-    ``gaps``.  ``extend(count)`` continues the loop exactly where it stopped,
-    so the gaps after any sequence of extensions are those of one
-    uninterrupted traversal.
-    """
-
-    def __init__(self, T, budget, seed):
-        self.q = T.codomain.p
-        pts = image_cloud(T, budget, seed)
-        self.cols = np.ascontiguousarray(pts.T)
-        start = int(np.argmax(_norm_rows(pts, self.q)))
-        self.d = _dist_cols(self.cols, self.cols[:, start], self.q)
-        self.d[start] = -np.inf
-        self.gaps = []
-
-    def extend(self, count):
-        """Run insertions until ``count`` gaps are known or none is left.
-
-        None is left once every point is taken or the rest duplicate taken
-        ones; the loop then stops without changing the state.
-        """
-        d, cols, q = self.d, self.cols, self.q
-        while len(self.gaps) < count:
-            j = int(np.argmax(d))
-            gap = float(d[j])
-            if not gap > 0.0:
-                break
-            self.gaps.append(gap)
-            np.minimum(d, _dist_cols(cols, cols[:, j], q), out=d)
-            d[j] = -np.inf
-
-
 def _packing_traversal(T, budget, seed):
-    """The packing traversal of T's cloud, kept on T (its matrix is read-only)."""
+    """Traversal of T's cloud from its largest-norm point, kept on T (its matrix is read-only)."""
     key = ("packing", budget, seed)
     trav = T._memo.get(key)
     if trav is None:
-        trav = T._memo[key] = _PackingTraversal(T, budget, seed)
+        q = T.codomain.p
+        pts = image_cloud(T, budget, seed)
+        with np.errstate(over="ignore"):
+            start = int(np.argmax(_norm_rows(pts, q)))
+        trav = T._memo[key] = _FarthestPoints(np.ascontiguousarray(pts.T), start, q)
     return trav
 
 

@@ -46,6 +46,8 @@ class EigenSeq:
         m = np.asarray(self.moduli, dtype=float)
         if m.ndim != 1 or m.size == 0:
             raise ValueError("moduli must be a nonempty 1-d array")
+        if np.any(np.isnan(m)):
+            raise ValueError("moduli must not be NaN")
         if np.any(np.diff(m) > 1e-12 * max(1.0, float(m[0]))):
             raise ValueError("moduli must be nonincreasing")
         if m[-1] < 0:

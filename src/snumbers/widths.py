@@ -66,6 +66,8 @@ class SNumberSeq:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1:
             raise ValueError("values must be a 1-d array")
+        if np.any(np.isnan(v)):
+            raise ValueError("s-numbers must not be NaN")
         if v.size and np.any(np.diff(v) > 1e-12):
             raise ValueError("s-numbers must be nonincreasing")
         if v.size and v[-1] < -1e-15:
@@ -391,10 +393,6 @@ def _kolmogorov_candidate_value(T, basis, q, n_samples, seed):
     M = T.matrix
     p = T.domain.p
     n = T.domain.n
-    if basis.size == 0:
-        v = op_norm(T).value
-        return v, v, v
-
     if p == 2.0 and q == 2.0:
         Q = _orthonormal_columns(basis)
         P = np.eye(M.shape[0]) - Q @ Q.conj().T

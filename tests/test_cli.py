@@ -260,6 +260,27 @@ def test_nan_csv_entry_exits_two_and_names_position(tmp_path, capsys):
     assert "line 1, column 2: non-finite entry 'nan+1i'" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_bad_tol_exits_two_and_names_it(capsys, tol):
+    # exit 1 means a violated property; a tolerance that is not a finite
+    # number >= 0 is an input error
+    assert main(["verify", "--budget", "300", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --tol")
+
+
+def test_overflowing_image_distances_exit_two_without_warnings(tmp_path):
+    big = tmp_path / "big.csv"
+    big.write_text("1e300,1e300\n1e300,1e300\n")
+    r = run_cli("estimate", "--input", str(big), "--p", "2", "--q", "2")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: image-cloud distances overflow")
+    assert "RuntimeWarning" not in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_bad_exponent_exits_two():
     r = run_cli("idnumbers", "--p", "banana", "--q", "2", "--n", "4", "--k", "1")
     assert r.returncode == 2

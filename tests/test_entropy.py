@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snumbers.entropy import (
+    METHOD_GREEDY_COVER,
     METHOD_HAMMING,
     METHOD_PACKING,
     METHOD_VOLUMETRIC,
@@ -142,6 +143,19 @@ def test_cover_zero_operator():
     T = operator(np.zeros((2, 2)), 1.0, 2.0)
     seq = entropy_upper_cover_sequence(T, 3, cloud=64, seed=0)
     assert all(b.upper == 0.0 for b in seq)
+    assert seq == [BoundPair(k=k, upper=0.0, method_upper=METHOD_GREEDY_COVER, delta=0.0)
+                   for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+def test_overflowing_cloud_distances_raise_in_cover_and_packing(q):
+    # the images of a 1e300 matrix are finite, but their l_q distances are
+    # not: a gap of inf would be a false certified lower
+    T = operator(np.full((2, 2), 1e300), 2.0, q)
+    with pytest.raises(ValueError, match="overflow"):
+        entropy_upper_cover_sequence(T, 3, cloud=64, seed=0)
+    with pytest.raises(ValueError, match="overflow"):
+        entropy_lower_pack_sequence(T, 3, budget=64, seed=0)
 
 
 def test_lower_never_exceeds_padded_upper():

@@ -55,6 +55,9 @@ def test_eigen_seq_validation():
         EigenSeq(moduli=np.array([1.0, 2.0]), padded=False)
     with pytest.raises(ValueError):
         EigenSeq(moduli=np.array([]), padded=False)
+    for bad in ([math.nan, 1.0], [1.0, math.nan], [math.nan]):
+        with pytest.raises(ValueError, match="NaN"):
+            EigenSeq(moduli=np.array(bad), padded=False)
 
 
 # ---------------------------------------------------------------------------

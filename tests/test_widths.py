@@ -42,6 +42,9 @@ def test_seq_validation():
         SNumberSeq(KIND_APPROXIMATION, (1.0, 2.0), exact=True, method="x")
     with pytest.raises(ValueError):
         SNumberSeq(KIND_APPROXIMATION, (1.0, -0.5), exact=True, method="x")
+    for bad in ((math.nan, 1.0), (1.0, math.nan), (math.nan,)):
+        with pytest.raises(ValueError, match="NaN"):
+            SNumberSeq(KIND_APPROXIMATION, bad, exact=True, method="x")
     s = SNumberSeq(KIND_APPROXIMATION, (3.0, 1.0), exact=True, method="x")
     assert s.value(1) == 3.0
     assert s.value(2) == 1.0
@@ -285,9 +288,15 @@ def _inflated_s2(T, kind=KIND_APPROXIMATION):
     return SNumberSeq(s.kind, tuple(vals), exact=False, method="bad")
 
 
+class _NaNSeq:
+    # stands in for an s-number sequence (SNumberSeq refuses NaN values)
+    def value(self, k):
+        return math.nan
+
+
 def _all_nan(T, kind=KIND_APPROXIMATION):
     # NaN compares false both ways, so it must fail the checks, not pass them
-    return SNumberSeq(kind, np.full(T.domain.n, np.nan), exact=False, method="nan")
+    return _NaNSeq()
 
 
 @pytest.mark.parametrize("bad", [_inflated_s2, _all_nan], ids=["inflated-s2", "all-nan"])
