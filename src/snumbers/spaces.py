@@ -344,6 +344,35 @@ def _derivative_free_descent(objective, starts, maxfev):
     return best
 
 
+def _distance_start(x, basis, q):
+    """The start every dist_to_subspace(x, basis, q) solve takes, and its cap.
+
+    Returns (x, B, c_ls, r_ls, rank, cap): x and the stacked basis B cast to
+    one field, the least-squares coefficients, residual and rank of B, and
+    cap = min(||x||_q, ||r_ls||_q), or ||r_ls||_2 when q = 2.  The distance
+    is min(cap, solver value), so it never exceeds cap, and at q = 2 it is
+    cap.  x must be 1-d and the basis nonempty.
+    """
+    x = np.asarray(x)
+    basis = [np.asarray(b) for b in basis]
+    for b in basis:
+        if b.shape != x.shape:
+            raise ValueError(f"basis vector shape {b.shape} does not match x shape {x.shape}")
+    B = np.column_stack(basis)
+    if np.iscomplexobj(x) or np.iscomplexobj(B):
+        x = x.astype(complex)
+        B = B.astype(complex)
+    else:
+        x = x.astype(float)
+        B = B.astype(float)
+
+    c_ls, _, rank, _ = np.linalg.lstsq(B, x, rcond=None)
+    r_ls = x - B @ c_ls
+    if q == 2.0:
+        return x, B, c_ls, r_ls, rank, float(np.linalg.norm(r_ls))
+    return x, B, c_ls, r_ls, rank, min(lp_norm(x, q), lp_norm(r_ls, q))
+
+
 def dist_to_subspace(x, basis, q, budget=2000, seed=0):
     """Distance from x to span(basis) in the l_q (quasi-)norm.
 
@@ -355,34 +384,21 @@ def dist_to_subspace(x, basis, q, budget=2000, seed=0):
     basis vectors are linearly independent and comb(n, len(basis)) <=
     MAX_VERTEX_SYSTEMS, by minimising over the cell vertices.  Otherwise,
     and for complex q < 1, a randomized multi-start descent returns an
-    upper approximation of the infimum.  The zero coefficient is always in the
-    candidate set, so the result never exceeds ||x||_q.
+    upper approximation of the infimum.  The zero and the least-squares
+    coefficients are always in the candidate set, so the result never
+    exceeds min(||x||_q, ||x - B c_ls||_q).
     """
     _check_exponent(q, "q")
     x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError("x must be a 1-d vector")
-    basis = [np.asarray(b) for b in basis]
+    basis = list(basis)
     if not basis:
         return lp_norm(x, q)
-    for b in basis:
-        if b.shape != x.shape:
-            raise ValueError(f"basis vector shape {b.shape} does not match x shape {x.shape}")
-    B = np.column_stack(basis)
-    iscomplex = np.iscomplexobj(x) or np.iscomplexobj(B)
-    if iscomplex:
-        x = x.astype(complex)
-        B = B.astype(complex)
-    else:
-        x = x.astype(float)
-        B = B.astype(float)
-
-    c_ls, _, rank, _ = np.linalg.lstsq(B, x, rcond=None)
-    r_ls = x - B @ c_ls
+    x, B, c_ls, r_ls, rank, best = _distance_start(x, basis, q)
     if q == 2.0:
-        return float(np.linalg.norm(r_ls))
-
-    best = min(lp_norm(x, q), lp_norm(r_ls, q))
+        return best
+    iscomplex = np.iscomplexobj(x)
     n, m = B.shape
 
     if not iscomplex:

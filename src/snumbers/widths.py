@@ -40,6 +40,7 @@ from .operators import (
 from .spaces import (
     COMPLEX,
     REAL,
+    _distance_start,
     dist_to_subspace,
     inv_exponent,
     quasi_constant,
@@ -252,6 +253,14 @@ def _residual_norm(T, S_matrix):
     return op_norm(R).value
 
 
+def _low_rank(A, B):
+    """A @ B for the rank-restricted candidates.  Perturbed factors of a huge
+    matrix can overflow; the residual is then infinite (or NaN) and fails
+    ``v < best``, so the overflow changes no value and warns of nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return A @ B
+
+
 def approx_upper_search(T, k, budget=2000, seed=0):
     """Search upper estimate of a_k(T): min ||T - S|| over rank < k candidates.
 
@@ -280,7 +289,7 @@ def approx_upper_search(T, k, budget=2000, seed=0):
     r_eff = min(r, s.size)
     A0 = U[:, :r_eff] * s[:r_eff]
     B0 = Vh[:r_eff]
-    best = _residual_norm(T, A0 @ B0)
+    best = _residual_norm(T, _low_rank(A0, B0))
     spent = 1
 
     rng = np.random.default_rng(
@@ -296,7 +305,7 @@ def approx_upper_search(T, k, budget=2000, seed=0):
             break
         Ar = A0 + 0.05 * scale * _random_like(rng, A0)
         Br = B0 + 0.05 * _random_like(rng, B0)
-        v = _residual_norm(T, Ar @ Br)
+        v = _residual_norm(T, _low_rank(Ar, Br))
         spent += 1
         if v < best:
             best, best_AB = v, (Ar, Br)
@@ -316,7 +325,7 @@ def approx_upper_search(T, k, budget=2000, seed=0):
             old = flat[i]
             for delta in (step, -step):
                 flat[i] = old + delta
-                v = _residual_norm(T, A @ B)
+                v = _residual_norm(T, _low_rank(A, B))
                 spent += 1
                 if v < best - 1e-15:
                     best = v
@@ -375,7 +384,7 @@ def _orthonormal_columns(M):
     return Q
 
 
-def _kolmogorov_candidate_value(T, basis, q, n_samples, seed):
+def _kolmogorov_candidate_value(T, basis, q, n_samples, seed, bound=None):
     """sup over the unit ball of the distance to span(basis).
 
     Returns (value, direct, quotient).  Hilbert case: quotient is the exact
@@ -383,12 +392,28 @@ def _kolmogorov_candidate_value(T, basis, q, n_samples, seed):
     at its maximiser, and value the larger of the two; they are the same
     number mathematically, so their gap measures evaluation error only.
     Otherwise direct is the largest distance over the signed unit vectors
-    and n_samples sphere points, one dist_to_subspace call each, quotient is
-    None, and value is direct.  For p <= 1 <= q the supremum is the column
-    maximum, and direct already contains it: the first n points are the
-    +e_j, M @ e_j equals M[:, j] bit for bit, and the seed is the same, so
-    no separate column pass is made.  The searched bases are orthonormal,
-    so no second, re-orthonormalised route is evaluated.
+    and n_samples sphere points, quotient is None, and value is direct.
+    For p <= 1 <= q the supremum is the column maximum, and direct already
+    contains it: the first n points are the +e_j, M @ e_j equals M[:, j]
+    bit for bit, and the seed is the same, so no separate column pass is
+    made.  The searched bases are orthonormal, so no second,
+    re-orthonormalised route is evaluated.
+
+    With ``bound=None`` every point gets one dist_to_subspace call, in
+    order.  With a bound, the points are taken in descending order of their
+    caps (the value dist_to_subspace never exceeds; a stable sort, so ties
+    go to the lower index), and two stops skip the calls that cannot change
+    the search's result:
+
+    - at the first point whose cap is <= the running max, since every later
+      cap, and so every later distance, is no larger: the running max is
+      then the full max, the same float;
+    - once the running max reaches ``bound``, since the candidate can then
+      no longer lower a minimum that is already <= bound; the value
+      returned is the running max, which is below the full max or equal.
+
+    A point's distance depends only on (M @ x, basis, q, seed), so taking
+    fewer points, in another order, changes no evaluated distance.
     """
     M = T.matrix
     p = T.domain.p
@@ -408,7 +433,16 @@ def _kolmogorov_candidate_value(T, basis, q, n_samples, seed):
     rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, n, int(n_samples)])
     X = np.vstack([_unit_directions(n, T.field), sample_sphere(rng, n, p, T.field, n_samples)])
     basis_cols = list(basis.T)
-    direct = max(dist_to_subspace(M @ x, basis_cols, q, seed=seed) for x in X)
+    if bound is None:
+        direct = max(dist_to_subspace(M @ x, basis_cols, q, seed=seed) for x in X)
+        return direct, direct, None
+    Y = [M @ x for x in X]
+    caps = np.array([_distance_start(y, basis_cols, q)[-1] for y in Y])
+    direct = -math.inf
+    for j in np.argsort(-caps, kind="stable"):
+        if caps[j] <= direct or direct >= bound:
+            break
+        direct = max(direct, dist_to_subspace(Y[j], basis_cols, q, seed=seed))
     return direct, direct, None
 
 
@@ -425,6 +459,18 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     the points include the columns (the images of the +e_j), whose maximum
     is the exact supremum.  For k - 1 >= rank(T) the singular candidate
     contains the range, so the result is 0.
+
+    Without details, the non-Hilbert search is a branch and bound over this
+    min-max: each candidate gets the best value so far as its bound and
+    skips every distance solve that cannot change the result (see
+    ``_kolmogorov_candidate_value``).  A point is skipped only when its cap,
+    the value its distance never exceeds, is <= the candidate's running
+    max, or when that running max has reached the bound and the candidate
+    can no longer lower the minimum.  The distances that are solved are
+    the same floats as in a full evaluation, so the result is the same
+    float; at q = 2 the cap is the distance, and one solve per candidate
+    is made.  ``return_details=True`` evaluates every point of every
+    candidate, since its diagnostics report each candidate's full value.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -460,7 +506,7 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     best = math.inf
     for i, (kind, basis) in enumerate(bases):
         value, direct, quotient = _kolmogorov_candidate_value(
-            T, basis, q, n_samples, seed + i
+            T, basis, q, n_samples, seed + i, bound=None if return_details else best
         )
         cands.append(SubspaceCandidate(kind, value, direct, quotient))
         best = min(best, value)

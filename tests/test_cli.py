@@ -281,6 +281,25 @@ def test_overflowing_image_distances_exit_two_without_warnings(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_overflowing_rank_search_candidates_do_not_warn(tmp_path):
+    # perturbed low-rank factors of a 1e200 matrix overflow in their product;
+    # those candidates lose the search, so the report is unchanged and quiet
+    big = tmp_path / "big.csv"
+    big.write_text("1e200,1e200\n1e200,1e200\n")
+    args = ["estimate", "--input", str(big), "--p", "1", "--q", "1", "--k", "1..2"]
+    env = dict(os.environ)
+    env.pop("SNUM_SEED", None)
+    strict = subprocess.run([sys.executable, "-W", "error::RuntimeWarning"] + CLI[1:] + args,
+                            capture_output=True, text=True, env=env)
+    assert strict.returncode == 0
+    assert strict.stderr == ""
+    loose = subprocess.run([sys.executable, "-W", "ignore::RuntimeWarning"] + CLI[1:] + args,
+                           capture_output=True, text=True, env=env)
+    assert strict.stdout == loose.stdout
+    a = [r["upper"] for r in json.loads(strict.stdout)["rows"] if r["quantity"] == "a"]
+    assert a == [2e200, 6.798566308054619e184]
+
+
 def test_bad_exponent_exits_two():
     r = run_cli("idnumbers", "--p", "banana", "--q", "2", "--n", "4", "--k", "1")
     assert r.returncode == 2

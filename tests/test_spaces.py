@@ -336,6 +336,40 @@ def test_dist_quasi_rank_deficient_falls_back_to_descent(monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("field, q, deficient", [
+    (REAL, 2.0, False),  # q2: the cap is the distance
+    (REAL, 1.0, False),  # lp
+    (REAL, math.inf, False),  # lp
+    (REAL, 1.5, False),  # smooth
+    (REAL, 3.0, False),  # smooth
+    (REAL, 0.5, False),  # quasi: vertex minimum
+    (REAL, 0.5, True),  # quasi: descent
+    (COMPLEX, 2.0, False),
+    (COMPLEX, 1.0, False),
+    (COMPLEX, math.inf, False),
+    (COMPLEX, 0.5, True),
+])
+def test_dist_never_exceeds_its_cap(field, q, deficient):
+    # the Kolmogorov search skips a point whose cap is below a distance it
+    # already has, so the cap must bound the distance, bit for bit
+    rng = np.random.default_rng(23)
+    for s in range(4):
+        n = int(rng.integers(2, 5))
+        x = rng.standard_normal(n)
+        B = rng.standard_normal((n, 2 if n > 2 else 1))
+        if field == COMPLEX:
+            x = x + 1j * rng.standard_normal(n)
+            B = B + 1j * rng.standard_normal(B.shape)
+        basis = list(B.T)
+        if deficient:
+            basis.append(2.0 * basis[0])
+        cap = spaces._distance_start(x, basis, q)[-1]
+        d = dist_to_subspace(x, basis, q, seed=s)
+        assert d <= cap
+        if q == 2.0:
+            assert d == cap
+
+
 def test_dist_empty_basis_is_norm():
     x = np.array([1.0, -2.0])
     assert dist_to_subspace(x, [], 0.5) == pytest.approx(lp_norm(x, 0.5))

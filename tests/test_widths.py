@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from snumbers import widths
+from snumbers import spaces, widths
 from snumbers.operators import diagonal_operator, op_norm, operator, realify
 from snumbers.spaces import COMPLEX, REAL, dist_to_subspace
 from snumbers.widths import (
@@ -243,6 +245,99 @@ def test_kolmogorov_search_one_distance_per_sample_point(monkeypatch, n, field, 
         for first in firsts:
             for j in range(n):
                 assert np.array_equal(calls[first + j], M[:, j])
+
+
+# (field, n, p, q, rank-deficient): every dist_to_subspace branch, and q = 2
+# with p != 2
+PRUNED_SEARCH_CASES = [
+    (REAL, 4, 1.0, 1.0, False),  # lp, plus the column supremum
+    (REAL, 4, 2.0, INF, True),  # lp
+    (REAL, 3, 1.0, 1.5, True),  # smooth
+    (REAL, 3, 2.0, 3.0, False),  # smooth
+    (REAL, 4, 1.0, 0.5, False),  # quasi: vertex minimum
+    (REAL, 4, 1.0, 0.5, True),  # quasi: descent
+    (REAL, 4, 1.0, 2.0, True),  # q2 with p != 2: the cap is the distance
+    (COMPLEX, 3, 2.0, 1.0, False),  # complex
+    (COMPLEX, 3, 0.5, INF, True),  # complex
+    (COMPLEX, 2, 1.0, 0.5, False),  # complex q < 1
+    (COMPLEX, 2, INF, 0.5, True),  # complex q < 1
+]
+
+
+@pytest.mark.parametrize("field, n, p, q, deficient", PRUNED_SEARCH_CASES)
+@settings(max_examples=1, deadline=None)
+@given(mseed=st.integers(0, 2**16), k=st.integers(2, 4))
+def test_pruned_kolmogorov_search_equals_full_evaluation(field, n, p, q, deficient, mseed, k):
+    # The search without details skips the distance solves that cannot change
+    # its min-max; return_details=True solves every one.  The two must agree
+    # bit for bit.  Multi-start Nelder-Mead (the complex and the rank-deficient
+    # quasi solves) is held to 20 evaluations per start so that the full
+    # evaluation stays cheap; the skipping relies only on the caps and the
+    # per-point seeds, which this leaves as they are.
+    rng = np.random.default_rng(mseed)
+    M = rng.standard_normal((n, n))
+    if field == COMPLEX:
+        M = M + 1j * rng.standard_normal((n, n))
+    if deficient:
+        M[:, -1] = 2.0 * M[:, 0]
+    T = operator(M, p, q, field=field)
+    k = min(k, n)
+    descent = spaces._derivative_free_descent
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "_derivative_free_descent",
+                   lambda objective, starts, maxfev: descent(objective, starts, 20))
+        v = kolmogorov_upper_search(T, k, budget=60, seed=mseed)
+        _, cands = kolmogorov_upper_search(T, k, budget=60, seed=mseed, return_details=True)
+    assert v == min(c.value for c in cands)
+
+
+@pytest.mark.parametrize("field, p, q", [
+    (REAL, 1.0, 1.0), (REAL, 2.0, INF), (REAL, 2.0, 3.0), (REAL, 1.0, 0.5), (COMPLEX, 1.0, 2.0),
+])
+def test_kolmogorov_candidate_value_is_exact_below_its_bound(field, p, q):
+    # given a bound, a candidate returns its full value when that is below
+    # the bound, and otherwise a value between the bound and the full value
+    for seed in range(31, 37):
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((4, 4))
+        G = rng.standard_normal((4, 2))
+        if field == COMPLEX:
+            M = M + 1j * rng.standard_normal((4, 4))
+            G = G + 1j * rng.standard_normal((4, 2))
+        T = operator(M, p, q, field=field)
+        basis = np.linalg.qr(G)[0]
+        full = widths._kolmogorov_candidate_value(T, basis, q, 16, 3)[0]
+        for factor in (0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0, INF):
+            bound = full * factor
+            v = widths._kolmogorov_candidate_value(T, basis, q, 16, 3, bound=bound)[0]
+            if full < bound:
+                assert v == full
+            else:
+                assert bound <= v <= full
+
+
+@pytest.mark.parametrize("field, budget, n_cand", [
+    (REAL, 100, 5), (REAL, 4000, 8), (COMPLEX, 12000, 20),
+])
+def test_kolmogorov_search_at_q2_solves_one_distance_per_candidate(monkeypatch, field, budget,
+                                                                   n_cand):
+    # at q = 2 the cap is the distance: the largest cap is the candidate's
+    # value, and no other point can raise it
+    calls = []
+    dist = widths.dist_to_subspace
+
+    def count_dist(*args, **kwargs):
+        calls.append(1)
+        return dist(*args, **kwargs)
+
+    monkeypatch.setattr(widths, "dist_to_subspace", count_dist)
+    rng = np.random.default_rng(29)
+    M = rng.standard_normal((4, 4))
+    if field == COMPLEX:
+        M = M + 1j * rng.standard_normal((4, 4))
+    T = operator(M, 1.0, 2.0, field=field)
+    kolmogorov_upper_search(T, 3, budget=budget, seed=4)
+    assert len(calls) == n_cand
 
 
 def test_kolmogorov_search_never_below_sigma():
