@@ -20,8 +20,8 @@ from .spaces import (
     COMPLEX,
     REAL,
     SpaceSpec,
+    _abs_norm_function,
     inv_exponent,
-    lp_norm,
     sample_sphere,
 )
 
@@ -173,11 +173,20 @@ def _unit_directions(n, field):
     return np.vstack(dirs)
 
 
-def _sampled_ascent(T, budget, seed):
-    """Seeded lower bound for ||T: l_p -> l_q|| by sampling plus hill climbing."""
+def _sampled_ascent(T, budget, seed, stop):
+    """Seeded lower bound for ||T: l_p -> l_q|| by sampling plus hill climbing.
+
+    The value is the running maximum of the sampled norms and of the four
+    climbs from the best samples.  That maximum never decreases, so once it
+    reaches ``stop`` the ascent returns it: the value is then >= stop and
+    <= the full value.  A full value below ``stop`` is never cut short, so
+    it is the same float as with no stop.  Both norms are resolved once per
+    call (``_abs_norm_function``: lp_norm's arithmetic, the same floats).
+    """
     M = T.matrix
     p, q = T.domain.p, T.codomain.p
     n = T.domain.n
+    norm_p, norm_q = _abs_norm_function(p), _abs_norm_function(q)
     rng = np.random.default_rng(
         [int(seed) & 0xFFFFFFFF, zlib.crc32(np.ascontiguousarray(M).tobytes())]
     )
@@ -187,6 +196,8 @@ def _sampled_ascent(T, budget, seed):
     vals = _norm_rows(X @ M.T, q)
     order = np.argsort(vals)[::-1]
     best = float(vals[order[0]])
+    if best >= stop:
+        return best
 
     spent = X.shape[0]
     for idx in order[:4]:
@@ -198,26 +209,37 @@ def _sampled_ascent(T, budget, seed):
             if T.field == COMPLEX:
                 step = step + 1j * rng.standard_normal(n)
             y = x + radius * step
-            ny = lp_norm(y, p)
+            ny = norm_p(np.abs(y))
             spent += 1
             if ny == 0.0:
                 continue
             y = y / ny
-            v = lp_norm(M @ y, q)
+            v = norm_q(np.abs(M @ y))
             if v > cur:
                 x, cur = y, v
+                if cur >= stop:
+                    return cur
             else:
                 radius *= 0.8
         best = max(best, cur)
     return best
 
 
-def op_norm(T, budget=2000, seed=0):
+def op_norm(T, budget=2000, seed=0, *, stop=math.inf):
     """The operator (quasi-)norm of T: l_p -> l_q, with the method recorded.
 
     Dispatch, strongest first: exact identity formula n^max(0, 1/q - 1/p);
     exact column maximum for p <= 1, q >= 1; exact sigma_1 for p = q = 2;
     otherwise a seeded sampled-ascent lower bound (exact=False).
+
+    ``stop`` is for callers that only ask whether the norm is below a
+    threshold.  The sampled ascent returns as soon as its running maximum
+    reaches ``stop``, with a value that is >= stop and <= the full value; a
+    full value below ``stop`` comes back as the same float.  So ``v < stop``
+    has the same answer with and without the stop, and a value that passes
+    it is the full value.  The ascent seeds its own generator from
+    ``(seed, matrix)``, so stopping early changes no other call's draws.
+    The exact paths ignore ``stop``.
     """
     M = T.matrix
     p, q = T.domain.p, T.codomain.p
@@ -232,7 +254,7 @@ def op_norm(T, budget=2000, seed=0):
     if p == 2.0 and q == 2.0:
         s = singular_values(T)
         return OpNormResult(float(s[0]) if s.size else 0.0, True, "svd")
-    return OpNormResult(_sampled_ascent(T, budget, seed), False, "sampled-ascent")
+    return OpNormResult(_sampled_ascent(T, budget, seed, stop), False, "sampled-ascent")
 
 
 # ---------------------------------------------------------------------------

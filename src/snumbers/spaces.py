@@ -68,20 +68,29 @@ class SpaceSpec:
         return self.n if self.field == REAL else 2 * self.n
 
 
+def _abs_norm_function(p):
+    """The map a -> ||a||_p on nonempty 1-d arrays of moduli, p already checked.
+
+    This is lp_norm's own arithmetic with the exponent dispatched once, so a
+    loop that takes many norms at one p gets the same floats as lp_norm
+    without re-validating p on every call.
+    """
+    if math.isinf(p):
+        return lambda a: float(a.max())
+    if p == 2.0:
+        return lambda a: float(np.sqrt(np.dot(a, a)))
+    if p == 1.0:
+        return lambda a: float(a.sum())
+    return lambda a: float((a**p).sum() ** (1.0 / p))
+
+
 def lp_norm(x, p):
     """The l_p (quasi-)norm of a vector; max_j |x_j| for p = inf."""
     _check_exponent(p)
     x = np.asarray(x)
     if x.size == 0:
         raise ValueError("lp_norm of an empty vector is undefined")
-    a = np.abs(x).ravel()
-    if math.isinf(p):
-        return float(a.max())
-    if p == 2.0:
-        return float(np.sqrt(np.dot(a, a)))
-    if p == 1.0:
-        return float(a.sum())
-    return float((a**p).sum() ** (1.0 / p))
+    return _abs_norm_function(p)(np.abs(x).ravel())
 
 
 def quasi_constant(p):

@@ -248,9 +248,11 @@ def kolmogorov_id_envelope(p, q, n, k, field=REAL):
 # ---------------------------------------------------------------------------
 
 
-def _residual_norm(T, S_matrix):
+def _residual_norm(T, S_matrix, stop=math.inf):
+    """||T - S||, or a value >= stop once the norm is known to reach ``stop``
+    (see op_norm); ``v < stop`` has the same answer either way."""
     R = operator(T.matrix - S_matrix, T.domain.p, T.codomain.p, field=T.field)
-    return op_norm(R).value
+    return op_norm(R, stop=stop).value
 
 
 def _low_rank(A, B):
@@ -268,13 +270,30 @@ def approx_upper_search(T, k, budget=2000, seed=0):
     coordinate-descent polish of the low-rank factors, within `budget` norm
     evaluations.  Residual norms use the exact dispatch where available, so
     in the Hilbert case the result matches sigma_k to within 1e-9 relative
-    (checked internally; the truncation candidate attains it).
+    (checked internally; the truncation candidate attains it).  For
+    k - 1 >= min(m, n) a rank-(k-1) operator can equal T, so the result is
+    exactly 0 and no candidate is evaluated.
+
+    The search is a branch and bound over the sampled-ascent residual
+    norms: a candidate is only asked whether it beats the best value so
+    far, so its norm is evaluated with that threshold as op_norm's
+    ``stop``: ``best`` for the restarts, which keep ``v < best``, and
+    ``best - 1e-15`` for the descent, which keeps ``v < best - 1e-15``.
+    The truncation candidate, which sets the first best, gets no stop.  A
+    candidate that is kept had a full norm below its stop, so its ascent
+    ran in full and gave the same float; one that was stopped returned a
+    value at or above the stop, so it is rejected as its full norm would
+    have been.  Each ascent seeds its own generator from the residual
+    matrix, so stopping one early changes no other draw, and the result is
+    the same float as with every norm evaluated in full.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     M = T.matrix
     m_, n_ = M.shape
     r = k - 1
+    if r >= min(m_, n_):
+        return 0.0
     hilbert = T.domain.p == 2.0 and T.codomain.p == 2.0
 
     if r == 0:
@@ -305,7 +324,7 @@ def approx_upper_search(T, k, budget=2000, seed=0):
             break
         Ar = A0 + 0.05 * scale * _random_like(rng, A0)
         Br = B0 + 0.05 * _random_like(rng, B0)
-        v = _residual_norm(T, _low_rank(Ar, Br))
+        v = _residual_norm(T, _low_rank(Ar, Br), stop=best)
         spent += 1
         if v < best:
             best, best_AB = v, (Ar, Br)
@@ -325,7 +344,7 @@ def approx_upper_search(T, k, budget=2000, seed=0):
             old = flat[i]
             for delta in (step, -step):
                 flat[i] = old + delta
-                v = _residual_norm(T, _low_rank(A, B))
+                v = _residual_norm(T, _low_rank(A, B), stop=best - 1e-15)
                 spent += 1
                 if v < best - 1e-15:
                     best = v
@@ -458,7 +477,10 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     point, which only estimates the supremum from below; for p <= 1 <= q
     the points include the columns (the images of the +e_j), whose maximum
     is the exact supremum.  For k - 1 >= rank(T) the singular candidate
-    contains the range, so the result is 0.
+    contains the range, so d_k(T) = 0, but the result need not be an exact
+    0: the computed distances can leave rounding noise of about 1e-16 ||T||
+    (2e-16 to 6e-16 at k = 4 on 3x3 Gaussian l_1 -> l_2 and l_2 -> l_2
+    matrices).
 
     Without details, the non-Hilbert search is a branch and bound over this
     min-max: each candidate gets the best value so far as its bound and

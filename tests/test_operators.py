@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from snumbers import operators
 from snumbers.operators import (
     add,
     compose,
@@ -125,6 +126,65 @@ def test_sampled_ascent_never_exceeds_truth():
     sampled = op_norm(operator(M, 0.7, 1.3), budget=2000, seed=1)
     assert est.value == pytest.approx(exact)
     assert sampled.value <= op_norm(operator(M, 0.7, 1.3), budget=8000, seed=2).value + 1e-9
+
+
+@pytest.mark.parametrize("field, p, q", [
+    (REAL, 2.0, 1.0), (REAL, math.inf, 0.5), (REAL, 1.5, 0.7), (COMPLEX, 3.0, 1.5),
+])
+def test_sampled_ascent_stop_contract(field, p, q):
+    # a full value below the stop comes back unchanged; otherwise the ascent
+    # may return early, with a value between the stop and the full value
+    for seed in range(3):
+        rng = np.random.default_rng(40 + seed)
+        M = rng.standard_normal((4, 3))
+        if field == COMPLEX:
+            M = M + 1j * rng.standard_normal((4, 3))
+        T = operator(M, p, q, field=field)
+        full = op_norm(T, budget=600, seed=seed)
+        assert op_norm(T, budget=600, seed=seed, stop=math.inf) == full
+        for factor in (-1.0, 0.0, 0.5, 0.9, 0.99, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0):
+            stop = full.value * factor
+            r = op_norm(T, budget=600, seed=seed, stop=stop)
+            assert (r.exact, r.method) == (False, "sampled-ascent")
+            if full.value < stop:
+                assert r.value == full.value
+            else:
+                assert stop <= r.value <= full.value
+
+
+def test_sampled_ascent_stops_before_climbing_once_the_samples_reach_the_stop(monkeypatch):
+    # no climb step is taken when the sample phase already reaches the stop
+    steps = []
+    norm_function = operators._abs_norm_function
+
+    def counting_norm_function(p):
+        norm = norm_function(p)
+
+        def counted(a):
+            steps.append(1)
+            return norm(a)
+
+        return counted
+
+    monkeypatch.setattr(operators, "_abs_norm_function", counting_norm_function)
+    T = operator(np.arange(1.0, 7.0).reshape(2, 3), 2.0, 1.0)
+    full = op_norm(T, budget=600, seed=0).value
+    assert steps
+    steps.clear()
+    assert op_norm(T, budget=600, seed=0, stop=0.0).value <= full
+    assert not steps
+
+
+@pytest.mark.parametrize("T", [
+    identity_operator(3, 2.0, 1.0),  # identity-formula
+    operator(np.arange(1.0, 7.0).reshape(2, 3), 1.0, 2.0),  # column-max
+    operator(np.arange(1.0, 7.0).reshape(2, 3), 2.0, 2.0),  # svd
+])
+def test_stop_leaves_the_exact_paths_alone(T):
+    exact = op_norm(T)
+    assert exact.exact
+    for stop in (-1.0, 0.0, 0.5 * exact.value, exact.value, math.inf):
+        assert op_norm(T, stop=stop) == exact
 
 
 def test_realify_doubles_singular_values():

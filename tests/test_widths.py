@@ -1,13 +1,14 @@
 """Approximation and Kolmogorov numbers: formulas, searches, axioms."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from snumbers import spaces, widths
+from snumbers import operators, spaces, widths
 from snumbers.operators import diagonal_operator, op_norm, operator, realify
 from snumbers.spaces import COMPLEX, REAL, dist_to_subspace
 from snumbers.widths import (
@@ -174,6 +175,168 @@ def test_approx_search_non_hilbert_upper_bound():
     T = diagonal_operator([2.0, 1.0], p=1.0, q=INF)
     v = approx_upper_search(T, 2, budget=800, seed=1)
     assert 2.0 / 3.0 - 1e-9 <= v <= 1.0 + 1e-9
+
+
+def _reference_lp_norm(x, p):
+    a = np.abs(x)
+    if math.isinf(p):
+        return float(a.max())
+    if p == 2.0:
+        return float(np.sqrt(np.dot(a, a)))
+    if p == 1.0:
+        return float(a.sum())
+    return float((a**p).sum() ** (1.0 / p))
+
+
+def _unbounded_ascent(T, budget, seed):
+    """The sampled ascent with no stop and a norm dispatched on every climb
+    step: the reference that op_norm's bounded ascent must match bit for bit."""
+    M = T.matrix
+    p, q = T.domain.p, T.codomain.p
+    n = T.domain.n
+    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, zlib.crc32(M.tobytes())])
+    X = operators._unit_directions(n, T.field)
+    X = np.vstack([X, spaces.sample_sphere(rng, n, p, T.field, max(16, budget // 2))])
+    vals = operators._norm_rows(X @ M.T, q)
+    order = np.argsort(vals)[::-1]
+    best = float(vals[order[0]])
+    spent = X.shape[0]
+    for idx in order[:4]:
+        x = X[idx].copy()
+        cur = float(vals[idx])
+        radius = 0.5
+        while spent < budget and radius > 1e-7:
+            step = rng.standard_normal(n)
+            if T.field == COMPLEX:
+                step = step + 1j * rng.standard_normal(n)
+            y = x + radius * step
+            ny = _reference_lp_norm(y, p)
+            spent += 1
+            if ny == 0.0:
+                continue
+            y = y / ny
+            v = _reference_lp_norm(M @ y, q)
+            if v > cur:
+                x, cur = y, v
+            else:
+                radius *= 0.8
+        best = max(best, cur)
+    return best
+
+
+def _unbounded_approx_search(T, k, budget, seed):
+    """approx_upper_search with every residual norm a full unbounded ascent,
+    for k >= 2 and the (p, q) pairs whose residuals take the sampled path."""
+    def residual(S):
+        R = operator(T.matrix - S, T.domain.p, T.codomain.p, field=T.field)
+        return _unbounded_ascent(R, 2000, 0)
+
+    M = T.matrix
+    U, s, Vh = np.linalg.svd(M)
+    r_eff = min(k - 1, s.size)
+    A0 = U[:, :r_eff] * s[:r_eff]
+    B0 = Vh[:r_eff]
+    best = residual(widths._low_rank(A0, B0))
+    spent = 1
+    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, zlib.crc32(M.tobytes()), k])
+    scale = float(s[0]) if s.size else 1.0
+    best_AB = (A0.copy(), B0.copy())
+    for _ in range(3):
+        if spent >= budget:
+            break
+        Ar = A0 + 0.05 * scale * widths._random_like(rng, A0)
+        Br = B0 + 0.05 * widths._random_like(rng, B0)
+        v = residual(widths._low_rank(Ar, Br))
+        spent += 1
+        if v < best:
+            best, best_AB = v, (Ar, Br)
+    A, B = best_AB[0].copy(), best_AB[1].copy()
+    step = 0.1 * max(scale, 1e-12)
+    while spent < budget and step > 1e-10 * max(scale, 1.0):
+        improved = False
+        coords = [("A", i) for i in range(A.size)] + [("B", i) for i in range(B.size)]
+        rng.shuffle(coords)
+        for which, i in coords:
+            if spent + 2 > budget:
+                break
+            flat = (A if which == "A" else B).reshape(-1)
+            old = flat[i]
+            for delta in (step, -step):
+                flat[i] = old + delta
+                v = residual(widths._low_rank(A, B))
+                spent += 1
+                if v < best - 1e-15:
+                    best = v
+                    old = flat[i]
+                    improved = True
+                    break
+            else:
+                flat[i] = old
+        if not improved:
+            step *= 0.5
+    return float(best)
+
+
+# every kind of (p, q) pair that the residual norms take the sampled ascent on
+SAMPLED_PAIRS = [(2.0, 1.0), (2.0, 3.0), (3.0, 1.5), (INF, 2.0), (2.0, INF), (1.5, 0.7),
+                 (0.5, 0.3), (INF, 0.5)]
+
+
+def _search_matrix(rng, m, n, field, kind):
+    M = rng.standard_normal((m, n))
+    if field == COMPLEX:
+        M = M + 1j * rng.standard_normal((m, n))
+    if kind == "zero":
+        return 0.0 * M
+    if kind == "rank-one":
+        return np.outer(M[:, 0], M[0])
+    # 1e200: perturbed factors overflow in A @ B; 1e-16: the restart and
+    # descent candidates land within 1e-15 of the best value
+    return M * {"gauss": 1.0, "huge": 1e200, "tiny": 1e-16}[kind]
+
+
+@settings(max_examples=12, deadline=None)
+@given(field=st.sampled_from([REAL, COMPLEX]),
+       kind=st.sampled_from(["gauss", "rank-one", "zero", "huge", "tiny"]),
+       pq=st.sampled_from(SAMPLED_PAIRS), m=st.integers(2, 5), n=st.integers(2, 5),
+       k=st.integers(2, 4), budget=st.integers(5, 80), mseed=st.integers(0, 2**16))
+@example(field=REAL, kind="zero", pq=(2.0, 1.0), m=3, n=4, k=2, budget=40, mseed=1)
+@example(field=COMPLEX, kind="rank-one", pq=(INF, 0.5), m=4, n=3, k=2, budget=30, mseed=2)
+@example(field=REAL, kind="huge", pq=(1.5, 0.7), m=3, n=3, k=2, budget=30, mseed=3)
+@example(field=COMPLEX, kind="huge", pq=(2.0, 3.0), m=2, n=3, k=2, budget=20, mseed=4)
+@example(field=REAL, kind="tiny", pq=(2.0, 1.0), m=3, n=3, k=2, budget=10, mseed=1)
+@example(field=COMPLEX, kind="tiny", pq=(2.0, 1.0), m=3, n=3, k=2, budget=10, mseed=1)
+def test_bounded_approx_search_equals_unbounded_search(field, kind, pq, m, n, k, budget, mseed):
+    # The search stops each residual ascent once the candidate has lost;
+    # the copy above evaluates every ascent in full.  The two must agree bit
+    # for bit, except past full rank, where a_k is exactly 0.
+    p, q = pq
+    rng = np.random.default_rng(mseed)
+    T = operator(_search_matrix(rng, m, n, field, kind), p, q, field=field)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert op_norm(T, seed=mseed, stop=INF).value.hex() == \
+            _unbounded_ascent(T, 2000, mseed).hex()
+        v = approx_upper_search(T, k, budget=budget, seed=mseed)
+        if k - 1 >= min(m, n):
+            assert v.hex() == "0x0.0p+0"
+        else:
+            assert v.hex() == _unbounded_approx_search(T, k, budget, mseed).hex()
+
+
+@pytest.mark.parametrize("field, p, q", [(REAL, 2.0, 1.0), (REAL, 1.0, 2.0), (REAL, 2.0, 2.0),
+                                         (COMPLEX, INF, 0.5)])
+def test_approx_search_is_exactly_zero_past_full_rank(monkeypatch, field, p, q):
+    # k - 1 >= min(m, n): some operator of rank < k is T itself, so a_k = 0
+    # exactly, with no residual norm taken
+    monkeypatch.setattr(widths, "_residual_norm", None)
+    rng = np.random.default_rng(5)
+    for m, n in [(3, 3), (2, 4), (4, 2)]:
+        M = rng.standard_normal((m, n))
+        if field == COMPLEX:
+            M = M + 1j * rng.standard_normal((m, n))
+        T = operator(M, p, q, field=field)
+        for k in range(min(m, n) + 1, min(m, n) + 3):
+            assert approx_upper_search(T, k, budget=200, seed=1) == 0.0
 
 
 def test_kolmogorov_search_hilbert():
