@@ -44,9 +44,9 @@ if __name__ == "__main__":
     last = None
     for k in (2, 4, 7, 8, 20, 64, 127, 128, 129, 200):
         env = regime_envelope(1.0, INF, n, k, field="complex")
-        marker = "" if env.regime == last else f"   <- {env.regime}"
-        last = env.regime
-        print(f"  k={k:4d}  value={env.value:10.6f}{marker}")
+        marker = "" if env.method == last else f"   <- {env.method}"
+        last = env.method
+        print(f"  k={k:4d}  {env.lower_kind}={env.lower:10.6f}{marker}")
 
     print()
     print("the mid and large pieces meet at k = 2n with the exact ratio 2;")

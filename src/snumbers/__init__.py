@@ -6,7 +6,9 @@ The package is organised by what gets computed:
 
   spaces     quasi-norm geometry: l_p norms, the equivalent rho-norm
              construction, ball volumes, distances to subspaces, samplers
-  operators  matrix operators between l_p spaces and exact/sampled norms
+  operators  matrix operators between l_p spaces, exact/sampled norms, and
+             Bracket: a lower and an upper, each of kind exact, certified,
+             estimate or shape
   entropy    covering/packing estimators with certified lower bounds and
              the three-regime closed-form envelope for identities
   widths     approximation & Kolmogorov numbers: exact Hilbert values,
@@ -34,8 +36,8 @@ from .spaces import (
     sample_sphere,
 )
 from .operators import (
+    Bracket,
     LinOp,
-    OpNormResult,
     add,
     compose,
     diagonal_operator,
@@ -50,7 +52,6 @@ from .operators import (
 )
 from .entropy import (
     BoundPair,
-    Envelope,
     best_certified_lower,
     entropy_lower_pack,
     entropy_lower_pack_sequence,
@@ -68,7 +69,6 @@ from .entropy import (
 from .widths import (
     NO_CLOSED_FORM,
     SNumberSeq,
-    WidthEnvelope,
     approx_id_envelope,
     approx_upper_search,
     bound_respecting_axioms,

@@ -36,18 +36,28 @@ Exit codes: 0 clean, 1 property violation, 2 usage or parse error,
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import entropy as entropy_mod
-from .operators import identity_operator, load_operator, op_norm, operator, singular_values
+from .operators import (
+    CERTIFIED,
+    ESTIMATE,
+    EXACT,
+    Bracket,
+    BracketError,
+    identity_operator,
+    load_operator,
+    op_norm,
+    operator,
+)
 from .spaces import (
     COMPLEX,
     REAL,
@@ -138,7 +148,7 @@ REPORT_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     command: str
     p: float
@@ -156,22 +166,10 @@ class RunConfig:
     inject_bug: str | None = None
 
     def to_json_dict(self):
-        return {
-            "command": self.command,
-            "p": _fmt_exponent(self.p),
-            "q": _fmt_exponent(self.q),
-            "n": self.n,
-            "k_lo": self.k_lo,
-            "k_hi": self.k_hi,
-            "field": self.field,
-            "seed": self.seed,
-            "budget": self.budget,
-            "tol": self.tol,
-            "output": self.output,
-            "input": self.input_path,
-            "timings": self.timings,
-            "inject_bug": self.inject_bug,
-        }
+        d = dataclasses.asdict(self)
+        d["input"] = d.pop("input_path")
+        d.update(p=_fmt_exponent(self.p), q=_fmt_exponent(self.q))
+        return d
 
 
 def _parse_exponent(token):
@@ -216,17 +214,14 @@ def _num(x):
     return x
 
 
-def _row(quantity, k, lower, upper, exact, method, label, elapsed_ms=0.0):
-    lower, upper = _num(lower), _num(upper)
-    if exact and (lower is None or lower != upper):
-        raise RuntimeError(f"{quantity}_{k} ({method}) is marked exact "
-                           f"but its bounds differ: {lower} vs {upper}")
+def _row(quantity, k, bracket, method, label, elapsed_ms=0.0):
+    """One report row; it is exact iff both sides of the bracket are."""
     return {
         "quantity": quantity,
         "k": int(k),
-        "lower": lower,
-        "upper": upper,
-        "exact": bool(exact),
+        "lower": _num(bracket.lower),
+        "upper": _num(bracket.upper),
+        "exact": bracket.exact,
         "method": method,
         "label": label,
         "elapsed_ms": float(elapsed_ms),
@@ -265,19 +260,13 @@ class _Clock:
 def _envelope_rows(p, q, n, k_lo, k_hi, field, clock, n_tag=""):
     rows = []
     for k in range(k_lo, k_hi + 1):
-        if p <= q:
-            env = entropy_mod.regime_envelope(p, q, n, k, field=field)
-            rows.append(_row("e", k, env.value, env.value, False,
-                             "regime-envelope", env.regime + n_tag, clock.lap()))
-        else:
-            rows.append(_row("e", k, None, None, False,
-                             "regime-envelope", "no closed form" + n_tag, clock.lap()))
+        env = (entropy_mod.regime_envelope(p, q, n, k, field=field) if p <= q
+               else Bracket(None, None, None, None, "no closed form"))
+        rows.append(_row("e", k, env, "regime-envelope", env.method + n_tag, clock.lap()))
         a_env = approx_id_envelope(p, q, n, k)
-        rows.append(_row("a", k, a_env.lower, a_env.upper, a_env.constants_known,
-                         "closed-form", a_env.case_label + n_tag, clock.lap()))
+        rows.append(_row("a", k, a_env, "closed-form", a_env.method + n_tag, clock.lap()))
         d_env = kolmogorov_id_envelope(p, q, n, k, field=field)
-        rows.append(_row("d", k, d_env.lower, d_env.upper, d_env.constants_known,
-                         "closed-form", d_env.case_label + n_tag, clock.lap()))
+        rows.append(_row("d", k, d_env, "closed-form", d_env.method + n_tag, clock.lap()))
     return rows
 
 
@@ -290,8 +279,10 @@ def _entropy_rows(T, cfg, cloud, clock):
     uppers = entropy_mod.entropy_upper_cover_sequence(T, k_cap, cloud=cloud, seed=cfg.seed)
     lowers = entropy_mod.entropy_lower_pack_sequence(
         T, k_cap, budget=max(64, min(cloud, 512)), seed=cfg.seed)
-    return [_row("e", k, lowers[k - 1].lower, entropy_mod.padded_upper(uppers[k - 1], cfg.q),
-                 False, "pack/cover", "estimator", clock.lap())
+    return [_row("e", k, Bracket(lowers[k - 1].lower,
+                                 entropy_mod.padded_upper(uppers[k - 1], cfg.q),
+                                 CERTIFIED, ESTIMATE, "pack/cover"),
+                 "pack/cover", "estimator", clock.lap())
             for k in range(cfg.k_lo, k_cap + 1)]
 
 
@@ -307,13 +298,15 @@ def run_idnumbers(cfg):
         if hilbert:
             seq = hilbert_s_numbers(T)
             for k in range(cfg.k_lo, cfg.k_hi + 1):
-                v = seq.value(k)
-                rows.append(_row("a", k, v, v, True, "svd", "estimator", clock.lap()))
-                rows.append(_row("d", k, v, v, True, "svd", "estimator", clock.lap()))
+                v = Bracket.point(seq.value(k), EXACT, "svd")
+                rows.append(_row("a", k, v, "svd", "estimator", clock.lap()))
+                rows.append(_row("d", k, v, "svd", "estimator", clock.lap()))
         elif cheap_norm and cfg.n <= 8:
+            # p <= 1 <= q: exact residual norms, so the search gives certified uppers
             for k in range(cfg.k_lo, cfg.k_hi + 1):
                 a = approx_upper_search(T, k, budget=min(cfg.budget, 400), seed=cfg.seed)
-                rows.append(_row("a", k, None, a, False, "rank-search", "estimator", clock.lap()))
+                rows.append(_row("a", k, Bracket(None, a, None, CERTIFIED, "rank-search"),
+                                 "rank-search", "estimator", clock.lap()))
 
     return {"config": cfg.to_json_dict(), "rows": _sort_rows(rows), "violations": []}, 0
 
@@ -332,24 +325,24 @@ def run_estimate(cfg):
     if hilbert:
         seq = hilbert_s_numbers(T)
         for k in range(cfg.k_lo, k_hi + 1):
-            v = seq.value(k)
-            rows.append(_row("a", k, v, v, True, "svd", "exact", clock.lap()))
-            rows.append(_row("d", k, v, v, True, "svd", "exact", clock.lap()))
+            v = Bracket.point(seq.value(k), EXACT, "svd")
+            rows.append(_row("a", k, v, "svd", "exact", clock.lap()))
+            rows.append(_row("d", k, v, "svd", "exact", clock.lap()))
     else:
         norm = op_norm(T, budget=min(cfg.budget, 4000), seed=cfg.seed)
         cheap_norm = T.domain.p <= 1.0 and T.codomain.p >= 1.0
+        # a_1 = d_1 = ||T||; for k >= 2 the norm is only an upper bound.  A
+        # sampled norm is a lower of ||T||, printed as an estimated upper.
+        upper = Bracket(None, norm.lower, None, CERTIFIED if norm.exact else ESTIMATE, norm.method)
         for k in range(cfg.k_lo, k_hi + 1):
-            # a_1 = d_1 = ||T||; for k >= 2 the norm is only an upper bound
-            exact = norm.exact and k == 1
-            lower = norm.value if exact else None
-            if cheap_norm and T.domain.n <= 8:
+            bound = norm if norm.exact and k == 1 else upper
+            if cheap_norm and T.domain.n <= 8:  # certified, as in run_idnumbers
                 a = approx_upper_search(T, k, budget=min(cfg.budget, 400), seed=cfg.seed)
-                rows.append(_row("a", k, None, a, False, "rank-search", "estimator", clock.lap()))
+                rows.append(_row("a", k, Bracket(None, a, None, CERTIFIED, "rank-search"),
+                                 "rank-search", "estimator", clock.lap()))
             else:
-                rows.append(_row("a", k, lower, norm.value, exact,
-                                 "norm-bound", "estimator", clock.lap()))
-            rows.append(_row("d", k, lower, norm.value, exact,
-                             "norm-bound", "estimator", clock.lap()))
+                rows.append(_row("a", k, bound, "norm-bound", "estimator", clock.lap()))
+            rows.append(_row("d", k, bound, "norm-bound", "estimator", clock.lap()))
 
     return {"config": cfg.to_json_dict(), "rows": _sort_rows(rows), "violations": []}, 0
 
@@ -386,12 +379,9 @@ def _verify_carl_bracket(cfg):
         padded = [entropy_mod.padded_upper(b, 2.0) for b in bounds]
         rep.merge(carl_check(T, padded, k_max, tol=cfg.tol), "carl", f"diag{diag}: ")
         for n_index in range(1, 4):
-            pair = entropy_mod.BoundPair(
-                k=n_index, lower=lowers[n_index - 1].lower, upper=bounds[n_index - 1].upper,
-                method_lower=lowers[n_index - 1].method_lower,
-                method_upper=bounds[n_index - 1].method_upper,
-                certified_lower=True, certified_upper=False,
-                delta=bounds[n_index - 1].delta)
+            low = lowers[n_index - 1]  # the cover's pair, given the packing's lower
+            pair = dataclasses.replace(bounds[n_index - 1], lower=low.lower,
+                                       method_lower=low.method_lower, certified_lower=True)
             rep.merge(hilbert_entropy_bracket(T, n_index, pair, tol=cfg.tol),
                       "bracket", f"diag{diag}: ")
         for k in range(1, k_max + 1):
@@ -488,8 +478,9 @@ def run_verify(cfg):
     for name, fn in families:
         rep = fn(cfg)
         bad = rep.violations
-        rows.append(_row(f"check:{name}", len(rep.entries), float(len(bad)), float(len(bad)),
-                         True, "suite", "violated" if bad else "ok", clock.lap()))
+        count = Bracket.point(float(len(bad)), EXACT, "suite")
+        rows.append(_row(f"check:{name}", len(rep.entries), count,
+                         "suite", "violated" if bad else "ok", clock.lap()))
         violations += [{"check": e.name, "detail": e.detail,
                         "lhs": _num(e.lhs), "rhs": _num(e.rhs)} for e in bad]
     report = {"config": cfg.to_json_dict(), "rows": _sort_rows(rows), "violations": violations}
@@ -499,11 +490,10 @@ def run_verify(cfg):
 def run_volume(cfg):
     clock = _Clock(cfg.timings)
     space = SpaceSpec(p=cfg.p, n=cfg.n, field=cfg.field)
-    logv = log_ball_volume(space)
     rows = [
-        _row("vol", cfg.n, ball_volume(space), ball_volume(space), True,
-             "gamma-formula", cfg.field, clock.lap()),
-        _row("logvol", cfg.n, logv, logv, True, "gamma-formula", cfg.field, clock.lap()),
+        _row(quantity, cfg.n, Bracket.point(v, EXACT, "gamma-formula"),
+             "gamma-formula", cfg.field, clock.lap())
+        for quantity, v in (("vol", ball_volume(space)), ("logvol", log_ball_volume(space)))
     ]
     return {"config": cfg.to_json_dict(), "rows": _sort_rows(rows), "violations": []}, 0
 
@@ -643,11 +633,11 @@ def main(argv=None):
             raise ValueError(f"exponent --{name} {value!r} is too small: "
                              f"a power of n in 1/{name} overflows a float") from None
         text = render(report, cfg.output)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # a fault of the program, not of its input
-        import traceback
+    except Exception as exc:
+        if isinstance(exc, (ValueError, OSError)) and not isinstance(exc, BracketError):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        import traceback  # a fault of the program, a BracketError included
 
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _norm_rows, _unit_directions, is_identity
+from .operators import SHAPE, Bracket, _norm_rows, _unit_directions, is_identity
 from .spaces import (
     COMPLEX,
     REAL,
@@ -87,15 +87,6 @@ def padded_upper(pair, q):
     if qbar == 1.0:
         return pair.upper + pair.delta
     return (pair.upper**qbar + pair.delta**qbar) ** (1.0 / qbar)
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """Shape value of an equivalence with unknown absolute constants."""
-
-    value: float
-    regime: str
-    constants_known: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +538,11 @@ def regime_envelope(p, q, n, k, field=COMPLEX):
     """Three-regime shape of e_k(id: l_p^n -> l_q^n) for 0 < p <= q <= inf.
 
     The equivalence constants depend only on p and q and are not known
-    explicitly, so the returned Envelope has constants_known=False.  Regime
-    boundaries sit at k = log2(N) and k = N with N = 2n over the complex
-    scalars and N = n over the reals; boundary indices are assigned to the
-    mid regime, where both adjacent pieces agree up to a bounded factor.
+    explicitly, so both sides of the returned Bracket are the one ``shape``
+    value, with the regime as its method.  Regime boundaries sit at
+    k = log2(N) and k = N with N = 2n over the complex scalars and N = n
+    over the reals; boundary indices are assigned to the mid regime, where
+    both adjacent pieces agree up to a bounded factor.
     """
     if p > q:
         raise ValueError("the regime envelope needs p <= q")
@@ -563,7 +555,7 @@ def regime_envelope(p, q, n, k, field=COMPLEX):
         regime = REGIME_MID
     else:
         regime = REGIME_SMALL
-    return Envelope(value=regime_piece(regime, p, q, n, k, field), regime=regime)
+    return Bracket.point(regime_piece(regime, p, q, n, k, field), SHAPE, regime)
 
 
 def rank_decay_bounds(m, k, norm=1.0, field=REAL):

@@ -6,7 +6,8 @@ Exact norm formulas exist for the identity, for p <= 1 with q >= 1 (the
 extreme points of the domain ball are the signed unit vectors, so the norm
 is the largest column norm), and for the Hilbert case p = q = 2 (largest
 singular value).  Everything else falls back to a seeded sampled-ascent
-lower bound that is reported as non-exact.
+lower bound.  Every norm comes back as a ``Bracket``, the package's one
+shape for "a lower, an upper, and how sure".
 """
 
 import dataclasses
@@ -26,17 +27,50 @@ from .spaces import (
 )
 
 
+EXACT = "exact"  # the value itself
+CERTIFIED = "certified"  # a proved bound on its side
+ESTIMATE = "estimate"  # a heuristic value, which may miss on its side
+SHAPE = "shape"  # an equivalence shape with unknown constants
+KINDS = (EXACT, CERTIFIED, ESTIMATE, SHAPE)
+_SIDE_KINDS = {None, *KINDS}  # None: a missing side
+
+
+class BracketError(ValueError):
+    """A bracket whose sides contradict their kinds: a fault of its producer."""
+
+
 @dataclass(frozen=True)
-class OpNormResult:
-    """Value of an operator-norm computation plus how it was obtained.
+class Bracket:
+    """A lower and an upper value, each with its kind (or both None), and the
+    method or case that produced them.  Refused: NaN, a kind without a value
+    or a value without one, an unknown kind, ``exact`` on one side only or on
+    two unequal sides, and ``lower > upper + 1e-12`` unless a side is an
+    ``estimate`` (which may undershoot)."""
 
-    ``exact`` is True only for the closed-form paths; the sampled-ascent
-    path is a certified lower bound of the true norm but not the norm.
-    """
+    lower: float | None
+    upper: float | None
+    lower_kind: str | None
+    upper_kind: str | None
+    method: str
 
-    value: float
-    exact: bool
-    method: str  # identity-formula | column-max | svd | sampled-ascent
+    def __post_init__(self):
+        lo, hi, lo_kind, hi_kind = self.lower, self.upper, self.lower_kind, self.upper_kind
+        if ((lo is None) != (lo_kind is None) or (hi is None) != (hi_kind is None)
+                or lo != lo or hi != hi  # NaN
+                or not {lo_kind, hi_kind} <= _SIDE_KINDS
+                or (EXACT in (lo_kind, hi_kind) and not (lo_kind == hi_kind and lo == hi))
+                or (lo is not None and hi is not None and lo > hi + 1e-12
+                    and ESTIMATE not in (lo_kind, hi_kind))):
+            raise BracketError(f"inconsistent {self}")
+
+    @classmethod
+    def point(cls, value, kind, method):
+        """Both sides at one value of one kind: an exact value or a shape."""
+        return cls(value, value, kind, kind, method)
+
+    @property
+    def exact(self):
+        return self.lower_kind == EXACT and self.upper_kind == EXACT
 
 
 @dataclass(frozen=True)
@@ -226,11 +260,13 @@ def _sampled_ascent(T, budget, seed, stop):
 
 
 def op_norm(T, budget=2000, seed=0, *, stop=math.inf):
-    """The operator (quasi-)norm of T: l_p -> l_q, with the method recorded.
+    """The operator (quasi-)norm of T: l_p -> l_q as a Bracket.
 
     Dispatch, strongest first: exact identity formula n^max(0, 1/q - 1/p);
-    exact column maximum for p <= 1, q >= 1; exact sigma_1 for p = q = 2;
-    otherwise a seeded sampled-ascent lower bound (exact=False).
+    exact column maximum for p <= 1, q >= 1; exact sigma_1 for p = q = 2.
+    Each is a point bracket of kind ``exact``.  Otherwise a seeded
+    sampled-ascent value, which is the norm of a point of the unit sphere
+    and so a certified lower with no upper side.  ``method`` names the path.
 
     ``stop`` is for callers that only ask whether the norm is below a
     threshold.  The sampled ascent returns as soon as its running maximum
@@ -247,14 +283,15 @@ def op_norm(T, budget=2000, seed=0, *, stop=math.inf):
 
     if is_identity(M):
         value = float(n) ** max(0.0, inv_exponent(q) - inv_exponent(p))
-        return OpNormResult(value, True, "identity-formula")
+        return Bracket.point(value, EXACT, "identity-formula")
     if p <= 1.0 and q >= 1.0:
         value = float(_norm_rows(M.T, q).max()) if n else 0.0
-        return OpNormResult(value, True, "column-max")
+        return Bracket.point(value, EXACT, "column-max")
     if p == 2.0 and q == 2.0:
         s = singular_values(T)
-        return OpNormResult(float(s[0]) if s.size else 0.0, True, "svd")
-    return OpNormResult(_sampled_ascent(T, budget, seed, stop), False, "sampled-ascent")
+        return Bracket.point(float(s[0]) if s.size else 0.0, EXACT, "svd")
+    value = _sampled_ascent(T, budget, seed, stop)
+    return Bracket(value, None, CERTIFIED, None, "sampled-ascent")
 
 
 # ---------------------------------------------------------------------------

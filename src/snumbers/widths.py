@@ -16,9 +16,9 @@ is checked against.
 Closed forms: for q <= p the approximation numbers of the identity are
 exactly (n - k + 1)^(1/q - 1/p).  For p < q only equivalences with unknown
 constants are known; the dispatcher returns the strongest applicable case
-with a label, one-sided envelopes when only an inequality is known, and an
-explicit no-closed-form result when nothing applies (e.g. the q = p'
-boundary, or the pair (1, inf)).
+as a Bracket named after the case, one-sided when only an inequality is
+known, and with both sides None (method ``no-closed-form``) when nothing
+applies (e.g. the q = p' boundary, or the pair (1, inf)).
 """
 
 import math
@@ -29,6 +29,9 @@ import numpy as np
 
 from . import entropy as entropy_mod
 from .operators import (
+    EXACT,
+    SHAPE,
+    Bracket,
     _unit_directions,
     add,
     compose,
@@ -60,8 +63,6 @@ class SNumberSeq:
 
     kind: str
     values: np.ndarray
-    exact: bool
-    method: str
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -83,31 +84,6 @@ class SNumberSeq:
         if k > self.values.size:
             return 0.0
         return float(self.values[k - 1])
-
-
-@dataclass(frozen=True)
-class WidthEnvelope:
-    """Lower/upper envelope values with the applicable case recorded.
-
-    One-sided results leave the missing side as None; a result with both
-    sides None means no usable closed form applies (callers must branch on
-    ``no_closed_form``).  ``constants_known`` is True only when the values
-    are exact bounds rather than equivalence shapes.
-    """
-
-    lower: float | None
-    upper: float | None
-    case_label: str
-    constants_known: bool = False
-
-    def __post_init__(self):
-        if self.lower is not None and self.upper is not None:
-            if self.lower > self.upper + 1e-12:
-                raise ValueError(f"envelope out of order: {self.lower} > {self.upper}")
-
-    @property
-    def no_closed_form(self):
-        return self.lower is None and self.upper is None
 
 
 def conjugate_exponent(p):
@@ -133,7 +109,7 @@ def hilbert_s_numbers(T, kind=KIND_APPROXIMATION):
     n = T.domain.n
     vals = np.zeros(n)
     vals[: min(n, s.size)] = s[: min(n, s.size)]
-    return SNumberSeq(kind=kind, values=vals, exact=True, method="svd")
+    return SNumberSeq(kind=kind, values=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -149,50 +125,48 @@ def _validate_id_args(p, q, n, k):
 
 
 def approx_id_envelope(p, q, n, k):
-    """Envelope for a_k(id: l_p^n -> l_q^n), strongest applicable case first.
+    """Bracket for a_k(id: l_p^n -> l_q^n), strongest applicable case first.
 
     q <= p is exact: (n - k + 1)^(1/q - 1/p) with known constants (this also
     gives a_1 = ||id|| and the p = q value 1).  k > n is exactly zero.  For
     p < q the small-index (4k <= n) equivalences and the general real-case
-    shape are returned with constants_known=False; the upper-only root-k
-    estimate covers p <= 2 <= q < inf (and 1 < p <= 2 with q = inf); the
-    remaining cells (q = p' boundary, the pair (1, inf) at large k, and
-    p < 1 with q > 2 at large k) report no closed form.
+    shape are returned as ``shape`` sides; the upper-only root-k shape
+    covers p <= 2 <= q < inf (and 1 < p <= 2 with q = inf); the remaining
+    cells (q = p' boundary, the pair (1, inf) at large k, and p < 1 with
+    q > 2 at large k) report no closed form.  The case is the method.
     """
     _validate_id_args(p, q, n, k)
     if k > n:
-        return WidthEnvelope(0.0, 0.0, "rank-zero", True)
+        return Bracket.point(0.0, EXACT, "rank-zero")
     ip, iq = inv_exponent(p), inv_exponent(q)
     if q <= p:
-        v = float(n - k + 1) ** (iq - ip)
-        return WidthEnvelope(v, v, "exact-formula", True)
+        return Bracket.point(float(n - k + 1) ** (iq - ip), EXACT, "exact-formula")
 
     pp = conjugate_exponent(p)
     if 4 * k <= n:
         if q <= 2.0:
-            return WidthEnvelope(1.0, 1.0, "one-small-pq", False)
+            return Bracket.point(1.0, SHAPE, "one-small-pq")
         if p >= 2.0:
-            return WidthEnvelope(1.0, 1.0, "one-large-pq", False)
+            return Bracket.point(1.0, SHAPE, "one-large-pq")
         if q < pp:
-            v = min(1.0, n**iq / math.sqrt(k))
-            return WidthEnvelope(v, v, "min-root-k-q", False)
+            return Bracket.point(min(1.0, n**iq / math.sqrt(k)), SHAPE, "min-root-k-q")
         if p >= 1.0 and not (p == 1.0 and math.isinf(q)):
             v = min(1.0, n ** inv_exponent(pp) / math.sqrt(k))
-            return WidthEnvelope(v, v, "min-root-k-dual", False)
+            return Bracket.point(v, SHAPE, "min-root-k-dual")
 
     if p >= 1.0 and not (p == 1.0 and math.isinf(q)):
         if q < pp:
             v, _ = _phi_kolmogorov(n, k, p, q)
-            return WidthEnvelope(v, v, "psi-direct", False)
+            return Bracket.point(v, SHAPE, "psi-direct")
         if q > max(p, pp):
             v, _ = _phi_kolmogorov(n, k, conjugate_exponent(q), pp)
-            return WidthEnvelope(v, v, "psi-dual", False)
+            return Bracket.point(v, SHAPE, "psi-dual")
         # q == p': the equivalence theorems leave this boundary open
 
     if (p <= 2.0 <= q and not math.isinf(q)) or (1.0 < p <= 2.0 and math.isinf(q)):
         v = n ** inv_exponent(min(pp, q)) / math.sqrt(k)
-        return WidthEnvelope(None, v, "upper-root-k", False)
-    return WidthEnvelope(None, None, NO_CLOSED_FORM, False)
+        return Bracket(None, v, None, SHAPE, "upper-root-k")
+    return Bracket(None, None, None, None, NO_CLOSED_FORM)
 
 
 def _phi_kolmogorov(n, k, p, q):
@@ -210,10 +184,10 @@ def _phi_kolmogorov(n, k, p, q):
 
 
 def kolmogorov_id_envelope(p, q, n, k, field=REAL):
-    """Envelope for d_k(id: l_p^n -> l_q^n).
+    """Bracket for d_k(id: l_p^n -> l_q^n), with the case as its method.
 
     For 1 <= q <= p the case-1 value (n - k + 1)^(1/q - 1/p) coincides with
-    the exact approximation formula (and d <= a), so constants are known.
+    the exact approximation formula (and d <= a), so it is exact.
     For 1 <= p < q < inf the four-case shape is an equivalence with unknown
     constants; q = inf only brackets d_k between the shape and the shape
     times (log(e n / k))^(3/2).  For q < 1 <= everything the quasi-norm
@@ -225,22 +199,21 @@ def kolmogorov_id_envelope(p, q, n, k, field=REAL):
     if field not in (REAL, COMPLEX):
         raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
     if k > n:
-        return WidthEnvelope(0.0, 0.0, "rank-zero", True)
+        return Bracket.point(0.0, EXACT, "rank-zero")
     ip, iq = inv_exponent(p), inv_exponent(q)
     if q <= p:
         if q >= 1.0:
-            v = float(n - k + 1) ** (iq - ip)
-            return WidthEnvelope(v, v, "phi-case-1", True)
+            return Bracket.point(float(n - k + 1) ** (iq - ip), EXACT, "phi-case-1")
         if k <= n // 2 + 1:
-            return WidthEnvelope((n / 2.0) ** (iq - ip), None, "quasi-lower", False)
-        return WidthEnvelope(None, None, NO_CLOSED_FORM, False)
+            return Bracket((n / 2.0) ** (iq - ip), None, SHAPE, None, "quasi-lower")
+        return Bracket(None, None, None, None, NO_CLOSED_FORM)
     if p >= 1.0:
         phi, case = _phi_kolmogorov(n, k, p, q)
         if math.isinf(q):
             widen = math.log(math.e * n / k) ** 1.5
-            return WidthEnvelope(phi, phi * widen, case + "-log-bracket", False)
-        return WidthEnvelope(phi, phi, case, False)
-    return WidthEnvelope(None, None, NO_CLOSED_FORM, False)
+            return Bracket(phi, phi * widen, SHAPE, SHAPE, case + "-log-bracket")
+        return Bracket.point(phi, SHAPE, case)
+    return Bracket(None, None, None, None, NO_CLOSED_FORM)
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +223,20 @@ def kolmogorov_id_envelope(p, q, n, k, field=REAL):
 
 def _residual_norm(T, S_matrix, stop=math.inf):
     """||T - S||, or a value >= stop once the norm is known to reach ``stop``
-    (see op_norm); ``v < stop`` has the same answer either way."""
-    R = operator(T.matrix - S_matrix, T.domain.p, T.codomain.p, field=T.field)
-    return op_norm(R, stop=stop).value
+    (see op_norm); ``v < stop`` has the same answer either way.  A residual
+    with a non-finite entry (an overflowed candidate) is inf without a norm:
+    its norm would be inf or NaN, which fails ``v < best`` just the same."""
+    R = T.matrix - S_matrix
+    if not np.isfinite(R).all():
+        return math.inf
+    return op_norm(operator(R, T.domain.p, T.codomain.p, field=T.field), stop=stop).lower
 
 
 def _low_rank(A, B):
     """A @ B for the rank-restricted candidates.  Perturbed factors of a huge
-    matrix can overflow; the residual is then infinite (or NaN) and fails
-    ``v < best``, so the overflow changes no value and warns of nothing."""
+    matrix can overflow; the residual is then infinite (or NaN), so
+    ``_residual_norm`` gives inf and the overflow changes no value and warns
+    of nothing."""
     with np.errstate(over="ignore", invalid="ignore"):
         return A @ B
 
@@ -297,7 +275,7 @@ def approx_upper_search(T, k, budget=2000, seed=0):
     hilbert = T.domain.p == 2.0 and T.codomain.p == 2.0
 
     if r == 0:
-        best = op_norm(T).value
+        best = op_norm(T).lower
         if hilbert:
             sk = singular_values(T)[0] if min(m_, n_) >= 1 else 0.0
             if abs(best - sk) > 1e-9 * max(1.0, sk):
@@ -476,11 +454,9 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     largest distance over sampled points of the unit ball, one distance per
     point, which only estimates the supremum from below; for p <= 1 <= q
     the points include the columns (the images of the +e_j), whose maximum
-    is the exact supremum.  For k - 1 >= rank(T) the singular candidate
-    contains the range, so d_k(T) = 0, but the result need not be an exact
-    0: the computed distances can leave rounding noise of about 1e-16 ||T||
-    (2e-16 to 6e-16 at k = 4 on 3x3 Gaussian l_1 -> l_2 and l_2 -> l_2
-    matrices).
+    is the exact supremum.  For k - 1 >= min(m, n) a (k-1)-dimensional
+    subspace contains the range, so the result is exactly 0, and no
+    candidate is evaluated (``(0.0, [])`` with details).
 
     Without details, the non-Hilbert search is a branch and bound over this
     min-max: each candidate gets the best value so far as its bound and
@@ -501,8 +477,10 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     m_ = T.codomain.n
     dim = k - 1
 
+    if dim >= min(M.shape):
+        return (0.0, []) if return_details else 0.0
     if dim == 0:
-        v = op_norm(T, seed=seed).value
+        v = op_norm(T, seed=seed).lower
         cands = [SubspaceCandidate("svd", v, v, v)]
         return (v, cands) if return_details else v
 
@@ -515,13 +493,12 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     rng = np.random.default_rng(
         [int(seed) & 0xFFFFFFFF, zlib.crc32(np.ascontiguousarray(M).tobytes()), k, 77]
     )
-    dim_eff = min(dim, m_)
-    bases = [("svd", U[:, :dim_eff])]
+    bases = [("svd", U[:, :dim])]
     for _ in range(n_svd - 1):
-        J = U[:, :dim_eff] + 0.05 * _random_like(rng, U[:, :dim_eff])
+        J = U[:, :dim] + 0.05 * _random_like(rng, U[:, :dim])
         bases.append(("svd-jitter", _orthonormal_columns(J)))
     for _ in range(n_cand - len(bases)):
-        G = _random_like(rng, np.empty((m_, dim_eff)))
+        G = _random_like(rng, np.empty((m_, dim)))
         bases.append(("random", _orthonormal_columns(G)))
 
     cands = []
@@ -591,8 +568,8 @@ def s_axiom_suite(snumbers_of, trials=100, seed=0, max_dim=6):
         tag = f"trial {t} (n={n}, {field})"
 
         # (M): ||T|| = s_1 >= s_2 >= ... >= 0
-        report.check("norming", sT.value(1), op_norm(T).value, f"{tag}: s_1 vs norm")
-        report.check("norming", op_norm(T).value, sT.value(1), f"{tag}: norm vs s_1")
+        report.check("norming", sT.value(1), op_norm(T).lower, f"{tag}: s_1 vs norm")
+        report.check("norming", op_norm(T).lower, sT.value(1), f"{tag}: norm vs s_1")
         for j in range(1, n):
             report.check("monotone", sT.value(j + 1), sT.value(j), f"{tag}: k={j}")
 
@@ -611,8 +588,8 @@ def s_axiom_suite(snumbers_of, trials=100, seed=0, max_dim=6):
 
         # (S): s_j(R T U) <= ||R|| s_j(T) ||U||
         sRTU = snumbers_of(compose(R, compose(T, Uo)))
-        nR = op_norm(R).value
-        nU = op_norm(Uo).value
+        nR = op_norm(R).lower
+        nU = op_norm(Uo).lower
         for j in range(1, n + 1):
             report.check(
                 "ideal", sRTU.value(j), nR * sT.value(j) * nU, f"{tag}: j={j}"
@@ -682,7 +659,7 @@ def bound_respecting_axioms(trials=6, seed=0, cloud=400, k_max=3):
         for j in range(1, k_max):
             report.check("e-monotone-lower", loS[j].lower, loS[j - 1].lower, f"{tag}: k={j+1}")
         if p <= 1.0 and q >= 1.0:
-            norm = op_norm(S).value
+            norm = op_norm(S).lower
             report.check("e-norm-bracket", loS[0].lower, norm, f"{tag}: lower_1 vs norm")
             report.check("e-norm-bracket", norm, C * padS[0], f"{tag}: norm vs C upper_1")
 

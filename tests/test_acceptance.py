@@ -196,7 +196,7 @@ def test_criterion_06_regime_formula_boundary_continuity():
     mid = regime_piece(REGIME_MID, 1.0, INF, n, 2 * n, field=COMPLEX)
     large = regime_piece(REGIME_LARGE, 1.0, INF, n, 2 * n, field=COMPLEX)
     exact_two = (mid / large) == 2.0
-    assert regime_envelope(1.0, INF, n, 2 * n, field=COMPLEX).regime == REGIME_MID
+    assert regime_envelope(1.0, INF, n, 2 * n, field=COMPLEX).method == REGIME_MID
     verdict(6, "adjacent regime pieces within factor 2; ratio exactly 2 at k=2n",
             bad == 0 and exact_two,
             f"{bad} boundary violations, mid/large = {mid / large}")
@@ -243,7 +243,7 @@ def test_criterion_09_closed_form_cross_consistency():
         for q in [v for v in grid if v <= p]:
             for n in (2, 3, 5, 8):
                 a1 = approx_id_envelope(p, q, n, 1)
-                if a1.lower != op_norm(identity_operator(n, p, q)).value:
+                if a1.lower != op_norm(identity_operator(n, p, q)).lower:
                     bad += 1
                 for k in range(1, n + 1):
                     a = approx_id_envelope(p, q, n, k)

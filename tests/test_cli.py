@@ -146,13 +146,29 @@ def test_estimate_norm_bound_is_exact_only_at_k1(capsys, tmp_path, matrix, n_a_n
             assert not r["exact"] and r["lower"] is None
 
 
-def test_row_refuses_exact_with_unequal_bounds():
+def test_row_refuses_exact_with_unequal_bounds(monkeypatch, capsys):
+    import snumbers.cli
     from snumbers.cli import _row
+    from snumbers.operators import CERTIFIED, EXACT, Bracket, BracketError
 
-    assert _row("a", 1, 2.0, 2.0, True, "m", "l")["exact"]
+    # a row is exact iff both sides of its bracket are
+    assert _row("a", 1, Bracket.point(2.0, EXACT, "m"), "m", "l")["exact"]
+    assert not _row("a", 1, Bracket.point(2.0, CERTIFIED, "m"), "m", "l")["exact"]
     for lower, upper in ((None, 2.0), (1.0, 2.0), (math.nan, math.nan)):
-        with pytest.raises(RuntimeError, match="marked exact"):
-            _row("a", 2, lower, upper, True, "m", "l")
+        with pytest.raises(BracketError):
+            Bracket(lower, upper, EXACT, EXACT, "m")
+
+        # such a row is the program's fault, not the input's: exit 3, not 2
+        def broken(cfg, lower=lower, upper=upper):
+            return {"rows": [_row("a", 2, Bracket(lower, upper, EXACT, EXACT, "m"),
+                                  "m", "l")]}, 0
+
+        monkeypatch.setitem(snumbers.cli._RUNNERS, "volume", broken)
+        assert main(["volume", "--p", "2", "--n", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(
+            "internal error: BracketError: inconsistent Bracket(")
 
 
 def test_internal_error_exits_three(monkeypatch, capsys):

@@ -36,7 +36,7 @@ from snumbers.entropy import (
     _greedy_cover_radii,
     _packing_traversal,
 )
-from snumbers.operators import _norm_rows, diagonal_operator, identity_operator, operator
+from snumbers.operators import SHAPE, _norm_rows, diagonal_operator, identity_operator, operator
 from snumbers.spaces import COMPLEX, REAL
 
 INF = math.inf
@@ -475,18 +475,19 @@ def test_cover_sequence_on_a_cloud_of_exactly_2_to_k_max_minus_1_points(q):
 
 def test_regime_envelope_anchor():
     env = regime_envelope(1.0, INF, 8, 4, field=COMPLEX)
-    assert env.regime == REGIME_MID
-    assert env.value == pytest.approx(math.log2(1 + 16 / 4) / 4)
-    assert env.value == pytest.approx(0.5804820237218405)
+    assert env.method == REGIME_MID
+    assert env.lower == pytest.approx(math.log2(1 + 16 / 4) / 4)
+    assert env.lower == pytest.approx(0.5804820237218405)
+    assert (env.upper, env.lower_kind, env.upper_kind) == (env.lower, SHAPE, SHAPE)
 
 
 def test_regime_labels_by_k():
     n = 8  # N = 16 over C: small below log2(16) = 4, large past 16
-    assert regime_envelope(1.0, 2.0, n, 2, field=COMPLEX).regime == REGIME_SMALL
-    assert regime_envelope(1.0, 2.0, n, 4, field=COMPLEX).regime == REGIME_MID
-    assert regime_envelope(1.0, 2.0, n, 16, field=COMPLEX).regime == REGIME_MID
-    assert regime_envelope(1.0, 2.0, n, 17, field=COMPLEX).regime == REGIME_LARGE
-    assert regime_envelope(1.0, 2.0, n, 40, field=COMPLEX).regime == REGIME_LARGE
+    assert regime_envelope(1.0, 2.0, n, 2, field=COMPLEX).method == REGIME_SMALL
+    assert regime_envelope(1.0, 2.0, n, 4, field=COMPLEX).method == REGIME_MID
+    assert regime_envelope(1.0, 2.0, n, 16, field=COMPLEX).method == REGIME_MID
+    assert regime_envelope(1.0, 2.0, n, 17, field=COMPLEX).method == REGIME_LARGE
+    assert regime_envelope(1.0, 2.0, n, 40, field=COMPLEX).method == REGIME_LARGE
 
 
 def test_regime_requires_p_le_q():
@@ -510,8 +511,8 @@ def test_regime_boundary_ratio_exactly_two():
 
 def test_regime_p_equals_q_mid_is_one():
     env = regime_envelope(2.0, 2.0, 16, 10, field=COMPLEX)
-    assert env.regime == REGIME_MID
-    assert env.value == 1.0
+    assert env.method == REGIME_MID
+    assert env.lower == 1.0
 
 
 # ---------------------------------------------------------------------------

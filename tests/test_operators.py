@@ -7,6 +7,13 @@ import pytest
 
 from snumbers import operators
 from snumbers.operators import (
+    CERTIFIED,
+    ESTIMATE,
+    EXACT,
+    KINDS,
+    SHAPE,
+    Bracket,
+    BracketError,
     add,
     compose,
     diagonal_operator,
@@ -77,23 +84,23 @@ def test_add_compose_validation():
 
 def test_identity_norm_formula():
     r = op_norm(identity_operator(2, math.inf, 1.0))
-    assert r.value == pytest.approx(2.0)
+    assert r.lower == pytest.approx(2.0)
     assert r.exact and r.method == "identity-formula"
-    assert op_norm(identity_operator(5, 1.0, 2.0)).value == pytest.approx(1.0)
-    assert op_norm(identity_operator(4, 2.0, 1.0)).value == pytest.approx(2.0)
+    assert op_norm(identity_operator(5, 1.0, 2.0)).lower == pytest.approx(1.0)
+    assert op_norm(identity_operator(4, 2.0, 1.0)).lower == pytest.approx(2.0)
 
 
 def test_column_max_norm():
     T = operator(np.array([[1.0, 2.0], [3.0, 4.0]]), 1.0, 2.0)
     r = op_norm(T)
     assert r.exact and r.method == "column-max"
-    assert r.value == pytest.approx(math.sqrt(20.0))
+    assert r.lower == pytest.approx(math.sqrt(20.0))
     # extreme points of the l_1 ball are signed unit vectors, so sampling
     # the sphere can never beat the best column
     rng = np.random.default_rng(0)
     X = sample_sphere(rng, 2, 1.0, REAL, size=500)
     sampled = max(lp_norm(T.matrix @ x, 2.0) for x in X)
-    assert sampled <= r.value + 1e-9
+    assert sampled <= r.lower + 1e-9
 
 
 def test_hilbert_norm_is_sigma1():
@@ -106,7 +113,7 @@ def test_hilbert_norm_is_sigma1():
     for _ in range(500):
         v = M.T @ (M @ v)
         v /= np.linalg.norm(v)
-    assert r.value == pytest.approx(np.linalg.norm(M @ v), rel=1e-9)
+    assert r.lower == pytest.approx(np.linalg.norm(M @ v), rel=1e-9)
 
 
 def test_sampled_ascent_path():
@@ -115,17 +122,17 @@ def test_sampled_ascent_path():
     assert not r.exact and r.method == "sampled-ascent"
     # diagonal maps on matching exponents have norm max |d_i|, attained at e_1,
     # which sits in the ascent's candidate set
-    assert r.value == pytest.approx(2.0, rel=1e-9)
+    assert r.lower == pytest.approx(2.0, rel=1e-9)
 
 
 def test_sampled_ascent_never_exceeds_truth():
     # against the exact column rule on an instance the sampler treats generically
     M = np.array([[1.0, -2.0], [0.5, 1.5], [2.0, 0.0]])
-    exact = op_norm(operator(M, 1.0, 2.0)).value
+    exact = op_norm(operator(M, 1.0, 2.0)).lower
     est = op_norm(operator(M, 1.0, 2.0), budget=500)  # column-max path
     sampled = op_norm(operator(M, 0.7, 1.3), budget=2000, seed=1)
-    assert est.value == pytest.approx(exact)
-    assert sampled.value <= op_norm(operator(M, 0.7, 1.3), budget=8000, seed=2).value + 1e-9
+    assert est.lower == pytest.approx(exact)
+    assert sampled.lower <= op_norm(operator(M, 0.7, 1.3), budget=8000, seed=2).lower + 1e-9
 
 
 @pytest.mark.parametrize("field, p, q", [
@@ -143,13 +150,13 @@ def test_sampled_ascent_stop_contract(field, p, q):
         full = op_norm(T, budget=600, seed=seed)
         assert op_norm(T, budget=600, seed=seed, stop=math.inf) == full
         for factor in (-1.0, 0.0, 0.5, 0.9, 0.99, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0):
-            stop = full.value * factor
+            stop = full.lower * factor
             r = op_norm(T, budget=600, seed=seed, stop=stop)
             assert (r.exact, r.method) == (False, "sampled-ascent")
-            if full.value < stop:
-                assert r.value == full.value
+            if full.lower < stop:
+                assert r.lower == full.lower
             else:
-                assert stop <= r.value <= full.value
+                assert stop <= r.lower <= full.lower
 
 
 def test_sampled_ascent_stops_before_climbing_once_the_samples_reach_the_stop(monkeypatch):
@@ -168,10 +175,10 @@ def test_sampled_ascent_stops_before_climbing_once_the_samples_reach_the_stop(mo
 
     monkeypatch.setattr(operators, "_abs_norm_function", counting_norm_function)
     T = operator(np.arange(1.0, 7.0).reshape(2, 3), 2.0, 1.0)
-    full = op_norm(T, budget=600, seed=0).value
+    full = op_norm(T, budget=600, seed=0).lower
     assert steps
     steps.clear()
-    assert op_norm(T, budget=600, seed=0, stop=0.0).value <= full
+    assert op_norm(T, budget=600, seed=0, stop=0.0).lower <= full
     assert not steps
 
 
@@ -183,8 +190,84 @@ def test_sampled_ascent_stops_before_climbing_once_the_samples_reach_the_stop(mo
 def test_stop_leaves_the_exact_paths_alone(T):
     exact = op_norm(T)
     assert exact.exact
-    for stop in (-1.0, 0.0, 0.5 * exact.value, exact.value, math.inf):
+    for stop in (-1.0, 0.0, 0.5 * exact.lower, exact.lower, math.inf):
         assert op_norm(T, stop=stop) == exact
+
+
+# ---------------------------------------------------------------------------
+# the bracket
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lower, upper, lower_kind, upper_kind", [
+    (math.nan, 1.0, CERTIFIED, CERTIFIED),
+    (1.0, math.nan, CERTIFIED, ESTIMATE),
+    (math.nan, None, SHAPE, None),
+    (math.nan, math.nan, EXACT, EXACT),
+])
+def test_bracket_refuses_nan(lower, upper, lower_kind, upper_kind):
+    with pytest.raises(BracketError, match="nan"):
+        Bracket(lower, upper, lower_kind, upper_kind, "m")
+
+
+def test_bracket_refuses_out_of_order_sides_unless_one_is_an_estimate():
+    for kinds in ((CERTIFIED, CERTIFIED), (SHAPE, SHAPE), (CERTIFIED, SHAPE)):
+        with pytest.raises(BracketError, match="inconsistent Bracket"):
+            Bracket(2.0, 1.0, *kinds, "m")
+        Bracket(1.0 + 1e-13, 1.0, *kinds, "m")  # within the 1e-12 slack
+    # an estimate may undershoot, on either side
+    assert Bracket(2.0, 1.0, CERTIFIED, ESTIMATE, "m").upper == 1.0
+    assert Bracket(2.0, 1.0, ESTIMATE, CERTIFIED, "m").lower == 2.0
+    # both are ValueErrors, as the envelopes' refusals always were
+    assert issubclass(BracketError, ValueError)
+
+
+@pytest.mark.parametrize("lower, upper, lower_kind, upper_kind", [
+    (1.0, 1.0, EXACT, CERTIFIED),  # one exact side
+    (1.0, 1.0, SHAPE, EXACT),
+    (None, 1.0, None, EXACT),
+    (1.0, 2.0, EXACT, EXACT),  # unequal exact sides
+    (None, 1.0, CERTIFIED, CERTIFIED),  # a kind without a value
+    (1.0, None, CERTIFIED, SHAPE),
+    (1.0, 2.0, None, CERTIFIED),  # a value without a kind
+    (1.0, 2.0, "sure", CERTIFIED),  # no such kind
+])
+def test_bracket_refuses_inconsistent_kinds(lower, upper, lower_kind, upper_kind):
+    with pytest.raises(BracketError):
+        Bracket(lower, upper, lower_kind, upper_kind, "m")
+
+
+def test_bracket_is_exact_iff_both_kinds_are_exact():
+    built = 0
+    for lower_kind in (None,) + KINDS:
+        for upper_kind in (None,) + KINDS:
+            lower = None if lower_kind is None else 1.0
+            upper = None if upper_kind is None else 1.0
+            try:
+                b = Bracket(lower, upper, lower_kind, upper_kind, "m")
+            except BracketError:
+                assert EXACT in (lower_kind, upper_kind) and lower_kind != upper_kind
+                continue
+            built += 1
+            assert b.exact == (lower_kind == upper_kind == EXACT)
+    assert built == 1 + 4 * 4  # every pair without exact, and exact with exact
+    assert Bracket.point(3.0, EXACT, "m") == Bracket(3.0, 3.0, EXACT, EXACT, "m")
+
+
+def test_op_norm_brackets_name_their_kinds():
+    exact_paths = [
+        (identity_operator(3, 2.0, 1.0), "identity-formula"),
+        (operator(np.arange(1.0, 7.0).reshape(2, 3), 1.0, 2.0), "column-max"),
+        (operator(np.arange(1.0, 7.0).reshape(2, 3), 2.0, 2.0), "svd"),
+    ]
+    for T, method in exact_paths:
+        r = op_norm(T)
+        assert (r.lower_kind, r.upper_kind, r.method) == (EXACT, EXACT, method)
+        assert r.lower == r.upper
+    # the sampled ascent is the norm of a unit vector's image: a certified lower
+    r = op_norm(operator(np.arange(1.0, 7.0).reshape(2, 3), 2.0, 1.0), budget=200)
+    assert (r.lower_kind, r.upper, r.upper_kind) == (CERTIFIED, None, None)
+    assert r.method == "sampled-ascent"
 
 
 def test_realify_doubles_singular_values():
@@ -252,4 +335,4 @@ def test_load_operator_wires_spaces(tmp_path):
     f.write_text("3,0,0\n0,2,0\n0,0,1\n")
     T = load_operator(f, 2.0, 2.0)
     assert T.domain.n == 3
-    assert op_norm(T).value == pytest.approx(3.0)
+    assert op_norm(T).lower == pytest.approx(3.0)

@@ -9,14 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snumbers import operators, spaces, widths
-from snumbers.operators import diagonal_operator, op_norm, operator, realify
+from snumbers.operators import SHAPE, Bracket, diagonal_operator, op_norm, operator, realify
 from snumbers.spaces import COMPLEX, REAL, dist_to_subspace
 from snumbers.widths import (
     KIND_APPROXIMATION,
     KIND_KOLMOGOROV,
     NO_CLOSED_FORM,
     SNumberSeq,
-    WidthEnvelope,
     approx_id_envelope,
     approx_upper_search,
     bound_respecting_axioms,
@@ -42,13 +41,13 @@ def test_conjugate_exponent():
 
 def test_seq_validation():
     with pytest.raises(ValueError):
-        SNumberSeq(KIND_APPROXIMATION, (1.0, 2.0), exact=True, method="x")
+        SNumberSeq(KIND_APPROXIMATION, (1.0, 2.0))
     with pytest.raises(ValueError):
-        SNumberSeq(KIND_APPROXIMATION, (1.0, -0.5), exact=True, method="x")
+        SNumberSeq(KIND_APPROXIMATION, (1.0, -0.5))
     for bad in ((math.nan, 1.0), (1.0, math.nan), (math.nan,)):
         with pytest.raises(ValueError, match="NaN"):
-            SNumberSeq(KIND_APPROXIMATION, bad, exact=True, method="x")
-    s = SNumberSeq(KIND_APPROXIMATION, (3.0, 1.0), exact=True, method="x")
+            SNumberSeq(KIND_APPROXIMATION, bad)
+    s = SNumberSeq(KIND_APPROXIMATION, (3.0, 1.0))
     assert s.value(1) == 3.0
     assert s.value(2) == 1.0
     assert s.value(7) == 0.0  # past the recorded tail
@@ -58,16 +57,15 @@ def test_seq_validation():
 
 def test_envelope_validation():
     with pytest.raises(ValueError):
-        WidthEnvelope(2.0, 1.0, "bad", False)
-    env = WidthEnvelope(None, None, NO_CLOSED_FORM, False)
-    assert env.no_closed_form
+        Bracket(2.0, 1.0, SHAPE, SHAPE, "bad")
+    env = Bracket(None, None, None, None, NO_CLOSED_FORM)
+    assert env.lower is None and env.upper is None
 
 
 def test_hilbert_s_numbers():
     T = diagonal_operator([3.0, 2.0, 1.0])
     for kind in (KIND_APPROXIMATION, KIND_KOLMOGOROV):
         s = hilbert_s_numbers(T, kind)
-        assert s.exact
         assert np.array_equal(s.values, [3.0, 2.0, 1.0])
     with pytest.raises(ValueError):
         hilbert_s_numbers(diagonal_operator([1.0], p=1.0, q=2.0))
@@ -80,13 +78,13 @@ def test_hilbert_s_numbers():
 
 def test_approx_exact_formula_anchors():
     env = approx_id_envelope(2.0, 1.0, 4, 1)
-    assert env.constants_known
+    assert env.exact
     assert env.lower == env.upper == pytest.approx(2.0)
     env = approx_id_envelope(2.0, 1.0, 4, 2)
     assert env.lower == pytest.approx(math.sqrt(3.0))
     assert approx_id_envelope(3.0, 3.0, 9, 5).lower == 1.0
     env = approx_id_envelope(1.0, 2.0, 4, 6)
-    assert (env.lower, env.upper, env.case_label) == (0.0, 0.0, "rank-zero")
+    assert (env.lower, env.upper, env.method) == (0.0, 0.0, "rank-zero")
 
 
 def test_approx_exact_matches_norm_of_identity():
@@ -94,46 +92,50 @@ def test_approx_exact_matches_norm_of_identity():
     for (p, q, n) in ((2.0, 1.0, 5), (INF, 0.5, 3), (4.0, 2.0, 7)):
         env = approx_id_envelope(p, q, n, 1)
         In = operator(np.eye(n), p, q)
-        assert env.lower == pytest.approx(op_norm(In).value)
+        assert env.lower == pytest.approx(op_norm(In).lower)
 
 
 def test_approx_dispatch_labels():
-    assert approx_id_envelope(1.0, 2.0, 16, 2).case_label == "one-small-pq"
-    assert approx_id_envelope(3.0, 6.0, 16, 2).case_label == "one-large-pq"
-    assert approx_id_envelope(1.5, 2.5, 16, 4).case_label == "min-root-k-q"
-    assert approx_id_envelope(1.5, 4.0, 16, 4).case_label == "min-root-k-dual"
-    assert approx_id_envelope(1.5, 2.0, 8, 4).case_label == "psi-direct"
-    assert approx_id_envelope(1.5, 4.0, 8, 4).case_label == "psi-dual"
+    assert approx_id_envelope(1.0, 2.0, 16, 2).method == "one-small-pq"
+    assert approx_id_envelope(3.0, 6.0, 16, 2).method == "one-large-pq"
+    assert approx_id_envelope(1.5, 2.5, 16, 4).method == "min-root-k-q"
+    assert approx_id_envelope(1.5, 4.0, 16, 4).method == "min-root-k-dual"
+    assert approx_id_envelope(1.5, 2.0, 8, 4).method == "psi-direct"
+    assert approx_id_envelope(1.5, 4.0, 8, 4).method == "psi-dual"
     # the q = p' diagonal only admits an upper estimate at large index
     env = approx_id_envelope(1.5, 3.0, 8, 4)
-    assert env.case_label == "upper-root-k"
+    assert env.method == "upper-root-k"
     assert env.lower is None
+    assert env.upper_kind == SHAPE
     assert env.upper == pytest.approx(8.0 ** (1.0 / 3.0) / 2.0)
     # and (1, inf) at large index has no usable closed form at all
-    assert approx_id_envelope(1.0, INF, 8, 4).no_closed_form
+    env = approx_id_envelope(1.0, INF, 8, 4)
+    assert env.lower is None and env.upper is None and env.method == NO_CLOSED_FORM
 
 
 def test_kolmogorov_case_one_matches_approx():
     for (p, q, n, k) in ((2.0, 1.0, 4, 2), (INF, 2.0, 6, 3), (3.0, 3.0, 5, 1)):
         d = kolmogorov_id_envelope(p, q, n, k)
         a = approx_id_envelope(p, q, n, k)
-        assert d.case_label == "phi-case-1"
-        assert d.constants_known
+        assert d.method == "phi-case-1"
+        assert d.exact
         assert d.lower == pytest.approx(a.lower)
 
 
 def test_kolmogorov_quasi_lower():
     env = kolmogorov_id_envelope(1.0, 0.5, 10, 3)
-    assert env.case_label == "quasi-lower"
+    assert env.method == "quasi-lower"
     assert env.lower == pytest.approx(5.0)
     assert env.upper is None
-    assert kolmogorov_id_envelope(1.0, 0.5, 10, 7).no_closed_form
+    assert (env.lower_kind, env.upper_kind) == (SHAPE, None)
+    env = kolmogorov_id_envelope(1.0, 0.5, 10, 7)
+    assert env.lower is None and env.upper is None and env.method == NO_CLOSED_FORM
 
 
 def test_kolmogorov_log_bracket_at_q_inf():
     env = kolmogorov_id_envelope(1.0, INF, 8, 2)
-    assert env.case_label.endswith("-log-bracket")
-    assert not env.constants_known
+    assert env.method.endswith("-log-bracket")
+    assert not env.exact
     assert env.upper == pytest.approx(env.lower * math.log(math.e * 8 / 2) ** 1.5)
 
 
@@ -313,10 +315,13 @@ def test_bounded_approx_search_equals_unbounded_search(field, kind, pq, m, n, k,
     p, q = pq
     rng = np.random.default_rng(mseed)
     T = operator(_search_matrix(rng, m, n, field, kind), p, q, field=field)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert op_norm(T, seed=mseed, stop=INF).value.hex() == \
-            _unbounded_ascent(T, 2000, mseed).hex()
+    # The search warns of nothing, so pytest's error::RuntimeWarning holds,
+    # except that the l_q norm of a finite 1e200 residual can overflow to inf
+    with np.errstate(over="ignore" if kind == "huge" else "warn"):
         v = approx_upper_search(T, k, budget=budget, seed=mseed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert op_norm(T, seed=mseed, stop=INF).lower.hex() == \
+            _unbounded_ascent(T, 2000, mseed).hex()
         if k - 1 >= min(m, n):
             assert v.hex() == "0x0.0p+0"
         else:
@@ -337,6 +342,36 @@ def test_approx_search_is_exactly_zero_past_full_rank(monkeypatch, field, p, q):
         T = operator(M, p, q, field=field)
         for k in range(min(m, n) + 1, min(m, n) + 3):
             assert approx_upper_search(T, k, budget=200, seed=1) == 0.0
+
+
+@pytest.mark.parametrize("field, p, q", [(REAL, 1.0, 2.0), (REAL, 2.0, 2.0), (REAL, 1.0, 0.5),
+                                         (COMPLEX, 2.0, 1.0)])
+def test_kolmogorov_search_is_exactly_zero_past_full_rank(monkeypatch, field, p, q):
+    # k - 1 >= min(m, n): a subspace of dimension k - 1 contains the range, so
+    # d_k = 0 exactly, with no candidate evaluated
+    monkeypatch.setattr(widths, "_kolmogorov_candidate_value", None)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        for m, n in [(3, 3), (2, 4), (4, 2)]:
+            M = rng.standard_normal((m, n))
+            if field == COMPLEX:
+                M = M + 1j * rng.standard_normal((m, n))
+            T = operator(M, p, q, field=field)
+            for k in range(min(m, n) + 1, min(m, n) + 3):
+                v = kolmogorov_upper_search(T, k, budget=200, seed=seed)
+                assert v.hex() == "0x0.0p+0"
+                assert kolmogorov_upper_search(T, k, budget=200, seed=seed,
+                                               return_details=True) == (0.0, [])
+
+
+def test_residual_norm_of_an_overflowed_candidate_is_inf_without_a_norm(monkeypatch):
+    monkeypatch.setattr(widths, "op_norm", None)
+    T = operator(np.ones((2, 2)), 1.5, 0.7)
+    for bad in (math.inf, -math.inf, math.nan):
+        S = np.zeros((2, 2))
+        S[1, 0] = bad
+        assert widths._residual_norm(T, S) == math.inf
+        assert widths._residual_norm(T, S, stop=1.0) == math.inf
 
 
 def test_kolmogorov_search_hilbert():
@@ -543,7 +578,7 @@ def _inflated_s2(T, kind=KIND_APPROXIMATION):
     if len(vals) >= 2:
         vals[1] = vals[0] * 2.0
         vals = sorted(vals, reverse=True)
-    return SNumberSeq(s.kind, tuple(vals), exact=False, method="bad")
+    return SNumberSeq(s.kind, tuple(vals))
 
 
 class _NaNSeq:
