@@ -31,8 +31,6 @@ EXACT = "exact"  # the value itself
 CERTIFIED = "certified"  # a proved bound on its side
 ESTIMATE = "estimate"  # a heuristic value, which may miss on its side
 SHAPE = "shape"  # an equivalence shape with unknown constants
-KINDS = (EXACT, CERTIFIED, ESTIMATE, SHAPE)
-_SIDE_KINDS = {None, *KINDS}  # None: a missing side
 
 
 class BracketError(ValueError):
@@ -43,9 +41,9 @@ class BracketError(ValueError):
 class Bracket:
     """A lower and an upper value, each with its kind (or both None), and the
     method or case that produced them.  Refused: NaN, a kind without a value
-    or a value without one, an unknown kind, ``exact`` on one side only or on
-    two unequal sides, and ``lower > upper + 1e-12`` unless a side is an
-    ``estimate`` (which may undershoot)."""
+    or a value without one, ``exact`` on one side only or on two unequal
+    sides, and ``lower > upper + 1e-12`` unless a side is an ``estimate``
+    (which may undershoot)."""
 
     lower: float | None
     upper: float | None
@@ -57,7 +55,6 @@ class Bracket:
         lo, hi, lo_kind, hi_kind = self.lower, self.upper, self.lower_kind, self.upper_kind
         if ((lo is None) != (lo_kind is None) or (hi is None) != (hi_kind is None)
                 or lo != lo or hi != hi  # NaN
-                or not {lo_kind, hi_kind} <= _SIDE_KINDS
                 or (EXACT in (lo_kind, hi_kind) and not (lo_kind == hi_kind and lo == hi))
                 or (lo is not None and hi is not None and lo > hi + 1e-12
                     and ESTIMATE not in (lo_kind, hi_kind))):

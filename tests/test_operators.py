@@ -10,7 +10,6 @@ from snumbers.operators import (
     CERTIFIED,
     ESTIMATE,
     EXACT,
-    KINDS,
     SHAPE,
     Bracket,
     BracketError,
@@ -230,7 +229,6 @@ def test_bracket_refuses_out_of_order_sides_unless_one_is_an_estimate():
     (None, 1.0, CERTIFIED, CERTIFIED),  # a kind without a value
     (1.0, None, CERTIFIED, SHAPE),
     (1.0, 2.0, None, CERTIFIED),  # a value without a kind
-    (1.0, 2.0, "sure", CERTIFIED),  # no such kind
 ])
 def test_bracket_refuses_inconsistent_kinds(lower, upper, lower_kind, upper_kind):
     with pytest.raises(BracketError):
@@ -239,8 +237,9 @@ def test_bracket_refuses_inconsistent_kinds(lower, upper, lower_kind, upper_kind
 
 def test_bracket_is_exact_iff_both_kinds_are_exact():
     built = 0
-    for lower_kind in (None,) + KINDS:
-        for upper_kind in (None,) + KINDS:
+    kinds = (None, EXACT, CERTIFIED, ESTIMATE, SHAPE)
+    for lower_kind in kinds:
+        for upper_kind in kinds:
             lower = None if lower_kind is None else 1.0
             upper = None if upper_kind is None else 1.0
             try:
