@@ -9,8 +9,9 @@ The package is organised by what gets computed:
   operators  matrix operators between l_p spaces, exact/sampled norms, and
              Bracket: a lower and an upper, each of kind exact, certified,
              estimate or shape
-  entropy    covering/packing estimators with certified lower bounds and
-             the three-regime closed-form envelope for identities
+  entropy    covering/packing estimators, joined into one Bracket per e_k
+             (certified lower, estimated upper), and the three-regime
+             closed-form envelope for identities
   widths     approximation & Kolmogorov numbers: exact Hilbert values,
              identity envelopes, rank-restricted searches, axiom checks
   spectral   Weyl/Carl/Koenig inequalities, the factor-14 Hilbert entropy
@@ -53,10 +54,10 @@ from .operators import (
 from .entropy import (
     BoundPair,
     best_certified_lower,
+    entropy_brackets,
     entropy_lower_pack,
     entropy_lower_pack_sequence,
     entropy_lower_volumetric,
-    entropy_upper_cover,
     entropy_upper_cover_sequence,
     hamming_pack_lower,
     image_cloud,

@@ -276,13 +276,8 @@ def _entropy_rows(T, cfg, cloud, clock):
     k_cap = min(cfg.k_hi, int(math.log2(cloud)) + 1)
     if k_cap < cfg.k_lo:
         return []
-    uppers = entropy_mod.entropy_upper_cover_sequence(T, k_cap, cloud=cloud, seed=cfg.seed)
-    lowers = entropy_mod.entropy_lower_pack_sequence(
-        T, k_cap, budget=max(64, min(cloud, 512)), seed=cfg.seed)
-    return [_row("e", k, Bracket(lowers[k - 1].lower,
-                                 entropy_mod.padded_upper(uppers[k - 1], cfg.q),
-                                 CERTIFIED, ESTIMATE, "pack/cover"),
-                 "pack/cover", "estimator", clock.lap())
+    brackets = entropy_mod.entropy_brackets(T, k_cap, cloud, max(64, min(cloud, 512)), cfg.seed)
+    return [_row("e", k, brackets[k - 1], "pack/cover", "estimator", clock.lap())
             for k in range(cfg.k_lo, k_cap + 1)]
 
 
@@ -373,19 +368,14 @@ def _verify_carl_bracket(cfg):
     for idx, diag in enumerate([(1.0, 0.5), (2.0, 1.0, 0.25)]):
         T = operator(np.diag(diag), 2, 2)
         k_max = 4
-        bounds = entropy_mod.entropy_upper_cover_sequence(T, k_max, cloud=cloud, seed=cfg.seed + idx)
-        lowers = entropy_mod.entropy_lower_pack_sequence(T, k_max, budget=min(cloud, 256),
-                                                         seed=cfg.seed + idx)
-        padded = [entropy_mod.padded_upper(b, 2.0) for b in bounds]
-        rep.merge(carl_check(T, padded, k_max, tol=cfg.tol), "carl", f"diag{diag}: ")
+        brackets = entropy_mod.entropy_brackets(T, k_max, cloud, min(cloud, 256), cfg.seed + idx)
+        rep.merge(carl_check(T, [b.upper for b in brackets], k_max, tol=cfg.tol),
+                  "carl", f"diag{diag}: ")
         for n_index in range(1, 4):
-            low = lowers[n_index - 1]  # the cover's pair, given the packing's lower
-            pair = dataclasses.replace(bounds[n_index - 1], lower=low.lower,
-                                       method_lower=low.method_lower, certified_lower=True)
-            rep.merge(hilbert_entropy_bracket(T, n_index, pair, tol=cfg.tol),
+            rep.merge(hilbert_entropy_bracket(T, n_index, brackets[n_index - 1], tol=cfg.tol),
                       "bracket", f"diag{diag}: ")
-        for k in range(1, k_max + 1):
-            rep.check("entropy-bracket", lowers[k - 1].lower, padded[k - 1],
+        for k, b in enumerate(brackets, 1):
+            rep.check("entropy-bracket", b.lower, b.upper,
                       f"diag{diag}: lower_{k} above padded upper", cfg.tol)
     return rep
 

@@ -10,10 +10,12 @@ values are out of reach beyond toy cases, so this module provides
 * certified lower bounds: farthest-point packings of certified image
   points, the volume comparison bound, and a combinatorial packing of
   scaled sign vectors separated in Hamming distance,
+* ``entropy_brackets``, the one place that joins packing lowers and padded
+  cover uppers into a ``Bracket`` per k and decides the kinds of its sides,
 * the closed-form three-regime envelope for the identity l_p -> l_q
   (p <= q) with its regime boundaries at k = log2(2n) and k = 2n in the
   complex convention (n replaces 2n over the reals), and
-* the two-sided 2^(-(k-1)/m) decay bounds for operators of rank m.
+* the two-sided 2^(-(k-1)/m) decay shape for operators of rank m.
 
 All randomness is driven by explicit integer seeds.
 """
@@ -24,7 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import SHAPE, Bracket, _norm_rows, _unit_directions, is_identity
+from .operators import (
+    CERTIFIED,
+    ESTIMATE,
+    SHAPE,
+    Bracket,
+    _norm_rows,
+    _unit_directions,
+    is_identity,
+)
 from .spaces import (
     COMPLEX,
     REAL,
@@ -38,7 +48,6 @@ from .spaces import (
 METHOD_PACKING = "packing"
 METHOD_VOLUMETRIC = "volumetric"
 METHOD_HAMMING = "hamming"
-METHOD_GREEDY_COVER = "greedy-cover"
 
 REGIME_SMALL = "small-k"
 REGIME_MID = "mid-k"
@@ -47,32 +56,23 @@ REGIME_LARGE = "large-k"
 
 @dataclass(frozen=True)
 class BoundPair:
-    """One- or two-sided bracket for a single entropy number e_k.
+    """One estimator's record for a single entropy number e_k.
 
-    ``certified_lower``/``certified_upper`` say whether the corresponding
-    side is a mathematically certified bound of the true entropy number.
-    Covering uppers are certified only relative to the sampled cloud; their
-    discretization margin is reported in ``delta``.
+    A packing or best lower carries ``lower`` and its ``method_lower``; a
+    greedy cover carries ``upper`` and its cloud's max nearest-neighbour gap
+    ``delta``, its discretization margin.  The record says nothing about how
+    sure a side is: ``entropy_brackets`` decides the kinds.
     """
 
     k: int
     lower: float | None = None
     upper: float | None = None
     method_lower: str | None = None
-    method_upper: str | None = None
-    certified_lower: bool = False
-    certified_upper: bool = False
     delta: float = 0.0
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.lower is not None and self.upper is not None:
-            if self.lower > self.upper + self.delta + 1e-9:
-                raise ValueError(
-                    f"bound pair out of order at k={self.k}: "
-                    f"lower {self.lower} > upper {self.upper} + delta {self.delta}"
-                )
 
 
 def padded_upper(pair, q):
@@ -368,23 +368,7 @@ def entropy_upper_cover_sequence(T, k_max, cloud=1024, seed=0):
     pts = image_cloud(T, cloud, seed)
     radii = _cover_radii_doubling(pts, k_max, q)
     delta = max_nn_gap(pts, q)
-    out = []
-    for k in range(1, k_max + 1):
-        out.append(
-            BoundPair(
-                k=k,
-                upper=radii[k - 1],
-                method_upper=METHOD_GREEDY_COVER,
-                certified_upper=False,
-                delta=delta,
-            )
-        )
-    return out
-
-
-def entropy_upper_cover(T, k, cloud=1024, seed=0):
-    """Greedy covering estimate of e_k(T) on a seeded cloud of image points."""
-    return entropy_upper_cover_sequence(T, k, cloud=cloud, seed=seed)[-1]
+    return [BoundPair(k=k, upper=radii[k - 1], delta=delta) for k in range(1, k_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -448,20 +432,30 @@ def entropy_lower_pack_sequence(T, k_max, budget=512, seed=0):
             lower = s / denom
         else:
             lower = 0.0
-        out.append(
-            BoundPair(
-                k=k,
-                lower=lower,
-                method_lower=METHOD_PACKING,
-                certified_lower=True,
-            )
-        )
+        out.append(BoundPair(k=k, lower=lower, method_lower=METHOD_PACKING))
     return out
 
 
 def entropy_lower_pack(T, k, budget=512, seed=0):
     """Certified farthest-point packing lower bound for e_k(T)."""
     return entropy_lower_pack_sequence(T, k, budget=budget, seed=seed)[-1]
+
+
+def entropy_brackets(T, k_max, cloud, pack_budget, seed):
+    """Brackets of e_1 .. e_{k_max}: the packing lower and the padded cover upper.
+
+    The lower is ``entropy_lower_pack_sequence`` on ``pack_budget`` points,
+    a certified bound.  The upper is ``entropy_upper_cover_sequence`` on
+    ``cloud`` points padded by the cloud's gap (``padded_upper``), an
+    estimate, since the cloud only samples the image.  An estimate side may
+    undershoot, so a lower above its upper is a violation for the caller to
+    report, not an error here.  The method is ``pack/cover``.
+    """
+    q = T.codomain.p
+    covers = entropy_upper_cover_sequence(T, k_max, cloud=cloud, seed=seed)
+    packs = entropy_lower_pack_sequence(T, k_max, budget=pack_budget, seed=seed)
+    return [Bracket(pack.lower, padded_upper(cover, q), CERTIFIED, ESTIMATE, "pack/cover")
+            for pack, cover in zip(packs, covers)]
 
 
 def entropy_lower_volumetric(p, q, n, k, field=REAL):
@@ -559,11 +553,13 @@ def regime_envelope(p, q, n, k, field=COMPLEX):
 
 
 def rank_decay_bounds(m, k, norm=1.0, field=REAL):
-    """Two-sided 2^(-(k-1)/m) decay (unit constants) for operators of rank m.
+    """Two-sided 2^(-(k-1)/m) decay shape of e_k for operators of rank m.
 
     Real rank-m operators satisfy c 2^(-(k-1)/m) <= e_k <= C ||T|| 2^(-(k-1)/m);
-    over the complex scalars the divisor doubles to 2m.  The unknown
-    constants are reported as 1.
+    over the complex scalars the divisor doubles to 2m.  Both constants are
+    unknown and reported as 1, so both sides are of kind ``shape``.  Since
+    e_k <= e_1 <= ||T||, the lower constant c is at most ||T||, so the lower
+    shape is capped at the upper one when ``norm`` < 1.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be >= 1")
@@ -571,7 +567,7 @@ def rank_decay_bounds(m, k, norm=1.0, field=REAL):
         raise ValueError("norm must be nonnegative")
     divisor = 2 * m if field == COMPLEX else m
     shape = 2.0 ** (-(k - 1) / divisor)
-    return shape, norm * shape
+    return Bracket(min(1.0, norm) * shape, norm * shape, SHAPE, SHAPE, "rank-decay")
 
 
 def best_certified_lower(T, k, budget=512, seed=0):
@@ -595,4 +591,4 @@ def best_certified_lower(T, k, budget=512, seed=0):
             ham = hamming_pack_lower(p, q, n, k)
             if ham > best:
                 best, method = ham, METHOD_HAMMING
-    return BoundPair(k=k, lower=best, method_lower=method, certified_lower=True)
+    return BoundPair(k=k, lower=best, method_lower=method)

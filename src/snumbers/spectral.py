@@ -28,8 +28,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
-from .entropy import padded_upper
-from .operators import singular_values
+from .operators import CERTIFIED, EXACT, singular_values
 
 SQRT2 = math.sqrt(2.0)
 BRACKET_FACTOR = 14.0
@@ -215,21 +214,22 @@ def carl_check(T, entropy_uppers, k_max, tol=1e-9):
     return rep
 
 
-def hilbert_entropy_bracket(T, n_index, bounds, tol=1e-9):
-    """Two-sided factor-14 test of an entropy estimate on a Hilbert instance.
+def hilbert_entropy_bracket(T, n_index, bracket, tol=1e-9):
+    """Two-sided factor-14 test of a Bracket of e_n on a Hilbert instance.
 
     G_n = max over 1 <= k <= rank of 2^(-n/k) (prod_{i<=k} sigma_i)^(1/k)
     sits below the n-th entropy number, and within a factor 14 above it, so
-    a (certified-lower, padded-upper) estimate pair must satisfy
-    G_n <= upper + delta and lower <= 14 G_n.
+    a bracket with a certified (or exact) lower must satisfy
+    G_n <= upper and lower <= 14 G_n.  For ``entropy_brackets`` the upper is
+    the cover padded by its cloud's gap.
     """
     _require_hilbert(T, "hilbert_entropy_bracket")
     if n_index < 1:
         raise ValueError("entropy index must be >= 1")
-    if bounds.k != n_index:
-        raise ValueError(f"bounds are for k={bounds.k}, not the requested n={n_index}")
-    if not bounds.certified_lower:
+    if bracket.lower_kind not in (CERTIFIED, EXACT):
         raise ValueError("bracket test needs a certified lower side")
+    if bracket.upper is None:
+        raise ValueError("bracket test needs an upper side")
     sig = singular_values(T)
     cutoff = 1e-12 * max(1.0, float(sig[0]) if sig.size else 0.0)
     rank = int(np.count_nonzero(sig > cutoff))
@@ -242,11 +242,9 @@ def hilbert_entropy_bracket(T, n_index, bounds, tol=1e-9):
         )
     rep = CheckReport()
     rep.extras["G"] = G
+    rep.check("bracket-upper", G, bracket.upper, f"n={n_index}: G vs upper+delta", tol)
     rep.check(
-        "bracket-upper", G, padded_upper(bounds, 2.0), f"n={n_index}: G vs upper+delta", tol
-    )
-    rep.check(
-        "bracket-lower", bounds.lower, BRACKET_FACTOR * G, f"n={n_index}: lower vs 14G", tol
+        "bracket-lower", bracket.lower, BRACKET_FACTOR * G, f"n={n_index}: lower vs 14G", tol
     )
     return rep
 

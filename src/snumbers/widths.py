@@ -51,9 +51,6 @@ from .spaces import (
 )
 from .spectral import CheckReport
 
-KIND_APPROXIMATION = "approximation"
-KIND_KOLMOGOROV = "kolmogorov"
-
 NO_CLOSED_FORM = "no-closed-form"
 
 
@@ -61,7 +58,6 @@ NO_CLOSED_FORM = "no-closed-form"
 class SNumberSeq:
     """An s-number sequence, 1-indexed through ``value(k)``; zero past the rank."""
 
-    kind: str
     values: np.ndarray
 
     def __post_init__(self):
@@ -95,21 +91,20 @@ def conjugate_exponent(p):
     return p / (p - 1.0)
 
 
-def hilbert_s_numbers(T, kind=KIND_APPROXIMATION):
-    """Exact s-numbers of T: l_2 -> l_2: the singular values (both kinds).
+def hilbert_s_numbers(T):
+    """Exact s-numbers of T: l_2 -> l_2: the singular values, which are both
+    the approximation and the Kolmogorov numbers.
 
     Zero-padded to the domain dimension, since every s-number vanishes past
     the rank.
     """
     if T.domain.p != 2.0 or T.codomain.p != 2.0:
         raise ValueError("hilbert_s_numbers needs p = q = 2 on both sides")
-    if kind not in (KIND_APPROXIMATION, KIND_KOLMOGOROV):
-        raise ValueError(f"unknown s-number kind {kind!r}")
     s = singular_values(T)
     n = T.domain.n
     vals = np.zeros(n)
     vals[: min(n, s.size)] = s[: min(n, s.size)]
-    return SNumberSeq(kind=kind, values=vals)
+    return SNumberSeq(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +245,9 @@ def approx_upper_search(T, k, budget=2000, seed=0):
     in the Hilbert case the result matches sigma_k to within 1e-9 relative
     (checked internally; the truncation candidate attains it).  For
     k - 1 >= min(m, n) a rank-(k-1) operator can equal T, so the result is
-    exactly 0 and no candidate is evaluated.
+    exactly 0 and no candidate is evaluated.  At k = 1 the only candidate is
+    S = 0, and the result is ``op_norm(T, seed=seed)``'s lower, the value
+    ``kolmogorov_upper_search`` gives at k = 1 (a_1 = d_1 = ||T||).
 
     The search is a branch and bound over the sampled-ascent residual
     norms: a candidate is only asked whether it beats the best value so
@@ -272,15 +269,9 @@ def approx_upper_search(T, k, budget=2000, seed=0):
     r = k - 1
     if r >= min(m_, n_):
         return 0.0
-    hilbert = T.domain.p == 2.0 and T.codomain.p == 2.0
-
     if r == 0:
-        best = op_norm(T).lower
-        if hilbert:
-            sk = singular_values(T)[0] if min(m_, n_) >= 1 else 0.0
-            if abs(best - sk) > 1e-9 * max(1.0, sk):
-                raise AssertionError("Eckart-Young consistency failed at k=1")
-        return float(best)
+        return float(op_norm(T, seed=seed).lower)
+    hilbert = T.domain.p == 2.0 and T.codomain.p == 2.0
 
     U, s, Vh = np.linalg.svd(M)
     r_eff = min(r, s.size)

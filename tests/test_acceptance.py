@@ -14,7 +14,6 @@ import pytest
 
 from snumbers.cli import _build_parser, config_from_args, render_json, run_verify
 from snumbers.entropy import (
-    BoundPair,
     REGIME_LARGE,
     REGIME_MID,
     REGIME_SMALL,
@@ -24,7 +23,15 @@ from snumbers.entropy import (
     regime_envelope,
     regime_piece,
 )
-from snumbers.operators import diagonal_operator, identity_operator, op_norm, operator
+from snumbers.operators import (
+    CERTIFIED,
+    ESTIMATE,
+    Bracket,
+    diagonal_operator,
+    identity_operator,
+    op_norm,
+    operator,
+)
 from snumbers.spaces import COMPLEX, REAL, AokiNorm, lp_norm
 from snumbers.spectral import carl_check, hilbert_entropy_bracket, koenig_limit_check, weyl_check
 from snumbers.widths import (
@@ -100,12 +107,12 @@ def test_criterion_03_factor_14_bracket():
         for idx in range(1, 7):
             lo = best_certified_lower(T, idx, budget=400, seed=7)
             up = covers[idx - 1]
-            pair = BoundPair(k=idx, lower=lo.lower, upper=up.upper,
-                             method_lower=lo.method_lower, method_upper=up.method_upper,
-                             certified_lower=True, certified_upper=False,
-                             delta=up.delta)
-            rep = hilbert_entropy_bracket(T, idx, pair)
+            bracket = Bracket(lo.lower, padded_upper(up, 2.0), CERTIFIED, ESTIMATE,
+                              lo.method_lower + "/cover")
+            rep = hilbert_entropy_bracket(T, idx, bracket)
             bad += len(rep.violations)
+            # and the certified lower must not exceed the padded upper
+            bad += bracket.lower > bracket.upper + 1e-9
     verdict(3, "G_n <= upper+delta and lower <= 14 G_n, n <= 5, 6 indices",
             bad == 0, f"{bad} violations")
 

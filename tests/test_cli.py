@@ -1,6 +1,7 @@
 """Command-line surface: schemas, exit codes, determinism, parsing."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -225,6 +226,24 @@ def test_verify_injected_bug_exits_one():
     assert len(witness) == 1
     assert witness[0].startswith("violation:weyl,")
     assert witness[0].endswith(",witness,injected flip of k=1,0.0")
+
+
+def test_verify_lower_above_padded_upper_exits_one(monkeypatch, capsys):
+    # a packing lower above its padded cover upper is a violated property:
+    # verify reports it with its witnesses and exits 1, not 2
+    from snumbers import entropy
+
+    real = entropy.entropy_lower_pack_sequence
+
+    def inflated(*args, **kwargs):
+        return [dataclasses.replace(b, lower=b.lower * 10 + 5) for b in real(*args, **kwargs)]
+
+    monkeypatch.setattr(entropy, "entropy_lower_pack_sequence", inflated)
+    code = main(["verify", "--budget", "300"])
+    out, err = capsys.readouterr()
+    assert code == 1, err
+    checks = {v["check"] for v in json.loads(out)["violations"]}
+    assert {"entropy-bracket", "bracket"} <= checks
 
 
 def test_verify_check_counts(capsys):

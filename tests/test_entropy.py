@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snumbers.entropy import (
-    METHOD_GREEDY_COVER,
     METHOD_HAMMING,
     METHOD_PACKING,
     METHOD_VOLUMETRIC,
@@ -17,6 +16,7 @@ from snumbers.entropy import (
     REGIME_SMALL,
     BoundPair,
     best_certified_lower,
+    entropy_brackets,
     entropy_lower_pack,
     entropy_lower_pack_sequence,
     entropy_lower_volumetric,
@@ -36,7 +36,15 @@ from snumbers.entropy import (
     _greedy_cover_radii,
     _packing_traversal,
 )
-from snumbers.operators import SHAPE, _norm_rows, diagonal_operator, identity_operator, operator
+from snumbers.operators import (
+    CERTIFIED,
+    ESTIMATE,
+    SHAPE,
+    _norm_rows,
+    diagonal_operator,
+    identity_operator,
+    operator,
+)
 from snumbers.spaces import COMPLEX, REAL
 
 INF = math.inf
@@ -44,16 +52,11 @@ INF = math.inf
 
 def test_bound_pair_validation():
     with pytest.raises(ValueError):
-        BoundPair(k=0, lower=0.0, upper=1.0, method_lower="x", method_upper="y",
-                  certified_lower=True, certified_upper=False, delta=0.0)
-    with pytest.raises(ValueError):
-        BoundPair(k=1, lower=2.0, upper=1.0, method_lower="x", method_upper="y",
-                  certified_lower=True, certified_upper=False, delta=0.5)
+        BoundPair(k=0, lower=0.0, upper=1.0, method_lower="x", delta=0.0)
 
 
 def test_padded_upper_convention():
-    b = BoundPair(k=1, lower=0.1, upper=1.0, method_lower="x", method_upper="y",
-                  certified_lower=True, certified_upper=False, delta=0.2)
+    b = BoundPair(k=1, lower=0.1, upper=1.0, method_lower="x", delta=0.2)
     assert padded_upper(b, 2.0) == pytest.approx(1.2)
     # quasi-norm triangle: radii add in the qbar-power metric
     assert padded_upper(b, 0.5) == pytest.approx((1.0**0.5 + 0.2**0.5) ** 2.0)
@@ -100,8 +103,10 @@ def test_packing_lower_sign_vectors():
     T = identity_operator(2, 1.0, INF)
     b = entropy_lower_pack(T, 2, budget=256, seed=0)
     assert b.lower == pytest.approx(0.5)
-    assert b.certified_lower
     assert b.method_lower == "packing"
+    bracket = entropy_brackets(T, 2, 64, 256, 0)[1]
+    assert bracket.lower == b.lower
+    assert bracket.lower_kind == CERTIFIED
 
 
 def test_packing_sequence_monotone():
@@ -128,9 +133,11 @@ def test_cover_sequence_monotone_and_flags():
     seq = entropy_upper_cover_sequence(T, 4, cloud=600, seed=0)
     ups = [b.upper for b in seq]
     assert all(a >= b - 1e-12 for a, b in zip(ups, ups[1:]))
-    assert all(not b.certified_upper for b in seq)
     assert all(b.delta == seq[0].delta for b in seq)  # one cloud, one gap
-    assert seq[0].method_upper == "greedy-cover"
+    brackets = entropy_brackets(T, 4, 600, 256, 0)
+    assert [b.upper for b in brackets] == [padded_upper(c, INF) for c in seq]
+    assert all(b.upper_kind == ESTIMATE for b in brackets)
+    assert all(b.method == "pack/cover" for b in brackets)
 
 
 def test_cover_requires_enough_cloud():
@@ -143,8 +150,7 @@ def test_cover_zero_operator():
     T = operator(np.zeros((2, 2)), 1.0, 2.0)
     seq = entropy_upper_cover_sequence(T, 3, cloud=64, seed=0)
     assert all(b.upper == 0.0 for b in seq)
-    assert seq == [BoundPair(k=k, upper=0.0, method_upper=METHOD_GREEDY_COVER, delta=0.0)
-                   for k in (1, 2, 3)]
+    assert seq == [BoundPair(k=k, upper=0.0, delta=0.0) for k in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("q", [2.0, 3.0])
@@ -362,8 +368,7 @@ def _reference_pack_sequence(T, k_max, budget, seed):
     for k in range(1, k_max + 1):
         K = 2 ** (k - 1) + 1
         lower = min(insert_dists[: K - 1]) / denom if K - 1 <= len(insert_dists) else 0.0
-        out.append(BoundPair(k=k, lower=lower, method_lower=METHOD_PACKING,
-                             certified_lower=True))
+        out.append(BoundPair(k=k, lower=lower, method_lower=METHOD_PACKING))
     return out
 
 
@@ -378,7 +383,7 @@ def _reference_best_lower(T, k, budget, seed):
             ham = hamming_pack_lower(p, q, n, k)
             if ham > best:
                 best, method = ham, METHOD_HAMMING
-    return BoundPair(k=k, lower=best, method_lower=method, certified_lower=True)
+    return BoundPair(k=k, lower=best, method_lower=method)
 
 
 @settings(max_examples=40, deadline=None)
@@ -521,9 +526,14 @@ def test_regime_p_equals_q_mid_is_one():
 
 
 def test_rank_decay_bounds():
-    lo, up = rank_decay_bounds(1, 3)
-    assert (lo, up) == (pytest.approx(0.25), pytest.approx(0.25))
-    lo_c, up_c = rank_decay_bounds(1, 3, field=COMPLEX)
-    assert lo_c == pytest.approx(0.5)  # doubled volumetric dimension
-    lo2, up2 = rank_decay_bounds(2, 5, norm=3.0)
-    assert up2 == pytest.approx(3.0 * 2.0 ** (-2.0))
+    b = rank_decay_bounds(1, 3)
+    assert (b.lower, b.upper) == (pytest.approx(0.25), pytest.approx(0.25))
+    assert (b.lower_kind, b.upper_kind, b.method) == (SHAPE, SHAPE, "rank-decay")
+    b_c = rank_decay_bounds(1, 3, field=COMPLEX)
+    assert b_c.lower == pytest.approx(0.5)  # doubled volumetric dimension
+    b2 = rank_decay_bounds(2, 5, norm=3.0)
+    assert b2.lower == pytest.approx(2.0 ** (-2.0))
+    assert b2.upper == pytest.approx(3.0 * 2.0 ** (-2.0))
+    # the lower constant is at most ||T||, so a norm below 1 caps the lower shape
+    b_small = rank_decay_bounds(2, 5, norm=0.5)
+    assert (b_small.lower, b_small.upper) == (0.125, 0.125)

@@ -5,12 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from snumbers.entropy import (
-    BoundPair,
-    entropy_upper_cover_sequence,
-    padded_upper,
-)
-from snumbers.operators import diagonal_operator, operator
+from snumbers.entropy import entropy_upper_cover_sequence, padded_upper
+from snumbers.operators import CERTIFIED, ESTIMATE, EXACT, Bracket, diagonal_operator, operator
 from snumbers.spaces import COMPLEX
 from snumbers.spectral import (
     EigenSeq,
@@ -139,10 +135,7 @@ def test_carl_input_validation():
 
 def test_bracket_quantity_identity_pair():
     rep = hilbert_entropy_bracket(
-        diagonal_operator([1.0, 1.0]),
-        1,
-        BoundPair(k=1, lower=0.9, upper=1.0, method_lower="norm", method_upper="norm",
-                  certified_lower=True, certified_upper=True, delta=0.0),
+        diagonal_operator([1.0, 1.0]), 1, Bracket(0.9, 1.0, CERTIFIED, CERTIFIED, "norm")
     )
     assert rep.extras["G"] == pytest.approx(2.0 ** -0.5)
     assert rep.ok
@@ -150,11 +143,7 @@ def test_bracket_quantity_identity_pair():
 
 def test_bracket_quantity_diag_4_1():
     rep = hilbert_entropy_bracket(
-        diagonal_operator([4.0, 1.0]),
-        2,
-        BoundPair(k=2, lower=1.0, upper=4.0, method_lower="volumetric",
-                  method_upper="norm", certified_lower=True, certified_upper=True,
-                  delta=0.0),
+        diagonal_operator([4.0, 1.0]), 2, Bracket(1.0, 4.0, CERTIFIED, CERTIFIED, "volumetric")
     )
     assert rep.extras["G"] == pytest.approx(1.0)
     assert rep.ok
@@ -162,28 +151,27 @@ def test_bracket_quantity_diag_4_1():
 
 def test_bracket_rank_zero():
     rep = hilbert_entropy_bracket(
-        operator(np.zeros((2, 2)), 2.0, 2.0),
-        1,
-        BoundPair(k=1, lower=0.0, upper=0.0, method_lower="trivial",
-                  method_upper="trivial", certified_lower=True, certified_upper=True,
-                  delta=0.0),
+        operator(np.zeros((2, 2)), 2.0, 2.0), 1, Bracket(0.0, 0.0, CERTIFIED, CERTIFIED, "trivial")
     )
     assert rep.extras["G"] == 0.0
     assert rep.ok
 
 
 def test_bracket_rejects_uncertified_lower():
-    b = BoundPair(k=1, lower=0.5, upper=1.0, method_lower="guess", method_upper="norm",
-                  certified_lower=False, certified_upper=True, delta=0.0)
+    b = Bracket(0.5, 1.0, ESTIMATE, CERTIFIED, "guess")
     with pytest.raises(ValueError):
         hilbert_entropy_bracket(diagonal_operator([1.0]), 1, b)
+    # an exact lower is accepted; a bracket without an upper is refused
+    assert hilbert_entropy_bracket(diagonal_operator([1.0]), 1,
+                                   Bracket.point(0.5, EXACT, "exact")).ok
+    with pytest.raises(ValueError, match="upper side"):
+        hilbert_entropy_bracket(diagonal_operator([1.0]), 1,
+                                Bracket(0.5, None, CERTIFIED, None, "lower only"))
 
 
 def test_bracket_flags_inflated_lower():
     # a claimed lower above 14 G must come back as a violation, not a raise
-    b = BoundPair(k=1, lower=100.0, upper=200.0, method_lower="bogus",
-                  method_upper="bogus", certified_lower=True, certified_upper=False,
-                  delta=0.0)
+    b = Bracket(100.0, 200.0, CERTIFIED, ESTIMATE, "bogus")
     rep = hilbert_entropy_bracket(diagonal_operator([1.0, 1.0]), 1, b)
     assert not rep.ok
     assert rep.violations[0].name == "bracket-lower"

@@ -12,8 +12,6 @@ from snumbers import operators, spaces, widths
 from snumbers.operators import SHAPE, Bracket, diagonal_operator, op_norm, operator, realify
 from snumbers.spaces import COMPLEX, REAL, dist_to_subspace
 from snumbers.widths import (
-    KIND_APPROXIMATION,
-    KIND_KOLMOGOROV,
     NO_CLOSED_FORM,
     SNumberSeq,
     approx_id_envelope,
@@ -41,13 +39,13 @@ def test_conjugate_exponent():
 
 def test_seq_validation():
     with pytest.raises(ValueError):
-        SNumberSeq(KIND_APPROXIMATION, (1.0, 2.0))
+        SNumberSeq((1.0, 2.0))
     with pytest.raises(ValueError):
-        SNumberSeq(KIND_APPROXIMATION, (1.0, -0.5))
+        SNumberSeq((1.0, -0.5))
     for bad in ((math.nan, 1.0), (1.0, math.nan), (math.nan,)):
         with pytest.raises(ValueError, match="NaN"):
-            SNumberSeq(KIND_APPROXIMATION, bad)
-    s = SNumberSeq(KIND_APPROXIMATION, (3.0, 1.0))
+            SNumberSeq(bad)
+    s = SNumberSeq((3.0, 1.0))
     assert s.value(1) == 3.0
     assert s.value(2) == 1.0
     assert s.value(7) == 0.0  # past the recorded tail
@@ -64,9 +62,8 @@ def test_envelope_validation():
 
 def test_hilbert_s_numbers():
     T = diagonal_operator([3.0, 2.0, 1.0])
-    for kind in (KIND_APPROXIMATION, KIND_KOLMOGOROV):
-        s = hilbert_s_numbers(T, kind)
-        assert np.array_equal(s.values, [3.0, 2.0, 1.0])
+    s = hilbert_s_numbers(T)
+    assert np.array_equal(s.values, [3.0, 2.0, 1.0])
     with pytest.raises(ValueError):
         hilbert_s_numbers(diagonal_operator([1.0], p=1.0, q=2.0))
 
@@ -167,6 +164,17 @@ def test_approx_search_matches_singular_values():
     assert approx_upper_search(T, 1, budget=500, seed=0) == pytest.approx(3.0)
     assert approx_upper_search(T, 2, budget=500, seed=0) == pytest.approx(2.0)
     assert approx_upper_search(T, 3, budget=500, seed=0) == pytest.approx(1.0)
+
+
+def test_searches_agree_at_k1():
+    # a_1 = d_1 = ||T||: on a sampled norm both searches take op_norm's lower
+    # with their own seed, so they return the same float for every seed
+    T = operator(np.random.default_rng(3).standard_normal((4, 4)), 2.0, 1.0)
+    for seed in (0, 1, 2):
+        norm = op_norm(T, seed=seed)
+        assert norm.method == "sampled-ascent"
+        assert approx_upper_search(T, 1, seed=seed) == norm.lower
+        assert kolmogorov_upper_search(T, 1, seed=seed) == norm.lower
 
 
 def test_approx_search_non_hilbert_upper_bound():
@@ -571,14 +579,14 @@ def test_axiom_suite_clean_on_singular_values():
     assert report.ok, report.violations
 
 
-def _inflated_s2(T, kind=KIND_APPROXIMATION):
+def _inflated_s2(T):
     # a sequence that inflates s_2 must trip monotonicity
-    s = hilbert_s_numbers(T, kind)
+    s = hilbert_s_numbers(T)
     vals = list(s.values)
     if len(vals) >= 2:
         vals[1] = vals[0] * 2.0
         vals = sorted(vals, reverse=True)
-    return SNumberSeq(s.kind, tuple(vals))
+    return SNumberSeq(tuple(vals))
 
 
 class _NaNSeq:
@@ -587,7 +595,7 @@ class _NaNSeq:
         return math.nan
 
 
-def _all_nan(T, kind=KIND_APPROXIMATION):
+def _all_nan(T):
     # NaN compares false both ways, so it must fail the checks, not pass them
     return _NaNSeq()
 
