@@ -2,15 +2,21 @@
 
 A LinOp is a matrix together with explicit domain and codomain space
 descriptors; the operator (quasi-)norm then depends on both exponents.
-Exact norm formulas exist for the identity, for p <= 1 with q >= 1 (the
-extreme points of the domain ball are the signed unit vectors, so the norm
-is the largest column norm), and for the Hilbert case p = q = 2 (largest
-singular value).  Everything else falls back to a seeded sampled-ascent
-lower bound.  Every norm comes back as a ``Bracket``, the package's one
-shape for "a lower, an upper, and how sure".
+``op_norm`` is exact wherever a short proof makes it so: the identity
+formula; the largest column for p <= min(1, q) (q-subadditivity); sigma_1
+for p = q = 2; the largest row l_p' norm for q = inf (Hölder); and, for
+real matrices, the sign vectors for p >= 1, q = 1 (duality) and the cube's
+vertices for p = inf, q >= 1 (convexity), each while the enumerated
+dimension is at most 16.  The op_norm docstring gives the proofs.  The
+general p -> q norm is NP-hard, so elsewhere the norm is a certified lower
+with no upper side: Boyd's nonlinear power method for p, q >= 1, and a
+seeded sampled ascent for the quasi-norm cases q < min(1, p).  Every norm
+comes back as a ``Bracket``, the package's one shape for "a lower, an
+upper, and how sure".
 """
 
 import dataclasses
+import functools
 import math
 import zlib
 from dataclasses import dataclass
@@ -22,6 +28,7 @@ from .spaces import (
     REAL,
     SpaceSpec,
     _abs_norm_function,
+    conjugate_exponent,
     inv_exponent,
     sample_sphere,
 )
@@ -196,12 +203,67 @@ def _norm_rows(A, q):
     return (a**q).sum(axis=1) ** (1.0 / q)
 
 
+def _rescaled(norm, a):
+    """norm(a) of moduli a, taken of a divided by its largest entry and then
+    multiplied back: the value of a norm whose powers overflowed."""
+    top = a.max()
+    return float(top * norm(a / top))
+
+
+def _scaled_norm_rows(A, q):
+    """_norm_rows of A, with each row whose value is not finite recomputed by
+    ``_rescaled``; a finite value keeps its bits."""
+    with np.errstate(over="ignore"):
+        v = _norm_rows(A, q)
+    bad = ~np.isfinite(v)
+    if bad.any():
+        norm = _abs_norm_function(q)
+        v[bad] = [_rescaled(norm, a) for a in np.abs(A[bad])]
+    return v
+
+
+@functools.lru_cache(maxsize=None)
+def _half_cube(d):
+    """The 2^(d-1) sign vectors s in {-1, 1}^d with s_1 = +1, as rows.  The
+    other half of the vertices are their negatives, whose images have the
+    same norms."""
+    bits = (np.arange(2 ** (d - 1))[:, None] >> np.arange(d - 1)) & 1
+    S = np.hstack([np.ones((bits.shape[0], 1)), 1.0 - 2.0 * bits])
+    S.setflags(write=False)
+    return S
+
+
+def _max_image_norm(S, A, r):
+    """max ||A s||_r over the rows s of S, in blocks of at most 2^16 image
+    entries, so that 2^15 sign vectors of a wide matrix take little memory."""
+    step = max(1, 65536 // A.shape[0])
+    return max(float(_scaled_norm_rows(S[i:i + step] @ A.T, r).max())
+               for i in range(0, S.shape[0], step))
+
+
 def _unit_directions(n, field):
     eye = np.eye(n)
     dirs = [eye, -eye]
     if field == COMPLEX:
         dirs += [1j * eye]
     return np.vstack(dirs)
+
+
+def _sample_phase(T, budget, seed):
+    """The sampling phase of both non-exact paths: the signed unit vectors
+    (and i e_j for complex scalars) and max(16, budget // 2) seeded points of
+    the l_p sphere, with their image norms, sorted best first.  The generator
+    is seeded from ``(seed, matrix)``, so no other call changes its draws;
+    it is returned for the ascent's steps."""
+    M = T.matrix
+    n = T.domain.n
+    rng = np.random.default_rng(
+        [int(seed) & 0xFFFFFFFF, zlib.crc32(np.ascontiguousarray(M).tobytes())]
+    )
+    X = np.vstack([_unit_directions(n, T.field),
+                   sample_sphere(rng, n, T.domain.p, T.field, max(16, budget // 2))])
+    vals = _scaled_norm_rows(X @ M.T, T.codomain.p)
+    return rng, X, vals, np.argsort(vals)[::-1]
 
 
 def _sampled_ascent(T, budget, seed, stop):
@@ -215,17 +277,9 @@ def _sampled_ascent(T, budget, seed, stop):
     call (``_abs_norm_function``: lp_norm's arithmetic, the same floats).
     """
     M = T.matrix
-    p, q = T.domain.p, T.codomain.p
     n = T.domain.n
-    norm_p, norm_q = _abs_norm_function(p), _abs_norm_function(q)
-    rng = np.random.default_rng(
-        [int(seed) & 0xFFFFFFFF, zlib.crc32(np.ascontiguousarray(M).tobytes())]
-    )
-    X = _unit_directions(n, T.field)
-    nsamp = max(16, budget // 2)
-    X = np.vstack([X, sample_sphere(rng, n, p, T.field, nsamp)])
-    vals = _norm_rows(X @ M.T, q)
-    order = np.argsort(vals)[::-1]
+    norm_p, norm_q = _abs_norm_function(T.domain.p), _abs_norm_function(T.codomain.p)
+    rng, X, vals, order = _sample_phase(T, budget, seed)
     best = float(vals[order[0]])
     if best >= stop:
         return best
@@ -256,39 +310,153 @@ def _sampled_ascent(T, budget, seed, stop):
     return best
 
 
+def _dual(y, a, r):
+    """A positive multiple of the vector z with z^H y = ||z||_r' ||y||_r,
+    Hölder's equality case for 1 <= r < inf: z_i = |y_i|^(r-1) y_i / |y_i|
+    (0 where y_i = 0), given the moduli a = |y|.  They are divided by the
+    largest first, so no power overflows."""
+    top = a.max()
+    if top == 0.0:
+        return y
+    return y / (a + (a == 0.0)) * (a / top) ** (r - 1.0)
+
+
+def _power_method(T, budget, seed, stop):
+    """Certified lower for ||T: l_p -> l_q||, p, q >= 1, by Boyd's nonlinear
+    power method (Boyd, Linear Algebra Appl. 9, 1974).
+
+    The sampling phase is the ascent's (``_sample_phase``).  From the four
+    best samples and from the top right singular vector, each normalised in
+    l_p, the iteration is x <- dual_p'(A^H dual_q(A x)), normalised in l_p.
+    A^H is the conjugate transpose, and dual_r(y) is the z of ``_dual``
+    scaled to ||z||_r' = 1, so that z^H y = sum_i conj(z_i) y_i = ||y||_r.
+    With z = dual_q(A x_k) and w = A^H z, Hölder gives
+
+        ||A x_k||_q = z^H A x_k = w^H x_k <= ||w||_p'
+                    = x_{k+1}^H w = z^H A x_{k+1} <= ||A x_{k+1}||_q,
+
+    where the middle equality is the equality case of x_{k+1} =
+    dual_p'(w), and each inner product that equals a norm is real.  So in
+    exact arithmetic no step decreases the value.  In floating point the
+    values at the fixed point jitter by a few ulps, so a start ends at the
+    second successive step that does not raise its maximum, or when
+    ``budget`` norms are spent.
+
+    The value is the running maximum of the sampled norms and of the
+    iterates, so it is never below the sample maximum, and ``stop`` acts as
+    in the ascent: the value returned once the maximum reaches ``stop`` is
+    >= stop and <= the full value, and a full value below ``stop`` is the
+    same float.  A norm whose powers overflow is recomputed by
+    ``_rescaled``; a finite one keeps its bits.
+    """
+    M = T.matrix
+    MH = M.conj().T
+    q, dual_p = T.codomain.p, conjugate_exponent(T.domain.p)
+    norm_p, norm_q = _abs_norm_function(T.domain.p), _abs_norm_function(q)
+    _, X, vals, order = _sample_phase(T, budget, seed)
+    best = float(vals[order[0]])
+    if best >= stop:
+        return best
+
+    spent = X.shape[0]
+    top = np.linalg.svd(M, full_matrices=False)[2][0].conj()
+    with np.errstate(over="ignore"):  # an overflowed norm is recomputed
+        for x in [X[i] for i in order[:4]] + [top / norm_p(np.abs(top))]:
+            cur, misses = 0.0, 0
+            while spent < budget:
+                y = M @ x
+                a = np.abs(y)
+                v = norm_q(a)
+                if not math.isfinite(v):
+                    v = _rescaled(norm_q, a)
+                spent += 1
+                if not v > cur:
+                    misses += 1
+                    if misses == 2:
+                        break
+                else:
+                    misses = 0
+                    cur = v
+                    if cur >= stop:
+                        return cur
+                w = MH @ _dual(y, a, q)
+                x = _dual(w, np.abs(w), dual_p)
+                nx = norm_p(np.abs(x))
+                if nx == 0.0:
+                    break
+                x = x / nx
+            best = max(best, cur)
+    return best
+
+
 def op_norm(T, budget=2000, seed=0, *, stop=math.inf):
     """The operator (quasi-)norm of T: l_p -> l_q as a Bracket.
 
-    Dispatch, strongest first: exact identity formula n^max(0, 1/q - 1/p);
-    exact column maximum for p <= 1, q >= 1; exact sigma_1 for p = q = 2.
-    Each is a point bracket of kind ``exact``.  Otherwise a seeded
-    sampled-ascent value, which is the norm of a point of the unit sphere
-    and so a certified lower with no upper side.  ``method`` names the path.
+    Dispatch, in this order; ``method`` names the path, and p' is the
+    Hölder conjugate of p.
+
+    - ``identity-formula``: n^max(0, 1/q - 1/p).
+    - ``column-max``, p <= min(1, q): the largest column l_q norm.  With
+      r = min(1, q), ||.||_q^r is subadditive and ||x||_r <= ||x||_p, so
+      ||Tx||_q^r <= sum_j |x_j|^r ||Te_j||_q^r <= max_j ||Te_j||_q^r ||x||_p^r,
+      with equality at a unit vector.
+    - ``svd``, p = q = 2: sigma_1.
+    - ``row-max``, q = inf: the largest row l_p' norm, by Hölder: |(Tx)_i|
+      <= ||row_i||_p' ||x||_p, with equality at the dual vector of the row.
+      (For p <= 1 column-max comes first, with the same value, the largest
+      |entry|.)
+    - ``sign-enumeration``, real, p >= 1, q = 1, m <= 16: max ||T^T s||_p'
+      over s in {-1, 1}^m with s_1 = +1.  By duality ||y||_1 = max_s s^T y,
+      so ||T|| = max_s sup_x (T^T s)^T x = max_s ||T^T s||_p', and s and -s
+      give the same value.
+    - ``vertex-enumeration``, real, p = inf, q >= 1, n <= 16: max ||Ts||_q
+      over the same half of the vertices.  x -> ||Tx||_q is convex for
+      q >= 1, so its maximum over the cube is at a vertex (for q < 1 it is
+      not convex, and the vertices can miss the maximum).
+    - ``power-method``, every other p >= 1, q >= 1: ``_power_method``, a
+      certified lower (the norm of a point of the unit sphere) with no upper
+      side.  The p -> q norm is NP-hard in general (Hendrickx and
+      Olshevsky, SIAM J. Matrix Anal. Appl. 31, 2010).
+    - ``sampled-ascent``, q < min(1, p), where the duality argument fails:
+      ``_sampled_ascent``, a certified lower with no upper side.
+
+    The exact paths are point brackets of kind ``exact``; they scale a norm
+    whose powers overflow, so a finite value keeps its bits.
 
     ``stop`` is for callers that only ask whether the norm is below a
-    threshold.  The sampled ascent returns as soon as its running maximum
-    reaches ``stop``, with a value that is >= stop and <= the full value; a
-    full value below ``stop`` comes back as the same float.  So ``v < stop``
-    has the same answer with and without the stop, and a value that passes
-    it is the full value.  The ascent seeds its own generator from
+    threshold.  The two non-exact paths return as soon as their running
+    maximum reaches ``stop``, with a value that is >= stop and <= the full
+    value; a full value below ``stop`` comes back as the same float.  So
+    ``v < stop`` has the same answer with and without the stop, and a value
+    that passes it is the full value.  Both seed their own generator from
     ``(seed, matrix)``, so stopping early changes no other call's draws.
     The exact paths ignore ``stop``.
     """
     M = T.matrix
     p, q = T.domain.p, T.codomain.p
-    n = T.domain.n
+    m, n = M.shape
+    real = T.field == REAL
 
     if is_identity(M):
         value = float(n) ** max(0.0, inv_exponent(q) - inv_exponent(p))
         return Bracket.point(value, EXACT, "identity-formula")
-    if p <= 1.0 and q >= 1.0:
-        value = float(_norm_rows(M.T, q).max()) if n else 0.0
-        return Bracket.point(value, EXACT, "column-max")
+    if p <= min(1.0, q):
+        return Bracket.point(float(_scaled_norm_rows(M.T, q).max()), EXACT, "column-max")
     if p == 2.0 and q == 2.0:
-        s = singular_values(T)
-        return Bracket.point(float(s[0]) if s.size else 0.0, EXACT, "svd")
-    value = _sampled_ascent(T, budget, seed, stop)
-    return Bracket(value, None, CERTIFIED, None, "sampled-ascent")
+        return Bracket.point(float(singular_values(T)[0]), EXACT, "svd")
+    if math.isinf(q):
+        value = float(_scaled_norm_rows(M, conjugate_exponent(p)).max())
+        return Bracket.point(value, EXACT, "row-max")
+    if real and p >= 1.0 and q == 1.0 and m <= 16:
+        value = _max_image_norm(_half_cube(m), M.T, conjugate_exponent(p))
+        return Bracket.point(value, EXACT, "sign-enumeration")
+    if real and math.isinf(p) and q >= 1.0 and n <= 16:
+        return Bracket.point(_max_image_norm(_half_cube(n), M, q), EXACT, "vertex-enumeration")
+    if p >= 1.0 and q >= 1.0:
+        return Bracket(_power_method(T, budget, seed, stop), None, CERTIFIED, None,
+                       "power-method")
+    return Bracket(_sampled_ascent(T, budget, seed, stop), None, CERTIFIED, None,
+                   "sampled-ascent")
 
 
 # ---------------------------------------------------------------------------

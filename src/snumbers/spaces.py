@@ -38,6 +38,15 @@ def inv_exponent(p):
     return 0.0 if math.isinf(p) else 1.0 / p
 
 
+def conjugate_exponent(p):
+    """Hölder conjugate, with p' = inf for 0 < p <= 1 and inf' = 1."""
+    if math.isinf(p):
+        return 1.0
+    if p <= 1.0:
+        return math.inf
+    return p / (p - 1.0)
+
+
 def _check_exponent(p, name="p"):
     if not (isinstance(p, (int, float)) and not math.isnan(p) and p > 0):
         raise ValueError(f"{name} must be a positive number or inf, got {p!r}")

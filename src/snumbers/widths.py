@@ -44,6 +44,7 @@ from .spaces import (
     COMPLEX,
     REAL,
     _distance_start,
+    conjugate_exponent,
     dist_to_subspace,
     inv_exponent,
     quasi_constant,
@@ -80,15 +81,6 @@ class SNumberSeq:
         if k > self.values.size:
             return 0.0
         return float(self.values[k - 1])
-
-
-def conjugate_exponent(p):
-    """Hölder conjugate, with p' = inf for 0 < p <= 1 and inf' = 1."""
-    if math.isinf(p):
-        return 1.0
-    if p <= 1.0:
-        return math.inf
-    return p / (p - 1.0)
 
 
 def hilbert_s_numbers(T):
@@ -249,18 +241,20 @@ def approx_upper_search(T, k, budget=2000, seed=0):
     S = 0, and the result is ``op_norm(T, seed=seed)``'s lower, the value
     ``kolmogorov_upper_search`` gives at k = 1 (a_1 = d_1 = ||T||).
 
-    The search is a branch and bound over the sampled-ascent residual
-    norms: a candidate is only asked whether it beats the best value so
-    far, so its norm is evaluated with that threshold as op_norm's
-    ``stop``: ``best`` for the restarts, which keep ``v < best``, and
-    ``best - 1e-15`` for the descent, which keeps ``v < best - 1e-15``.
-    The truncation candidate, which sets the first best, gets no stop.  A
-    candidate that is kept had a full norm below its stop, so its ascent
-    ran in full and gave the same float; one that was stopped returned a
-    value at or above the stop, so it is rejected as its full norm would
-    have been.  Each ascent seeds its own generator from the residual
-    matrix, so stopping one early changes no other draw, and the result is
-    the same float as with every norm evaluated in full.
+    The search is a branch and bound over the residual norms that op_norm
+    cannot give exactly, those of its two non-exact paths (``power-method``
+    for p, q >= 1 and ``sampled-ascent`` for q < min(1, p)): a candidate is
+    only asked whether it beats the best value so far, so its norm is
+    evaluated with that threshold as op_norm's ``stop``: ``best`` for the
+    restarts, which keep ``v < best``, and ``best - 1e-15`` for the
+    descent, which keeps ``v < best - 1e-15``.  The truncation candidate,
+    which sets the first best, gets no stop.  A candidate that is kept had
+    a full norm below its stop, so its path ran in full and gave the same
+    float; one that was stopped returned a value at or above the stop, so
+    it is rejected as its full norm would have been.  Each path seeds its
+    own generator from the residual matrix, so stopping one early changes
+    no other draw, and the result is the same float as with every norm
+    evaluated in full.  The exact paths ignore the stop.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -1,9 +1,14 @@
 """Operators between l_p spaces: construction, norms, file IO."""
 
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snumbers import operators
 from snumbers.operators import (
@@ -116,12 +121,15 @@ def test_hilbert_norm_is_sigma1():
 
 
 def test_sampled_ascent_path():
-    T = diagonal_operator([2.0, 1.0], p=4.0, q=4.0)
-    r = op_norm(T, budget=800, seed=0)
-    assert not r.exact and r.method == "sampled-ascent"
     # diagonal maps on matching exponents have norm max |d_i|, attained at e_1,
-    # which sits in the ascent's candidate set
+    # which sits in the candidate set of both non-exact paths
+    r = op_norm(diagonal_operator([2.0, 1.0], p=4.0, q=4.0), budget=800, seed=0)
+    assert not r.exact and r.method == "power-method"
     assert r.lower == pytest.approx(2.0, rel=1e-9)
+    # a map with one nonzero column has norm ||column||_q at e_1, for q < 1 too
+    r = op_norm(operator(np.array([[2.0, 0.0], [1.0, 0.0]]), 1.5, 0.7), budget=800, seed=0)
+    assert not r.exact and r.method == "sampled-ascent"
+    assert r.lower == pytest.approx((2.0**0.7 + 1.0) ** (1.0 / 0.7), rel=1e-9)
 
 
 def test_sampled_ascent_never_exceeds_truth():
@@ -129,29 +137,43 @@ def test_sampled_ascent_never_exceeds_truth():
     M = np.array([[1.0, -2.0], [0.5, 1.5], [2.0, 0.0]])
     exact = op_norm(operator(M, 1.0, 2.0)).lower
     est = op_norm(operator(M, 1.0, 2.0), budget=500)  # column-max path
-    sampled = op_norm(operator(M, 0.7, 1.3), budget=2000, seed=1)
     assert est.lower == pytest.approx(exact)
-    assert sampled.lower <= op_norm(operator(M, 0.7, 1.3), budget=8000, seed=2).lower + 1e-9
+    # a diagonal map l_p -> l_q with q < p has norm ||d||_s, 1/s = 1/q - 1/p
+    # (Hoelder on |d_i|^q |x_i|^q with exponent p/q); both non-exact paths
+    # stay below it, and the power method reaches it
+    d = np.array([2.0, -1.0, 0.5])
+    for p, q, method in [(1.5, 0.7, "sampled-ascent"), (3.0, 1.5, "power-method")]:
+        s = 1.0 / (1.0 / q - 1.0 / p)
+        truth = float((np.abs(d) ** s).sum() ** (1.0 / s))
+        r = op_norm(diagonal_operator(d, p, q), budget=2000, seed=1)
+        assert r.method == method
+        assert r.lower <= truth * (1.0 + 1e-12)
+        if method == "power-method":
+            assert r.lower == pytest.approx(truth, rel=1e-9)
 
 
 @pytest.mark.parametrize("field, p, q", [
     (REAL, 2.0, 1.0), (REAL, math.inf, 0.5), (REAL, 1.5, 0.7), (COMPLEX, 3.0, 1.5),
 ])
 def test_sampled_ascent_stop_contract(field, p, q):
-    # a full value below the stop comes back unchanged; otherwise the ascent
-    # may return early, with a value between the stop and the full value
+    # on both non-exact paths: a full value below the stop comes back
+    # unchanged; otherwise the path may return early, with a value between
+    # the stop and the full value
+    method = "sampled-ascent" if q < min(1.0, p) else "power-method"
+    # a real l_p -> l_1 norm on more than 16 rows is past the sign enumeration
+    m = 17 if (field, q) == (REAL, 1.0) else 4
     for seed in range(3):
         rng = np.random.default_rng(40 + seed)
-        M = rng.standard_normal((4, 3))
+        M = rng.standard_normal((m, 3))
         if field == COMPLEX:
-            M = M + 1j * rng.standard_normal((4, 3))
+            M = M + 1j * rng.standard_normal((m, 3))
         T = operator(M, p, q, field=field)
         full = op_norm(T, budget=600, seed=seed)
         assert op_norm(T, budget=600, seed=seed, stop=math.inf) == full
         for factor in (-1.0, 0.0, 0.5, 0.9, 0.99, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0):
             stop = full.lower * factor
             r = op_norm(T, budget=600, seed=seed, stop=stop)
-            assert (r.exact, r.method) == (False, "sampled-ascent")
+            assert (r.exact, r.method) == (False, method)
             if full.lower < stop:
                 assert r.lower == full.lower
             else:
@@ -159,7 +181,8 @@ def test_sampled_ascent_stop_contract(field, p, q):
 
 
 def test_sampled_ascent_stops_before_climbing_once_the_samples_reach_the_stop(monkeypatch):
-    # no climb step is taken when the sample phase already reaches the stop
+    # on both non-exact paths, no climb step is taken when the sample phase
+    # already reaches the stop
     steps = []
     norm_function = operators._abs_norm_function
 
@@ -173,24 +196,116 @@ def test_sampled_ascent_stops_before_climbing_once_the_samples_reach_the_stop(mo
         return counted
 
     monkeypatch.setattr(operators, "_abs_norm_function", counting_norm_function)
-    T = operator(np.arange(1.0, 7.0).reshape(2, 3), 2.0, 1.0)
-    full = op_norm(T, budget=600, seed=0).lower
-    assert steps
-    steps.clear()
-    assert op_norm(T, budget=600, seed=0, stop=0.0).lower <= full
-    assert not steps
+    for p, q, method in [(1.5, 0.7, "sampled-ascent"), (3.0, 1.5, "power-method")]:
+        T = operator(np.arange(1.0, 7.0).reshape(2, 3), p, q)
+        full = op_norm(T, budget=600, seed=0)
+        assert full.method == method
+        assert steps
+        steps.clear()
+        assert op_norm(T, budget=600, seed=0, stop=0.0).lower <= full.lower
+        assert not steps
 
 
 @pytest.mark.parametrize("T", [
     identity_operator(3, 2.0, 1.0),  # identity-formula
     operator(np.arange(1.0, 7.0).reshape(2, 3), 1.0, 2.0),  # column-max
     operator(np.arange(1.0, 7.0).reshape(2, 3), 2.0, 2.0),  # svd
+    operator(np.arange(1.0, 7.0).reshape(2, 3), 3.0, math.inf),  # row-max
+    operator(np.arange(1.0, 7.0).reshape(2, 3), 2.0, 1.0),  # sign-enumeration
+    operator(np.arange(1.0, 7.0).reshape(2, 3), math.inf, 2.0),  # vertex-enumeration
 ])
 def test_stop_leaves_the_exact_paths_alone(T):
     exact = op_norm(T)
     assert exact.exact
     for stop in (-1.0, 0.0, 0.5 * exact.lower, exact.lower, math.inf):
         assert op_norm(T, stop=stop) == exact
+
+
+def test_column_max_covers_p_at_most_q_below_one():
+    # ||.||_q^q is subadditive and ||x||_q <= ||x||_p, so no point of the
+    # sphere beats the best column
+    M = np.array([[1.0, -2.0], [0.5, 1.5], [2.0, 0.0]])
+    T = operator(M, 0.5, 0.7)
+    r = op_norm(T)
+    assert r.exact and r.method == "column-max"
+    assert r.lower == pytest.approx(max(lp_norm(c, 0.7) for c in M.T), rel=1e-15)
+    X = sample_sphere(np.random.default_rng(0), 2, 0.5, REAL, size=500)
+    assert max(lp_norm(M @ x, 0.7) for x in X) <= r.lower * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_row_max_norm_is_attained_at_the_dual_vector_of_the_best_row(field):
+    rng = np.random.default_rng(6)
+    M = rng.standard_normal((3, 4))
+    if field == COMPLEX:
+        M = M + 1j * rng.standard_normal((3, 4))
+    r = op_norm(operator(M, 3.0, math.inf))
+    assert r.exact and r.method == "row-max"
+    row = M[np.argmax([lp_norm(a, 1.5) for a in M])]
+    # Hoelder's equality case: x_j = conj(sgn a_j) |a_j|^(p'-1), p' = 3/2
+    x = np.conj(row / np.abs(row)) * np.abs(row) ** 0.5
+    x /= lp_norm(x, 3.0)
+    assert lp_norm(M @ x, math.inf) == pytest.approx(r.lower, rel=1e-12)
+    X = sample_sphere(rng, 4, 3.0, field, size=500)
+    assert max(lp_norm(M @ x, math.inf) for x in X) <= r.lower * (1.0 + 1e-12)
+
+
+def test_enumerations_stop_at_16_dimensions():
+    assert op_norm(operator(np.ones((16, 2)), 2.0, 1.0)).method == "sign-enumeration"
+    assert op_norm(operator(np.ones((17, 2)), 2.0, 1.0)).method == "power-method"
+    assert op_norm(operator(np.ones((2, 16)), math.inf, 2.0)).method == "vertex-enumeration"
+    assert op_norm(operator(np.ones((2, 17)), math.inf, 2.0)).method == "power-method"
+    # the enumerations need real scalars: a complex cube has no finite vertex set
+    assert op_norm(operator(np.ones((2, 2)) * 1j, 2.0, 1.0)).method == "power-method"
+    assert op_norm(operator(np.ones((2, 2)) * 1j, math.inf, 2.0)).method == "power-method"
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(1, 6), n=st.integers(1, 6), p=st.sampled_from([1.5, 2.0, 3.0, math.inf]),
+       q=st.sampled_from([1.0, 1.2, 2.0, 4.0]), seed=st.integers(0, 2**16))
+def test_enumerations_match_the_oracle_and_bound_the_non_exact_paths(m, n, p, q, seed):
+    # the two enumerations against every sign vector, and the power method and
+    # the ascent, called directly on the same instances, never above them
+    M = np.random.default_rng(seed).standard_normal((m, n))
+    cases = [(operator(M, p, 1.0), oracles.norm_to_l1(M, p), "sign-enumeration"),
+             (operator(M, math.inf, q), oracles.norm_from_linf(M, q),
+              "sign-enumeration" if q == 1.0 else "vertex-enumeration")]
+    for T, exact, method in cases:
+        r = op_norm(T)
+        assert r.exact and r.method == method
+        assert r.lower == pytest.approx(exact, rel=1e-12)
+        assert operators._power_method(T, 600, seed, math.inf) <= exact * (1.0 + 1e-12)
+        assert operators._sampled_ascent(T, 600, seed, math.inf) <= exact * (1.0 + 1e-12)
+
+
+def test_readme_matrix_norm_from_l2_to_l1_is_exact():
+    T = load_operator(Path(__file__).parent / "golden" / "matrix.csv", 2.0, 1.0)
+    r = op_norm(T)
+    assert r.exact and r.method == "sign-enumeration"
+    assert r.lower == pytest.approx(7.088723439378913, rel=1e-12)
+    assert r.lower == pytest.approx(oracles.norm_to_l1(T.matrix, 2.0), rel=1e-12)
+
+
+def test_norms_of_huge_matrices_are_finite_and_warn_of_nothing():
+    # l_q powers of 1e200 entries overflow; each path rescales such a norm
+    rng = np.random.default_rng(4)
+    G = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    R = np.random.default_rng(5).standard_normal((3, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = op_norm(operator(1e200 * G, 2.0, 3.0))
+        rows = op_norm(operator(1e200 * R, 3.0, math.inf))
+        signs = op_norm(operator(1e200 * R, 2.0, 1.0))
+    assert huge.method == "power-method"
+    # ||y||_3 <= ||y||_2, so sigma_1 bounds the norm; the unit vectors are sampled
+    sigma1 = np.linalg.svd(1e200 * G, compute_uv=False)[0]
+    assert 1e200 * max(lp_norm(c, 3.0) for c in G.T) <= huge.lower * (1.0 + 1e-12)
+    assert huge.lower <= sigma1 * (1.0 + 1e-12)
+    assert huge.lower == pytest.approx(1e200 * op_norm(operator(G, 2.0, 3.0)).lower, rel=1e-9)
+    for r, (p, q), method in [(rows, (3.0, math.inf), "row-max"),
+                              (signs, (2.0, 1.0), "sign-enumeration")]:
+        assert r.method == method
+        assert r.lower == pytest.approx(1e200 * op_norm(operator(R, p, q)).lower, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -254,19 +369,26 @@ def test_bracket_is_exact_iff_both_kinds_are_exact():
 
 
 def test_op_norm_brackets_name_their_kinds():
+    M = np.arange(1.0, 7.0).reshape(2, 3)
     exact_paths = [
         (identity_operator(3, 2.0, 1.0), "identity-formula"),
-        (operator(np.arange(1.0, 7.0).reshape(2, 3), 1.0, 2.0), "column-max"),
-        (operator(np.arange(1.0, 7.0).reshape(2, 3), 2.0, 2.0), "svd"),
+        (operator(M, 1.0, 2.0), "column-max"),
+        (operator(M, 0.5, 0.7), "column-max"),
+        (operator(M, 2.0, 2.0), "svd"),
+        (operator(M, 3.0, math.inf), "row-max"),
+        (operator(M, 2.0, 1.0), "sign-enumeration"),
+        (operator(M, math.inf, 2.0), "vertex-enumeration"),
     ]
     for T, method in exact_paths:
         r = op_norm(T)
         assert (r.lower_kind, r.upper_kind, r.method) == (EXACT, EXACT, method)
         assert r.lower == r.upper
-    # the sampled ascent is the norm of a unit vector's image: a certified lower
-    r = op_norm(operator(np.arange(1.0, 7.0).reshape(2, 3), 2.0, 1.0), budget=200)
-    assert (r.lower_kind, r.upper, r.upper_kind) == (CERTIFIED, None, None)
-    assert r.method == "sampled-ascent"
+    # each non-exact path gives the norm of a unit vector's image: a certified lower
+    for p, q, method in [(3.0, 1.5, "power-method"), (1.5, 0.7, "sampled-ascent"),
+                         (math.inf, 0.5, "sampled-ascent")]:
+        r = op_norm(operator(M, p, q), budget=200)
+        assert (r.lower_kind, r.upper, r.upper_kind) == (CERTIFIED, None, None)
+        assert r.method == method
 
 
 def test_realify_doubles_singular_values():
