@@ -277,8 +277,9 @@ def _sampled_ascent(T, budget, seed, stop):
     call (``_abs_norm_function``: lp_norm's arithmetic, the same floats).
     """
     M = T.matrix
+    p, q = T.domain.p, T.codomain.p
     n = T.domain.n
-    norm_p, norm_q = _abs_norm_function(T.domain.p), _abs_norm_function(T.codomain.p)
+    norm_p, norm_q = _abs_norm_function(p), _abs_norm_function(q)
     rng, X, vals, order = _sample_phase(T, budget, seed)
     best = float(vals[order[0]])
     if best >= stop:
@@ -351,8 +352,9 @@ def _power_method(T, budget, seed, stop):
     """
     M = T.matrix
     MH = M.conj().T
-    q, dual_p = T.codomain.p, conjugate_exponent(T.domain.p)
-    norm_p, norm_q = _abs_norm_function(T.domain.p), _abs_norm_function(q)
+    p, q = T.domain.p, T.codomain.p
+    norm_p, norm_q = _abs_norm_function(p), _abs_norm_function(q)
+    dual_p = conjugate_exponent(p)
     _, X, vals, order = _sample_phase(T, budget, seed)
     best = float(vals[order[0]])
     if best >= stop:

@@ -139,7 +139,7 @@ def test_sampled_ascent_never_exceeds_truth():
     est = op_norm(operator(M, 1.0, 2.0), budget=500)  # column-max path
     assert est.lower == pytest.approx(exact)
     # a diagonal map l_p -> l_q with q < p has norm ||d||_s, 1/s = 1/q - 1/p
-    # (Hoelder on |d_i|^q |x_i|^q with exponent p/q); both non-exact paths
+    # (Hölder on |d_i|^q |x_i|^q with exponent p/q); both non-exact paths
     # stay below it, and the power method reaches it
     d = np.array([2.0, -1.0, 0.5])
     for p, q, method in [(1.5, 0.7, "sampled-ascent"), (3.0, 1.5, "power-method")]:
@@ -242,7 +242,7 @@ def test_row_max_norm_is_attained_at_the_dual_vector_of_the_best_row(field):
     r = op_norm(operator(M, 3.0, math.inf))
     assert r.exact and r.method == "row-max"
     row = M[np.argmax([lp_norm(a, 1.5) for a in M])]
-    # Hoelder's equality case: x_j = conj(sgn a_j) |a_j|^(p'-1), p' = 3/2
+    # Hölder's equality case: x_j = conj(sgn a_j) |a_j|^(p'-1), p' = 3/2
     x = np.conj(row / np.abs(row)) * np.abs(row) ** 0.5
     x /= lp_norm(x, 3.0)
     assert lp_norm(M @ x, math.inf) == pytest.approx(r.lower, rel=1e-12)

@@ -346,9 +346,9 @@ def _unbounded_approx_search(T, k, budget, seed):
     return float(best)
 
 
-# every kind of (p, q) pair whose residual norms took the sampled ascent before
-# the power method and the exact row, sign and vertex paths: both fields reach
-# both non-exact paths, and real (2, 1), (inf, 2) and (2, inf) are exact
+# the (p, q) pairs of the search test: both fields reach both non-exact paths
+# (power method and sampled ascent), while real (2, 1) and (inf, 2), and
+# (2, inf) in either field, take exact paths
 SAMPLED_PAIRS = [(2.0, 1.0), (2.0, 3.0), (3.0, 1.5), (INF, 2.0), (2.0, INF), (1.5, 0.7),
                  (0.5, 0.3), (INF, 0.5)]
 
