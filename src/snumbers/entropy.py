@@ -137,6 +137,43 @@ def _dist_cols(cols, c, q):
     return total
 
 
+def _cloud_scale(points, q):
+    """1.0, or a power of two s such that ``_dist_cols`` on points / s stays
+    finite: one check per cloud, on its largest modulus M.
+
+    _dist_cols takes the moduli of coordinate differences (at most 2M), their
+    q-th powers, an n-term sum and its 1/q-th power.  The largest of these
+    is below 2^1020 when log2(2M / s) is at most 1020 for q = inf,
+    (1020 - log2 n) / q for q >= 1, and 1020 - log2(n) / q for q < 1.
+    Dividing by a power of two is exact (up to underflow of entries below
+    2^-1022 s, which only lowers the distances they are part of), so the
+    radii and gaps of the scaled cloud, times s, are those of the cloud,
+    and a cloud that needs no scaling keeps every bit.
+    """
+    top = float(np.abs(points).max(initial=0.0))
+    if not 0.0 < top < math.inf:
+        return 1.0
+    log2_n = math.log2(points.shape[1])
+    if math.isinf(q):
+        room = 1020.0
+    elif q >= 1.0:
+        room = (1020.0 - log2_n) / q
+    else:
+        room = 1020.0 - log2_n / q
+    shift = math.ceil(math.log2(top) + 1.0 - room)
+    return math.ldexp(1.0, shift) if shift > 0 else 1.0
+
+
+def _scaled_back(values, scale):
+    """Radii or gaps of a cloud divided by ``scale``, times ``scale``; raises
+    ValueError when one of them overflows a float, as the traversal does."""
+    with np.errstate(over="ignore"):
+        out = np.asarray(values, dtype=float) * scale
+    if not np.all(out < math.inf):
+        raise ValueError(f"image-cloud distances overflow a float (gap {float(out.max())})")
+    return out
+
+
 def image_cloud(T, size, seed):
     """Certified points of T(B_X): images of signed unit vectors plus samples.
 
@@ -366,9 +403,11 @@ def entropy_upper_cover_sequence(T, k_max, cloud=1024, seed=0):
         raise ValueError(f"cloud size {cloud} is below 2^(k-1) = {need}")
     q = T.codomain.p
     pts = image_cloud(T, cloud, seed)
-    radii = _cover_radii_doubling(pts, k_max, q)
-    delta = max_nn_gap(pts, q)
-    return [BoundPair(k=k, upper=radii[k - 1], delta=delta) for k in range(1, k_max + 1)]
+    scale = _cloud_scale(pts, q)
+    pts = pts / scale
+    radii = _scaled_back(_cover_radii_doubling(pts, k_max, q), scale)
+    delta = float(_scaled_back(max_nn_gap(pts, q), scale))
+    return [BoundPair(k=k, upper=float(radii[k - 1]), delta=delta) for k in range(1, k_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +420,18 @@ def _qbar(q):
 
 
 def _packing_traversal(T, budget, seed):
-    """Traversal of T's cloud from its largest-norm point, kept on T (its matrix is read-only)."""
+    """Traversal of T's cloud from its largest-norm point, kept on T (its
+    matrix is read-only), and the ``_cloud_scale`` its cloud was divided by."""
     key = ("packing", budget, seed)
-    trav = T._memo.get(key)
-    if trav is None:
+    if key not in T._memo:
         q = T.codomain.p
         pts = image_cloud(T, budget, seed)
+        scale = _cloud_scale(pts, q)
+        pts = pts / scale
         with np.errstate(over="ignore"):
             start = int(np.argmax(_norm_rows(pts, q)))
-        trav = T._memo[key] = _FarthestPoints(np.ascontiguousarray(pts.T), start, q)
-    return trav
+        T._memo[key] = _FarthestPoints(np.ascontiguousarray(pts.T), start, q), scale
+    return T._memo[key]
 
 
 def entropy_lower_pack_sequence(T, k_max, budget=512, seed=0):
@@ -417,11 +458,11 @@ def entropy_lower_pack_sequence(T, k_max, budget=512, seed=0):
         raise ValueError("k_max must be >= 1")
     q = T.codomain.p
     need = 2 ** (k_max - 1)
-    trav = _packing_traversal(T, budget, seed)
+    trav, scale = _packing_traversal(T, budget, seed)
     trav.extend(need)
-    insert_dists = trav.gaps[:need]
+    insert_dists = _scaled_back(trav.gaps[:need], scale)
     # separation of the first (i+2) points = min of the first (i+1) insertions
-    prefix_sep = np.minimum.accumulate(insert_dists) if insert_dists else np.array([])
+    prefix_sep = np.minimum.accumulate(insert_dists)
 
     denom = 2.0 ** (1.0 / _qbar(q))
     out = []

@@ -28,6 +28,7 @@ from .spaces import (
     REAL,
     SpaceSpec,
     _abs_norm_function,
+    _dual,
     conjugate_exponent,
     inv_exponent,
     sample_sphere,
@@ -249,16 +250,38 @@ def _unit_directions(n, field):
     return np.vstack(dirs)
 
 
-def _sample_phase(T, budget, seed):
+def _prescaled(path):
+    """A non-exact op_norm path run on M = T.matrix / s, with ``stop`` / s,
+    and its value times s, for a power of two s.
+
+    s is 1 unless the largest modulus of T's matrix times max(m, n) reaches
+    2^1020.  The paths multiply M only by vectors whose entries have modulus
+    at most 1 (sphere points, and duals divided by their largest entry), and
+    M^H likewise, so below that no product overflows, and above it M / s
+    keeps them finite.  Division and multiplication by a power of two are
+    exact, so the value is the norm of T's own matrix; with s = 1 every bit
+    is unchanged.  The path's generator is still seeded from T.matrix.
+    """
+    @functools.wraps(path)
+    def run(T, budget, seed, stop):
+        top = float(np.abs(T.matrix).max(initial=0.0))
+        shift = (math.ceil(math.log2(top) + math.log2(max(T.shape)) - 1020.0)
+                 if 0.0 < top < math.inf else 0)
+        scale = math.ldexp(1.0, shift) if shift > 0 else 1.0
+        return path(T, T.matrix / scale, budget, seed, stop / scale) * scale
+    return run
+
+
+def _sample_phase(T, M, budget, seed):
     """The sampling phase of both non-exact paths: the signed unit vectors
     (and i e_j for complex scalars) and max(16, budget // 2) seeded points of
-    the l_p sphere, with their image norms, sorted best first.  The generator
-    is seeded from ``(seed, matrix)``, so no other call changes its draws;
-    it is returned for the ascent's steps."""
-    M = T.matrix
+    the l_p sphere, with their norms under M (T's matrix, or a ``_prescaled``
+    multiple of it), sorted best first.  The generator is seeded from
+    ``(seed, T.matrix)``, so no other call changes its draws; it is returned
+    for the ascent's steps."""
     n = T.domain.n
     rng = np.random.default_rng(
-        [int(seed) & 0xFFFFFFFF, zlib.crc32(np.ascontiguousarray(M).tobytes())]
+        [int(seed) & 0xFFFFFFFF, zlib.crc32(np.ascontiguousarray(T.matrix).tobytes())]
     )
     X = np.vstack([_unit_directions(n, T.field),
                    sample_sphere(rng, n, T.domain.p, T.field, max(16, budget // 2))])
@@ -266,7 +289,8 @@ def _sample_phase(T, budget, seed):
     return rng, X, vals, np.argsort(vals)[::-1]
 
 
-def _sampled_ascent(T, budget, seed, stop):
+@_prescaled
+def _sampled_ascent(T, M, budget, seed, stop):
     """Seeded lower bound for ||T: l_p -> l_q|| by sampling plus hill climbing.
 
     The value is the running maximum of the sampled norms and of the four
@@ -276,11 +300,10 @@ def _sampled_ascent(T, budget, seed, stop):
     it is the same float as with no stop.  Both norms are resolved once per
     call (``_abs_norm_function``: lp_norm's arithmetic, the same floats).
     """
-    M = T.matrix
     p, q = T.domain.p, T.codomain.p
     n = T.domain.n
     norm_p, norm_q = _abs_norm_function(p), _abs_norm_function(q)
-    rng, X, vals, order = _sample_phase(T, budget, seed)
+    rng, X, vals, order = _sample_phase(T, M, budget, seed)
     best = float(vals[order[0]])
     if best >= stop:
         return best
@@ -311,26 +334,17 @@ def _sampled_ascent(T, budget, seed, stop):
     return best
 
 
-def _dual(y, a, r):
-    """A positive multiple of the vector z with z^H y = ||z||_r' ||y||_r,
-    Hölder's equality case for 1 <= r < inf: z_i = |y_i|^(r-1) y_i / |y_i|
-    (0 where y_i = 0), given the moduli a = |y|.  They are divided by the
-    largest first, so no power overflows."""
-    top = a.max()
-    if top == 0.0:
-        return y
-    return y / (a + (a == 0.0)) * (a / top) ** (r - 1.0)
-
-
-def _power_method(T, budget, seed, stop):
+@_prescaled
+def _power_method(T, M, budget, seed, stop):
     """Certified lower for ||T: l_p -> l_q||, p, q >= 1, by Boyd's nonlinear
     power method (Boyd, Linear Algebra Appl. 9, 1974).
 
     The sampling phase is the ascent's (``_sample_phase``).  From the four
     best samples and from the top right singular vector, each normalised in
     l_p, the iteration is x <- dual_p'(A^H dual_q(A x)), normalised in l_p.
-    A^H is the conjugate transpose, and dual_r(y) is the z of ``_dual``
-    scaled to ||z||_r' = 1, so that z^H y = sum_i conj(z_i) y_i = ||y||_r.
+    A^H is the conjugate transpose, and dual_r(y) is the z of
+    ``spaces._dual`` scaled to ||z||_r' = 1, so that z^H y = sum_i
+    conj(z_i) y_i = ||y||_r.
     With z = dual_q(A x_k) and w = A^H z, Hölder gives
 
         ||A x_k||_q = z^H A x_k = w^H x_k <= ||w||_p'
@@ -350,12 +364,11 @@ def _power_method(T, budget, seed, stop):
     same float.  A norm whose powers overflow is recomputed by
     ``_rescaled``; a finite one keeps its bits.
     """
-    M = T.matrix
     MH = M.conj().T
     p, q = T.domain.p, T.codomain.p
     norm_p, norm_q = _abs_norm_function(p), _abs_norm_function(q)
     dual_p = conjugate_exponent(p)
-    _, X, vals, order = _sample_phase(T, budget, seed)
+    _, X, vals, order = _sample_phase(T, M, budget, seed)
     best = float(vals[order[0]])
     if best >= stop:
         return best

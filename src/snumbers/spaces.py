@@ -332,14 +332,16 @@ def _arrangement_vertex_min(x, B, q):
     """Best l_q residual over vertices of the arrangement {x_i = (Bc)_i}.
 
     B must have full column rank.  Each vertex solves an m x m subsystem
-    (m = subspace dimension), one per nonsingular choice of m rows.  The
-    solved rows count as exactly 0, as they are at the vertex itself: their
-    rounding residue (about 1e-16) would otherwise add |1e-16|^q, which is
-    1e-8 at q = 1/2.
+    (m = subspace dimension), one per nonsingular choice of m rows, for at
+    most MAX_VERTEX_SYSTEMS choices.  The solved rows count as exactly 0, as
+    they are at the vertex itself: their rounding residue (about 1e-16)
+    would otherwise add |1e-16|^q, which is 1e-8 at q = 1/2.  Returns the
+    value and the residual of the best vertex, or (inf, None) when every
+    subsystem is singular.
     """
     n, m = B.shape
-    best = math.inf
-    for rows in itertools.combinations(range(n), m):
+    best, best_r = math.inf, None
+    for rows in itertools.islice(itertools.combinations(range(n), m), MAX_VERTEX_SYSTEMS):
         rows = list(rows)
         try:
             c = np.linalg.solve(B[rows], x[rows])
@@ -347,8 +349,274 @@ def _arrangement_vertex_min(x, B, q):
             continue
         r = x - B @ c
         r[rows] = 0.0
-        best = min(best, lp_norm(r, q))
-    return best
+        value = lp_norm(r, q)
+        if value < best:
+            best, best_r = value, r
+    return best, best_r
+
+
+def _dual(y, a, r):
+    """A positive multiple of the vector z with z^H y = ||z||_r' ||y||_r,
+    Hölder's equality case for 1 <= r < inf: z_i = |y_i|^(r-1) y_i / |y_i|
+    (0 where y_i = 0), given the moduli a = |y|.  They are divided by the
+    largest first, so no power overflows."""
+    top = a.max()
+    if top == 0.0:
+        return y
+    return y / (a + (a == 0.0)) * (a / top) ** (r - 1.0)
+
+
+# a complex 1 <= q < inf distance is accepted when its certified relative gap
+# is at most this; otherwise the Nelder-Mead descent runs as well
+CERTIFIED_GAP = 1e-9
+_WEISZFELD_STEPS = 4
+_NEWTON_STEPS = 60
+# the q = 1 smoothing mu is max |r| times 10^-s for these s, in turn
+_SMOOTHING = (1, 3, 5, 7, 9, 11)
+
+
+def _orthonormal_span(B):
+    """Orthonormal columns Q spanning span(B), by the SVD.  Singular values
+    up to max(n, m) eps sigma_1 count as rounding, the rank rule of lstsq,
+    so a rank-deficient B gives fewer columns (none for B = 0)."""
+    U, s, _ = np.linalg.svd(B, full_matrices=False)
+    if not s.size or s[0] == 0.0:
+        return U[:, :0]
+    return U[:, : int((s > max(B.shape) * np.finfo(float).eps * s[0]).sum())]
+
+
+def _dual_lower(x, Q, y, q):
+    """Certified lower bound on dist(x, span Q) in l_q, 1 <= q < inf, from y.
+
+    Hahn-Banach (Singer, Best Approximation in Normed Linear Spaces, 1970):
+    for y with Q^H y = 0, every v in span Q gives y^H (x - v) = y^H x, so
+    by Hölder dist(x, span Q) >= |y^H x| / ||y||_q'.  Here y is first
+    projected, y <- y - Q (Q^H y), and the leftover e = Q^H y of that
+    projection (rounding, for an orthonormal Q) is paid for: the nearest
+    point v* = Q w has ||x - v*||_q <= ||x||_q (v = 0 is a candidate), so
+    ||v*||_q <= 2 ||x||_q and ||w||_2 = ||v*||_2 <= n^max(0, 1/2 - 1/q)
+    ||v*||_q, and |y^H v*| = |e^H w| <= ||e||_2 ||w||_2.  Hence
+
+        dist >= (|y^H x| - 2 n^max(0, 1/2 - 1/q) ||x||_q ||e||_2) / ||y||_q',
+
+    clipped at 0.  It holds up to the rounding of these sums, a relative
+    error of a few n eps, and of Q's orthonormality.
+    """
+    y = y - Q @ (Q.conj().T @ y)
+    a = np.abs(y)
+    top = a.max()
+    if top == 0.0:
+        return 0.0
+    n = x.size
+    margin = 2.0 * n ** max(0.0, 0.5 - 1.0 / q) * lp_norm(x, q) * np.linalg.norm(Q.conj().T @ y)
+    dual_norm = top * _abs_norm_function(conjugate_exponent(q))(a / top)
+    return max(0.0, (abs(np.vdot(y, x)) - margin) / dual_norm)
+
+
+def _filled_sign_dual(Q, r):
+    """The q = 1 dual of a residual r: r_i / |r_i| where r_i != 0, and on the
+    coordinates Z where r vanishes the least-squares solution of
+    Q_Z^H y_Z = -Q_~Z^H y_~Z, so that Q^H y = 0 when that system is solvable."""
+    a = np.abs(r)
+    y = _dual(r, a, 1.0).copy()
+    zero = a == 0.0
+    if zero.any():
+        y[zero] = np.linalg.lstsq(Q[zero].conj().T, -(Q[~zero].conj().T @ y[~zero]),
+                                  rcond=None)[0]
+    return y
+
+
+def _damped_newton(step_at, z, size):
+    """Damped Newton iterations from z; returns (z, step_at(z)).
+
+    step_at(z) is (objective, Newton step) or None where no step is defined.
+    A step is halved until the objective falls.  The full step is also
+    taken when it raises the objective by rounding only (1e-14 relative)
+    but shortens the next step: near the optimum the objective is flat to
+    within rounding while the gradient, which the duality certificate
+    depends on to first order, still falls quadratically.  The iteration
+    ends after _NEWTON_STEPS steps, after a step of at most 1e-15 |z|, or
+    when neither rule accepts a step of at least 2^-20 of the full one.
+    """
+    cur = step_at(z)
+    for _ in range(_NEWTON_STEPS):
+        if cur is None or not size(cur[1]) > 0.0:
+            break
+        f, step = cur
+        t = 1.0
+        while t >= 2.0**-20:
+            new = step_at(z + t * step)
+            if new is not None and (new[0] < f or (t == 1.0 and new[0] <= f * (1.0 + 1e-14)
+                                                   and size(new[1]) < size(step))):
+                break
+            t *= 0.5
+        else:
+            break
+        z, cur = z + t * step, new
+        if size(t * step) <= 1e-15 * size(z):
+            break
+    return z, cur
+
+
+def _weber_distance(x, Q, q):
+    """min_c ||x - c u||_1 over complex c for the one unit column u of Q, at
+    q = 1; returns (value, y).
+
+    With a_i = x_i / u_i and w_i = |u_i| on the coordinates where u_i != 0,
+    the objective is the weighted Fermat-Weber sum sum_i w_i |a_i - c| in
+    the plane, plus the constant sum of the other |x_i|.  An anchor a_k is
+    optimal iff |sum_{a_i != a_k} w_i (a_k - a_i) / |a_k - a_i|| is at most
+    the weight sum_{a_i = a_k} w_i (the subgradient condition), and if any
+    anchor is optimal, the one of least objective is; its coincident
+    residuals count as exactly 0.  Otherwise the optimum is interior, where
+    the objective is smooth: Weiszfeld steps from the least-squares c, then
+    ``_damped_newton`` in R^2 with the Hessian sum_i w_i (I - e_i e_i^T) /
+    |c - a_i|, e_i the unit vector along c - a_i.  y is the residual's
+    q = 1 dual (``_filled_sign_dual``), the certificate of ``_dual_lower``.
+    """
+    u = Q[:, 0]
+    on = u != 0.0
+    w = np.abs(u[on])
+    a = x[on] / u[on]
+    # the objective at every anchor, 256 anchors at a time to bound memory
+    k = int(np.argmin(np.concatenate([np.abs(a[i:i + 256, None] - a) @ w
+                                      for i in range(0, a.size, 256)])))
+    gap = a[k] - a
+    dist = np.abs(gap)
+    same = dist == 0.0
+    pull = (w[~same] * gap[~same] / dist[~same]).sum()
+    anchored = abs(pull) <= w[same].sum()
+    if anchored:
+        c = a[k]
+    else:
+        c = np.vdot(u, x)
+        for _ in range(_WEISZFELD_STEPS):
+            d = np.abs(a - c)
+            if not d.all():
+                break
+            c = np.dot(w / d, a) / (w / d).sum()
+
+        def step_at(c):
+            """(objective, Newton step) at c, or None at an anchor."""
+            e = c - a
+            d = np.abs(e)
+            if not d.all():
+                return None
+            e /= d
+            wd = w / d
+            g = np.dot(w, e)
+            hxx, hyy = np.dot(wd, e.imag**2), np.dot(wd, e.real**2)
+            hxy = -np.dot(wd, e.real * e.imag)
+            det = hxx * hyy - hxy * hxy
+            if not det > 0.0:
+                return None
+            return np.dot(w, d), -complex(hyy * g.real - hxy * g.imag,
+                                          hxx * g.imag - hxy * g.real) / det
+
+        c = _damped_newton(step_at, c, abs)[0]
+    r = x - c * u
+    if anchored:
+        r[np.flatnonzero(on)[same]] = 0.0
+    return float(np.abs(r).sum()), _filled_sign_dual(Q, r)
+
+
+def _newton_distance(x, Q, q):
+    """min_c ||x - Q c||_q over complex c for 1 <= q < inf; returns (value, y).
+
+    ``_damped_newton`` on sum_i (|r_i|^2 + mu^2)^(q/2), r = x - Q c, in the
+    2m real coordinates of c, from the least-squares c.  q > 1 takes
+    mu = 0, and y is the Hölder dual of r (``_dual``), which is orthogonal
+    to span Q at the optimum.  At q = 1 the kinks at r_i = 0 are smoothed:
+    mu runs through max |r| 10^-s for s in _SMOOTHING, each stage started
+    from the last.  The residuals the smoothing has pushed below
+    sqrt(mu max |r|) are then taken as vanishing, and y is
+    ``_filled_sign_dual``.  A residual that vanishes exactly (q < 2 at
+    mu = 0) has no finite curvature, and the iteration stops there.
+    """
+    n, m = Q.shape
+    J = np.block([[Q.real, -Q.imag], [Q.imag, Q.real]])
+    xr = np.concatenate([x.real, x.imag])
+    c = Q.conj().T @ x
+    z = np.concatenate([c.real, c.imag])
+
+    def smoothed(z, mu):
+        v = xr - J @ z
+        return v, v[:n] ** 2 + v[n:] ** 2 + mu * mu
+
+    def step_at(z, mu):
+        v, base = smoothed(z, mu)
+        if not base.all() and q < 2.0:
+            return None
+        s = base ** (q / 2.0 - 1.0)
+        grad = -q * (J.T @ (np.concatenate([s, s]) * v))
+        # coordinate i's 2x2 block is q s_i (I + (q - 2) v_i v_i^T / base_i)
+        W = v[:n, None] * J[:n] + v[n:, None] * J[n:]
+        kappa = np.divide(s, base, out=np.zeros(n), where=base > 0.0)
+        H = J.T @ (np.concatenate([s, s])[:, None] * J) + (q - 2.0) * (W.T @ (kappa[:, None] * W))
+        try:
+            return float((base ** (q / 2.0)).sum()), np.linalg.solve(q * H, -grad)
+        except np.linalg.LinAlgError:
+            return None
+
+    top = float(np.sqrt(smoothed(z, 0.0)[1].max()))
+    if top == 0.0:
+        return 0.0, np.zeros_like(x)
+    for mu in [top * 10.0**-s for s in _SMOOTHING] if q == 1.0 else [0.0]:
+        z = _damped_newton(lambda z: step_at(z, mu), z, np.linalg.norm)[0]
+    r = x - Q @ (z[:m] + 1j * z[m:])
+    a = np.abs(r)
+    if q == 1.0:
+        return float(a.sum()), _filled_sign_dual(Q, np.where(a < math.sqrt(mu * top), 0.0, r))
+    return lp_norm(r, q), _dual(r, a, q)
+
+
+def _vertex_anchors(x, Q, q):
+    """The q = 1 anchors where m residuals vanish (``_arrangement_vertex_min``);
+    returns (value, y) as ``_newton_distance`` does."""
+    value, r = _arrangement_vertex_min(x, Q, 1.0)
+    return value, np.zeros_like(x) if r is None else _filled_sign_dual(Q, r)
+
+
+def _convex_complex_distance(x, B, q):
+    """(value, lower) for dist(x, span B) on complex data, 1 <= q < inf.
+
+    ``value`` is the l_q norm of a computed residual x - Q c, so it is at
+    least the distance (up to rounding), and ``lower`` is ``_dual_lower``'s
+    certified bound.  x is first divided by a power of two near its largest
+    modulus, which is exact and keeps every power finite, and Q is
+    ``_orthonormal_span(B)``.  Coordinates where x and Q both vanish add
+    nothing to either side and are dropped.  One basis vector at q = 1 is a
+    Fermat-Weber problem (``_weber_distance``).  More at q = 1 try the
+    vertex anchors first, then ``_newton_distance``, which is the only
+    solver for q > 1.  The tries stop at the first that certifies the value
+    to CERTIFIED_GAP, and the best value and the best lower over them are
+    returned.
+    """
+    top = float(np.abs(x).max())
+    if top == 0.0:
+        return 0.0, 0.0
+    scale = math.ldexp(1.0, math.frexp(top)[1])
+    Q = _orthonormal_span(B)
+    keep = (x != 0.0) | (Q != 0.0).any(axis=1)
+    x, Q = x[keep] / scale, Q[keep]
+    if Q.shape[1] == x.size:
+        return 0.0, 0.0
+    if Q.shape[1] == 0:
+        value = lp_norm(x, q)
+        return value * scale, value * scale
+    if q != 1.0:
+        tries = (_newton_distance,)
+    elif Q.shape[1] == 1:
+        tries = (_weber_distance,)
+    else:
+        tries = (_vertex_anchors, _newton_distance)
+    value, lower = math.inf, 0.0
+    for solve in tries:
+        v, y = solve(x, Q, q)
+        value, lower = min(value, v), max(lower, _dual_lower(x, Q, y, q))
+        if value - lower <= CERTIFIED_GAP * value:
+            break
+    return value * scale, lower * scale
 
 
 def _derivative_free_descent(objective, starts, maxfev):
@@ -395,16 +663,35 @@ def dist_to_subspace(x, basis, q, budget=2000, seed=0):
     """Distance from x to span(basis) in the l_q (quasi-)norm.
 
     This equals the quotient norm of the class of x in l_q^n / span(basis).
-    Exact for q = 2 (orthogonal projection) and, on real data, for q in
-    {1, inf} (linear programming).  Other q >= 1 use convex descent from the
-    l_2 projection.  Real q < 1 is not convex but concave on each cell of
-    the arrangement {x_i = (Bc)_i}; it is exact, up to rounding, when the
-    basis vectors are linearly independent and comb(n, len(basis)) <=
-    MAX_VERTEX_SYSTEMS, by minimising over the cell vertices.  Otherwise,
-    and for complex q < 1, a randomized multi-start descent returns an
-    upper approximation of the infimum.  The zero and the least-squares
-    coefficients are always in the candidate set, so the result never
-    exceeds min(||x||_q, ||x - B c_ls||_q).
+    Each branch is exact, certified or a descent:
+
+    - q = 2, either field: exact (orthogonal projection).
+    - Real q in {1, inf}: exact (linear programming, scipy's HiGHS).
+    - Real 1 < q < inf: a descent (L-BFGS from the l_2 projection and 0).
+    - Complex 1 <= q < inf: certified.  ``_convex_complex_distance`` solves
+      the convex problem in numpy alone (a Fermat-Weber anchor test and
+      Newton steps for one basis vector at q = 1, vertex anchors and
+      smoothed Newton steps otherwise) and bounds the distance from below
+      by a Hahn-Banach certificate: dist(x, V) >= |y^H x| / ||y||_q' for
+      every y orthogonal to V (Singer, Best Approximation in Normed Linear
+      Spaces, 1970), with y the Hölder dual of the final residual, less the
+      rounding margin that ``_dual_lower`` proves.  The value is returned
+      when it is within CERTIFIED_GAP (relative) of that bound.  Otherwise
+      the Nelder-Mead descent of the complex q = inf branch also runs, and
+      the smaller value is returned; so no value is above the descent's by
+      more than its certified gap.  scipy is loaded only for that fallback.
+    - Real q < 1: not convex, but concave on each cell of the arrangement
+      {x_i = (Bc)_i}.  Exact, up to rounding, when the basis vectors are
+      linearly independent and comb(n, len(basis)) <= MAX_VERTEX_SYSTEMS,
+      by minimising over the cell vertices; otherwise a randomized
+      multi-start Nelder-Mead descent.
+    - Complex q = inf and complex q < 1: a descent (multi-start
+      Nelder-Mead over the real and imaginary coefficient parts, with six
+      more seeded starts for q < 1).
+
+    A descent returns an upper approximation of the infimum.  The zero and
+    the least-squares coefficients are always candidates, so the result
+    never exceeds min(||x||_q, ||x - B c_ls||_q).
     """
     _check_exponent(q, "q")
     x = np.asarray(x)
@@ -431,7 +718,7 @@ def dist_to_subspace(x, basis, q, budget=2000, seed=0):
         # polyhedron, and a concave function that is bounded below on one
         # is smallest at a vertex, so the vertex minimum is the distance
         if rank == m and math.comb(n, m) <= MAX_VERTEX_SYSTEMS:
-            return float(min(best, _arrangement_vertex_min(x, B, q)))
+            return float(min(best, _arrangement_vertex_min(x, B, q)[0]))
         # rank-deficient (no vertices) or too many vertices: multi-start descent
         rng = np.random.default_rng(_stable_seed(seed, x))
         scale = max(1.0, float(np.abs(c_ls).max(initial=0.0)))
@@ -441,7 +728,14 @@ def dist_to_subspace(x, basis, q, budget=2000, seed=0):
         val = _derivative_free_descent(lambda c: _lq_power(x - B @ c, q), starts, maxfev)
         return float(min(best, val ** (1.0 / q)))
 
-    # complex data: optimise over real and imaginary coefficient parts
+    if 1.0 <= q < math.inf:
+        value, lower = _convex_complex_distance(x, B, q)
+        best = min(best, value)
+        if value - lower <= CERTIFIED_GAP * value:
+            return float(best)
+
+    # complex q = inf, q < 1 and uncertified values: Nelder-Mead over the real
+    # and imaginary coefficient parts
     def unpack(z):
         return z[:m] + 1j * z[m:]
 

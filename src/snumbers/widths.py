@@ -395,7 +395,11 @@ def _kolmogorov_candidate_value(T, basis, q, n_samples, seed, bound=None):
       returned is the running max, which is below the full max or equal.
 
     A point's distance depends only on (M @ x, basis, q, seed), so taking
-    fewer points, in another order, changes no evaluated distance.
+    fewer points, in another order, changes no evaluated distance.  Each
+    distance is the quotient norm of M @ x modulo span(basis), of the kind
+    its dist_to_subspace branch gives: exact (q = 2, real q in {1, inf}),
+    certified to spaces.CERTIFIED_GAP (complex 1 <= q < inf, unless it falls
+    back to Nelder-Mead), or a descent, which can only overshoot.
     """
     M = T.matrix
     p = T.domain.p
@@ -439,7 +443,10 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     largest distance over sampled points of the unit ball, one distance per
     point, which only estimates the supremum from below; for p <= 1 <= q
     the points include the columns (the images of the +e_j), whose maximum
-    is the exact supremum.  For k - 1 >= min(m, n) a (k-1)-dimensional
+    is the exact supremum.  Each distance is a quotient norm from
+    dist_to_subspace: exact for q = 2 and for real q in {1, inf},
+    certified for complex 1 <= q < inf (up to its Nelder-Mead fallback), and
+    a descent elsewhere.  For k - 1 >= min(m, n) a (k-1)-dimensional
     subspace contains the range, so the result is exactly 0, and no
     candidate is evaluated (``(0.0, [])`` with details).
 

@@ -49,6 +49,7 @@ COMMANDS = [
     ("estimate-complex-p0.5-q2", ["estimate", "--input", "complex.csv", "--p", "0.5", "--q", "2"]),
     ("estimate-zero-p1-q2", ["estimate", "--input", "zero.csv", "--p", "1", "--q", "2"]),
     ("estimate-big-p1-q1", ["estimate", "--input", "big.csv", "--p", "1", "--q", "1"]),
+    ("estimate-big-p2-q2", ["estimate", "--input", "big.csv", "--p", "2", "--q", "2"]),
     # idnumbers: a quasi-Banach complex pair, p < q, and the Hilbert case
     ("idnumbers-p0.5-q1-complex", ["idnumbers", "--p", "0.5", "--q", "1", "--field", "complex"]),
     ("idnumbers-p1-q2", ["idnumbers", "--p", "1", "--q", "2"]),

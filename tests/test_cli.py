@@ -307,7 +307,8 @@ def test_bad_tol_exits_two_and_names_it(capsys, tol):
 
 def test_overflowing_image_distances_exit_two_without_warnings(tmp_path):
     big = tmp_path / "big.csv"
-    big.write_text("1e300,1e300\n1e300,1e300\n")
+    # antipodal images 2e308 apart: the packing's separation overflows
+    big.write_text("1e308,0\n0,1e308\n")
     r = run_cli("estimate", "--input", str(big), "--p", "2", "--q", "2")
     assert r.returncode == 2
     assert r.stdout == ""

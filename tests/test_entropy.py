@@ -1,6 +1,7 @@
 """Entropy numbers: certified lower bounds, covering uppers, regime formula."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,13 +156,33 @@ def test_cover_zero_operator():
 
 @pytest.mark.parametrize("q", [2.0, 3.0])
 def test_overflowing_cloud_distances_raise_in_cover_and_packing(q):
-    # the images of a 1e300 matrix are finite, but their l_q distances are
-    # not: a gap of inf would be a false certified lower
-    T = operator(np.full((2, 2), 1e300), 2.0, q)
+    # the images of the l_inf ball under diag(1.5e308) are finite, but some
+    # of their l_q distances are not: a radius or gap of inf would be a
+    # false certified lower
+    T = operator(np.diag([1.5e308, 1.5e308]), INF, q)
     with pytest.raises(ValueError, match="overflow"):
         entropy_upper_cover_sequence(T, 3, cloud=64, seed=0)
     with pytest.raises(ValueError, match="overflow"):
         entropy_lower_pack_sequence(T, 3, budget=64, seed=0)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.0, INF])
+def test_clouds_whose_distance_powers_overflow_are_scaled(q):
+    # the l_q distances of a 1e300 matrix's images are finite, but their
+    # squares and cubes are not: the cloud is divided by a power of two, and
+    # the radii and gaps are those of the cloud of M / 2^1000, times 2^1000
+    M = np.full((2, 2), 1e300)
+    big, small = operator(M, 2.0, q), operator(M * 2.0**-1000, 2.0, q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        covers = entropy_upper_cover_sequence(big, 3, cloud=64, seed=0)
+        packs = entropy_lower_pack_sequence(big, 3, budget=64, seed=0)
+    for a, b in zip(covers, entropy_upper_cover_sequence(small, 3, cloud=64, seed=0)):
+        assert a.upper == pytest.approx(b.upper * 2.0**1000, rel=1e-12)
+        assert a.delta == pytest.approx(b.delta * 2.0**1000, rel=1e-12)
+    for a, b in zip(packs, entropy_lower_pack_sequence(small, 3, budget=64, seed=0)):
+        assert a.lower == pytest.approx(b.lower * 2.0**1000, rel=1e-12)
+    assert all(math.isfinite(b.upper) and b.upper > 1e300 for b in covers[:1])
 
 
 def test_lower_never_exceeds_padded_upper():
@@ -437,7 +458,7 @@ def test_pack_sequence_and_per_k_lowers_build_one_cloud(monkeypatch, sequence_fi
         entropy_lower_pack_sequence(T, K, budget=300, seed=3)
     assert len(built) == 1
     # the traversal went exactly as far as e_K reads: 2^(K-1) insertions
-    assert len(_packing_traversal(T, 300, 3).gaps) == 2 ** (K - 1)
+    assert len(_packing_traversal(T, 300, 3)[0].gaps) == 2 ** (K - 1)
     assert {b.k: b for b in bests} == {
         k: _reference_best_lower(T, k, 300, 3) for k in range(1, K + 1)}
 

@@ -308,6 +308,22 @@ def test_norms_of_huge_matrices_are_finite_and_warn_of_nothing():
         assert r.lower == pytest.approx(1e200 * op_norm(operator(R, p, q)).lower, rel=1e-12)
 
 
+@pytest.mark.parametrize("q", [1.5, 0.5])
+def test_products_of_matrices_near_the_float_maximum_warn_of_nothing(q):
+    # X @ M.T itself overflows for these entries, before any norm is taken;
+    # the non-exact paths run on M / 2^k and scale the value back
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        over = op_norm(operator([[1.7e308, 1.7e308], [1.0, 0.0]], 3.0, q))
+        near = op_norm(operator([[1e308, 5e307], [1.0, 0.0]], 3.0, q))
+    assert over.method == near.method == ("power-method" if q > 1 else "sampled-ascent")
+    # the norm is above the float maximum: (1.7e308, 1.7e308) / 2^(1/3) is an image
+    assert over.lower == math.inf
+    # ||T e_1||_q <= ||T|| <= the l_q norm of the rows' l_3/2 norms (Hölder)
+    rows = [(1.0 + 0.5**1.5) ** (2.0 / 3.0), 1e-308]
+    assert 1e308 <= near.lower <= 1e308 * lp_norm(rows, q) * (1.0 + 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # the bracket
 # ---------------------------------------------------------------------------

@@ -346,6 +346,8 @@ def test_dist_quasi_rank_deficient_falls_back_to_descent(monkeypatch):
     (REAL, 0.5, True),  # quasi: descent
     (COMPLEX, 2.0, False),
     (COMPLEX, 1.0, False),
+    (COMPLEX, 1.5, False),
+    (COMPLEX, 3.0, True),
     (COMPLEX, math.inf, False),
     (COMPLEX, 0.5, True),
 ])
@@ -381,6 +383,112 @@ def test_dist_complex_exact_q2():
     # least squares is exact for q = 2 over C as well
     c = np.vdot(b[0], x) / np.vdot(b[0], b[0])
     assert dist_to_subspace(x, b, 2.0) == pytest.approx(lp_norm(x - c * b[0], 2.0), abs=1e-9)
+
+
+def _old_complex_distance(x, basis, q, budget=2000):
+    """The previous complex 1 <= q < inf route: Nelder-Mead from the
+    least-squares and the zero coefficients (no seeded starts), capped.
+    Kept only to check the certified route against."""
+    B = np.column_stack(basis).astype(complex)
+    x = x.astype(complex)
+    m = B.shape[1]
+    c_ls = np.linalg.lstsq(B, x, rcond=None)[0]
+    cap = min(lp_norm(x, q), lp_norm(x - B @ c_ls, q))
+
+    def objective(z):
+        return float((np.abs(x - B @ (z[:m] + 1j * z[m:])) ** q).sum())
+
+    starts = [np.concatenate([c_ls.real, c_ls.imag]), np.zeros(2 * m)]
+    options = {"maxfev": max(200, budget // 2), "xatol": 1e-12, "fatol": 1e-14}
+    best = min(float(optimize.minimize(objective, z0, method="Nelder-Mead", options=options).fun)
+               for z0 in starts)
+    return min(cap, best ** (1.0 / q))
+
+
+def _complex_instance(seed, n, m, deficient):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    B = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    basis = list(B.T)
+    if deficient:
+        basis.append((1.0 - 2.0j) * basis[0])
+    return x, basis
+
+
+def _recording_descent(monkeypatch):
+    calls = []
+    descent = spaces._derivative_free_descent
+
+    def recording(*args, **kwargs):
+        calls.append(1)
+        return descent(*args, **kwargs)
+
+    monkeypatch.setattr(spaces, "_derivative_free_descent", recording)
+    return calls
+
+
+def test_dist_complex_l1_closed_forms(monkeypatch):
+    calls = _recording_descent(monkeypatch)
+    b = [np.ones(3, dtype=complex)]
+    # the cube roots of unity: their Fermat-Weber point is the interior c = 0
+    w = np.exp(2j * np.pi / 3)
+    assert dist_to_subspace(np.array([1.0, w, w * w]), b, 1.0) == pytest.approx(3.0, rel=1e-14)
+    # the anchor c = 0 is optimal: |-1 + (1 - 0.1i) / sqrt(1.01)| <= 1
+    x = np.array([0.0, 1.0, -1.0 + 0.1j])
+    assert dist_to_subspace(x, b, 1.0) == pytest.approx(1.0 + math.sqrt(1.01), rel=1e-14)
+    assert not calls
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 3.0])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(1, 5), m=st.integers(1, 3),
+       deficient=st.booleans())
+def test_dist_complex_convex_is_certified_or_falls_back(q, seed, n, m, deficient):
+    # every value is certified to CERTIFIED_GAP or also runs the previous
+    # Nelder-Mead route; it stays below its cap, and above the previous
+    # route's value by at most its certified gap (lower <= dist <= old), up
+    # to the rounding of the sums that the certificate states (a few n eps)
+    x, basis = _complex_instance(seed, n, m, deficient)
+    value, lower = spaces._convex_complex_distance(x, np.column_stack(basis), q)
+    assert 0.0 <= lower <= value * (1.0 + 1e-15)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _recording_descent(mp)
+        d = dist_to_subspace(x, basis, q, seed=seed)
+    cap = spaces._distance_start(x, basis, q)[-1]
+    assert d <= cap
+    if value - lower <= spaces.CERTIFIED_GAP * value:
+        assert not calls and d == min(cap, value)
+    else:
+        assert calls
+    rounding = 8.0 * n * np.finfo(float).eps * value
+    assert d <= _old_complex_distance(x, basis, q) + (value - lower) + rounding
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 3.0])
+def test_dist_complex_convex_certifies_random_instances(monkeypatch, q):
+    # the certificate, not the fallback, decides on generic instances
+    calls = _recording_descent(monkeypatch)
+    for seed in range(30):
+        n = 2 + seed % 4
+        x, basis = _complex_instance(seed, n, 1 + seed % min(3, n - 1), seed % 5 == 0)
+        dist_to_subspace(x, basis, q)
+    assert not calls
+
+
+def test_dist_complex_l1_loads_no_scipy():
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from snumbers.spaces import dist_to_subspace
+
+        x = np.array([1.0 + 2.0j, -0.5j, 3.0, 1.0 - 1.0j])
+        B = np.array([[1.0, 0.5j], [1.0j, 2.0], [-1.0, 1.0], [0.5, 1.0 + 1.0j]])
+        print(repr(dist_to_subspace(x, [B[:, 0]], 1.0)), repr(dist_to_subspace(x, list(B.T), 1.5)))
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    """)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "[]"
 
 
 # ---------------------------------------------------------------------------

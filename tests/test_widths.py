@@ -271,8 +271,8 @@ def _unbounded_power_method(T, budget, seed):
                 misses += 1
                 if misses == 2:
                     break
-            w = M.conj().T @ operators._dual(y, np.abs(y), q)
-            x = operators._dual(w, np.abs(w), conjugate_exponent(p))
+            w = M.conj().T @ spaces._dual(y, np.abs(y), q)
+            x = spaces._dual(w, np.abs(w), conjugate_exponent(p))
             nx = _reference_lp_norm(x, p)
             if nx == 0.0:
                 break
@@ -523,7 +523,8 @@ PRUNED_SEARCH_CASES = [
     (REAL, 4, 1.0, 0.5, False),  # quasi: vertex minimum
     (REAL, 4, 1.0, 0.5, True),  # quasi: descent
     (REAL, 4, 1.0, 2.0, True),  # q2 with p != 2: the cap is the distance
-    (COMPLEX, 3, 2.0, 1.0, False),  # complex
+    (COMPLEX, 3, 2.0, 1.0, False),  # complex, certified
+    (COMPLEX, 3, 1.0, 1.5, True),  # complex, certified
     (COMPLEX, 3, 0.5, INF, True),  # complex
     (COMPLEX, 2, 1.0, 0.5, False),  # complex q < 1
     (COMPLEX, 2, INF, 0.5, True),  # complex q < 1
@@ -536,10 +537,11 @@ PRUNED_SEARCH_CASES = [
 def test_pruned_kolmogorov_search_equals_full_evaluation(field, n, p, q, deficient, mseed, k):
     # The search without details skips the distance solves that cannot change
     # its min-max; return_details=True solves every one.  The two must agree
-    # bit for bit.  Multi-start Nelder-Mead (the complex and the rank-deficient
-    # quasi solves) is held to 20 evaluations per start so that the full
-    # evaluation stays cheap; the skipping relies only on the caps and the
-    # per-point seeds, which this leaves as they are.
+    # bit for bit.  Multi-start Nelder-Mead (the complex q = inf and q < 1
+    # solves, the fallback of an uncertified complex one, and the
+    # rank-deficient quasi solves) is held to 20 evaluations per start so
+    # that the full evaluation stays cheap; the skipping relies only on the
+    # caps and the per-point seeds, which this leaves as they are.
     rng = np.random.default_rng(mseed)
     M = rng.standard_normal((n, n))
     if field == COMPLEX:
