@@ -166,7 +166,10 @@ def _cloud_scale(points, q):
 
 def _scaled_back(values, scale):
     """Radii or gaps of a cloud divided by ``scale``, times ``scale``; raises
-    ValueError when one of them overflows a float, as the traversal does."""
+    ValueError when one of them overflows a float, as the traversal does.
+    A cloud that needed no scaling (scale 1) gets its values back as they are."""
+    if scale == 1.0:
+        return values
     with np.errstate(over="ignore"):
         out = np.asarray(values, dtype=float) * scale
     if not np.all(out < math.inf):
@@ -404,7 +407,8 @@ def entropy_upper_cover_sequence(T, k_max, cloud=1024, seed=0):
     q = T.codomain.p
     pts = image_cloud(T, cloud, seed)
     scale = _cloud_scale(pts, q)
-    pts = pts / scale
+    if scale != 1.0:
+        pts = pts / scale
     radii = _scaled_back(_cover_radii_doubling(pts, k_max, q), scale)
     delta = float(_scaled_back(max_nn_gap(pts, q), scale))
     return [BoundPair(k=k, upper=float(radii[k - 1]), delta=delta) for k in range(1, k_max + 1)]
@@ -427,7 +431,8 @@ def _packing_traversal(T, budget, seed):
         q = T.codomain.p
         pts = image_cloud(T, budget, seed)
         scale = _cloud_scale(pts, q)
-        pts = pts / scale
+        if scale != 1.0:
+            pts = pts / scale
         with np.errstate(over="ignore"):
             start = int(np.argmax(_norm_rows(pts, q)))
         T._memo[key] = _FarthestPoints(np.ascontiguousarray(pts.T), start, q), scale

@@ -369,7 +369,6 @@ def _dual(y, a, r):
 # a complex 1 <= q < inf distance is accepted when its certified relative gap
 # is at most this; otherwise the Nelder-Mead descent runs as well
 CERTIFIED_GAP = 1e-9
-_WEISZFELD_STEPS = 4
 _NEWTON_STEPS = 60
 # the q = 1 smoothing mu is max |r| times 10^-s for these s, in turn
 _SMOOTHING = (1, 3, 5, 7, 9, 11)
@@ -430,13 +429,16 @@ def _damped_newton(step_at, z, size):
     """Damped Newton iterations from z; returns (z, step_at(z)).
 
     step_at(z) is (objective, Newton step) or None where no step is defined.
-    A step is halved until the objective falls.  The full step is also
-    taken when it raises the objective by rounding only (1e-14 relative)
-    but shortens the next step: near the optimum the objective is flat to
+    A step is halved until the objective falls.  A full step that raises
+    the objective by rounding only (1e-14 relative) is taken when it
+    shortens the next step: near the optimum the objective is flat to
     within rounding while the gradient, which the duality certificate
-    depends on to first order, still falls quadratically.  The iteration
-    ends after _NEWTON_STEPS steps, after a step of at most 1e-15 |z|, or
-    when neither rule accepts a step of at least 2^-20 of the full one.
+    depends on to first order, still falls quadratically.  When it does not
+    shorten it, z is at the optimum to within rounding, and the iteration
+    ends there rather than halving a step that cannot lower the objective.
+    It also ends after _NEWTON_STEPS steps, after a step of at most
+    1e-15 |z|, or when no step of at least 2^-20 of the full one lowers the
+    objective.
     """
     cur = step_at(z)
     for _ in range(_NEWTON_STEPS):
@@ -446,9 +448,12 @@ def _damped_newton(step_at, z, size):
         t = 1.0
         while t >= 2.0**-20:
             new = step_at(z + t * step)
-            if new is not None and (new[0] < f or (t == 1.0 and new[0] <= f * (1.0 + 1e-14)
-                                                   and size(new[1]) < size(step))):
+            if new is not None and new[0] < f:
                 break
+            if t == 1.0 and new is not None and new[0] <= f * (1.0 + 1e-14):
+                if size(new[1]) < size(step):
+                    break
+                return z, cur
             t *= 0.5
         else:
             break
@@ -456,68 +461,6 @@ def _damped_newton(step_at, z, size):
         if size(t * step) <= 1e-15 * size(z):
             break
     return z, cur
-
-
-def _weber_distance(x, Q, q):
-    """min_c ||x - c u||_1 over complex c for the one unit column u of Q, at
-    q = 1; returns (value, y).
-
-    With a_i = x_i / u_i and w_i = |u_i| on the coordinates where u_i != 0,
-    the objective is the weighted Fermat-Weber sum sum_i w_i |a_i - c| in
-    the plane, plus the constant sum of the other |x_i|.  An anchor a_k is
-    optimal iff |sum_{a_i != a_k} w_i (a_k - a_i) / |a_k - a_i|| is at most
-    the weight sum_{a_i = a_k} w_i (the subgradient condition), and if any
-    anchor is optimal, the one of least objective is; its coincident
-    residuals count as exactly 0.  Otherwise the optimum is interior, where
-    the objective is smooth: Weiszfeld steps from the least-squares c, then
-    ``_damped_newton`` in R^2 with the Hessian sum_i w_i (I - e_i e_i^T) /
-    |c - a_i|, e_i the unit vector along c - a_i.  y is the residual's
-    q = 1 dual (``_filled_sign_dual``), the certificate of ``_dual_lower``.
-    """
-    u = Q[:, 0]
-    on = u != 0.0
-    w = np.abs(u[on])
-    a = x[on] / u[on]
-    # the objective at every anchor, 256 anchors at a time to bound memory
-    k = int(np.argmin(np.concatenate([np.abs(a[i:i + 256, None] - a) @ w
-                                      for i in range(0, a.size, 256)])))
-    gap = a[k] - a
-    dist = np.abs(gap)
-    same = dist == 0.0
-    pull = (w[~same] * gap[~same] / dist[~same]).sum()
-    anchored = abs(pull) <= w[same].sum()
-    if anchored:
-        c = a[k]
-    else:
-        c = np.vdot(u, x)
-        for _ in range(_WEISZFELD_STEPS):
-            d = np.abs(a - c)
-            if not d.all():
-                break
-            c = np.dot(w / d, a) / (w / d).sum()
-
-        def step_at(c):
-            """(objective, Newton step) at c, or None at an anchor."""
-            e = c - a
-            d = np.abs(e)
-            if not d.all():
-                return None
-            e /= d
-            wd = w / d
-            g = np.dot(w, e)
-            hxx, hyy = np.dot(wd, e.imag**2), np.dot(wd, e.real**2)
-            hxy = -np.dot(wd, e.real * e.imag)
-            det = hxx * hyy - hxy * hxy
-            if not det > 0.0:
-                return None
-            return np.dot(w, d), -complex(hyy * g.real - hxy * g.imag,
-                                          hxx * g.imag - hxy * g.real) / det
-
-        c = _damped_newton(step_at, c, abs)[0]
-    r = x - c * u
-    if anchored:
-        r[np.flatnonzero(on)[same]] = 0.0
-    return float(np.abs(r).sum()), _filled_sign_dual(Q, r)
 
 
 def _newton_distance(x, Q, q):
@@ -585,11 +528,11 @@ def _convex_complex_distance(x, B, q):
     certified bound.  x is first divided by a power of two near its largest
     modulus, which is exact and keeps every power finite, and Q is
     ``_orthonormal_span(B)``.  Coordinates where x and Q both vanish add
-    nothing to either side and are dropped.  One basis vector at q = 1 is a
-    Fermat-Weber problem (``_weber_distance``).  More at q = 1 try the
-    vertex anchors first, then ``_newton_distance``, which is the only
-    solver for q > 1.  The tries stop at the first that certifies the value
-    to CERTIFIED_GAP, and the best value and the best lower over them are
+    nothing to either side and are dropped.  q = 1 tries the vertex anchors
+    first (for one basis vector u these are the Fermat-Weber anchors
+    x_i / u_i), then ``_newton_distance``, which is the only solver for
+    q > 1.  The tries stop at the first that certifies the value to
+    CERTIFIED_GAP, and the best value and the best lower over them are
     returned.
     """
     top = float(np.abs(x).max())
@@ -604,12 +547,7 @@ def _convex_complex_distance(x, B, q):
     if Q.shape[1] == 0:
         value = lp_norm(x, q)
         return value * scale, value * scale
-    if q != 1.0:
-        tries = (_newton_distance,)
-    elif Q.shape[1] == 1:
-        tries = (_weber_distance,)
-    else:
-        tries = (_vertex_anchors, _newton_distance)
+    tries = (_vertex_anchors, _newton_distance) if q == 1.0 else (_newton_distance,)
     value, lower = math.inf, 0.0
     for solve in tries:
         v, y = solve(x, Q, q)
@@ -669,9 +607,9 @@ def dist_to_subspace(x, basis, q, budget=2000, seed=0):
     - Real q in {1, inf}: exact (linear programming, scipy's HiGHS).
     - Real 1 < q < inf: a descent (L-BFGS from the l_2 projection and 0).
     - Complex 1 <= q < inf: certified.  ``_convex_complex_distance`` solves
-      the convex problem in numpy alone (a Fermat-Weber anchor test and
-      Newton steps for one basis vector at q = 1, vertex anchors and
-      smoothed Newton steps otherwise) and bounds the distance from below
+      the convex problem in numpy alone (at q = 1 the vertex anchors, where
+      as many residuals vanish as there are basis vectors, then smoothed
+      Newton steps; plain Newton steps for q > 1) and bounds the distance from below
       by a Hahn-Banach certificate: dist(x, V) >= |y^H x| / ||y||_q' for
       every y orthogonal to V (Singer, Best Approximation in Normed Linear
       Spaces, 1970), with y the Hölder dual of the final residual, less the
