@@ -87,8 +87,8 @@ def measure(calls):
     largest certified relative gap over the calls."""
     ours, theirs, fallbacks, gap = [], [], 0, 0.0
     for x, basis, q in calls:
-        value, lower = spaces._convex_complex_distance(x.astype(complex),
-                                                       np.column_stack(basis).astype(complex), q)
+        value, lower = spaces._convex_distance(x.astype(complex),
+                                               np.column_stack(basis).astype(complex), q)
         rel = (value - lower) / value if value else 0.0
         fallbacks += rel > spaces.CERTIFIED_GAP
         gap = max(gap, rel)

@@ -64,6 +64,7 @@ from .spaces import (
     SpaceSpec,
     aoki_norm,
     ball_volume,
+    inv_exponent,
     log_ball_volume,
     lp_norm,
     quasi_constant,
@@ -606,6 +607,19 @@ def config_from_args(args):
     )
 
 
+def _power_of_n_overflows(cfg, e):
+    """Whether n^(1/e) leaves the float range, for the command's dimension n
+    (the larger size of an --input matrix)."""
+    n = cfg.n
+    if cfg.input_path is not None:
+        n = max(load_operator(cfg.input_path, cfg.p, cfg.q, field=None).matrix.shape)
+    try:
+        float(n) ** inv_exponent(e)
+    except OverflowError:
+        return True
+    return False
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -618,8 +632,11 @@ def main(argv=None):
             report, code = _RUNNERS[cfg.command](cfg)
         except OverflowError:
             # the closed forms raise n to powers in 1/p and 1/q, which leave
-            # the float range only when an exponent is tiny
+            # the float range only when an exponent is tiny; any other
+            # overflow is a fault of the program
             name, value = min((("p", cfg.p), ("q", cfg.q)), key=lambda t: t[1])
+            if not _power_of_n_overflows(cfg, value):
+                raise
             raise ValueError(f"exponent --{name} {value!r} is too small: "
                              f"a power of n in 1/{name} overflows a float") from None
         text = render(report, cfg.output)

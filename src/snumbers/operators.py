@@ -29,6 +29,7 @@ from .spaces import (
     SpaceSpec,
     _abs_norm_function,
     _dual,
+    _rescaled,
     conjugate_exponent,
     inv_exponent,
     sample_sphere,
@@ -202,13 +203,6 @@ def _norm_rows(A, q):
     if q == 1.0:
         return a.sum(axis=1)
     return (a**q).sum(axis=1) ** (1.0 / q)
-
-
-def _rescaled(norm, a):
-    """norm(a) of moduli a, taken of a divided by its largest entry and then
-    multiplied back: the value of a norm whose powers overflowed."""
-    top = a.max()
-    return float(top * norm(a / top))
 
 
 def _scaled_norm_rows(A, q):

@@ -93,13 +93,31 @@ def _abs_norm_function(p):
     return lambda a: float((a**p).sum() ** (1.0 / p))
 
 
+def _rescaled(norm, a):
+    """norm(a) of moduli a, taken of a divided by its largest entry and then
+    multiplied back: the value of a norm whose powers overflowed."""
+    top = a.max()
+    return float(top * norm(a / top))
+
+
 def lp_norm(x, p):
-    """The l_p (quasi-)norm of a vector; max_j |x_j| for p = inf."""
+    """The l_p (quasi-)norm of a vector; max_j |x_j| for p = inf.
+
+    A norm of finite entries whose powers overflow is recomputed by
+    ``_rescaled``, and is inf only when the norm itself is out of range; a
+    finite value keeps its bits.
+    """
     _check_exponent(p)
     x = np.asarray(x)
     if x.size == 0:
         raise ValueError("lp_norm of an empty vector is undefined")
-    return _abs_norm_function(p)(np.abs(x).ravel())
+    a = np.abs(x).ravel()
+    norm = _abs_norm_function(p)
+    with np.errstate(over="ignore"):
+        value = norm(a)
+        if math.isinf(value) and np.isfinite(a).all():
+            value = _rescaled(norm, a)
+    return value
 
 
 def quasi_constant(p):
@@ -279,10 +297,6 @@ def aoki_norm(x, p, depth=3, trials=32, seed=0):
 MAX_VERTEX_SYSTEMS = 512
 
 
-def _lq_power(x, q):
-    return float((np.abs(x) ** q).sum())
-
-
 def _linprog_distance(x, B, q):
     """Exact min_c ||x - B c||_q for q in {1, inf} on real data (LP)."""
     from scipy import optimize
@@ -307,25 +321,6 @@ def _linprog_distance(x, B, q):
     if not res.success:
         return math.inf
     return float(res.fun)
-
-
-def _smooth_descent(x, B, q, starts):
-    """Gradient descent on ||x - B c||_q^q for real data, 1 < q < inf."""
-    from scipy import optimize
-
-    def fg(c):
-        r = x - B @ c
-        a = np.abs(r)
-        f = float((a**q).sum())
-        g = -q * (B.T @ (np.sign(r) * a ** (q - 1.0)))
-        return f, g
-
-    best = math.inf
-    for c0 in starts:
-        res = optimize.minimize(fg, c0, jac=True, method="L-BFGS-B",
-                                options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12})
-        best = min(best, float(res.fun))
-    return best ** (1.0 / q)
 
 
 def _arrangement_vertex_min(x, B, q):
@@ -366,8 +361,9 @@ def _dual(y, a, r):
     return y / (a + (a == 0.0)) * (a / top) ** (r - 1.0)
 
 
-# a complex 1 <= q < inf distance is accepted when its certified relative gap
-# is at most this; otherwise the Nelder-Mead descent runs as well
+# a 1 <= q < inf distance from ``_convex_distance`` is accepted when its
+# certified relative gap is at most this; otherwise the Nelder-Mead descent
+# runs as well
 CERTIFIED_GAP = 1e-9
 _NEWTON_STEPS = 60
 # the q = 1 smoothing mu is max |r| times 10^-s for these s, in turn
@@ -465,6 +461,8 @@ def _damped_newton(step_at, z, size):
 
 def _newton_distance(x, Q, q):
     """min_c ||x - Q c||_q over complex c for 1 <= q < inf; returns (value, y).
+    For real x and Q this is the minimum over real c, which the iteration
+    keeps to: the imaginary coordinates of c get no gradient and stay 0.
 
     ``_damped_newton`` on sum_i (|r_i|^2 + mu^2)^(q/2), r = x - Q c, in the
     2m real coordinates of c, from the least-squares c.  q > 1 takes
@@ -520,8 +518,8 @@ def _vertex_anchors(x, Q, q):
     return value, np.zeros_like(x) if r is None else _filled_sign_dual(Q, r)
 
 
-def _convex_complex_distance(x, B, q):
-    """(value, lower) for dist(x, span B) on complex data, 1 <= q < inf.
+def _convex_distance(x, B, q):
+    """(value, lower) for dist(x, span B) on either field, 1 <= q < inf.
 
     ``value`` is the l_q norm of a computed residual x - Q c, so it is at
     least the distance (up to rounding), and ``lower`` is ``_dual_lower``'s
@@ -605,27 +603,28 @@ def dist_to_subspace(x, basis, q, budget=2000, seed=0):
 
     - q = 2, either field: exact (orthogonal projection).
     - Real q in {1, inf}: exact (linear programming, scipy's HiGHS).
-    - Real 1 < q < inf: a descent (L-BFGS from the l_2 projection and 0).
-    - Complex 1 <= q < inf: certified.  ``_convex_complex_distance`` solves
-      the convex problem in numpy alone (at q = 1 the vertex anchors, where
-      as many residuals vanish as there are basis vectors, then smoothed
-      Newton steps; plain Newton steps for q > 1) and bounds the distance from below
-      by a Hahn-Banach certificate: dist(x, V) >= |y^H x| / ||y||_q' for
-      every y orthogonal to V (Singer, Best Approximation in Normed Linear
-      Spaces, 1970), with y the Hölder dual of the final residual, less the
-      rounding margin that ``_dual_lower`` proves.  The value is returned
-      when it is within CERTIFIED_GAP (relative) of that bound.  Otherwise
-      the Nelder-Mead descent of the complex q = inf branch also runs, and
-      the smaller value is returned; so no value is above the descent's by
-      more than its certified gap.  scipy is loaded only for that fallback.
+    - Every other 1 <= q < inf, either field: certified.
+      ``_convex_distance`` solves the convex problem in numpy alone (at
+      q = 1 the vertex anchors, where as many residuals vanish as there are
+      basis vectors, then smoothed Newton steps; plain Newton steps for
+      q > 1) and bounds the distance from below by a Hahn-Banach
+      certificate: dist(x, V) >= |y^H x| / ||y||_q' for every y orthogonal
+      to V (Singer, Best Approximation in Normed Linear Spaces, 1970), with
+      y the Hölder dual of the final residual, less the rounding margin
+      that ``_dual_lower`` proves.  The value is returned when it is within
+      CERTIFIED_GAP (relative) of that bound.  Otherwise the Nelder-Mead
+      descent below also runs, and the smaller value is returned; so no
+      value is above the descent's by more than its certified gap.
     - Real q < 1: not convex, but concave on each cell of the arrangement
       {x_i = (Bc)_i}.  Exact, up to rounding, when the basis vectors are
       linearly independent and comb(n, len(basis)) <= MAX_VERTEX_SYSTEMS,
-      by minimising over the cell vertices; otherwise a randomized
-      multi-start Nelder-Mead descent.
-    - Complex q = inf and complex q < 1: a descent (multi-start
-      Nelder-Mead over the real and imaginary coefficient parts, with six
-      more seeded starts for q < 1).
+      by minimising over the cell vertices.
+    - Everything else (complex q = inf, the other q < 1 cases and the
+      uncertified convex values): a descent, Nelder-Mead from the
+      least-squares and the zero coefficients over their real coordinates
+      (the real and imaginary parts for complex data), with six more seeded
+      starts for q < 1.  scipy is loaded only for it and for the linear
+      program.
 
     A descent returns an upper approximation of the infimum.  The zero and
     the least-squares coefficients are always candidates, so the result
@@ -644,58 +643,34 @@ def dist_to_subspace(x, basis, q, budget=2000, seed=0):
     iscomplex = np.iscomplexobj(x)
     n, m = B.shape
 
-    if not iscomplex:
-        if q >= 1.0:
-            if q == 1.0 or math.isinf(q):
-                best = min(best, _linprog_distance(x, B, q))
-            else:
-                best = min(best, _smooth_descent(x, B, q, [c_ls, np.zeros(m)]))
+    if not iscomplex and (q == 1.0 or math.isinf(q)):
+        return float(min(best, _linprog_distance(x, B, q)))
+    if 1.0 <= q < math.inf:
+        value, lower = _convex_distance(x, B, q)
+        best = min(best, value)
+        if value - lower <= CERTIFIED_GAP * value:
             return float(best)
+    elif not iscomplex and q < 1.0 and rank == m and math.comb(n, m) <= MAX_VERTEX_SYSTEMS:
         # q < 1: the objective is concave on every cell of the arrangement
         # {x_i = (Bc)_i}.  With full column rank every cell is a pointed
         # polyhedron, and a concave function that is bounded below on one
         # is smallest at a vertex, so the vertex minimum is the distance
-        if rank == m and math.comb(n, m) <= MAX_VERTEX_SYSTEMS:
-            return float(min(best, _arrangement_vertex_min(x, B, q)[0]))
-        # rank-deficient (no vertices) or too many vertices: multi-start descent
-        rng = np.random.default_rng(_stable_seed(seed, x))
-        scale = max(1.0, float(np.abs(c_ls).max(initial=0.0)))
-        starts = [c_ls, np.zeros(m)]
-        starts += [c_ls + 0.5 * scale * rng.standard_normal(m) for _ in range(6)]
-        maxfev = max(100, budget // max(1, len(starts)))
-        val = _derivative_free_descent(lambda c: _lq_power(x - B @ c, q), starts, maxfev)
-        return float(min(best, val ** (1.0 / q)))
+        return float(min(best, _arrangement_vertex_min(x, B, q)[0]))
 
-    if 1.0 <= q < math.inf:
-        value, lower = _convex_complex_distance(x, B, q)
-        best = min(best, value)
-        if value - lower <= CERTIFIED_GAP * value:
-            return float(best)
-
-    # complex q = inf, q < 1 and uncertified values: Nelder-Mead over the real
-    # and imaginary coefficient parts
-    def unpack(z):
-        return z[:m] + 1j * z[m:]
-
-    rng = np.random.default_rng(_stable_seed(seed, np.ascontiguousarray(x.view(float))))
-    z0 = np.concatenate([c_ls.real, c_ls.imag])
-    starts = [z0, np.zeros(2 * m)]
+    # the descent, over z = c for real data and z = (Re c, Im c) for complex
+    z0 = np.concatenate([c_ls.real, c_ls.imag]) if iscomplex else c_ls
+    starts = [z0, np.zeros(z0.size)]
     if q < 1.0:
+        rng = np.random.default_rng(_stable_seed(seed, x.view(float)))
         scale = max(1.0, float(np.abs(z0).max(initial=0.0)))
-        starts += [z0 + 0.5 * scale * rng.standard_normal(2 * m) for _ in range(6)]
-    qq = min(q, 1.0) if math.isinf(q) else q
+        starts += [z0 + 0.5 * scale * rng.standard_normal(z0.size) for _ in range(6)]
 
     def objective(z):
-        r = np.abs(x - B @ unpack(z))
-        if math.isinf(q):
-            return float(r.max())
-        return float((r**qq).sum())
+        r = np.abs(x - B @ (z[:m] + 1j * z[m:] if iscomplex else z))
+        return float(r.max() if math.isinf(q) else (r**q).sum())
 
-    maxfev = max(200, budget // max(1, len(starts)))
-    val = _derivative_free_descent(objective, starts, maxfev)
-    if not math.isinf(q):
-        val = val ** (1.0 / qq)
-    return float(min(best, val))
+    val = _derivative_free_descent(objective, starts, max(200, budget // len(starts)))
+    return float(min(best, val if math.isinf(q) else val ** (1.0 / q)))
 
 
 # ---------------------------------------------------------------------------

@@ -398,8 +398,8 @@ def _kolmogorov_candidate_value(T, basis, q, n_samples, seed, bound=None):
     fewer points, in another order, changes no evaluated distance.  Each
     distance is the quotient norm of M @ x modulo span(basis), of the kind
     its dist_to_subspace branch gives: exact (q = 2, real q in {1, inf}),
-    certified to spaces.CERTIFIED_GAP (complex 1 <= q < inf, unless it falls
-    back to Nelder-Mead), or a descent, which can only overshoot.
+    certified to spaces.CERTIFIED_GAP (every other 1 <= q < inf, unless it
+    falls back to Nelder-Mead), or a descent, which can only overshoot.
     """
     M = T.matrix
     p = T.domain.p
@@ -444,11 +444,11 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     point, which only estimates the supremum from below; for p <= 1 <= q
     the points include the columns (the images of the +e_j), whose maximum
     is the exact supremum.  Each distance is a quotient norm from
-    dist_to_subspace: exact for q = 2 and for real q in {1, inf},
-    certified for complex 1 <= q < inf (up to its Nelder-Mead fallback), and
-    a descent elsewhere.  For k - 1 >= min(m, n) a (k-1)-dimensional
-    subspace contains the range, so the result is exactly 0, and no
-    candidate is evaluated (``(0.0, [])`` with details).
+    dist_to_subspace: exact for q = 2 and for real q = inf, certified for
+    1 <= q < inf (up to its Nelder-Mead fallback) except real q = 1, which
+    is exact, and a descent elsewhere.  For k - 1 >= min(m, n) a
+    (k-1)-dimensional subspace contains the range, so the result is exactly
+    0, and no candidate is evaluated (``(0.0, [])`` with details).
 
     Without details, the non-Hilbert search is a branch and bound over this
     min-max: each candidate gets the best value so far as its bound and

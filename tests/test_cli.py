@@ -186,6 +186,21 @@ def test_internal_error_exits_three(monkeypatch, capsys):
         "internal error: AssertionError: Eckart-Young residual mismatch")
 
 
+def test_overflow_without_a_tiny_exponent_exits_three(monkeypatch, capsys):
+    # only a power of n in 1/p or 1/q that leaves the float range is an
+    # input error; at p = q = 2 an OverflowError is a fault of the program
+    import snumbers.cli
+
+    def overflowing(cfg):
+        raise OverflowError("math range error")
+
+    monkeypatch.setitem(snumbers.cli._RUNNERS, "idnumbers", overflowing)
+    assert main(["idnumbers", "--p", "2", "--q", "2", "--n", "4"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert err.splitlines()[-1] == "internal error: OverflowError: math range error"
+
+
 def test_volume_unit_disc(capsys):
     _, doc = cli_json(capsys, "volume", "--p", "2", "--n", "2")
     (vol,) = rows_of(doc, "vol")
@@ -360,8 +375,8 @@ def test_sphere_overflow_at_tiny_p_exits_two_and_names_p(p):
 
 
 def test_cli_commands_load_no_scipy():
-    # scipy is imported only by the real LP, smooth-descent and Nelder-Mead
-    # distance paths, none of which these commands reach
+    # scipy is imported only by the real LP and the Nelder-Mead distance
+    # paths, neither of which these commands reach
     code = textwrap.dedent("""
         import contextlib, io, sys
         import snumbers, snumbers.cli
