@@ -608,13 +608,14 @@ def config_from_args(args):
 
 
 def _power_of_n_overflows(cfg, e):
-    """Whether n^(1/e) leaves the float range, for the command's dimension n
-    (the larger size of an --input matrix)."""
+    """Whether max(2, n)^(1/e) leaves the float range, for the command's
+    dimension n (the larger size of an --input matrix); 2^(1/e) and
+    lgamma(1 + 1/e) overflow at such an e even when n = 1."""
     n = cfg.n
     if cfg.input_path is not None:
         n = max(load_operator(cfg.input_path, cfg.p, cfg.q, field=None).matrix.shape)
     try:
-        float(n) ** inv_exponent(e)
+        max(2.0, float(n)) ** inv_exponent(e)
     except OverflowError:
         return True
     return False

@@ -371,31 +371,37 @@ _SMOOTHING = (1, 3, 5, 7, 9, 11)
 
 
 def _orthonormal_span(B):
-    """Orthonormal columns Q spanning span(B), by the SVD.  Singular values
-    up to max(n, m) eps sigma_1 count as rounding, the rank rule of lstsq,
-    so a rank-deficient B gives fewer columns (none for B = 0)."""
+    """(Q, tilt): orthonormal columns Q spanning span(B), by the SVD.
+    Singular values up to max(n, m) eps sigma_1 count as rounding, the rank
+    rule of lstsq, so a rank-deficient B gives fewer columns (none for
+    B = 0).  tilt = max(n, m) eps sigma_1 / sigma_r bounds the sine of the
+    angle between span Q and span B (Wedin: the SVD's backward error over
+    sigma_r)."""
     U, s, _ = np.linalg.svd(B, full_matrices=False)
     if not s.size or s[0] == 0.0:
-        return U[:, :0]
-    return U[:, : int((s > max(B.shape) * np.finfo(float).eps * s[0]).sum())]
+        return U[:, :0], 0.0
+    tol = max(B.shape) * np.finfo(float).eps * s[0]
+    r = int((s > tol).sum())
+    return U[:, :r], tol / s[r - 1]
 
 
-def _dual_lower(x, Q, y, q):
-    """Certified lower bound on dist(x, span Q) in l_q, 1 <= q < inf, from y.
+def _dual_lower(x, Q, tilt, y, q):
+    """Certified lower bound on dist(x, span B) in l_q, 1 <= q < inf, from y,
+    where (Q, tilt) is ``_orthonormal_span(B)``.
 
     Hahn-Banach (Singer, Best Approximation in Normed Linear Spaces, 1970):
-    for y with Q^H y = 0, every v in span Q gives y^H (x - v) = y^H x, so
-    by Hölder dist(x, span Q) >= |y^H x| / ||y||_q'.  Here y is first
-    projected, y <- y - Q (Q^H y), and the leftover e = Q^H y of that
-    projection (rounding, for an orthonormal Q) is paid for: the nearest
-    point v* = Q w has ||x - v*||_q <= ||x||_q (v = 0 is a candidate), so
-    ||v*||_q <= 2 ||x||_q and ||w||_2 = ||v*||_2 <= n^max(0, 1/2 - 1/q)
-    ||v*||_q, and |y^H v*| = |e^H w| <= ||e||_2 ||w||_2.  Hence
+    for y orthogonal to span B, every v in span B gives y^H (x - v) = y^H x,
+    so by Hölder dist(x, span B) >= |y^H x| / ||y||_q'.  Here y is first
+    projected, y <- y - Q (Q^H y), and what is left of y on span B is paid
+    for.  The nearest point v* has ||v*||_q <= 2 ||x||_q (v = 0 is a
+    candidate), so ||v*||_2 <= 2 n^a ||x||_q, a = max(0, 1/2 - 1/q).  With
+    v* = Q w + f, the leftover e = Q^H y gives |y^H Q w| <= ||e||_2 ||v*||_2
+    and f, ||f||_2 <= tilt ||v*||_2, gives |y^H f| <= ||y||_q' ||f||_q.  So
 
-        dist >= (|y^H x| - 2 n^max(0, 1/2 - 1/q) ||x||_q ||e||_2) / ||y||_q',
+        dist >= (|y^H x| - 2 n^a ||x||_q ||e||_2) / ||y||_q'
+                - 2 n^|1/2 - 1/q| tilt ||x||_q,
 
-    clipped at 0.  It holds up to the rounding of these sums, a relative
-    error of a few n eps, and of Q's orthonormality.
+    clipped at 0, up to the rounding of these sums (a few n eps relative).
     """
     y = y - Q @ (Q.conj().T @ y)
     a = np.abs(y)
@@ -403,9 +409,11 @@ def _dual_lower(x, Q, y, q):
     if top == 0.0:
         return 0.0
     n = x.size
-    margin = 2.0 * n ** max(0.0, 0.5 - 1.0 / q) * lp_norm(x, q) * np.linalg.norm(Q.conj().T @ y)
+    norm = lp_norm(x, q)
+    margin = 2.0 * n ** max(0.0, 0.5 - 1.0 / q) * norm * np.linalg.norm(Q.conj().T @ y)
     dual_norm = top * _abs_norm_function(conjugate_exponent(q))(a / top)
-    return max(0.0, (abs(np.vdot(y, x)) - margin) / dual_norm)
+    tilted = 2.0 * n ** abs(0.5 - 1.0 / q) * tilt * norm
+    return max(0.0, (abs(np.vdot(y, x)) - margin) / dual_norm - tilted)
 
 
 def _filled_sign_dual(Q, r):
@@ -459,20 +467,21 @@ def _damped_newton(step_at, z, size):
     return z, cur
 
 
-def _newton_distance(x, Q, q):
+def _newton_distance(x, Q, q, smooth=False):
     """min_c ||x - Q c||_q over complex c for 1 <= q < inf; returns (value, y).
     For real x and Q this is the minimum over real c, which the iteration
     keeps to: the imaginary coordinates of c get no gradient and stay 0.
 
     ``_damped_newton`` on sum_i (|r_i|^2 + mu^2)^(q/2), r = x - Q c, in the
-    2m real coordinates of c, from the least-squares c.  q > 1 takes
-    mu = 0, and y is the Hölder dual of r (``_dual``), which is orthogonal
-    to span Q at the optimum.  At q = 1 the kinks at r_i = 0 are smoothed:
+    2m real coordinates of c, from the least-squares c.  At q = 1, and
+    first for q > 1 when smooth is set, the kinks at r_i = 0 are smoothed:
     mu runs through max |r| 10^-s for s in _SMOOTHING, each stage started
-    from the last.  The residuals the smoothing has pushed below
-    sqrt(mu max |r|) are then taken as vanishing, and y is
+    from the last.  q > 1 ends at mu = 0, and y is the Hölder dual of r
+    (``_dual``), orthogonal to span Q at the optimum.  At q = 1 the
+    residuals below sqrt(mu max |r|) are taken as vanishing, and y is
     ``_filled_sign_dual``.  A residual that vanishes exactly (q < 2 at
-    mu = 0) has no finite curvature, and the iteration stops there.
+    mu = 0) has no finite curvature, and the iteration stops there; near a
+    tiny one the plain steps creep, and the smoothed stages step past it.
     """
     n, m = Q.shape
     J = np.block([[Q.real, -Q.imag], [Q.imag, Q.real]])
@@ -502,7 +511,8 @@ def _newton_distance(x, Q, q):
     top = float(np.sqrt(smoothed(z, 0.0)[1].max()))
     if top == 0.0:
         return 0.0, np.zeros_like(x)
-    for mu in [top * 10.0**-s for s in _SMOOTHING] if q == 1.0 else [0.0]:
+    stages = [top * 10.0**-s for s in _SMOOTHING] if q == 1.0 or smooth else []
+    for mu in stages + ([0.0] if q > 1.0 else []):
         z = _damped_newton(lambda z: step_at(z, mu), z, np.linalg.norm)[0]
     r = x - Q @ (z[:m] + 1j * z[m:])
     a = np.abs(r)
@@ -524,20 +534,20 @@ def _convex_distance(x, B, q):
     ``value`` is the l_q norm of a computed residual x - Q c, so it is at
     least the distance (up to rounding), and ``lower`` is ``_dual_lower``'s
     certified bound.  x is first divided by a power of two near its largest
-    modulus, which is exact and keeps every power finite, and Q is
+    modulus, which is exact and keeps every power finite, and (Q, tilt) is
     ``_orthonormal_span(B)``.  Coordinates where x and Q both vanish add
     nothing to either side and are dropped.  q = 1 tries the vertex anchors
     first (for one basis vector u these are the Fermat-Weber anchors
-    x_i / u_i), then ``_newton_distance``, which is the only solver for
-    q > 1.  The tries stop at the first that certifies the value to
-    CERTIFIED_GAP, and the best value and the best lower over them are
+    x_i / u_i), then ``_newton_distance``; q > 1 tries ``_newton_distance``
+    plain, then smoothed.  The tries stop at the first that certifies the
+    value to CERTIFIED_GAP, and the best value and lower over them are
     returned.
     """
     top = float(np.abs(x).max())
     if top == 0.0:
         return 0.0, 0.0
     scale = math.ldexp(1.0, math.frexp(top)[1])
-    Q = _orthonormal_span(B)
+    Q, tilt = _orthonormal_span(B)
     keep = (x != 0.0) | (Q != 0.0).any(axis=1)
     x, Q = x[keep] / scale, Q[keep]
     if Q.shape[1] == x.size:
@@ -545,11 +555,12 @@ def _convex_distance(x, B, q):
     if Q.shape[1] == 0:
         value = lp_norm(x, q)
         return value * scale, value * scale
-    tries = (_vertex_anchors, _newton_distance) if q == 1.0 else (_newton_distance,)
+    tries = ((_vertex_anchors, _newton_distance) if q == 1.0
+             else (_newton_distance, lambda x, Q, q: _newton_distance(x, Q, q, smooth=True)))
     value, lower = math.inf, 0.0
     for solve in tries:
         v, y = solve(x, Q, q)
-        value, lower = min(value, v), max(lower, _dual_lower(x, Q, y, q))
+        value, lower = min(value, v), max(lower, _dual_lower(x, Q, tilt, y, q))
         if value - lower <= CERTIFIED_GAP * value:
             break
     return value * scale, lower * scale

@@ -365,6 +365,14 @@ def test_tiny_exponent_exits_two_and_names_it():
     assert "Traceback" not in r.stderr
 
 
+def test_tiny_exponent_at_n_one_exits_two_and_names_it():
+    # n^(1/p) = 1 never overflows, but lgamma(1 + 1/p) in the volume does
+    r = run_cli("volume", "--p", "1e-306", "--n", "1")
+    assert r.returncode == 2
+    assert "--p 1e-306" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("p", ["0.001", "1e-4", "2e-3"])
 def test_sphere_overflow_at_tiny_p_exits_two_and_names_p(p):
     r = run_cli("idnumbers", "--p", p, "--q", "2")

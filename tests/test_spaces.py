@@ -476,9 +476,8 @@ def test_dist_complex_convex_is_certified_or_falls_back(field, q, seed, n, m, de
     # every value is certified to CERTIFIED_GAP or also runs the Nelder-Mead
     # descent; it stays below its cap, and above the previous route's value
     # (Nelder-Mead for complex data, L-BFGS for real) by at most its
-    # certified gap (lower <= dist <= old), up to rounding: a few n eps of
-    # ||x||_q, the scale at which residuals and the span of the basis are
-    # computed (a point near the span has a distance far below ||x||_q)
+    # certified gap (lower <= dist <= old), up to the rounding of the sums
+    # that the certificate states (a few n eps)
     x, basis = _convex_instance(seed, n, m, deficient, field)
     value, lower = spaces._convex_distance(x, np.column_stack(basis), q)
     assert 0.0 <= lower <= value * (1.0 + 1e-15)
@@ -492,18 +491,11 @@ def test_dist_complex_convex_is_certified_or_falls_back(field, q, seed, n, m, de
     else:
         assert calls
     old = _old_complex_distance if field == COMPLEX else _old_smooth_distance
-    rounding = 8.0 * n * np.finfo(float).eps * lp_norm(x, q)
+    rounding = 8.0 * n * np.finfo(float).eps * value
     assert d <= old(x, basis, q) + (value - lower) + rounding
 
 
-@pytest.mark.parametrize("field, q", _CONVEX_CASES[:-2] + [
-    # real instance 26 (n = 4, m = 3) has a dual coordinate of 6e-4, so one
-    # optimal residual is 4e-7 of the largest; at q < 2 the Newton steps
-    # stall near it (certified gap 6.6e-6) and Nelder-Mead runs
-    pytest.param(REAL, 1.5, id="real-1.5", marks=pytest.mark.xfail(
-        strict=True, reason="Newton steps stall near a tiny optimal residual at q < 2")),
-    pytest.param(REAL, 3.0, id="real-3.0"),
-])
+@pytest.mark.parametrize("field, q", _CONVEX_CASES)
 def test_dist_complex_convex_certifies_random_instances(monkeypatch, field, q):
     # the certificate, not the fallback, decides on generic instances
     calls = _recording_descent(monkeypatch)
