@@ -5,11 +5,14 @@ The instances cover every (field, q) cell, q in {0.5, 1, 1.5, 2, 3, inf} on
 real and complex data, with n <= 6 coordinates and m <= 3 basis vectors;
 every third instance gets a dependent extra basis vector, so its basis is
 rank-deficient.  Each is solved at the default budget and seed.  A record
-holds every value by ``float.hex`` and, where ``spaces._convex_distance``
-exists and applies (1 <= q < inf, except real q = 1), its certified gap
-value - lower.
+holds every value by ``float.hex`` and, where the checkout's
+dist_to_subspace takes ``spaces._convex_distance`` (1 <= q < inf but the
+exact q = 2, and real q = inf, unless the checkout still solves real q in
+{1, inf} by linear programming), its certified gap value - lower.
 
-Record each checkout with its own source on the path, then compare:
+Run bare, it prints this checkout's count per cell and the median and
+largest certified gap.  Record each checkout with its own source on the
+path, then compare:
 
     PYTHONPATH=<old>/src python demos/distance_values.py --out old.json
     PYTHONPATH=src python demos/distance_values.py --out new.json
@@ -47,6 +50,15 @@ def instances(per_cell):
                 yield field, q, x, basis
 
 
+def certified(spaces, field, q):
+    """Whether this checkout's dist_to_subspace takes _convex_distance."""
+    if not hasattr(spaces, "_convex_distance"):
+        return False
+    if field == "real" and (q == 1.0 or math.isinf(q)):
+        return not hasattr(spaces, "_linprog_distance")
+    return 1.0 <= q < math.inf and q != 2.0
+
+
 def record(per_cell):
     from snumbers import spaces
 
@@ -54,12 +66,23 @@ def record(per_cell):
     for field, q, x, basis in instances(per_cell):
         row = {"field": field, "q": repr(q), "n": x.size,
                "value": spaces.dist_to_subspace(x, basis, q).hex()}
-        convex = 1.0 <= q < math.inf and not (field == "real" and q == 1.0)
-        if convex and hasattr(spaces, "_convex_distance"):
+        if certified(spaces, field, q):
             value, lower = spaces._convex_distance(x, np.column_stack(basis), q)
             row["gap"] = value - lower
         rows.append(row)
     return rows
+
+
+def summary(rows):
+    cells = {}
+    for row in rows:
+        cells.setdefault(f"{row['field']} q={row['q']}", []).append(row.get("gap"))
+    out = {}
+    for name, gaps in cells.items():
+        out[name] = {"count": len(gaps)}
+        if None not in gaps:
+            out[name].update(median_gap=float(np.median(gaps)), max_gap=max(gaps))
+    return out
 
 
 def compare(old, new):
@@ -88,9 +111,11 @@ def main(argv=None):
     if args.compare:
         old, new = (json.load(open(path)) for path in args.compare)
         print(json.dumps(compare(old, new), indent=1))
-    else:
+    elif args.out:
         with open(args.out, "w") as f:
             json.dump(record(args.per_cell), f)
+    else:
+        print(json.dumps(summary(record(args.per_cell)), indent=1))
 
 
 if __name__ == "__main__":

@@ -293,34 +293,9 @@ def aoki_norm(x, p, depth=3, trials=32, seed=0):
 # ---------------------------------------------------------------------------
 
 
-# most m x m subsystems the exact q < 1 distance solves; larger bases descend
+# most m x m subsystems the exact q < 1 distance solves, and the most q = 1
+# vertex anchors; larger real q < 1 bases descend
 MAX_VERTEX_SYSTEMS = 512
-
-
-def _linprog_distance(x, B, q):
-    """Exact min_c ||x - B c||_q for q in {1, inf} on real data (LP)."""
-    from scipy import optimize
-
-    n, m = B.shape
-    if math.isinf(q):
-        # minimise t  s.t.  -t <= x - B c <= t
-        col = np.ones((n, 1))
-        A_ub = np.block([[B, -col], [-B, -col]])
-        b_ub = np.concatenate([x, -x])
-        cobj = np.zeros(m + 1)
-        cobj[-1] = 1.0
-        bounds = [(None, None)] * m + [(0, None)]
-    else:
-        # q == 1: minimise sum t_i  s.t.  -t <= x - B c <= t  componentwise
-        eye = np.eye(n)
-        A_ub = np.block([[B, -eye], [-B, -eye]])
-        b_ub = np.concatenate([x, -x])
-        cobj = np.concatenate([np.zeros(m), np.ones(n)])
-        bounds = [(None, None)] * m + [(0, None)] * n
-    res = optimize.linprog(cobj, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        return math.inf
-    return float(res.fun)
 
 
 def _arrangement_vertex_min(x, B, q):
@@ -386,7 +361,7 @@ def _orthonormal_span(B):
 
 
 def _dual_lower(x, Q, tilt, y, q):
-    """Certified lower bound on dist(x, span B) in l_q, 1 <= q < inf, from y,
+    """Certified lower bound on dist(x, span B) in l_q, 1 <= q <= inf, from y,
     where (Q, tilt) is ``_orthonormal_span(B)``.
 
     Hahn-Banach (Singer, Best Approximation in Normed Linear Spaces, 1970):
@@ -528,8 +503,58 @@ def _vertex_anchors(x, Q, q):
     return value, np.zeros_like(x) if r is None else _filled_sign_dual(Q, r)
 
 
+def _exchange_distance(x, Q, q):
+    """min_c ||x - Q c||_inf over real c, by Stiefel's exchange method
+    (Cheney, Introduction to Approximation Theory, 1966, ch. 2); returns
+    (value, y) as ``_newton_distance`` does.
+
+    The distance is the maximum of |y^T x| / ||y||_1 over y orthogonal to
+    span Q, and that polytope's vertices are supported on r + 1 rows, r the
+    number of columns of Q.  A reference S of r + 1 rows gives one such y,
+    the null vector of Q_S^T, and the residual that levels on S: h sign(y_i)
+    on the rows of S, with h = y^T x / ||y||_1, the least deviation there.
+    While a row j off S has a larger residual, j enters S, and the row whose
+    removal keeps the largest |h| leaves; the exchange is made only when
+    |h| rises, so no reference repeats.  At the maximising reference, when
+    y vanishes nowhere on it, the leveled residual is a best approximation
+    and its norm is |h|; ``_convex_distance`` certifies the pair either
+    way.  The start is the r + 1 rows of largest least-squares residual.
+    """
+    n, r = Q.shape
+    S = list(np.argsort(-np.abs(x - Q @ (Q.T @ x)), kind="stable")[: r + 1])
+    for _ in range(n + _NEWTON_STEPS):
+        y = np.zeros(n)
+        y[S] = np.linalg.svd(Q[S])[0][:, -1]
+        h = y @ x / np.abs(y).sum()
+        level = x[S] - h * np.sign(y[S])
+        # the rows of S but the one of largest |y_i| form an invertible block
+        # when Q_S has rank r; LU on it levels more accurately than lstsq
+        k = int(np.argmax(np.abs(y[S])))
+        rows = S[:k] + S[k + 1:]
+        try:
+            c = np.linalg.solve(Q[rows], np.delete(level, k))
+        except np.linalg.LinAlgError:
+            c = np.linalg.lstsq(Q[S], level, rcond=None)[0]
+        res = x - Q @ c
+        j = int(np.argmax(np.abs(res)))
+        if j in S:
+            break
+        # the null vectors of the r + 2 rows S + [j] form a plane; row i of W
+        # is the one in it that vanishes at S[i]
+        u, v = np.linalg.svd(Q[S + [j]].T)[2][-2:]
+        W = (v[:, None] * u - u[:, None] * v)[:-1]
+        norm1 = np.abs(W).sum(axis=1)
+        gains = np.abs(W @ x[S + [j]]) / np.where(norm1 > 0.0, norm1, np.inf)
+        i = int(np.argmax(gains))
+        if not gains[i] > abs(h):
+            break
+        S[i] = j
+    return float(np.abs(res).max()), y
+
+
 def _convex_distance(x, B, q):
-    """(value, lower) for dist(x, span B) on either field, 1 <= q < inf.
+    """(value, lower) for dist(x, span B) on either field for 1 <= q < inf,
+    and on real data for q = inf.
 
     ``value`` is the l_q norm of a computed residual x - Q c, so it is at
     least the distance (up to rounding), and ``lower`` is ``_dual_lower``'s
@@ -538,10 +563,10 @@ def _convex_distance(x, B, q):
     ``_orthonormal_span(B)``.  Coordinates where x and Q both vanish add
     nothing to either side and are dropped.  q = 1 tries the vertex anchors
     first (for one basis vector u these are the Fermat-Weber anchors
-    x_i / u_i), then ``_newton_distance``; q > 1 tries ``_newton_distance``
-    plain, then smoothed.  The tries stop at the first that certifies the
-    value to CERTIFIED_GAP, and the best value and lower over them are
-    returned.
+    x_i / u_i), then ``_newton_distance``; q = inf takes
+    ``_exchange_distance``; any other q tries ``_newton_distance`` plain,
+    then smoothed.  The tries stop at the first that certifies the value to
+    CERTIFIED_GAP, and the best value and lower over them are returned.
     """
     top = float(np.abs(x).max())
     if top == 0.0:
@@ -555,8 +580,12 @@ def _convex_distance(x, B, q):
     if Q.shape[1] == 0:
         value = lp_norm(x, q)
         return value * scale, value * scale
-    tries = ((_vertex_anchors, _newton_distance) if q == 1.0
-             else (_newton_distance, lambda x, Q, q: _newton_distance(x, Q, q, smooth=True)))
+    if q == 1.0:
+        tries = (_vertex_anchors, _newton_distance)
+    elif math.isinf(q):
+        tries = (_exchange_distance,)
+    else:
+        tries = (_newton_distance, lambda x, Q, q: _newton_distance(x, Q, q, smooth=True))
     value, lower = math.inf, 0.0
     for solve in tries:
         v, y = solve(x, Q, q)
@@ -613,19 +642,20 @@ def dist_to_subspace(x, basis, q, budget=2000, seed=0):
     Each branch is exact, certified or a descent:
 
     - q = 2, either field: exact (orthogonal projection).
-    - Real q in {1, inf}: exact (linear programming, scipy's HiGHS).
-    - Every other 1 <= q < inf, either field: certified.
+    - Every other 1 <= q < inf, either field, and real q = inf: certified.
       ``_convex_distance`` solves the convex problem in numpy alone (at
       q = 1 the vertex anchors, where as many residuals vanish as there are
       basis vectors, then smoothed Newton steps; plain Newton steps for
-      q > 1) and bounds the distance from below by a Hahn-Banach
-      certificate: dist(x, V) >= |y^H x| / ||y||_q' for every y orthogonal
-      to V (Singer, Best Approximation in Normed Linear Spaces, 1970), with
-      y the Hölder dual of the final residual, less the rounding margin
-      that ``_dual_lower`` proves.  The value is returned when it is within
-      CERTIFIED_GAP (relative) of that bound.  Otherwise the Nelder-Mead
-      descent below also runs, and the smaller value is returned; so no
-      value is above the descent's by more than its certified gap.
+      1 < q < inf; Stiefel's exchange method for real q = inf) and bounds
+      the distance from below by a Hahn-Banach certificate:
+      dist(x, V) >= |y^H x| / ||y||_q' for every y orthogonal to V (Singer,
+      Best Approximation in Normed Linear Spaces, 1970), with y the Hölder
+      dual of the final residual (the exchange method's reference vector
+      at q = inf), less the rounding margin that ``_dual_lower`` proves.
+      The value is returned when it is within CERTIFIED_GAP (relative) of
+      that bound.  Otherwise the Nelder-Mead descent below also runs, and
+      the smaller value is returned; so no value is above the descent's by
+      more than its certified gap.
     - Real q < 1: not convex, but concave on each cell of the arrangement
       {x_i = (Bc)_i}.  Exact, up to rounding, when the basis vectors are
       linearly independent and comb(n, len(basis)) <= MAX_VERTEX_SYSTEMS,
@@ -634,8 +664,7 @@ def dist_to_subspace(x, basis, q, budget=2000, seed=0):
       uncertified convex values): a descent, Nelder-Mead from the
       least-squares and the zero coefficients over their real coordinates
       (the real and imaginary parts for complex data), with six more seeded
-      starts for q < 1.  scipy is loaded only for it and for the linear
-      program.
+      starts for q < 1.  scipy is loaded only for it.
 
     A descent returns an upper approximation of the infimum.  The zero and
     the least-squares coefficients are always candidates, so the result
@@ -654,9 +683,7 @@ def dist_to_subspace(x, basis, q, budget=2000, seed=0):
     iscomplex = np.iscomplexobj(x)
     n, m = B.shape
 
-    if not iscomplex and (q == 1.0 or math.isinf(q)):
-        return float(min(best, _linprog_distance(x, B, q)))
-    if 1.0 <= q < math.inf:
+    if 1.0 <= q < math.inf or (math.isinf(q) and not iscomplex):
         value, lower = _convex_distance(x, B, q)
         best = min(best, value)
         if value - lower <= CERTIFIED_GAP * value:

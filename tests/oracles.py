@@ -3,6 +3,7 @@ library: no shared helper, no dispatch, just the definition of each value."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -35,3 +36,73 @@ def norm_from_linf(A, q):
     """||A: l_inf -> l_q|| of a real matrix, q >= 1: max ||A s||_q over every
     vertex s of the cube, where the convex x -> ||Ax||_q peaks."""
     return max(lp_norm(A @ s, q) for s in sign_vectors(A.shape[1]))
+
+
+def _rref(rows):
+    """Reduced row echelon form of a list of Fraction rows, in place; returns
+    the pivot columns."""
+    pivots, r = [], 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [v / rows[r][col] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return pivots
+
+
+def _exact_span(x, B):
+    """x and a column basis of span B, as Fractions equal to the floats: the
+    columns of B that row reduction picks as pivots."""
+    cols = _rref([[Fraction(float(v)) for v in row] for row in B])
+    return ([Fraction(float(v)) for v in x],
+            [[Fraction(float(B[i, j])) for j in cols] for i in range(B.shape[0])])
+
+
+def dist_l1_exact(x, B):
+    """min_c ||x - B c||_1 over real c, in rational arithmetic.  The
+    objective is linear on each cell of the arrangement {x_i = (Bc)_i}, and
+    with r independent columns every cell is pointed, so the minimum is at a
+    vertex: a point where r rows with an invertible r x r block vanish."""
+    x, A = _exact_span(x, B)
+    r = len(A[0]) if A else 0
+    best = sum(abs(v) for v in x)
+    for rows in itertools.combinations(range(len(x)), r):
+        aug = [A[i][:] + [x[i]] for i in rows]
+        if _rref(aug) != list(range(r)):
+            continue
+        c = [row[r] for row in aug]
+        best = min(best, sum(abs(x[i] - sum(a * cj for a, cj in zip(A[i], c)))
+                             for i in range(len(x))))
+    return best
+
+
+def dist_linf_exact(x, B):
+    """min_c ||x - B c||_inf over real c, in rational arithmetic: by duality
+    the maximum of |y^T x| / ||y||_1 over y orthogonal to span B.  That
+    polytope's vertices are the y whose support S has a one-dimensional
+    space of such vectors, so |S| <= r + 1; every subset of at most r + 1
+    rows with that property is taken."""
+    x, A = _exact_span(x, B)
+    r = len(A[0]) if A else 0
+    best = Fraction(0)
+    for size in range(1, r + 2):
+        for rows in itertools.combinations(range(len(x)), size):
+            eqs = [[A[i][j] for i in rows] for j in range(r)]
+            pivots = _rref(eqs)
+            free = [k for k in range(size) if k not in pivots]
+            if len(free) != 1:
+                continue
+            y = [Fraction(0)] * size
+            y[free[0]] = Fraction(1)
+            for row, k in zip(eqs, pivots):
+                y[k] = -row[free[0]]
+            best = max(best, abs(sum(a * x[i] for a, i in zip(y, rows)))
+                       / sum(abs(a) for a in y))
+    return best

@@ -383,8 +383,8 @@ def test_sphere_overflow_at_tiny_p_exits_two_and_names_p(p):
 
 
 def test_cli_commands_load_no_scipy():
-    # scipy is imported only by the real LP and the Nelder-Mead distance
-    # paths, neither of which these commands reach
+    # scipy is imported only by the Nelder-Mead distance descent, which
+    # these commands do not reach
     code = textwrap.dedent("""
         import contextlib, io, sys
         import snumbers, snumbers.cli

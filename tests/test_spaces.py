@@ -8,6 +8,7 @@ import textwrap
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -197,23 +198,24 @@ def test_dist_linf_and_l1_lines():
     assert dist_to_subspace(x, b, 1.0) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_dist_l1_first_call_in_fresh_interpreter_is_lp_value():
-    # scipy.optimize is imported inside the LP path, on its first call;
-    # the median point c = 1 gives 9, below ||x||_1 = 13 and the
-    # least-squares residual's 13.5, so only the LP reaches it
+def test_dist_real_l1_and_linf_in_fresh_interpreter_load_no_scipy():
+    # at q = 1 the median point c = 1 gives 9, below ||x||_1 = 13 and the
+    # least-squares residual's 13.5, so only the certified route reaches it;
+    # at q = inf the midrange point c = 5.5 gives 4.5
     code = textwrap.dedent("""
-        import sys
+        import math, sys
         import numpy as np
         from snumbers.spaces import dist_to_subspace
 
-        assert "scipy.optimize" not in sys.modules
-        d = dist_to_subspace(np.array([1.0, 1.0, 1.0, 10.0]), [np.ones(4)], 1.0)
-        assert "scipy.optimize" in sys.modules
-        print(repr(d))
+        x, b = np.array([1.0, 1.0, 1.0, 10.0]), [np.ones(4)]
+        print(repr(dist_to_subspace(x, b, 1.0)), repr(dist_to_subspace(x, b, math.inf)))
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     """)
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert float(r.stdout) == pytest.approx(9.0, abs=1e-9)
+    values, loaded = r.stdout.splitlines()
+    assert [float(v) for v in values.split()] == pytest.approx([9.0, 4.5], rel=1e-14)
+    assert loaded == "[]"
 
 
 def test_dist_quasi_matches_kink_oracle():
@@ -503,6 +505,54 @@ def test_dist_complex_convex_certifies_random_instances(monkeypatch, field, q):
         n = 2 + seed % 4
         x, basis = _convex_instance(seed, n, 1 + seed % min(3, n - 1), seed % 5 == 0, field)
         dist_to_subspace(x, basis, q)
+    assert not calls
+
+
+def _linprog_distance(x, B, q):
+    """min_c ||x - B c||_q for real q in {1, inf} by scipy's HiGHS linear
+    program: a reference for systems too large for the rational oracle."""
+    n, m = B.shape
+    width = 1 if math.isinf(q) else n
+    slack = np.ones((n, 1)) if math.isinf(q) else np.eye(n)
+    A_ub = np.block([[B, -slack], [-B, -slack]])
+    cost = np.concatenate([np.zeros(m), np.ones(width)])
+    bounds = [(None, None)] * m + [(0, None)] * width
+    res = optimize.linprog(cost, A_ub=A_ub, b_ub=np.concatenate([x, -x]), bounds=bounds,
+                           method="highs")
+    assert res.success
+    return float(res.fun)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(2, 6), m=st.integers(1, 3),
+       deficient=st.booleans(), q=st.sampled_from([1.0, math.inf]))
+def test_dist_real_l1_and_linf_match_rational_oracle(seed, n, m, deficient, q):
+    # the oracle is exact on the floats' values; the computed residual
+    # x - Q c rounds at the scale of x, not of the distance, so the value is
+    # held to 8 n eps ||x||_q, and the certified lower to 8 n eps of the value
+    x, basis = _convex_instance(seed, n, m, deficient, REAL)
+    B = np.column_stack(basis)
+    exact = (oracles.dist_l1_exact if q == 1.0 else oracles.dist_linf_exact)(x, B)
+    d = dist_to_subspace(x, basis, q)
+    eps = np.finfo(float).eps
+    assert abs(Fraction(d) - exact) <= Fraction(8.0 * n * eps * lp_norm(x, q))
+    value, lower = spaces._convex_distance(x, B, q)
+    assert Fraction(lower) <= exact + Fraction(8.0 * n * eps * value)
+
+
+@pytest.mark.parametrize("q, n, m", [(1.0, 12, 5), (1.0, 14, 4), (math.inf, 12, 5),
+                                     (math.inf, 40, 6)])
+def test_dist_real_l1_and_linf_above_the_enumeration_cap(monkeypatch, q, n, m):
+    # more vertex systems than MAX_VERTEX_SYSTEMS: q = 1 has only part of its
+    # anchors and ends in Newton steps, q = inf's exchange method has no cap
+    size = m if q == 1.0 else m + 1
+    assert math.comb(n, size) > spaces.MAX_VERTEX_SYSTEMS
+    calls = _recording_descent(monkeypatch)
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        x, B = rng.standard_normal(n), rng.standard_normal((n, m))
+        d = dist_to_subspace(x, list(B.T), q)
+        assert d == pytest.approx(_linprog_distance(x, B, q), rel=1e-9)
     assert not calls
 
 

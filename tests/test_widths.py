@@ -584,6 +584,29 @@ def test_kolmogorov_candidate_value_is_exact_below_its_bound(field, p, q):
                 assert bound <= v <= full
 
 
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0, 3.0, INF])
+def test_batched_caps_bracket_each_points_own_cap(field, q):
+    # the search skips a point when the upper bound of its cap is <= a
+    # distance it already has, so every point's own cap (the value its
+    # dist_to_subspace call never exceeds) must lie between the bounds that
+    # one projection per candidate gives
+    rng = np.random.default_rng(41)
+    for t in range(40):
+        n = int(rng.integers(2, 7))
+        d = int(rng.integers(1, n))
+        G, Y = rng.standard_normal((n, d)), rng.standard_normal((n, 12))
+        if field == COMPLEX:
+            G, Y = G + 1j * rng.standard_normal((n, d)), Y + 1j * rng.standard_normal((n, 12))
+        Q = np.linalg.qr(G)[0] if t % 2 else np.linalg.svd(G)[0][:, :d]
+        Y[:, 0] = Q @ Y[:d, 1]  # a point in the span, whose cap is rounding
+        Y[:, 2] *= 10.0 ** int(rng.integers(-8, 9))
+        lo, hi = widths._cap_bounds(Y, Q, q)
+        for j in range(Y.shape[1]):
+            cap = spaces._distance_start(Y[:, j], list(Q.T), q)[-1]
+            assert lo[j] <= cap <= hi[j]
+
+
 @pytest.mark.parametrize("field, budget, n_cand", [
     (REAL, 100, 5), (REAL, 4000, 8), (COMPLEX, 12000, 20),
 ])
