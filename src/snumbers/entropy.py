@@ -200,10 +200,66 @@ def image_cloud(T, size, seed):
     return X @ T.matrix.T
 
 
+_EPS = np.finfo(float).eps
+
+
+def _real_coords(points):
+    """The (N, r) real coordinates of a cloud: [re | im] for complex points."""
+    return np.hstack([points.real, points.imag]) if np.iscomplexobj(points) else points
+
+
+def _sorted_cloud(points):
+    """The cloud's real coordinates sorted along the widest of them, as
+    (perm, coords, widest): the stable sort permutation, the sorted (N, r)
+    coordinates, and the coordinate indices by decreasing width.  Every slab
+    |key_j - key| <= h on the widest coordinate is then a contiguous range
+    of positions."""
+    coords = _real_coords(points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        widest = np.argsort(-np.ptp(coords, axis=0), kind="stable")
+    perm = np.argsort(coords[:, widest[0]], kind="stable")
+    return perm, coords[perm], widest
+
+
+def _slab_widen(n, q):
+    """1 plus a bound on the relative error of ``_dist_cols`` on n
+    coordinates: an n-term sum and the powers q and 1/q."""
+    return 1.0 + 4.0 * (n + 4) * _EPS / min(1.0, q)
+
+
+def _slab(keys, key, radius, widen):
+    """Positions lo:hi of the sorted ``keys`` holding every point whose
+    computed distance to a point with key ``key`` is at most ``radius``.
+
+    |Re a_c| <= |a_c| <= ||a||_q and |Im a_c| <= |a_c| <= ||a||_q for every
+    q in (0, inf], so d(i, j) <= r puts key_j within r of key_i.  The
+    computed distance can round below the key gap (sqrt(1.5)**2 < 1.5), so
+    the half-width is r times ``widen`` (``_slab_widen``), plus 4 eps |key|
+    for the rounding of key +- r, which scales with |key|, not with r.
+    Outside the slab every computed distance exceeds ``radius``.
+    """
+    half = radius * widen + 4.0 * _EPS * abs(key)
+    return (int(keys.searchsorted(key - half, side="left")),
+            int(keys.searchsorted(key + half, side="right")))
+
+
 # neighbours on each side of a point, in each sorted order, that propose u_i
 _NN_SORTED_NEIGHBOURS = 16
 # sorted orders (widest real coordinates) that propose u_i
 _NN_SORTED_AXES = 3
+
+
+def _shift_minima(cols, q):
+    """min over 1 <= s <= 16 of the distances from each column of ``cols``
+    to the columns s places before and after it."""
+    N = cols.shape[1]
+    out = np.full(N, math.inf)
+    for s in range(1, min(_NN_SORTED_NEIGHBOURS, N - 1) + 1):
+        # the distance is symmetric bit for bit: fl(a - b) = -fl(b - a)
+        d = _dist_cols(cols[:, :-s], cols[:, s:], q)
+        np.minimum(out[:-s], d, out=out[:-s])
+        np.minimum(out[s:], d, out=out[s:])
+    return out
 
 
 def max_nn_gap(points, q):
@@ -213,67 +269,44 @@ def max_nn_gap(points, q):
     Comput. C-24, 1975) on the real coordinates ([re | im] for complex
     points), in numpy alone.  The points are sorted along each of the three
     widest coordinates, and u_i is the exact l_q distance from i to the
-    closest of its 16 neighbours on each side in those orders.  u_i is an
-    upper bound on the true gap r_i = min_{j != i} d(i, j): it is one of the
-    terms of that minimum, computed by the same floating-point expression
-    (which is symmetric in i and j bit for bit), so u_i >= r_i.  Points are
-    then rechecked in descending u_i, and the scan stops at the first
-    u_i <= best gap found, because every remaining r_i <= u_i <= best.  A
-    recheck of i also lowers u_j to d(i, j) for the points j it meets, and a
-    point whose lowered u_j <= best is skipped for the same reason.
+    closest of its 16 neighbours on each side in those orders.  Each order's
+    columns are gathered once and shifted as contiguous slices, and its
+    minima are folded into u by one scatter.  u_i is an upper bound on the
+    true gap r_i = min_{j != i} d(i, j): it is one of the terms of that
+    minimum, computed by the same floating-point expression (which is
+    symmetric in i and j bit for bit), so u_i >= r_i.  Points are then
+    rechecked in descending u_i, and the scan stops at the first u_i <= best
+    gap found, because every remaining r_i <= u_i <= best.  A recheck of i
+    also lowers u_j to d(i, j) for the points j it meets, and a point whose
+    lowered u_j <= best is skipped for the same reason.
 
     A recheck of i scans only slabs |key_j - key_i| <= r on the widest
-    coordinate, every j with d(i, j) <= r lying in the slab of radius r.
-    That holds for every q in (0, inf] and both fields, because
-    |Re a_c| <= |a_c| <= ||a||_q and |Im a_c| <= |a_c| <= ||a||_q.  The
-    computed distance can round below the key gap (sqrt(1.5)**2 < 1.5), so
-    the half-width is r times 1 plus a bound on that relative error (an
-    n-term sum and the powers q and 1/q), plus 4 eps |key_i| for the
-    rounding of key_i +- r, which scales with |key_i|, not with r.  The
-    recheck first scans the slab of radius best.  If it holds a j with
-    d(i, j) <= best, then r_i <= best and i cannot raise the maximum, so i
-    is done.  Otherwise the nearest j lies within m = min(u_i, the slab's
-    minimum) of i, and the recheck scans the rest of the slab of radius m,
-    which is its two side ranges (the slab of radius best is inside it,
-    since best < m and rounding is monotone).  Either way r_i is known
-    whenever it exceeds best, so the result equals the brute-force maximum
-    for every q and field.
+    coordinate (``_slab``), every j with d(i, j) <= r lying in the slab of
+    radius r.  The recheck first scans the slab of radius best.  If it holds
+    a j with d(i, j) <= best, then r_i <= best and i cannot raise the
+    maximum, so i is done.  Otherwise the nearest j lies within
+    m = min(u_i, the slab's minimum) of i, and the recheck scans the rest of
+    the slab of radius m, which is its two side ranges (the slab of radius
+    best is inside it, since best < m and rounding is monotone).  Either way
+    r_i is known whenever it exceeds best, so the result equals the
+    brute-force maximum for every q and field.
     """
     N = points.shape[0]
     if N < 2:
         return 0.0
     if not np.all(np.isfinite(points)):
         raise ValueError("max_nn_gap needs finite points")
-    coords = np.hstack([points.real, points.imag]) if np.iscomplexobj(points) else points
-    widest = np.argsort(-np.ptp(coords, axis=0), kind="stable")[:_NN_SORTED_AXES]
-    # work in the sorted order of the widest coordinate, where every slab
-    # is a contiguous range of columns
-    perm = np.argsort(coords[:, widest[0]], kind="stable")
-    coords = coords[perm]
+    # work in the sorted order of the widest coordinate
+    perm, coords, widest = _sorted_cloud(points)
     keys = np.ascontiguousarray(coords[:, widest[0]])
     cols = np.ascontiguousarray(points[perm].T)
 
-    orders = [np.argsort(coords[:, axis], kind="stable") for axis in widest[1:]]
-    upper = np.full(N, math.inf)
-    for s in range(1, min(_NN_SORTED_NEIGHBOURS, N - 1) + 1):
-        # the distance is symmetric bit for bit: fl(a - b) = -fl(b - a)
-        d = _dist_cols(cols[:, :-s], cols[:, s:], q)
-        np.minimum(upper[:-s], d, out=upper[:-s])
-        np.minimum(upper[s:], d, out=upper[s:])
-        for order in orders:
-            a, b = order[:-s], order[s:]
-            d = _dist_cols(cols[:, a], cols[:, b], q)
-            upper[a] = np.minimum(upper[a], d)
-            upper[b] = np.minimum(upper[b], d)
+    upper = _shift_minima(cols, q)
+    for axis in widest[1:_NN_SORTED_AXES]:
+        order = np.argsort(coords[:, axis], kind="stable")
+        upper[order] = np.minimum(upper[order], _shift_minima(cols[:, order], q))
 
-    eps = np.finfo(float).eps
-    # relative error bound of _dist_cols: an n-term sum and the powers q, 1/q
-    widen = 1.0 + 4.0 * (points.shape[1] + 4) * eps / min(1.0, q)
-
-    def slab(key, radius):
-        half = radius * widen + 4.0 * eps * abs(key)
-        lo = int(np.searchsorted(keys, key - half, side="left"))
-        return lo, int(np.searchsorted(keys, key + half, side="right"))
+    widen = _slab_widen(points.shape[1], q)
 
     def nearest(i, lo, hi):
         """min of d(i, j) over j != i in lo:hi, lowering u_j on the way."""
@@ -293,11 +326,11 @@ def max_nn_gap(points, q):
         if upper[i] <= best:  # tightened by an earlier recheck
             continue
         key = float(keys[i])
-        lo_b, hi_b = slab(key, best)  # holds i
+        lo_b, hi_b = _slab(keys, key, best, widen)  # holds i
         r_i = nearest(i, lo_b, hi_b)
         if r_i <= best:
             continue
-        lo, hi = slab(key, min(float(upper[i]), r_i))
+        lo, hi = _slab(keys, key, min(float(upper[i]), r_i), widen)
         for a, b in ((lo, lo_b), (hi_b, hi)):
             if a < b:
                 r_i = min(r_i, nearest(i, a, b))
@@ -306,7 +339,7 @@ def max_nn_gap(points, q):
 
 
 class _FarthestPoints:
-    """Farthest-point traversal of the cloud with columns ``cols``, grown on demand.
+    """Farthest-point traversal of the cloud ``points``, grown on demand.
 
     Starts at point ``start``; each insertion takes the point farthest from
     the points taken so far (d = -inf) and records that distance in ``gaps``.
@@ -314,12 +347,25 @@ class _FarthestPoints:
     the separation of the first i+2 (Gonzalez, Theor. Comput. Sci. 38, 1985).
     ``extend(count)`` continues the loop exactly where it stopped, so the gaps
     after any sequence of extensions are those of one uninterrupted traversal.
+
+    The cloud is kept sorted along its widest real coordinate
+    (``_sorted_cloud``), and an insertion at distance ``gap`` lowers d only
+    on the slab of radius gap around the new point (``_slab``).  Outside it
+    the computed distance exceeds gap >= d, so ``np.minimum`` would keep
+    every bit there.  Of the points at distance gap, the one with the lowest
+    index in ``points`` is taken, as ``np.argmax`` takes it in that order,
+    so the gaps are those of the unsorted traversal.  The start's distances
+    are a full pass, so an overflow still raises at the first insertion.
     """
 
-    def __init__(self, cols, start, q):
-        self.cols, self.q = cols, q
+    def __init__(self, points, start, q):
+        self.perm, coords, widest = _sorted_cloud(points)
+        self.keys = np.ascontiguousarray(coords[:, widest[0]])
+        self.cols = np.ascontiguousarray(points[self.perm].T)
+        self.q, self.widen = q, _slab_widen(points.shape[1], q)
+        start = int(np.flatnonzero(self.perm == start)[0])
         with np.errstate(over="ignore", invalid="ignore"):
-            self.d = _dist_cols(cols, cols[:, start], q)
+            self.d = _dist_cols(self.cols, self.cols[:, start], q)
         self.d[start] = -np.inf
         self.gaps = []
 
@@ -330,17 +376,21 @@ class _FarthestPoints:
         ones; the loop then stops without changing the state.  A gap of +inf
         or NaN means the distances overflowed, and raises ValueError.
         """
-        d, cols, q = self.d, self.cols, self.q
+        d, cols, keys, q = self.d, self.cols, self.keys, self.q
         with np.errstate(over="ignore", invalid="ignore"):
             while len(self.gaps) < count:
-                j = int(np.argmax(d))
+                j = int(d.argmax())
                 gap = float(d[j])
                 if not gap < math.inf:
                     raise ValueError(f"image-cloud distances overflow a float (gap {gap})")
                 if not gap > 0.0:
                     break
+                if np.count_nonzero(d == gap) > 1:
+                    ties = np.flatnonzero(d == gap)
+                    j = int(ties[np.argmin(self.perm[ties])])
                 self.gaps.append(gap)
-                np.minimum(d, _dist_cols(cols, cols[:, j], q), out=d)
+                lo, hi = _slab(keys, float(keys[j]), gap, self.widen)
+                np.minimum(d[lo:hi], _dist_cols(cols[:, lo:hi], cols[:, j], q), out=d[lo:hi])
                 d[j] = -np.inf
 
 
@@ -358,13 +408,39 @@ def _greedy_cover_radii(points, n_centers, q):
     index; later centers are the current farthest points, which is the
     standard greedy covering heuristic.  Radii past the traversal's end are
     exactly 0: every point is then a center or duplicates one.
+
+    A candidate's max is at least its distance to each extreme point of the
+    cloud (the argmin and argmax of every real coordinate), computed by the
+    same expression as that term of the max, so the largest of these is a
+    lower bound on it.  The candidates are evaluated in ascending bound, and
+    one whose bound is above the best max found so far is skipped: its max
+    is at least its bound, so it cannot win.  Nor can one whose bound equals
+    the best max and whose index is higher, since it can at most tie, and a
+    tie goes to the lowest index.  Skipped candidates count as +inf, and the
+    start is ``np.argmin`` over the candidates' maxima.  A NaN max (a cloud
+    that is not finite) has a NaN bound, so it is never skipped, and the
+    start is the one the full search takes.
     """
     N = points.shape[0]
     cols = np.ascontiguousarray(points.T)
     cand_idx = np.linspace(0, N - 1, min(N, _COVER_CANDIDATES)).astype(int)
+    coords = _real_coords(points)
+    extremes = np.concatenate([coords.argmin(axis=0), coords.argmax(axis=0)])
+    cand_cols = np.ascontiguousarray(cols[:, cand_idx])
+    worst = np.full(cand_idx.size, math.inf)
+    best, best_c = math.inf, cand_idx.size
     with np.errstate(over="ignore", invalid="ignore"):
-        worst = np.array([_dist_cols(cols, cols[:, ci], q).max() for ci in cand_idx])
-    trav = _FarthestPoints(cols, int(cand_idx[int(np.argmin(worst))]), q)
+        bound = np.full(cand_idx.size, -math.inf)
+        for e in extremes.tolist():
+            # d(c, e) is symmetric bit for bit, so this is the term at e of c's max
+            np.maximum(bound, _dist_cols(cand_cols, cols[:, e], q), out=bound)
+        for c in np.argsort(bound, kind="stable").tolist():
+            if bound[c] > best or (bound[c] == best and c > best_c):
+                continue
+            worst[c] = _dist_cols(cols, cols[:, cand_idx[c]], q).max()
+            if worst[c] < best or (worst[c] == best and c < best_c):
+                best, best_c = float(worst[c]), c
+    trav = _FarthestPoints(points, int(cand_idx[int(np.argmin(worst))]), q)
     trav.extend(n_centers)
     return np.array(trav.gaps + [0.0] * (n_centers - len(trav.gaps)))
 
@@ -435,7 +511,7 @@ def _packing_traversal(T, budget, seed):
             pts = pts / scale
         with np.errstate(over="ignore"):
             start = int(np.argmax(_norm_rows(pts, q)))
-        T._memo[key] = _FarthestPoints(np.ascontiguousarray(pts.T), start, q), scale
+        T._memo[key] = _FarthestPoints(pts, start, q), scale
     return T._memo[key]
 
 
@@ -452,18 +528,24 @@ def entropy_lower_pack_sequence(T, k_max, budget=512, seed=0):
 
     e_k only reads the first 2^(k-1) + 1 traversal points, and the traversal
     does not depend on k_max, so the bounds for k <= k_max are the same for
-    every k_max (a shorter sequence is a prefix of a longer one).  One
-    traversal per (budget, seed) is therefore kept on the operator and
-    extended to min(budget, 2^(k_max-1) + 1) points only when a call needs
-    more of it: calls in any order, including the per-k calls of
-    ``entropy_lower_pack`` and ``best_certified_lower``, return exactly what
-    a fresh traversal returns.
+    every k_max (a shorter sequence is a prefix of a longer one).  A cloud
+    of N points has no 2^(k-1) + 1 distinct points when that exceeds N, and
+    e_k's bound is then 0.  One traversal per (budget, seed) is therefore
+    kept on the operator and extended, only when a call needs more of it,
+    to the last insertion some k <= k_max reads: the largest 2^(k-1) with
+    2^(k-1) + 1 <= N (N is the cloud's point count, at least ``budget``).
+    Calls in any order, including the per-k calls of ``entropy_lower_pack``
+    and ``best_certified_lower``, return exactly what a fresh traversal
+    returns.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     q = T.codomain.p
-    need = 2 ** (k_max - 1)
     trav, scale = _packing_traversal(T, budget, seed)
+    N = trav.cols.shape[1]
+    need = 2 ** (k_max - 1)
+    while need > 1 and need + 1 > N:
+        need //= 2
     trav.extend(need)
     insert_dists = _scaled_back(trav.gaps[:need], scale)
     # separation of the first (i+2) points = min of the first (i+1) insertions

@@ -653,9 +653,12 @@ def dist_to_subspace(x, basis, q, budget=2000, seed=0):
       dual of the final residual (the exchange method's reference vector
       at q = inf), less the rounding margin that ``_dual_lower`` proves.
       The value is returned when it is within CERTIFIED_GAP (relative) of
-      that bound.  Otherwise the Nelder-Mead descent below also runs, and
-      the smaller value is returned; so no value is above the descent's by
-      more than its certified gap.
+      that bound, or when it is at most 8 n eps ||x||_q: the residual
+      x - Q c rounds at the scale of x, so such a value is the distance up
+      to that rounding (a point in span(basis), where the bound is 0).
+      Otherwise the Nelder-Mead descent below also runs, and the smaller
+      value is returned; so no value is above the descent's by more than
+      its certified gap.
     - Real q < 1: not convex, but concave on each cell of the arrangement
       {x_i = (Bc)_i}.  Exact, up to rounding, when the basis vectors are
       linearly independent and comb(n, len(basis)) <= MAX_VERTEX_SYSTEMS,
@@ -686,7 +689,8 @@ def dist_to_subspace(x, basis, q, budget=2000, seed=0):
     if 1.0 <= q < math.inf or (math.isinf(q) and not iscomplex):
         value, lower = _convex_distance(x, B, q)
         best = min(best, value)
-        if value - lower <= CERTIFIED_GAP * value:
+        if (value - lower <= CERTIFIED_GAP * value
+                or value <= 8.0 * n * np.finfo(float).eps * lp_norm(x, q)):
             return float(best)
     elif not iscomplex and q < 1.0 and rank == m and math.comb(n, m) <= MAX_VERTEX_SYSTEMS:
         # q < 1: the objective is concave on every cell of the arrangement

@@ -408,6 +408,47 @@ def test_cli_commands_load_no_scipy():
     assert r.returncode == 0, r.stderr
 
 
+def test_entropy_width_and_readme_commands_load_no_numpy_ma(tmp_path):
+    # numpy.ma is imported lazily (np.unique loads it, for one), and it adds
+    # to a process's peak memory; no kernel or command needs it
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("2,1,0,0\n1,3,1,0\n0,1,-1,2\n0.5,0,2,1\n")
+    code = textwrap.dedent(f"""
+        import contextlib, io, math, sys
+        import numpy as np
+        import snumbers, snumbers.cli
+        from snumbers import entropy, widths
+
+        def loaded():
+            return "numpy.ma" in sys.modules
+
+        assert not loaded(), "import"
+        M = np.random.default_rng(1).standard_normal((4, 4))
+        for q in (0.5, 1.0, 2.0, math.inf):
+            T = snumbers.operator(M, 1.0, q)
+            entropy.entropy_brackets(T, 9, cloud=256, pack_budget=128, seed=1)
+            assert not loaded(), ("entropy_brackets", q)
+        for p, q in ((2.0, 1.0), (1.0, 1.5), (2.0, 2.0)):
+            T = snumbers.operator(M, p, q)
+            widths.approx_upper_search(T, 2, budget=40, seed=1)
+            widths.kolmogorov_upper_search(T, 2, budget=40, seed=1)
+            assert not loaded(), ("width searches", p, q)
+        for argv in (
+            ["idnumbers", "--p", "1", "--q", "inf", "--n", "8", "--k", "1..6",
+             "--field", "complex"],
+            ["estimate", "--input", {str(matrix)!r}, "--k", "1..4"],
+            ["verify", "--budget", "2000", "--seed", "7"],
+            ["volume", "--p", "0.5", "--n", "3"],
+            ["sweep", "--p", "1", "--q", "2", "--n", "64", "--k", "3", "--output", "csv"],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                snumbers.cli.main(argv)
+            assert not loaded(), argv
+    """)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
 def test_exact_rows_have_equal_bounds(capsys, tmp_path):
     matrix = tmp_path / "matrix.csv"
     matrix.write_text("2,1,0,0\n1,3,1,0\n0,1,-1,2\n0.5,0,2,1\n")

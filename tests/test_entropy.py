@@ -463,6 +463,84 @@ def test_pack_sequence_and_per_k_lowers_build_one_cloud(monkeypatch, sequence_fi
         k: _reference_best_lower(T, k, 300, 3) for k in range(1, K + 1)}
 
 
+# the entropy-brackets benchmark's task shapes: (p, q, field, matrix, cloud)
+BENCH_SHAPES = [
+    (1.0, 0.5, REAL, "gauss", 2048),
+    (2.0, 1.0, COMPLEX, "identity", 3072),
+    (1.0, 2.0, REAL, "identity", 4096),
+    (1.0, INF, COMPLEX, "gauss", 3072),
+    (1.0, 0.5, COMPLEX, "identity", 3072),
+    (2.0, 1.0, REAL, "gauss", 2048),
+    (1.0, 2.0, COMPLEX, "gauss", 3072),
+    (1.0, INF, REAL, "identity", 4096),
+]
+
+
+def _bench_operator(case):
+    p, q, field, kind, cloud = BENCH_SHAPES[case]
+    rng = np.random.default_rng([case, 41])
+    n = 4 if field == REAL else 3
+    M = np.eye(n) if kind == "identity" else rng.standard_normal((n, n))
+    if field == COMPLEX and kind == "gauss":
+        M = M + 1j * rng.standard_normal((n, n))
+    return operator(M, p, q, field=field), cloud
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("case", range(len(BENCH_SHAPES)))
+def test_cover_radii_on_bench_clouds_equal_reference_bitwise(case):
+    # as many centres as the benchmark's cover runs: half the cloud
+    T, cloud = _bench_operator(case)
+    X = image_cloud(T, cloud, seed=case)
+    q = T.codomain.p
+    assert _hex(_greedy_cover_radii(X, cloud // 2, q)) == _hex(
+        _reference_cover_radii(X, cloud // 2, q))
+
+
+@pytest.mark.parametrize("case", range(len(BENCH_SHAPES)))
+def test_pack_sequence_on_bench_operators_equals_reference_bitwise(case):
+    T, _ = _bench_operator(case)
+    for k_max in (12, 13):
+        got = entropy_lower_pack_sequence(T, k_max, budget=512, seed=case)
+        want = _reference_pack_sequence(T, k_max, 512, case)
+        assert _hex(b.lower for b in got) == _hex(b.lower for b in want)
+    # e_10 reads 2^9 + 1 = 513 points, more than the 512 of the cloud
+    assert len(_packing_traversal(T, 512, case)[0].gaps) == 256
+
+
+def test_first_centre_ties_go_to_the_lowest_index(monkeypatch):
+    # candidates 4, 5, 7 and 8 share the least max distance, 6 at q = 1;
+    # 7 has the lowest extreme-point bound, so the search meets it first,
+    # and the four starts do not all give the same radii
+    X = np.array([[3, 1], [1, 2], [-2, -1], [-2, -3], [0, 1], [3, -2], [3, 2], [0, -1],
+                  [1, 0]], dtype=float)
+    worst = np.array([_norm_rows(X - x, 1.0).max() for x in X])
+    assert np.flatnonzero(worst == worst.min()).tolist() == [4, 5, 7, 8]
+    starts = []
+    real = entropy_mod._FarthestPoints
+    monkeypatch.setattr(entropy_mod, "_FarthestPoints",
+                        lambda points, start, q: starts.append(start) or real(points, start, q))
+    radii = _greedy_cover_radii(X, X.shape[0], 1.0)
+    assert starts == [4]
+    assert _hex(radii) == _hex(_reference_cover_radii(X, X.shape[0], 1.0))
+
+
+@pytest.mark.parametrize("q", IMAGE_QS)
+def test_packing_cloud_of_more_unit_vectors_than_budget(q):
+    # real n = 4 at budget 4: the cloud is the 8 images of +-e_j; e_3 reads
+    # 2^2 + 1 = 5 of them, the most that any e_k can, since e_4 reads 9
+    T = operator(np.random.default_rng(6).standard_normal((4, 4)), 1.0, q)
+    got = entropy_lower_pack_sequence(T, 6, budget=4, seed=0)
+    want = _reference_pack_sequence(T, 6, 4, 0)
+    assert _hex(b.lower for b in got) == _hex(b.lower for b in want)
+    trav = _packing_traversal(T, 4, 0)[0]
+    assert trav.cols.shape[1] == 8 and len(trav.gaps) == 4
+    assert all(b.lower > 0.0 for b in got[:3]) and all(b.lower == 0.0 for b in got[3:])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -540,6 +540,24 @@ def test_dist_real_l1_and_linf_match_rational_oracle(seed, n, m, deficient, q):
     assert Fraction(lower) <= exact + Fraction(8.0 * n * eps * value)
 
 
+@pytest.mark.parametrize("field, q", [(REAL, 1.0), (REAL, 1.5), (REAL, math.inf),
+                                      (COMPLEX, 1.0)])
+def test_points_in_span_take_no_descent(monkeypatch, field, q):
+    # the certified lower is 0 on span(B), so no relative gap certifies the
+    # rounding-level value; it is accepted within 8 n eps ||x||_q instead
+    rng = np.random.default_rng(4)
+    B = rng.standard_normal((5, 2))
+    if field == COMPLEX:
+        B = B + 1j * rng.standard_normal((5, 2))
+    x = B @ rng.standard_normal(2)
+    value, lower = spaces._convex_distance(x, B, q)
+    assert lower == 0.0 < value
+    calls = _recording_descent(monkeypatch)
+    d = dist_to_subspace(x, list(B.T), q)
+    assert not calls
+    assert d == value <= 8.0 * 5 * np.finfo(float).eps * lp_norm(x, q)
+
+
 @pytest.mark.parametrize("q, n, m", [(1.0, 12, 5), (1.0, 14, 4), (math.inf, 12, 5),
                                      (math.inf, 40, 6)])
 def test_dist_real_l1_and_linf_above_the_enumeration_cap(monkeypatch, q, n, m):
