@@ -6,9 +6,9 @@ The package is organised by what gets computed:
 
   spaces     quasi-norm geometry: l_p norms, the equivalent rho-norm
              construction, ball volumes, distances to subspaces, samplers
-  operators  matrix operators between l_p spaces, exact/sampled norms, and
-             Bracket: a lower and an upper, each of kind exact, certified,
-             estimate or shape
+  operators  matrix operators between l_p spaces, exact norms or certified
+             two-sided norm brackets, and Bracket: a lower and an upper,
+             each of kind exact, certified, estimate or shape
   entropy    covering/packing estimators, joined into one Bracket per e_k
              (certified lower, estimated upper), and the three-regime
              closed-form envelope for identities

@@ -49,7 +49,6 @@ import numpy as np
 from . import entropy as entropy_mod
 from .operators import (
     CERTIFIED,
-    ESTIMATE,
     EXACT,
     Bracket,
     BracketError,
@@ -327,11 +326,11 @@ def run_estimate(cfg):
     else:
         norm = op_norm(T, budget=min(cfg.budget, 4000), seed=cfg.seed)
         cheap_norm = T.domain.p <= 1.0 and T.codomain.p >= 1.0
-        # a_1 = d_1 = ||T||; for k >= 2 the norm is only an upper bound.  A
-        # sampled norm is a lower of ||T||, printed as an estimated upper.
-        upper = Bracket(None, norm.lower, None, CERTIFIED if norm.exact else ESTIMATE, norm.method)
+        # a_1 = d_1 = ||T||, so k = 1 takes both sides of the norm's bracket;
+        # for k >= 2 its certified upper is an upper bound only
+        upper = Bracket(None, norm.upper, None, CERTIFIED, norm.method)
         for k in range(cfg.k_lo, k_hi + 1):
-            bound = norm if norm.exact and k == 1 else upper
+            bound = norm if k == 1 else upper
             if cheap_norm and T.domain.n <= 8:  # certified, as in run_idnumbers
                 a = approx_upper_search(T, k, budget=min(cfg.budget, 400), seed=cfg.seed)
                 rows.append(_row("a", k, Bracket(None, a, None, CERTIFIED, "rank-search"),

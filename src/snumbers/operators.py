@@ -8,16 +8,18 @@ for p = q = 2; the largest row l_p' norm for q = inf (Hölder); and, for
 real matrices, the sign vectors for p >= 1, q = 1 (duality) and the cube's
 vertices for p = inf, q >= 1 (convexity), each while the enumerated
 dimension is at most 16.  The op_norm docstring gives the proofs.  The
-general p -> q norm is NP-hard, so elsewhere the norm is a certified lower
-with no upper side: Boyd's nonlinear power method for p, q >= 1, and a
-seeded sampled ascent for the quasi-norm cases q < min(1, p).  Every norm
-comes back as a ``Bracket``, the package's one shape for "a lower, an
-upper, and how sure".
+general p -> q norm is NP-hard, so elsewhere the norm is a two-sided
+certified bracket: ``_norm_upper``'s upper, from exact norms by Riesz-Thorin
+interpolation and by factorisation through identities, and a lower from
+Boyd's nonlinear power method for p, q >= 1, or from a seeded sampled
+ascent for the quasi-norm cases q < min(1, p).  Every norm comes back as a
+``Bracket``, the package's one shape for "a lower, an upper, and how sure".
 """
 
 import dataclasses
 import functools
 import math
+import sys
 import zlib
 from dataclasses import dataclass
 
@@ -245,8 +247,8 @@ def _unit_directions(n, field):
 
 
 def _prescaled(path):
-    """A non-exact op_norm path run on M = T.matrix / s, with ``stop`` / s,
-    and its value times s, for a power of two s.
+    """A non-exact op_norm lower run on M = T.matrix / s, and its value
+    times s, for a power of two s.
 
     s is 1 unless the largest modulus of T's matrix times max(m, n) reaches
     2^1020.  The paths multiply M only by vectors whose entries have modulus
@@ -257,12 +259,12 @@ def _prescaled(path):
     is unchanged.  The path's generator is still seeded from T.matrix.
     """
     @functools.wraps(path)
-    def run(T, budget, seed, stop):
+    def run(T, budget, seed):
         top = float(np.abs(T.matrix).max(initial=0.0))
         shift = (math.ceil(math.log2(top) + math.log2(max(T.shape)) - 1020.0)
                  if 0.0 < top < math.inf else 0)
         scale = math.ldexp(1.0, shift) if shift > 0 else 1.0
-        return path(T, T.matrix / scale, budget, seed, stop / scale) * scale
+        return path(T, T.matrix / scale, budget, seed) * scale
     return run
 
 
@@ -284,24 +286,18 @@ def _sample_phase(T, M, budget, seed):
 
 
 @_prescaled
-def _sampled_ascent(T, M, budget, seed, stop):
+def _sampled_ascent(T, M, budget, seed):
     """Seeded lower bound for ||T: l_p -> l_q|| by sampling plus hill climbing.
 
     The value is the running maximum of the sampled norms and of the four
-    climbs from the best samples.  That maximum never decreases, so once it
-    reaches ``stop`` the ascent returns it: the value is then >= stop and
-    <= the full value.  A full value below ``stop`` is never cut short, so
-    it is the same float as with no stop.  Both norms are resolved once per
-    call (``_abs_norm_function``: lp_norm's arithmetic, the same floats).
+    climbs from the best samples.  Both norms are resolved once per call
+    (``_abs_norm_function``: lp_norm's arithmetic, the same floats).
     """
     p, q = T.domain.p, T.codomain.p
     n = T.domain.n
     norm_p, norm_q = _abs_norm_function(p), _abs_norm_function(q)
     rng, X, vals, order = _sample_phase(T, M, budget, seed)
     best = float(vals[order[0]])
-    if best >= stop:
-        return best
-
     spent = X.shape[0]
     for idx in order[:4]:
         x = X[idx].copy()
@@ -320,8 +316,6 @@ def _sampled_ascent(T, M, budget, seed, stop):
             v = norm_q(np.abs(M @ y))
             if v > cur:
                 x, cur = y, v
-                if cur >= stop:
-                    return cur
             else:
                 radius *= 0.8
         best = max(best, cur)
@@ -329,7 +323,7 @@ def _sampled_ascent(T, M, budget, seed, stop):
 
 
 @_prescaled
-def _power_method(T, M, budget, seed, stop):
+def _power_method(T, M, budget, seed):
     """Certified lower for ||T: l_p -> l_q||, p, q >= 1, by Boyd's nonlinear
     power method (Boyd, Linear Algebra Appl. 9, 1974).
 
@@ -352,11 +346,8 @@ def _power_method(T, M, budget, seed, stop):
     ``budget`` norms are spent.
 
     The value is the running maximum of the sampled norms and of the
-    iterates, so it is never below the sample maximum, and ``stop`` acts as
-    in the ascent: the value returned once the maximum reaches ``stop`` is
-    >= stop and <= the full value, and a full value below ``stop`` is the
-    same float.  A norm whose powers overflow is recomputed by
-    ``_rescaled``; a finite one keeps its bits.
+    iterates, so it is never below the sample maximum.  A norm whose powers
+    overflow is recomputed by ``_rescaled``; a finite one keeps its bits.
     """
     MH = M.conj().T
     p, q = T.domain.p, T.codomain.p
@@ -364,9 +355,6 @@ def _power_method(T, M, budget, seed, stop):
     dual_p = conjugate_exponent(p)
     _, X, vals, order = _sample_phase(T, M, budget, seed)
     best = float(vals[order[0]])
-    if best >= stop:
-        return best
-
     spent = X.shape[0]
     top = np.linalg.svd(M, full_matrices=False)[2][0].conj()
     with np.errstate(over="ignore"):  # an overflowed norm is recomputed
@@ -386,8 +374,6 @@ def _power_method(T, M, budget, seed, stop):
                 else:
                     misses = 0
                     cur = v
-                    if cur >= stop:
-                        return cur
                 w = MH @ _dual(y, a, q)
                 x = _dual(w, np.abs(w), dual_p)
                 nx = norm_p(np.abs(x))
@@ -398,7 +384,230 @@ def _power_method(T, M, budget, seed, stop):
     return best
 
 
-def op_norm(T, budget=2000, seed=0, *, stop=math.inf):
+_FAN_WEIGHTS = np.linspace(0.0, 1.0, 5)[:, None]  # edge weights, from the ray's to 1
+_FAN_SPLITS = np.linspace(0.0, 1.0, 3)  # splits of an edge weight between the edges
+
+
+def _max_vector_norms(a, exps, axis):
+    """For each exponent r in ``exps`` (inf allowed), the largest l_r norm of
+    the vectors of moduli a along ``axis`` (0: the columns, 1: the rows).
+    Each vector is divided by its largest entry first (a zero vector by the
+    smallest normal float), so no power overflows, and a vector's sum of
+    powers is at least 1 unless it is 0."""
+    top = a.max(axis=axis, keepdims=True)
+    np.maximum(top, sys.float_info.min, out=top)
+    sums = ((a / top) ** exps[:, None, None]).sum(axis=1 + axis)
+    return (sums ** (1.0 / exps[:, None]) * top.reshape(-1)).max(axis=1)
+
+
+def _fan(u, v):
+    """The interpolation routes at a point (u, v) with 0 <= v <= u <= 1, as
+    arrays over the routes: the weights of the column anchor (1, c), the
+    row anchor (r, 0) and the SVD point (1/2, 1/2), and c and r.
+
+    The ray from (1/2, 1/2) through (u, v) leaves the triangle at t_exit
+    (on the edge u = 1 or v = 0).  Each of 5 edge weights beta, from
+    1 / t_exit to 1, puts 1 - beta on the SVD point and beta on
+    P' = (1/2, 1/2) + ((u, v) - (1/2, 1/2)) / beta, which lies in the
+    triangle; P' splits as (1 - theta) (1, c) + theta (r, 0) for 3 values
+    of theta from 1 - u' to 1 - v', with c = v' / (1 - theta) and
+    r = 1 - (1 - u') / theta.  A side of weight 0 gets the position of the
+    other end, so every position is in [0, 1].
+    """
+    du, dv = u - 0.5, v - 0.5
+    if du == 0.0 and dv == 0.0:
+        return np.zeros(1), np.zeros(1), np.ones(1), np.ones(1), np.zeros(1)
+    t_exit = min(0.5 / du if du > 0.0 else math.inf, -0.5 / dv if dv < 0.0 else math.inf)
+    beta = 1.0 / t_exit + (1.0 - 1.0 / t_exit) * _FAN_WEIGHTS
+    u1 = np.minimum(0.5 + du / beta, 1.0)
+    v1 = np.maximum(0.5 + dv / beta, 0.0)
+    theta = (1.0 - u1) + (u1 - v1) * _FAN_SPLITS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(theta < 1.0, np.minimum(v1 / (1.0 - theta), 1.0), 0.0)
+        r = np.where(theta > 0.0, np.maximum(1.0 - (1.0 - u1) / theta, 0.0), 1.0)
+    w = np.broadcast_to(beta, theta.shape)
+    return ((w * (1.0 - theta)).ravel(), (w * theta).ravel(), (1.0 - w).ravel(),
+            c.ravel(), r.ravel())
+
+
+@functools.lru_cache(maxsize=256)
+def _route_table(p, q, m, n, real):
+    """The routes of ``_norm_upper`` for an m x n matrix l_p -> l_q, as one
+    linear form in the logs of the anchors:
+
+        log(route) = W @ log(anchors) + offsets.
+
+    The anchors are the largest column norms at the exponents ``col_exps``,
+    the largest row norms at ``row_exps``, sigma_1 (needed when ``svd``)
+    and the sign-enumeration value (needed when ``sign``), in that order.
+    ``rho`` is the relative rounding margin.  Returns (col_exps, row_exps,
+    svd, sign, W, offsets, rho)."""
+    x, y = inv_exponent(p), inv_exponent(q)
+    ln_n, ln_m = math.log(n), math.log(m)
+    col_exps, row_exps, routes = [], [], []
+
+    def col(v):  # the column anchor at (1, v), or at (u, v) with u >= max(1, v)
+        col_exps.append(1.0 / v if v > 0.0 else math.inf)
+        return "col", len(col_exps) - 1
+
+    def row(u):  # the row anchor at (u, 0), u <= 1: the row l_(1/(1-u)) norms
+        row_exps.append(1.0 / (1.0 - u) if u < 1.0 else math.inf)
+        return "row", len(row_exps) - 1
+
+    def route(terms, u, v):  # a middle point (u, v) with u >= x, v <= y
+        routes.append((terms, (u - x) * ln_n + (y - v) * ln_m))
+
+    for v in sorted({0.0, min(1.0, y), min(x, y), y}):
+        route([(col(v), 1.0)], max(1.0, v, x), v)
+    sign = real and x <= 1.0 < y and m <= 16
+    if x <= 1.0:  # p >= 1: the row anchor, the sign enumeration, the triangle
+        route([(row(x), 1.0)], x, 0.0)
+        if sign:
+            route([(("sign", 0), 1.0)], x, 1.0)
+        diagonal = {x, min(1.0, y)} | ({0.5} if x < 0.5 < y else set())
+        for u, v in [(x, y)] if y <= x else [(w, w) for w in sorted(diagonal)]:
+            for w_col, w_row, w_svd, c, r in zip(*_fan(u, v)):
+                route([(col(c), w_col), (row(r), w_row), (("svd", 0), w_svd)], u, v)
+
+    first = {"col": 0, "row": len(col_exps), "svd": len(col_exps) + len(row_exps)}
+    first["sign"] = first["svd"] + 1
+    W = np.zeros((len(routes), first["sign"] + 1))
+    for i, (terms, _) in enumerate(routes):
+        for (kind, j), weight in terms:
+            W[i, first[kind] + j] += weight
+    d = max(m, n)
+    eps = sys.float_info.epsilon
+    rho = (16.0 * (m * n + d + 4) * eps / min(1.0, q)
+           + 64.0 * (1.0 + x + y) ** 2 * math.log(4.0 * d) * eps)
+    table = (np.array(col_exps), np.array(row_exps), W,
+             np.array([offset for _, offset in routes]))
+    for array in table:
+        array.setflags(write=False)
+    return table[:2] + (x <= 1.0, sign) + table[2:] + (rho,)
+
+
+def _routed_upper(M, p, q, real):
+    """A certified upper of ||M: l_p -> l_q|| from exact norms only, for the
+    (p, q) that no exact path of op_norm covers.  See ``_norm_upper``."""
+    a = np.abs(M)
+    top = float(a.max())
+    if top == 0.0 or not math.isfinite(top):
+        return top
+    scale = math.ldexp(1.0, math.frexp(top)[1] - 1)  # top / scale is in [1, 2)
+    a = a / scale
+    m, n = a.shape
+    col_exps, row_exps, svd, sign, W, offsets, rho = _route_table(p, q, m, n, real)
+    with np.errstate(over="ignore"):  # a norm out of range is inf, and so is its route
+        anchors = [_max_vector_norms(a, col_exps, 0)]
+        if row_exps.size:
+            anchors.append(_max_vector_norms(a, row_exps, 1))
+        anchors.append([np.linalg.svd(M / scale, compute_uv=False)[0] if svd else 1.0,
+                        _max_image_norm(_half_cube(m), M.T / scale, conjugate_exponent(p))
+                        if sign else 1.0])
+        # every anchor is >= 1; an infinite one becomes a huge log, which its
+        # zero weights keep out of the other routes
+        logs = np.minimum(np.log(np.concatenate(anchors)), 1e300)
+        return float(np.exp((W @ logs + offsets).min())) * (1.0 + rho) * scale
+
+
+def _norm_upper(T):
+    """(upper, method): op_norm's exact value and path name where it has one,
+    else a certified upper of ||T: l_p -> l_q|| and None.
+
+    The exact paths come in op_norm's order, with the floats op_norm
+    returns.  Elsewhere the upper is the smallest of a fixed set of routes,
+    each built from exact norms only.  Write x = 1/p, y = 1/q, d = max(m, n)
+    for the m x n matrix A, and I_k(r, s) = k^max(0, 1/s - 1/r) for the
+    norm of the identity l_r^k -> l_s^k, which is exact on both fields.
+
+    Exact anchors.  On three families the real and the complex norm are
+    equal, because each is attained at a vector of unimodular multiples of
+    one real pattern: ||A||_{1 -> s} = the largest column l_s norm, for
+    s >= 1 (attained at a unit vector e_j); ||A||_{r -> inf} = the largest
+    row l_r' norm, for r >= 1 (Hölder's equality vector); and ||A||_{2 -> 2}
+    = sigma_1 (the top singular vector).  For s < 1 the largest column
+    l_s norm is the exact norm on the whole region r <= min(1, s), the
+    column-max path.  For real A and m <= 16, ``sign-enumeration`` also
+    gives ||A||_{r -> 1} for r >= 1; that is a real norm only, so it is
+    used as the middle factor below and never as an end point.
+
+    Interpolation (Riesz-Thorin; Bergh and Löfström, Interpolation Spaces,
+    1976, Thm 1.1.1).  With complex scalars, log ||A||_{1/x -> 1/y} is
+    convex on the triangle 0 <= y <= x <= 1, and the real norm of a real
+    matrix is at most the complex norm of the same matrix.  So a point of
+    the triangle that is a convex combination, with weights w_i, of points
+    with exact anchor values N_i has ||A|| <= prod_i N_i^w_i on both
+    fields.  The anchors are the edge x = 1 (columns), the edge y = 0
+    (rows) and the point (1/2, 1/2) (sigma_1); ``_fan`` lists the 15
+    combinations taken at a point.
+
+    Factorisation.  ||A||_{p -> q} <= I_n(p, r) ||A||_{r -> s} I_m(s, q)
+    for all r, s in (0, inf], quasi-norms included, since A = id A id.  In
+    (x, y) terms a middle point (u, v) with u >= x and v <= y costs
+    n^(u - x) m^(y - v).  The middle points taken are:
+
+    - (max(1, v, x), v), the column-max value at l_(1/v), for v in
+      {0, min(1, y), min(x, y), y};
+    - for p >= 1: (x, 0), the row-max value; and for real A with q < 1 and
+      m <= 16, (x, 1), the sign-enumeration value;
+    - for p >= 1, interpolated points of the triangle: (x, y) itself when
+      p <= q, and otherwise the diagonal points (w, w) for w in
+      {x, min(1, y)}, and 1/2 when x < 1/2 < y (this last one is the l_2
+      sandwich).
+
+    Rounding margin.  A is first divided by the power of two s with
+    max |A_ij| / s in [1, 2), which is exact (up to entries below 2^-1022
+    of the largest, whose loss is far inside the margin), and the result is
+    multiplied back.  Then every anchor value is at least 1 (a vector that
+    holds the entry of modulus >= 1 has norm >= 1) and, on the triangle,
+    at most 2 d.  Each route is exp(sum of weights times logs of anchors,
+    plus (u - x) log n + (y - v) log m).  Its float value differs from the
+    value of a route whose positions and weights satisfy the combination
+    exactly by three kinds of error, to first order in eps:
+
+    - each anchor is a norm of moduli evaluated in floats (moduli, a
+      division by the vector's largest entry, powers, a sum of at most d
+      terms, a root, a product), to a relative error below
+      (d + 4) eps / min(1, r) at exponent r >= min(1, q); LAPACK's sigma_1
+      is within a small multiple of d eps sigma_1 (LAPACK Users' Guide,
+      sec. 4.9); a sign-enumeration value is a norm of A^T s, whose
+      products add m n eps relative, since the value is at least every
+      column's l_1 norm over n;
+    - the positions and weights are a few roundings of numbers in [0, 1],
+      or of x and y, so they satisfy the combination only up to
+      8 (1 + x + y) eps per coordinate.  Moving a point by delta in x or y
+      changes the norm by at most n^delta or m^delta (factorisation), and
+      a weight error delta changes N^w by N^delta, with log N at most
+      (1 + x + y) log(4 d);
+    - the logs, the sum and the exp add a few eps times the sum of the
+      terms' moduli, again at most (1 + x + y) log(4 d) each.
+
+    rho = 16 (m n + d + 4) eps / min(1, q) + 64 (1 + x + y)^2 log(4 d) eps
+    is at least twice the sum of these, which covers the second-order
+    terms and the two final products, so the value times (1 + rho) is a
+    certified upper.  An upper that overflows is inf, which is still one.
+    """
+    M = T.matrix
+    p, q = T.domain.p, T.codomain.p
+    m, n = M.shape
+    real = T.field == REAL
+
+    if is_identity(M):
+        return float(n) ** max(0.0, inv_exponent(q) - inv_exponent(p)), "identity-formula"
+    if p <= min(1.0, q):
+        return float(_scaled_norm_rows(M.T, q).max()), "column-max"
+    if p == 2.0 and q == 2.0:
+        return float(singular_values(T)[0]), "svd"
+    if math.isinf(q):
+        return float(_scaled_norm_rows(M, conjugate_exponent(p)).max()), "row-max"
+    if real and p >= 1.0 and q == 1.0 and m <= 16:
+        return _max_image_norm(_half_cube(m), M.T, conjugate_exponent(p)), "sign-enumeration"
+    if real and math.isinf(p) and q >= 1.0 and n <= 16:
+        return _max_image_norm(_half_cube(n), M, q), "vertex-enumeration"
+    return _routed_upper(M, p, q, real), None
+
+
+def op_norm(T, budget=2000, seed=0):
     """The operator (quasi-)norm of T: l_p -> l_q as a Bracket.
 
     Dispatch, in this order; ``method`` names the path, and p' is the
@@ -422,49 +631,28 @@ def op_norm(T, budget=2000, seed=0, *, stop=math.inf):
       over the same half of the vertices.  x -> ||Tx||_q is convex for
       q >= 1, so its maximum over the cube is at a vertex (for q < 1 it is
       not convex, and the vertices can miss the maximum).
-    - ``power-method``, every other p >= 1, q >= 1: ``_power_method``, a
-      certified lower (the norm of a point of the unit sphere) with no upper
-      side.  The p -> q norm is NP-hard in general (Hendrickx and
-      Olshevsky, SIAM J. Matrix Anal. Appl. 31, 2010).
-    - ``sampled-ascent``, q < min(1, p), where the duality argument fails:
-      ``_sampled_ascent``, a certified lower with no upper side.
+    - ``power-method``, every other p >= 1, q >= 1, and ``sampled-ascent``,
+      q < min(1, p), where the duality argument fails: a two-sided
+      certified bracket.  The lower is ``_power_method``'s or
+      ``_sampled_ascent``'s, the norm of a point of the unit sphere.  The
+      upper is ``_norm_upper``'s: the smallest of a fixed set of
+      Riesz-Thorin interpolation and factorisation routes through exact
+      norms, times a proved rounding margin (both in its docstring).  The
+      p -> q norm is NP-hard in general (Hendrickx and Olshevsky, SIAM J.
+      Matrix Anal. Appl. 31, 2010), so the two sides need not meet.
 
     The exact paths are point brackets of kind ``exact``; they scale a norm
-    whose powers overflow, so a finite value keeps its bits.
-
-    ``stop`` is for callers that only ask whether the norm is below a
-    threshold.  The two non-exact paths return as soon as their running
-    maximum reaches ``stop``, with a value that is >= stop and <= the full
-    value; a full value below ``stop`` comes back as the same float.  So
-    ``v < stop`` has the same answer with and without the stop, and a value
-    that passes it is the full value.  Both seed their own generator from
-    ``(seed, matrix)``, so stopping early changes no other call's draws.
-    The exact paths ignore ``stop``.
+    whose powers overflow, so a finite value keeps its bits.  The lowers
+    seed their own generator from ``(seed, matrix)``, so no other call
+    changes their draws.
     """
-    M = T.matrix
-    p, q = T.domain.p, T.codomain.p
-    m, n = M.shape
-    real = T.field == REAL
-
-    if is_identity(M):
-        value = float(n) ** max(0.0, inv_exponent(q) - inv_exponent(p))
-        return Bracket.point(value, EXACT, "identity-formula")
-    if p <= min(1.0, q):
-        return Bracket.point(float(_scaled_norm_rows(M.T, q).max()), EXACT, "column-max")
-    if p == 2.0 and q == 2.0:
-        return Bracket.point(float(singular_values(T)[0]), EXACT, "svd")
-    if math.isinf(q):
-        value = float(_scaled_norm_rows(M, conjugate_exponent(p)).max())
-        return Bracket.point(value, EXACT, "row-max")
-    if real and p >= 1.0 and q == 1.0 and m <= 16:
-        value = _max_image_norm(_half_cube(m), M.T, conjugate_exponent(p))
-        return Bracket.point(value, EXACT, "sign-enumeration")
-    if real and math.isinf(p) and q >= 1.0 and n <= 16:
-        return Bracket.point(_max_image_norm(_half_cube(n), M, q), EXACT, "vertex-enumeration")
-    if p >= 1.0 and q >= 1.0:
-        return Bracket(_power_method(T, budget, seed, stop), None, CERTIFIED, None,
+    upper, method = _norm_upper(T)
+    if method is not None:
+        return Bracket.point(upper, EXACT, method)
+    if T.domain.p >= 1.0 and T.codomain.p >= 1.0:
+        return Bracket(_power_method(T, budget, seed), upper, CERTIFIED, CERTIFIED,
                        "power-method")
-    return Bracket(_sampled_ascent(T, budget, seed, stop), None, CERTIFIED, None,
+    return Bracket(_sampled_ascent(T, budget, seed), upper, CERTIFIED, CERTIFIED,
                    "sampled-ascent")
 
 

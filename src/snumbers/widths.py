@@ -22,6 +22,7 @@ applies (e.g. the q = p' boundary, or the pair (1, inf)).
 """
 
 import math
+import sys
 import zlib
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ from .operators import (
     EXACT,
     SHAPE,
     Bracket,
-    _unit_directions,
+    _norm_upper,
     add,
     compose,
     identity_operator,
@@ -47,6 +48,7 @@ from .spaces import (
     conjugate_exponent,
     dist_to_subspace,
     inv_exponent,
+    lp_norm,
     quasi_constant,
     sample_sphere,
 )
@@ -208,15 +210,15 @@ def kolmogorov_id_envelope(p, q, n, k, field=REAL):
 # ---------------------------------------------------------------------------
 
 
-def _residual_norm(T, S_matrix, stop=math.inf):
-    """||T - S||, or a value >= stop once the norm is known to reach ``stop``
-    (see op_norm); ``v < stop`` has the same answer either way.  A residual
-    with a non-finite entry (an overflowed candidate) is inf without a norm:
-    its norm would be inf or NaN, which fails ``v < best`` just the same."""
+def _residual_norm(T, S_matrix):
+    """``operators._norm_upper`` of the float residual T - S: (upper, the
+    exact path's name or None).  A residual with a non-finite entry (an
+    overflowed candidate) is (inf, None) without a norm: its norm would be
+    inf or NaN, which fails ``v < best`` just the same."""
     R = T.matrix - S_matrix
     if not np.isfinite(R).all():
-        return math.inf
-    return op_norm(operator(R, T.domain.p, T.codomain.p, field=T.field), stop=stop).lower
+        return math.inf, None
+    return _norm_upper(operator(R, T.domain.p, T.codomain.p, field=T.field))
 
 
 def _low_rank(A, B):
@@ -228,50 +230,82 @@ def _low_rank(A, B):
         return A @ B
 
 
-def approx_upper_search(T, k, budget=2000, seed=0):
-    """Search upper estimate of a_k(T): min ||T - S|| over rank < k candidates.
+def _product_rounding(T, A, B, value):
+    """An upper of ||T - A B|| for the exact product of the factors, from
+    ``value``, an upper of ||R^|| for the float residual
+    R^ = fl(T - fl(A @ B)).
 
-    Candidates: the SVD truncation, random perturbations of it, and a
-    coordinate-descent polish of the low-rank factors, within `budget` norm
-    evaluations.  Residual norms use the exact dispatch where available, so
-    in the Hilbert case the result matches sigma_k to within 1e-9 relative
-    (checked internally; the truncation candidate attains it).  For
-    k - 1 >= min(m, n) a rank-(k-1) operator can equal T, so the result is
-    exactly 0 and no candidate is evaluated.  At k = 1 the only candidate is
-    S = 0, and the result is ``op_norm(T, seed=seed)``'s lower, the value
-    ``kolmogorov_upper_search`` gives at k = 1 (a_1 = d_1 = ||T||).
-
-    The search is a branch and bound over the residual norms that op_norm
-    cannot give exactly, those of its two non-exact paths (``power-method``
-    for p, q >= 1 and ``sampled-ascent`` for q < min(1, p)): a candidate is
-    only asked whether it beats the best value so far, so its norm is
-    evaluated with that threshold as op_norm's ``stop``: ``best`` for the
-    restarts, which keep ``v < best``, and ``best - 1e-15`` for the
-    descent, which keeps ``v < best - 1e-15``.  The truncation candidate,
-    which sets the first best, gets no stop.  A candidate that is kept had
-    a full norm below its stop, so its path ran in full and gave the same
-    float; one that was stopped returned a value at or above the stop, so
-    it is rejected as its full norm would have been.  Each path seeds its
-    own generator from the residual matrix, so stopping one early changes
-    no other draw, and the result is the same float as with every norm
-    evaluated in full.  The exact paths ignore the stop.
+    Proof.  With r the inner dimension, fl(A @ B) = A B + E_1 with
+    |E_1| <= (r + 2) eps |A| |B| entrywise (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, sec. 3.5 and 3.6, complex products
+    included), and R^ = (T - fl(A @ B))(1 + delta) with |delta| <= eps.
+    So T - A B = R^ + E with |E| <= W = 2 (r + 2) eps (|A| |B| + |R^|).
+    For ||x||_p <= 1 every |x_j| <= 1, whatever p > 0, so |(E x)_i| <=
+    (W 1)_i and ||E||_{p -> q} <= ||W 1||_q; e below is twice the float
+    value of that, which covers the rounding of W 1 and of its norm.  With
+    t = min(1, q), ||.||_q^t is subadditive, so ||T - A B||^t <= value^t +
+    e^t.  At t = 1 the sum is rounded up by one ulp; below 1 the powers,
+    the sum and the root err by at most (3 / t + 1) eps / 2 relative, and
+    the factor 1 + 4 eps / t covers that and its own product.
     """
+    q = T.codomain.p
+    t = min(1.0, q)
+    eps = sys.float_info.epsilon
+    with np.errstate(over="ignore"):
+        W = np.abs(A) @ np.abs(B) + np.abs(T.matrix - _low_rank(A, B))
+        e = 4.0 * (A.shape[1] + 2) * eps * lp_norm(W.sum(axis=1), q)
+        if e == 0.0:  # a zero residual, or an exact sum
+            return value
+        if t == 1.0:
+            return math.nextafter(value + e, math.inf)
+        return float((np.float64(value) ** t + e**t) ** (1.0 / t)) * (1.0 + 4.0 * eps / t)
+
+
+def approx_upper_search(T, k, budget=2000, seed=0):
+    """Certified upper of a_k(T): min ||T - A B|| over rank-(k-1) factors.
+
+    a_k(T) is the infimum of ||T - L|| over operators L of rank < k, so any
+    such L gives an upper.  Candidates: the SVD truncation, random
+    perturbations of it, and a coordinate-descent polish of the low-rank
+    factors, within `budget` residual norms.  Each residual norm is
+    ``operators._norm_upper`` of the float residual: op_norm's exact value
+    on its exact paths, so in the Hilbert case the result matches sigma_k
+    to within 1e-9 relative (checked internally; the truncation candidate
+    attains it), and elsewhere a certified upper from exact norms (see its
+    docstring), with no power method and no sampling.  The search minimises
+    these uppers, and the best one is then raised to an upper of
+    ||T - A B|| for the exact product of its factors by
+    ``_product_rounding``, whose docstring proves the margin.  On the exact
+    paths the value is the exact norm of the float residual, as before,
+    with no margin for the rounding of that residual.  For k - 1 >=
+    min(m, n) a rank-(k-1) operator can equal T, so the result is exactly
+    0 and no candidate is evaluated.  At k = 1 the only candidate is S = 0,
+    and the result is ``_norm_upper(T)``'s value, op_norm's upper, which
+    ``kolmogorov_upper_search`` also gives at k = 1 (a_1 = d_1 = ||T||).
+    """
+    return _approx_search(T, k, budget, seed)[0]
+
+
+def _approx_search(T, k, budget, seed):
+    """approx_upper_search's value and the factors (A, B) of its best
+    candidate, or None where no candidate is evaluated (k = 1 and past full
+    rank)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     M = T.matrix
     m_, n_ = M.shape
     r = k - 1
     if r >= min(m_, n_):
-        return 0.0
+        return 0.0, None
     if r == 0:
-        return float(op_norm(T, seed=seed).lower)
+        return _norm_upper(T)[0], None
     hilbert = T.domain.p == 2.0 and T.codomain.p == 2.0
 
     U, s, Vh = np.linalg.svd(M)
     r_eff = min(r, s.size)
     A0 = U[:, :r_eff] * s[:r_eff]
     B0 = Vh[:r_eff]
-    best = _residual_norm(T, _low_rank(A0, B0))
+    best, best_path = _residual_norm(T, _low_rank(A0, B0))
     spent = 1
 
     rng = np.random.default_rng(
@@ -287,10 +321,10 @@ def approx_upper_search(T, k, budget=2000, seed=0):
             break
         Ar = A0 + 0.05 * scale * _random_like(rng, A0)
         Br = B0 + 0.05 * _random_like(rng, B0)
-        v = _residual_norm(T, _low_rank(Ar, Br), stop=best)
+        v, path = _residual_norm(T, _low_rank(Ar, Br))
         spent += 1
         if v < best:
-            best, best_AB = v, (Ar, Br)
+            best, best_path, best_AB = v, path, (Ar, Br)
 
     # coordinate descent on the factor entries
     A, B = best_AB[0].copy(), best_AB[1].copy()
@@ -307,10 +341,10 @@ def approx_upper_search(T, k, budget=2000, seed=0):
             old = flat[i]
             for delta in (step, -step):
                 flat[i] = old + delta
-                v = _residual_norm(T, _low_rank(A, B), stop=best - 1e-15)
+                v, path = _residual_norm(T, _low_rank(A, B))
                 spent += 1
                 if v < best - 1e-15:
-                    best = v
+                    best, best_path = v, path
                     best_AB = (A.copy(), B.copy())
                     old = flat[i]
                     improved = True
@@ -327,7 +361,9 @@ def approx_upper_search(T, k, budget=2000, seed=0):
             raise AssertionError(
                 f"Eckart-Young consistency failed: search {best} vs sigma_k {sk}"
             )
-    return float(best)
+    if best_path is None:
+        best = _product_rounding(T, *best_AB, best)
+    return float(best), best_AB
 
 
 def _random_like(rng, X):
@@ -421,13 +457,15 @@ def _kolmogorov_candidate_value(T, basis, q, n_samples, seed, bound=None):
     operator norm of the projected matrix, direct the least-squares distance
     at its maximiser, and value the larger of the two; they are the same
     number mathematically, so their gap measures evaluation error only.
-    Otherwise direct is the largest distance over the signed unit vectors
+    Otherwise direct is the largest distance over the unit vectors +e_j
     and n_samples sphere points, quotient is None, and value is direct.
-    For p <= 1 <= q the supremum is the column maximum, and direct already
-    contains it: the first n points are the +e_j, M @ e_j equals M[:, j]
-    bit for bit, and the seed is the same, so no separate column pass is
-    made.  The searched bases are orthonormal, so no second,
-    re-orthonormalised route is evaluated.
+    -e_j and i e_j are unimodular multiples of e_j, so their images have
+    the same distance, and they are not taken.  For p <= 1 <= q the
+    supremum is the column maximum, and direct already contains it: the
+    first n points are the +e_j, M @ e_j equals M[:, j] bit for bit, and
+    the seed is the same, so no separate column pass is made.  The
+    searched bases are orthonormal, so no second, re-orthonormalised route
+    is evaluated.
 
     With ``bound=None`` every point gets one dist_to_subspace call, in
     order.  With a bound, each point gets an upper bound of its cap (the
@@ -471,7 +509,7 @@ def _kolmogorov_candidate_value(T, basis, q, n_samples, seed, bound=None):
         return value, direct, quotient
 
     rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, n, int(n_samples)])
-    X = np.vstack([_unit_directions(n, T.field), sample_sphere(rng, n, p, T.field, n_samples)])
+    X = np.vstack([np.eye(n), sample_sphere(rng, n, p, T.field, n_samples)])
     basis_cols = list(basis.T)
     if bound is None:
         direct = max(dist_to_subspace(M @ x, basis_cols, q, seed=seed) for x in X)
@@ -499,7 +537,8 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     largest distance over sampled points of the unit ball, one distance per
     point, which only estimates the supremum from below; for p <= 1 <= q
     the points include the columns (the images of the +e_j), whose maximum
-    is the exact supremum.  Each distance is a quotient norm from
+    is the exact supremum.  At k = 1 the result is ``_norm_upper(T)``'s
+    value, op_norm's upper, as in ``approx_upper_search``.  Each distance is a quotient norm from
     dist_to_subspace: exact for q = 2, certified for 1 <= q < inf and for
     real q = inf (up to its Nelder-Mead fallback), and a descent elsewhere.
     For k - 1 >= min(m, n) a
@@ -528,7 +567,7 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     if dim >= min(M.shape):
         return (0.0, []) if return_details else 0.0
     if dim == 0:
-        v = op_norm(T, seed=seed).lower
+        v = _norm_upper(T)[0]
         cands = [SubspaceCandidate("svd", v, v, v)]
         return (v, cands) if return_details else v
 

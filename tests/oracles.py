@@ -106,3 +106,56 @@ def dist_linf_exact(x, B):
             best = max(best, abs(sum(a * x[i] for a, i in zip(y, rows)))
                        / sum(abs(a) for a in y))
     return best
+
+
+def _lp(y, p):
+    """l_p (quasi-)norm of a vector, taken of y over its largest modulus and
+    multiplied back, so that no power overflows."""
+    a = np.abs(y)
+    top = a.max()
+    if top == 0.0 or math.isinf(p):
+        return top
+    return top * ((a / top) ** p).sum() ** (1.0 / p)
+
+
+def norm_lower(A, p, q, starts=6, seed=0):
+    """A lower reference for ||A: l_p -> l_q||, real or complex, any
+    0 < p, q <= inf: the best ratio ||A x||_q / ||x||_p that seeded
+    multi-start Nelder-Mead finds.  Its starts are the best unit vector, the
+    top right singular vector and random Gaussian vectors.  A is divided by
+    a power of two first and the value multiplied back, so entries near the
+    float maximum neither overflow nor change the value."""
+    from scipy.optimize import minimize
+
+    top = float(np.abs(A).max())
+    if top == 0.0:
+        return 0.0
+    s = math.ldexp(1.0, math.frexp(top)[1])
+    A = A / s
+    m, n = A.shape
+    cplx = np.iscomplexobj(A)
+
+    def vec(z):
+        return z[:n] + 1j * z[n:] if cplx else z
+
+    def ratio(z):
+        x = vec(z)
+        nx = _lp(x, p)
+        return float(_lp(A @ x, q) / nx) if nx > 0 else 0.0
+
+    def flat(x):
+        return np.concatenate([x.real, x.imag]) if cplx else x.real
+
+    rng = np.random.default_rng(seed)
+    eye = np.eye(n)
+    best_unit = max(range(n), key=lambda j: ratio(flat(eye[j] + 0j)))
+    x0s = [eye[best_unit] + 0j, np.linalg.svd(A)[2][0].conj()]
+    x0s += [rng.standard_normal(n) + (1j * rng.standard_normal(n) if cplx else 0j)
+            for _ in range(starts - 2)]
+    best = 0.0
+    for x0 in x0s:
+        z0 = flat(x0)
+        res = minimize(lambda z: -ratio(z), z0, method="Nelder-Mead",
+                       options={"maxfev": 150 * z0.size, "xatol": 1e-12, "fatol": 1e-15})
+        best = max(best, ratio(z0), -float(res.fun))
+    return best * s

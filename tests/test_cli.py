@@ -147,6 +147,23 @@ def test_estimate_norm_bound_is_exact_only_at_k1(capsys, tmp_path, matrix, n_a_n
             assert not r["exact"] and r["lower"] is None
 
 
+@pytest.mark.parametrize("p, q, reached", [
+    # values of ||T x||_q at unit vectors x found by multi-start Nelder-Mead
+    ("2", "0.5", 27.5712057999613),
+    ("3", "0.7", 15.5681198302528),
+])
+def test_estimate_norm_bound_upper_is_at_least_a_reached_norm(capsys, p, q, reached):
+    # q < min(1, p): the sampled ascent gives the lower, and the printed
+    # upper is the certified one, so no norm reached at a point exceeds it
+    matrix = os.path.join(os.path.dirname(__file__), "golden", "matrix.csv")
+    _, doc = cli_json(capsys, "estimate", "--input", matrix, "--k", "1..1", "--p", p, "--q", q)
+    rows = [r for r in doc["rows"] if r["method"] == "norm-bound"]
+    assert sorted(r["quantity"] for r in rows) == ["a", "d"]
+    for r in rows:
+        assert not r["exact"]
+        assert r["lower"] <= reached <= r["upper"]
+
+
 def test_row_refuses_exact_with_unequal_bounds(monkeypatch, capsys):
     import snumbers.cli
     from snumbers.cli import _row
@@ -384,9 +401,12 @@ def test_sphere_overflow_at_tiny_p_exits_two_and_names_p(p):
 
 def test_cli_commands_load_no_scipy():
     # scipy is imported only by the Nelder-Mead distance descent, which
-    # these commands do not reach
-    code = textwrap.dedent("""
+    # these commands do not reach; the certified norm uppers, in estimate at
+    # (3, 1.5) and (2, 0.5) and in the approximation search, are numpy only
+    matrix = os.path.join(os.path.dirname(__file__), "golden", "matrix.csv")
+    code = textwrap.dedent(f"""
         import contextlib, io, sys
+        import numpy as np
         import snumbers, snumbers.cli
 
         def loaded():
@@ -399,10 +419,15 @@ def test_cli_commands_load_no_scipy():
              "--field", "complex"],
             ["sweep", "--p", "1", "--q", "2", "--n", "64", "--k", "3", "--output", "csv"],
             ["verify", "--budget", "2000"],
+            ["estimate", "--input", {matrix!r}, "--p", "3", "--q", "1.5", "--k", "1..2"],
+            ["estimate", "--input", {matrix!r}, "--p", "2", "--q", "0.5", "--k", "1..2"],
         ):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert snumbers.cli.main(argv) == 0, argv
             assert not loaded(), (argv, loaded())
+        M = np.random.default_rng(2).standard_normal((3, 3, 2)) @ [1.0, 1.0j]
+        snumbers.approx_upper_search(snumbers.operator(M, 2.0, 3.0), 2, budget=30)
+        assert not loaded(), ("approx_upper_search", loaded())
     """)
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr

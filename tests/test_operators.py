@@ -155,11 +155,12 @@ def test_sampled_ascent_never_exceeds_truth():
 @pytest.mark.parametrize("field, p, q", [
     (REAL, 2.0, 1.0), (REAL, math.inf, 0.5), (REAL, 1.5, 0.7), (COMPLEX, 3.0, 1.5),
 ])
-def test_sampled_ascent_stop_contract(field, p, q):
-    # on both non-exact paths: a full value below the stop comes back
-    # unchanged; otherwise the path may return early, with a value between
-    # the stop and the full value
+def test_non_exact_paths_give_two_certified_sides(field, p, q):
+    # on both non-exact paths: a certified lower, the lower path's own value,
+    # and a certified upper at or above every value a maximiser reaches
     method = "sampled-ascent" if q < min(1.0, p) else "power-method"
+    lower_path = {"sampled-ascent": operators._sampled_ascent,
+                  "power-method": operators._power_method}[method]
     # a real l_p -> l_1 norm on more than 16 rows is past the sign enumeration
     m = 17 if (field, q) == (REAL, 1.0) else 4
     for seed in range(3):
@@ -168,42 +169,12 @@ def test_sampled_ascent_stop_contract(field, p, q):
         if field == COMPLEX:
             M = M + 1j * rng.standard_normal((m, 3))
         T = operator(M, p, q, field=field)
-        full = op_norm(T, budget=600, seed=seed)
-        assert op_norm(T, budget=600, seed=seed, stop=math.inf) == full
-        for factor in (-1.0, 0.0, 0.5, 0.9, 0.99, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0):
-            stop = full.lower * factor
-            r = op_norm(T, budget=600, seed=seed, stop=stop)
-            assert (r.exact, r.method) == (False, method)
-            if full.lower < stop:
-                assert r.lower == full.lower
-            else:
-                assert stop <= r.lower <= full.lower
-
-
-def test_sampled_ascent_stops_before_climbing_once_the_samples_reach_the_stop(monkeypatch):
-    # on both non-exact paths, no climb step is taken when the sample phase
-    # already reaches the stop
-    steps = []
-    norm_function = operators._abs_norm_function
-
-    def counting_norm_function(p):
-        norm = norm_function(p)
-
-        def counted(a):
-            steps.append(1)
-            return norm(a)
-
-        return counted
-
-    monkeypatch.setattr(operators, "_abs_norm_function", counting_norm_function)
-    for p, q, method in [(1.5, 0.7, "sampled-ascent"), (3.0, 1.5, "power-method")]:
-        T = operator(np.arange(1.0, 7.0).reshape(2, 3), p, q)
-        full = op_norm(T, budget=600, seed=0)
-        assert full.method == method
-        assert steps
-        steps.clear()
-        assert op_norm(T, budget=600, seed=0, stop=0.0).lower <= full.lower
-        assert not steps
+        r = op_norm(T, budget=600, seed=seed)
+        assert (r.method, r.lower_kind, r.upper_kind) == (method, CERTIFIED, CERTIFIED)
+        assert r.lower == lower_path(T, 600, seed)
+        assert r.upper == operators._norm_upper(T)[0]
+        assert r.lower <= oracles.norm_lower(M, p, q, seed=seed) * (1.0 + 1e-12)
+        assert oracles.norm_lower(M, p, q, seed=seed) <= r.upper
 
 
 @pytest.mark.parametrize("T", [
@@ -214,11 +185,10 @@ def test_sampled_ascent_stops_before_climbing_once_the_samples_reach_the_stop(mo
     operator(np.arange(1.0, 7.0).reshape(2, 3), 2.0, 1.0),  # sign-enumeration
     operator(np.arange(1.0, 7.0).reshape(2, 3), math.inf, 2.0),  # vertex-enumeration
 ])
-def test_stop_leaves_the_exact_paths_alone(T):
+def test_norm_upper_is_op_norm_on_the_exact_paths(T):
     exact = op_norm(T)
     assert exact.exact
-    for stop in (-1.0, 0.0, 0.5 * exact.lower, exact.lower, math.inf):
-        assert op_norm(T, stop=stop) == exact
+    assert operators._norm_upper(T) == (exact.upper, exact.method)
 
 
 def test_column_max_covers_p_at_most_q_below_one():
@@ -274,8 +244,8 @@ def test_enumerations_match_the_oracle_and_bound_the_non_exact_paths(m, n, p, q,
         r = op_norm(T)
         assert r.exact and r.method == method
         assert r.lower == pytest.approx(exact, rel=1e-12)
-        assert operators._power_method(T, 600, seed, math.inf) <= exact * (1.0 + 1e-12)
-        assert operators._sampled_ascent(T, 600, seed, math.inf) <= exact * (1.0 + 1e-12)
+        assert operators._power_method(T, 600, seed) <= exact * (1.0 + 1e-12)
+        assert operators._sampled_ascent(T, 600, seed) <= exact * (1.0 + 1e-12)
 
 
 def test_readme_matrix_norm_from_l2_to_l1_is_exact():
@@ -399,11 +369,13 @@ def test_op_norm_brackets_name_their_kinds():
         r = op_norm(T)
         assert (r.lower_kind, r.upper_kind, r.method) == (EXACT, EXACT, method)
         assert r.lower == r.upper
-    # each non-exact path gives the norm of a unit vector's image: a certified lower
+    # each non-exact path gives the norm of a unit vector's image, a certified
+    # lower, and a certified upper from exact norms
     for p, q, method in [(3.0, 1.5, "power-method"), (1.5, 0.7, "sampled-ascent"),
                          (math.inf, 0.5, "sampled-ascent")]:
         r = op_norm(operator(M, p, q), budget=200)
-        assert (r.lower_kind, r.upper, r.upper_kind) == (CERTIFIED, None, None)
+        assert (r.lower_kind, r.upper_kind) == (CERTIFIED, CERTIFIED)
+        assert r.lower <= r.upper < math.inf
         assert r.method == method
 
 

@@ -1,9 +1,9 @@
 """Approximation and Kolmogorov numbers: formulas, searches, axioms."""
 
 import math
-import zlib
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -168,14 +168,14 @@ def test_approx_search_matches_singular_values():
 
 def test_searches_agree_at_k1():
     # a_1 = d_1 = ||T||: on a power-method norm both searches take op_norm's
-    # lower with their own seed, so they return the same float for every seed
+    # certified upper, which no seed changes, so they return the same float
     rng = np.random.default_rng(3)
     T = operator(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)), 2.0, 3.0)
     for seed in (0, 1, 2):
         norm = op_norm(T, seed=seed)
         assert norm.method == "power-method"
-        assert approx_upper_search(T, 1, seed=seed) == norm.lower
-        assert kolmogorov_upper_search(T, 1, seed=seed) == norm.lower
+        assert approx_upper_search(T, 1, seed=seed) == norm.upper
+        assert kolmogorov_upper_search(T, 1, seed=seed) == norm.upper
 
 
 def test_approx_search_non_hilbert_upper_bound():
@@ -186,164 +186,6 @@ def test_approx_search_non_hilbert_upper_bound():
     T = diagonal_operator([2.0, 1.0], p=1.0, q=INF)
     v = approx_upper_search(T, 2, budget=800, seed=1)
     assert 2.0 / 3.0 - 1e-9 <= v <= 1.0 + 1e-9
-
-
-def _reference_lp_norm(x, p):
-    a = np.abs(x)
-    if math.isinf(p):
-        v = float(a.max())
-    elif p == 2.0:
-        v = float(np.sqrt(np.dot(a, a)))
-    elif p == 1.0:
-        v = float(a.sum())
-    else:
-        v = float((a**p).sum() ** (1.0 / p))
-    if not math.isfinite(v):  # overflowed powers: the norm of a / max(a), scaled back
-        top = a.max()
-        v = float(top * _reference_lp_norm(a / top, p))
-    return v
-
-
-def _reference_samples(T, budget, seed):
-    """The sampling phase of both non-exact paths: generator, points, norms, order."""
-    M = T.matrix
-    n = T.domain.n
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, zlib.crc32(M.tobytes())])
-    X = operators._unit_directions(n, T.field)
-    X = np.vstack([X, spaces.sample_sphere(rng, n, T.domain.p, T.field, max(16, budget // 2))])
-    Y = X @ M.T
-    vals = operators._norm_rows(Y, T.codomain.p)
-    bad = ~np.isfinite(vals)
-    vals[bad] = [_reference_lp_norm(y, T.codomain.p) for y in Y[bad]]
-    return rng, X, vals, np.argsort(vals)[::-1]
-
-
-def _unbounded_ascent(T, budget, seed):
-    """The sampled ascent with no stop and a norm dispatched on every climb
-    step: the reference that op_norm's bounded ascent must match bit for bit."""
-    M = T.matrix
-    p, q = T.domain.p, T.codomain.p
-    n = T.domain.n
-    rng, X, vals, order = _reference_samples(T, budget, seed)
-    best = float(vals[order[0]])
-    spent = X.shape[0]
-    for idx in order[:4]:
-        x = X[idx].copy()
-        cur = float(vals[idx])
-        radius = 0.5
-        while spent < budget and radius > 1e-7:
-            step = rng.standard_normal(n)
-            if T.field == COMPLEX:
-                step = step + 1j * rng.standard_normal(n)
-            y = x + radius * step
-            ny = _reference_lp_norm(y, p)
-            spent += 1
-            if ny == 0.0:
-                continue
-            y = y / ny
-            v = _reference_lp_norm(M @ y, q)
-            if v > cur:
-                x, cur = y, v
-            else:
-                radius *= 0.8
-        best = max(best, cur)
-    return best
-
-
-def _unbounded_power_method(T, budget, seed):
-    """The power method with no stop and a norm dispatched on every step: the
-    reference that op_norm's bounded power method must match bit for bit."""
-    M = T.matrix
-    p, q = T.domain.p, T.codomain.p
-    _, X, vals, order = _reference_samples(T, budget, seed)
-    best = float(vals[order[0]])
-    spent = X.shape[0]
-    top = np.linalg.svd(M, full_matrices=False)[2][0].conj()
-    for x in [X[i] for i in order[:4]] + [top / _reference_lp_norm(top, p)]:
-        cur, misses = 0.0, 0
-        while spent < budget:
-            y = M @ x
-            v = _reference_lp_norm(y, q)
-            spent += 1
-            if v > cur:
-                cur, misses = v, 0
-            else:
-                misses += 1
-                if misses == 2:
-                    break
-            w = M.conj().T @ spaces._dual(y, np.abs(y), q)
-            x = spaces._dual(w, np.abs(w), conjugate_exponent(p))
-            nx = _reference_lp_norm(x, p)
-            if nx == 0.0:
-                break
-            x = x / nx
-        best = max(best, cur)
-    return best
-
-
-def _unbounded_norm(T, budget, seed):
-    """op_norm's value with no stop: an exact path's value, which ignores the
-    stop, or the unbounded copy of the non-exact path that op_norm takes."""
-    r = op_norm(T, budget, seed, stop=-INF)  # a non-exact path returns at once
-    if r.exact:
-        return r.lower
-    unbounded = {"power-method": _unbounded_power_method, "sampled-ascent": _unbounded_ascent}
-    return unbounded[r.method](T, budget, seed)
-
-
-def _unbounded_approx_search(T, k, budget, seed):
-    """approx_upper_search with every residual norm evaluated in full, for
-    k >= 2; a residual with a non-finite entry is inf, as in the search."""
-    def residual(S):
-        R = T.matrix - S
-        if not np.isfinite(R).all():
-            return math.inf
-        return _unbounded_norm(operator(R, T.domain.p, T.codomain.p, field=T.field), 2000, 0)
-
-    M = T.matrix
-    U, s, Vh = np.linalg.svd(M)
-    r_eff = min(k - 1, s.size)
-    A0 = U[:, :r_eff] * s[:r_eff]
-    B0 = Vh[:r_eff]
-    best = residual(widths._low_rank(A0, B0))
-    spent = 1
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, zlib.crc32(M.tobytes()), k])
-    scale = float(s[0]) if s.size else 1.0
-    best_AB = (A0.copy(), B0.copy())
-    for _ in range(3):
-        if spent >= budget:
-            break
-        Ar = A0 + 0.05 * scale * widths._random_like(rng, A0)
-        Br = B0 + 0.05 * widths._random_like(rng, B0)
-        v = residual(widths._low_rank(Ar, Br))
-        spent += 1
-        if v < best:
-            best, best_AB = v, (Ar, Br)
-    A, B = best_AB[0].copy(), best_AB[1].copy()
-    step = 0.1 * max(scale, 1e-12)
-    while spent < budget and step > 1e-10 * max(scale, 1.0):
-        improved = False
-        coords = [("A", i) for i in range(A.size)] + [("B", i) for i in range(B.size)]
-        rng.shuffle(coords)
-        for which, i in coords:
-            if spent + 2 > budget:
-                break
-            flat = (A if which == "A" else B).reshape(-1)
-            old = flat[i]
-            for delta in (step, -step):
-                flat[i] = old + delta
-                v = residual(widths._low_rank(A, B))
-                spent += 1
-                if v < best - 1e-15:
-                    best = v
-                    old = flat[i]
-                    improved = True
-                    break
-            else:
-                flat[i] = old
-        if not improved:
-            step *= 0.5
-    return float(best)
 
 
 # the (p, q) pairs of the search test: both fields reach both non-exact paths
@@ -377,23 +219,25 @@ def _search_matrix(rng, m, n, field, kind):
 @example(field=COMPLEX, kind="huge", pq=(2.0, 3.0), m=2, n=3, k=2, budget=20, mseed=4)
 @example(field=REAL, kind="tiny", pq=(2.0, 1.0), m=3, n=3, k=2, budget=10, mseed=1)
 @example(field=COMPLEX, kind="tiny", pq=(2.0, 1.0), m=3, n=3, k=2, budget=10, mseed=1)
-def test_bounded_approx_search_equals_unbounded_search(field, kind, pq, m, n, k, budget, mseed):
-    # The search stops each residual norm once the candidate has lost; the
-    # copy above evaluates every norm in full.  The two must agree bit for
-    # bit, except past full rank, where a_k is exactly 0.
+def test_approx_search_value_is_above_the_norm_at_its_best_factors(field, kind, pq, m, n, k,
+                                                                   budget, mseed):
+    # The value is a certified upper of ||T - A B|| for the best factors, so a
+    # maximiser of that residual's norm never exceeds it; on an exact residual
+    # path it is the exact norm of the float residual, up to rounding.
     p, q = pq
     rng = np.random.default_rng(mseed)
     T = operator(_search_matrix(rng, m, n, field, kind), p, q, field=field)
     # the search warns of nothing, 1e200 matrices included, so pytest's
     # error::RuntimeWarning holds
-    v = approx_upper_search(T, k, budget=budget, seed=mseed)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert op_norm(T, seed=mseed, stop=INF).lower.hex() == \
-            _unbounded_norm(T, 2000, mseed).hex()
-        if k - 1 >= min(m, n):
-            assert v.hex() == "0x0.0p+0"
-        else:
-            assert v.hex() == _unbounded_approx_search(T, k, budget, mseed).hex()
+    v, factors = widths._approx_search(T, k, budget, mseed)
+    assert v == approx_upper_search(T, k, budget=budget, seed=mseed)
+    if k - 1 >= min(m, n):
+        assert v.hex() == "0x0.0p+0" and factors is None
+        return
+    R = T.matrix - factors[0] @ factors[1]
+    reached = oracles.norm_lower(R, p, q, seed=mseed)
+    exact = operators._norm_upper(operator(R, p, q, field=field))[1] is not None
+    assert reached <= v * (1.0 + 1e-12 if exact else 1.0)
 
 
 @pytest.mark.parametrize("field, p, q", [(REAL, 2.0, 1.0), (REAL, 1.0, 2.0), (REAL, 2.0, 2.0),
@@ -433,13 +277,12 @@ def test_kolmogorov_search_is_exactly_zero_past_full_rank(monkeypatch, field, p,
 
 
 def test_residual_norm_of_an_overflowed_candidate_is_inf_without_a_norm(monkeypatch):
-    monkeypatch.setattr(widths, "op_norm", None)
+    monkeypatch.setattr(widths, "_norm_upper", None)
     T = operator(np.ones((2, 2)), 1.5, 0.7)
     for bad in (math.inf, -math.inf, math.nan):
         S = np.zeros((2, 2))
         S[1, 0] = bad
-        assert widths._residual_norm(T, S) == math.inf
-        assert widths._residual_norm(T, S, stop=1.0) == math.inf
+        assert widths._residual_norm(T, S) == (math.inf, None)
 
 
 def test_kolmogorov_search_hilbert():
@@ -476,26 +319,21 @@ def test_dist_raw_and_orthonormal_bases_agree():
     (4, COMPLEX, 0.5, 1.5, 2, True),
 ])
 def test_kolmogorov_search_one_distance_per_sample_point(monkeypatch, n, field, p, q, k, columns):
+    # every candidate takes the n unit vectors +e_j, then its sphere points
     points, calls, firsts = [], [], []
-    dist, unit, sphere = widths.dist_to_subspace, widths._unit_directions, widths.sample_sphere
+    dist, sphere = widths.dist_to_subspace, widths.sample_sphere
 
     def count_dist(*args, **kwargs):
         calls.append(np.array(args[0]))
         return dist(*args, **kwargs)
 
-    def count_unit(*args, **kwargs):
-        X = unit(*args, **kwargs)
-        points.append(X.shape[0])
+    def count_sphere(*args, **kwargs):
+        X = sphere(*args, **kwargs)
+        points.append(n + X.shape[0])
         firsts.append(len(calls))
         return X
 
-    def count_sphere(*args, **kwargs):
-        X = sphere(*args, **kwargs)
-        points.append(X.shape[0])
-        return X
-
     monkeypatch.setattr(widths, "dist_to_subspace", count_dist)
-    monkeypatch.setattr(widths, "_unit_directions", count_unit)
     monkeypatch.setattr(widths, "sample_sphere", count_sphere)
     rng = np.random.default_rng(19)
     M = rng.standard_normal((n, n))
