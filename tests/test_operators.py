@@ -185,9 +185,15 @@ def test_non_exact_paths_give_two_certified_sides(field, p, q):
     operator(np.arange(1.0, 7.0).reshape(2, 3), 2.0, 1.0),  # sign-enumeration
     operator(np.arange(1.0, 7.0).reshape(2, 3), math.inf, 2.0),  # vertex-enumeration
 ])
-def test_norm_upper_is_op_norm_on_the_exact_paths(T):
+def test_stop_leaves_the_exact_paths_alone(T):
+    # the budget that stops the non-exact paths, and their seed, change no
+    # exact bracket; _norm_upper, which the approximation search minimises,
+    # returns the same exact float and path name
     exact = op_norm(T)
     assert exact.exact
+    for budget in (1, 16, 600, 10**6):
+        for seed in (0, 1, 7):
+            assert op_norm(T, budget=budget, seed=seed) == exact
     assert operators._norm_upper(T) == (exact.upper, exact.method)
 
 
