@@ -297,7 +297,8 @@ def run_idnumbers(cfg):
                 rows.append(_row("a", k, v, "svd", "estimator", clock.lap()))
                 rows.append(_row("d", k, v, "svd", "estimator", clock.lap()))
         elif cheap_norm and cfg.n <= 8:
-            # p <= 1 <= q: exact residual norms, so the search gives certified uppers
+            # the search's value is a certified upper at every (p, q); p <= 1 <= q
+            # only keeps the search cheap, since its residual norms are column-max
             for k in range(cfg.k_lo, cfg.k_hi + 1):
                 a = approx_upper_search(T, k, budget=min(cfg.budget, 400), seed=cfg.seed)
                 rows.append(_row("a", k, Bracket(None, a, None, CERTIFIED, "rank-search"),
@@ -331,7 +332,7 @@ def run_estimate(cfg):
         upper = Bracket(None, norm.upper, None, CERTIFIED, norm.method)
         for k in range(cfg.k_lo, k_hi + 1):
             bound = norm if k == 1 else upper
-            if cheap_norm and T.domain.n <= 8:  # certified, as in run_idnumbers
+            if cheap_norm and T.domain.n <= 8:  # a cost gate, as in run_idnumbers
                 a = approx_upper_search(T, k, budget=min(cfg.budget, 400), seed=cfg.seed)
                 rows.append(_row("a", k, Bracket(None, a, None, CERTIFIED, "rank-search"),
                                  "rank-search", "estimator", clock.lap()))

@@ -191,31 +191,51 @@ def numerical_rank(T, tol=1e-10):
 
 
 def is_identity(M):
-    """True when the matrix M is exactly a square identity matrix."""
-    return M.shape[0] == M.shape[1] and np.array_equal(M, np.eye(M.shape[0], dtype=M.dtype))
+    """True where the last two axes of M hold exactly a square identity
+    matrix: one bool for a matrix, one per slice for a stack of them."""
+    m, n = M.shape[-2:]
+    if m != n:
+        return np.zeros(M.shape[:-2], dtype=bool)[()]
+    return (M == np.eye(n, dtype=M.dtype)).all(axis=(-2, -1))
+
+
+def _power_sums(a, q):
+    """The sums of the q-th powers of the moduli a along the last axis, q < inf."""
+    if q == 2.0:
+        return (a * a).sum(axis=-1)
+    if q == 1.0:
+        return a.sum(axis=-1)
+    return (a**q).sum(axis=-1)
+
+
+def _root(sums, q):
+    """The l_q norms whose sums of q-th powers are ``sums``, as _norm_rows takes them."""
+    return np.sqrt(sums) if q == 2.0 else sums if q == 1.0 else sums ** (1.0 / q)
 
 
 def _norm_rows(A, q):
-    """lp_norm applied to each row of A."""
+    """lp_norm applied to each row of A (the last axis, under any stack axes)."""
     a = np.abs(A)
     if math.isinf(q):
-        return a.max(axis=1)
-    if q == 2.0:
-        return np.sqrt((a * a).sum(axis=1))
-    if q == 1.0:
-        return a.sum(axis=1)
-    return (a**q).sum(axis=1) ** (1.0 / q)
+        return a.max(axis=-1)
+    return _root(_power_sums(a, q), q)
 
 
 def _scaled_norm_rows(A, q):
-    """_norm_rows of A, with each row whose value is not finite recomputed by
-    ``_rescaled``; a finite value keeps its bits."""
+    """_norm_rows of A, with each nonzero row whose value is not finite, or
+    whose sum of powers is below the smallest normal float, recomputed by
+    ``_rescaled``; every other row keeps its bits."""
+    a = np.abs(A)
+    if math.isinf(q):
+        return a.max(axis=-1)
     with np.errstate(over="ignore"):
-        v = _norm_rows(A, q)
-    bad = ~np.isfinite(v)
+        sums = _power_sums(a, q)
+        v = _root(sums, q)
+    bad = ~((sums >= sys.float_info.min) & (v < math.inf))
     if bad.any():
+        bad &= a.max(axis=-1) > 0.0
         norm = _abs_norm_function(q)
-        v[bad] = [_rescaled(norm, a) for a in np.abs(A[bad])]
+        v[bad] = [_rescaled(norm, row) for row in a[bad]]
     return v
 
 
@@ -230,12 +250,21 @@ def _half_cube(d):
     return S
 
 
-def _max_image_norm(S, A, r):
-    """max ||A s||_r over the rows s of S, in blocks of at most 2^16 image
-    entries, so that 2^15 sign vectors of a wide matrix take little memory."""
-    step = max(1, 65536 // A.shape[0])
-    return max(float(_scaled_norm_rows(S[i:i + step] @ A.T, r).max())
-               for i in range(0, S.shape[0], step))
+def _max_image_norms(S, As, r):
+    """For each matrix A of the stack As, max ||A s||_r over the rows s of S.
+    The rows of S go in blocks of at most 2^16 image entries, and the
+    matrices in groups whose images of one block hold at most 2^16 entries
+    (one matrix at least), so 2^15 sign vectors of a wide matrix take little
+    memory; each image is one block's product, whatever the group."""
+    d = As.shape[1]
+    step = max(1, 65536 // d)
+    group = max(1, 65536 // (min(step, S.shape[0]) * d))
+    out = np.empty(As.shape[0])
+    for g in range(0, As.shape[0], group):
+        G = As[g:g + group].transpose(0, 2, 1)
+        out[g:g + group] = np.max([_scaled_norm_rows(S[i:i + step] @ G, r).max(axis=-1)
+                                   for i in range(0, S.shape[0], step)], axis=0)
+    return out
 
 
 def _unit_directions(n, field):
@@ -389,15 +418,16 @@ _FAN_SPLITS = np.linspace(0.0, 1.0, 3)  # splits of an edge weight between the e
 
 
 def _max_vector_norms(a, exps, axis):
-    """For each exponent r in ``exps`` (inf allowed), the largest l_r norm of
-    the vectors of moduli a along ``axis`` (0: the columns, 1: the rows).
+    """For each matrix of moduli in the stack a and each exponent r in
+    ``exps`` (inf allowed), the largest l_r norm of its vectors along
+    ``axis`` (0: the columns, 1: the rows), as an array (stack, exps).
     Each vector is divided by its largest entry first (a zero vector by the
     smallest normal float), so no power overflows, and a vector's sum of
     powers is at least 1 unless it is 0."""
-    top = a.max(axis=axis, keepdims=True)
+    top = a.max(axis=1 + axis, keepdims=True)
     np.maximum(top, sys.float_info.min, out=top)
-    sums = ((a / top) ** exps[:, None, None]).sum(axis=1 + axis)
-    return (sums ** (1.0 / exps[:, None]) * top.reshape(-1)).max(axis=1)
+    sums = ((a / top)[:, None] ** exps[:, None, None]).sum(axis=2 + axis)
+    return (sums ** (1.0 / exps[:, None]) * top.reshape(len(a), 1, -1)).max(axis=-1)
 
 
 def _fan(u, v):
@@ -440,8 +470,11 @@ def _route_table(p, q, m, n, real):
     The anchors are the largest column norms at the exponents ``col_exps``,
     the largest row norms at ``row_exps``, sigma_1 (needed when ``svd``)
     and the sign-enumeration value (needed when ``sign``), in that order.
-    ``rho`` is the relative rounding margin.  Returns (col_exps, row_exps,
-    svd, sign, W, offsets, rho)."""
+    Each distinct exponent is evaluated once: ``index`` picks the anchors in
+    that order out of [norms at the distinct column exponents, at the
+    distinct row exponents, sigma_1, sign].  ``rho`` is the relative
+    rounding margin.  Returns (col_exps, row_exps, svd, sign, index, W,
+    offsets, rho), with the distinct exponents."""
     x, y = inv_exponent(p), inv_exponent(q)
     ln_n, ln_m = math.log(n), math.log(m)
     col_exps, row_exps, routes = [], [], []
@@ -479,35 +512,47 @@ def _route_table(p, q, m, n, real):
     eps = sys.float_info.epsilon
     rho = (16.0 * (m * n + d + 4) * eps / min(1.0, q)
            + 64.0 * (1.0 + x + y) ** 2 * math.log(4.0 * d) * eps)
-    table = (np.array(col_exps), np.array(row_exps), W,
-             np.array([offset for _, offset in routes]))
+    cols, rows = dict.fromkeys(col_exps), dict.fromkeys(row_exps)  # the distinct ones, in order
+    at = {**{("col", e): i for i, e in enumerate(cols)},
+          **{("row", e): len(cols) + i for i, e in enumerate(rows)}}
+    index = ([at["col", e] for e in col_exps] + [at["row", e] for e in row_exps]
+             + [len(cols) + len(rows), len(cols) + len(rows) + 1])
+    table = (np.array(list(cols), dtype=float), np.array(list(rows), dtype=float),
+             np.array(index), W, np.array([offset for _, offset in routes]))
     for array in table:
         array.setflags(write=False)
     return table[:2] + (x <= 1.0, sign) + table[2:] + (rho,)
 
 
-def _routed_upper(M, p, q, real):
-    """A certified upper of ||M: l_p -> l_q|| from exact norms only, for the
-    (p, q) that no exact path of op_norm covers.  See ``_norm_upper``."""
-    a = np.abs(M)
-    top = float(a.max())
-    if top == 0.0 or not math.isfinite(top):
+def _routed_upper(Ms, p, q, real):
+    """A certified upper of ||M: l_p -> l_q|| from exact norms only, for each
+    matrix M of the stack Ms, for the (p, q) that no exact path of op_norm
+    covers.  See ``_norm_upper``."""
+    a = np.abs(Ms)
+    top = a.max(axis=(1, 2))
+    ok = (top > 0.0) & (top < math.inf)
+    if not ok.all():  # a zero or non-finite matrix is its own value
+        if ok.any():
+            top[ok] = _routed_upper(Ms[ok], p, q, real)
         return top
-    scale = math.ldexp(1.0, math.frexp(top)[1] - 1)  # top / scale is in [1, 2)
-    a = a / scale
-    m, n = a.shape
-    col_exps, row_exps, svd, sign, W, offsets, rho = _route_table(p, q, m, n, real)
+    scale = np.ldexp(1.0, np.frexp(top)[1] - 1)  # top / scale is in [1, 2)
+    a = a / scale[:, None, None]
+    s, m, n = a.shape
+    col_exps, row_exps, svd, sign, index, W, offsets, rho = _route_table(p, q, m, n, real)
     with np.errstate(over="ignore"):  # a norm out of range is inf, and so is its route
-        anchors = [_max_vector_norms(a, col_exps, 0)]
-        if row_exps.size:
-            anchors.append(_max_vector_norms(a, row_exps, 1))
-        anchors.append([np.linalg.svd(M / scale, compute_uv=False)[0] if svd else 1.0,
-                        _max_image_norm(_half_cube(m), M.T / scale, conjugate_exponent(p))
-                        if sign else 1.0])
+        anchors = [_max_vector_norms(a, col_exps, 0), _max_vector_norms(a, row_exps, 1),
+                   np.ones((s, 2))]
+        if svd:
+            anchors[2][:, 0] = np.linalg.svd(Ms / scale[:, None, None], compute_uv=False)[:, 0]
+        if sign:
+            anchors[2][:, 1] = _max_image_norms(_half_cube(m), (Ms / scale[:, None, None])
+                                                .transpose(0, 2, 1), conjugate_exponent(p))
         # every anchor is >= 1; an infinite one becomes a huge log, which its
         # zero weights keep out of the other routes
-        logs = np.minimum(np.log(np.concatenate(anchors)), 1e300)
-        return float(np.exp((W @ logs + offsets).min())) * (1.0 + rho) * scale
+        logs = np.minimum(np.log(np.concatenate(anchors, axis=1)), 1e300)[:, index]
+        # one matrix-vector product per matrix, as for a single matrix
+        routes = (W @ logs[:, :, None])[:, :, 0] + offsets
+        return np.exp(routes.min(axis=1)) * (1.0 + rho) * scale
 
 
 def _norm_upper(T):
@@ -587,24 +632,51 @@ def _norm_upper(T):
     terms and the two final products, so the value times (1 + rho) is a
     certified upper.  An upper that overflows is inf, which is still one.
     """
-    M = T.matrix
-    p, q = T.domain.p, T.codomain.p
-    m, n = M.shape
-    real = T.field == REAL
+    values, methods = _norm_uppers(T.matrix[None], T.domain.p, T.codomain.p, T.field == REAL)
+    return float(values[0]), methods[0]
 
-    if is_identity(M):
-        return float(n) ** max(0.0, inv_exponent(q) - inv_exponent(p)), "identity-formula"
+
+def _norm_uppers(Ms, p, q, real):
+    """``_norm_upper`` of each m x n matrix of the stack Ms, l_p -> l_q, real
+    or complex scalars: (values, one method name or None per matrix).
+
+    Each path runs once over the stack.  Its arithmetic on each matrix is
+    the arithmetic it makes on that matrix alone: the same elementwise
+    operations, each reduction along the same axis of the same layout, one
+    product per matrix (a matrix times the sign vectors, or the route
+    weights times a vector of logs), and LAPACK's sigma_1 of each matrix.
+    So every value has the bits of the matrix's own ``_norm_upper``.
+    """
+    ident = is_identity(Ms)
+    if not ident.any():
+        values, method = _path_norms(Ms, p, q, real)
+        return values, [method] * len(Ms)
+    values = np.full(len(Ms), float(Ms.shape[2]) ** max(0.0, inv_exponent(q) - inv_exponent(p)))
+    methods = ["identity-formula"] * len(Ms)
+    if not ident.all():
+        rest = np.flatnonzero(~ident)
+        values[rest], method = _path_norms(Ms[rest], p, q, real)
+        for i in rest:
+            methods[i] = method
+    return values, methods
+
+
+def _path_norms(Ms, p, q, real):
+    """op_norm's exact path for a stack of non-identity matrices, in its
+    order, with its values and name; else ``_routed_upper`` and None."""
+    m, n = Ms.shape[1:]
     if p <= min(1.0, q):
-        return float(_scaled_norm_rows(M.T, q).max()), "column-max"
+        return _scaled_norm_rows(Ms.transpose(0, 2, 1), q).max(axis=1), "column-max"
     if p == 2.0 and q == 2.0:
-        return float(singular_values(T)[0]), "svd"
+        return np.linalg.svd(Ms, compute_uv=False)[:, 0], "svd"
     if math.isinf(q):
-        return float(_scaled_norm_rows(M, conjugate_exponent(p)).max()), "row-max"
+        return _scaled_norm_rows(Ms, conjugate_exponent(p)).max(axis=1), "row-max"
     if real and p >= 1.0 and q == 1.0 and m <= 16:
-        return _max_image_norm(_half_cube(m), M.T, conjugate_exponent(p)), "sign-enumeration"
+        return (_max_image_norms(_half_cube(m), Ms.transpose(0, 2, 1), conjugate_exponent(p)),
+                "sign-enumeration")
     if real and math.isinf(p) and q >= 1.0 and n <= 16:
-        return _max_image_norm(_half_cube(n), M, q), "vertex-enumeration"
-    return _routed_upper(M, p, q, real), None
+        return _max_image_norms(_half_cube(n), Ms, q), "vertex-enumeration"
+    return _routed_upper(Ms, p, q, real), None
 
 
 def op_norm(T, budget=2000, seed=0):

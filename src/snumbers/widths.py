@@ -34,6 +34,7 @@ from .operators import (
     SHAPE,
     Bracket,
     _norm_upper,
+    _norm_uppers,
     add,
     compose,
     identity_operator,
@@ -210,21 +211,27 @@ def kolmogorov_id_envelope(p, q, n, k, field=REAL):
 # ---------------------------------------------------------------------------
 
 
-def _residual_norm(T, S_matrix):
-    """``operators._norm_upper`` of the float residual T - S: (upper, the
-    exact path's name or None).  A residual with a non-finite entry (an
-    overflowed candidate) is (inf, None) without a norm: its norm would be
-    inf or NaN, which fails ``v < best`` just the same."""
-    R = T.matrix - S_matrix
-    if not np.isfinite(R).all():
-        return math.inf, None
-    return _norm_upper(operator(R, T.domain.p, T.codomain.p, field=T.field))
+def _residual_norms(T, products):
+    """``operators._norm_uppers`` of the float residuals T - S for a stack of
+    candidate products S: a list of (upper, the exact path's name or None).
+    A residual with a non-finite entry (an overflowed candidate) is
+    (inf, None) without a norm: its norm would be inf or NaN, which fails
+    ``v < best`` just the same."""
+    R = T.matrix - products
+    finite = np.flatnonzero(np.isfinite(R).all(axis=(1, 2)))
+    out = [(math.inf, None)] * len(R)
+    if finite.size:
+        values, methods = _norm_uppers(R if finite.size == len(R) else R[finite],
+                                       T.domain.p, T.codomain.p, T.field == REAL)
+        for i, v, method in zip(finite.tolist(), values.tolist(), methods):
+            out[i] = (v, method)
+    return out
 
 
 def _low_rank(A, B):
     """A @ B for the rank-restricted candidates.  Perturbed factors of a huge
     matrix can overflow; the residual is then infinite (or NaN), so
-    ``_residual_norm`` gives inf and the overflow changes no value and warns
+    ``_residual_norms`` gives inf and the overflow changes no value and warns
     of nothing."""
     with np.errstate(over="ignore", invalid="ignore"):
         return A @ B
@@ -267,21 +274,31 @@ def approx_upper_search(T, k, budget=2000, seed=0):
     a_k(T) is the infimum of ||T - L|| over operators L of rank < k, so any
     such L gives an upper.  Candidates: the SVD truncation, random
     perturbations of it, and a coordinate-descent polish of the low-rank
-    factors, within `budget` residual norms.  Each residual norm is
-    ``operators._norm_upper`` of the float residual: op_norm's exact value
-    on its exact paths, so in the Hilbert case the result matches sigma_k
-    to within 1e-9 relative (checked internally; the truncation candidate
-    attains it), and elsewhere a certified upper from exact norms (see its
-    docstring), with no power method and no sampling.  The search minimises
-    these uppers, and the best one is then raised to an upper of
-    ||T - A B|| for the exact product of its factors by
-    ``_product_rounding``, whose docstring proves the margin.  On the exact
-    paths the value is the exact norm of the float residual, as before,
-    with no margin for the rounding of that residual.  For k - 1 >=
-    min(m, n) a rank-(k-1) operator can equal T, so the result is exactly
-    0 and no candidate is evaluated.  At k = 1 the only candidate is S = 0,
-    and the result is ``_norm_upper(T)``'s value, op_norm's upper, which
-    ``kolmogorov_upper_search`` also gives at k = 1 (a_1 = d_1 = ||T||).
+    factors.  Each residual norm is ``operators._norm_upper`` of the float
+    residual: op_norm's exact value on its exact paths, so in the Hilbert
+    case the result matches sigma_k to within 1e-9 relative (checked
+    internally; the truncation candidate attains it), and elsewhere a
+    certified upper from exact norms (see its docstring), with no power
+    method and no sampling.  The search minimises these uppers, and the best
+    one is then raised to an upper of ||T - A B|| for the exact product of
+    its factors by ``_product_rounding``, whose docstring proves the margin.
+    On the exact paths the value is the exact norm of the float residual,
+    as before, with no margin for the rounding of that residual.  For
+    k - 1 >= min(m, n) a rank-(k-1) operator can equal T, so the result is
+    exactly 0 and no candidate is evaluated.  At k = 1 the only candidate is
+    S = 0, and the result is ``_norm_upper(T)``'s value, op_norm's upper,
+    which ``kolmogorov_upper_search`` also gives at k = 1 (a_1 = d_1 = ||T||).
+
+    The candidates are scored in stacks, one ``operators._norm_uppers`` call
+    each, whose values have the bits of one call per candidate.  The
+    truncation and its restarts are one stack.  In the descent, a stack
+    holds the +step and -step candidates of the pass's next coordinates,
+    all built from the current factors, as many as the remaining budget
+    allows.  The search then decides on them in order, by the sequential
+    rule: it takes the first improvement and discards the rest of the
+    stack, and the next stack starts from the new factors.  ``budget``
+    counts the candidates the search decides on, exactly as one norm per
+    candidate would; the discarded norms of a stack are not counted.
     """
     return _approx_search(T, k, budget, seed)[0]
 
@@ -305,56 +322,50 @@ def _approx_search(T, k, budget, seed):
     r_eff = min(r, s.size)
     A0 = U[:, :r_eff] * s[:r_eff]
     B0 = Vh[:r_eff]
-    best, best_path = _residual_norm(T, _low_rank(A0, B0))
-    spent = 1
-
     rng = np.random.default_rng(
         [int(seed) & 0xFFFFFFFF, zlib.crc32(np.ascontiguousarray(M).tobytes()), k]
     )
     scale = float(s[0]) if s.size else 1.0
 
-    A, B = A0.copy(), B0.copy()
-    best_AB = (A0.copy(), B0.copy())
-    # random restarts around the truncation
-    for _ in range(3):
-        if spent >= budget:
-            break
-        Ar = A0 + 0.05 * scale * _random_like(rng, A0)
-        Br = B0 + 0.05 * _random_like(rng, B0)
-        v, path = _residual_norm(T, _low_rank(Ar, Br))
-        spent += 1
+    # the truncation and up to 3 random restarts around it, in one stack; a
+    # row of X holds the entries of A, then those of B
+    starts = [(A0, B0)] + [(A0 + 0.05 * scale * _random_like(rng, A0),
+                            B0 + 0.05 * _random_like(rng, B0))
+                           for _ in range(min(3, budget - 1))]
+    X = np.array([np.concatenate([a.ravel(), b.ravel()]) for a, b in starts])
+    norms = _residual_norms(T, _low_rank(*_factors(X, A0.shape, B0.shape)))
+    (best, best_path), x = norms[0], X[0]
+    for (v, path), row in zip(norms[1:], X[1:]):
         if v < best:
-            best, best_path, best_AB = v, path, (Ar, Br)
+            best, best_path, x = v, path, row
+    spent = len(X)
 
-    # coordinate descent on the factor entries
-    A, B = best_AB[0].copy(), best_AB[1].copy()
+    # coordinate descent on the entries of x, the best factors so far: each
+    # coordinate tries +step, then -step, and takes the first that improves
+    # on the best by 1e-15
     step = 0.1 * max(scale, 1e-12)
-    while spent < budget and step > 1e-10 * max(scale, 1.0):
+    while spent + 2 <= budget and step > 1e-10 * max(scale, 1.0):
         improved = False
-        coords = [("A", i) for i in range(A.size)] + [("B", i) for i in range(B.size)]
+        coords = np.arange(x.size)
         rng.shuffle(coords)
-        for which, i in coords:
-            if spent + 2 > budget:
-                break
-            target = A if which == "A" else B
-            flat = target.reshape(-1)
-            old = flat[i]
-            for delta in (step, -step):
-                flat[i] = old + delta
-                v, path = _residual_norm(T, _low_rank(A, B))
+        j = 0
+        while j < x.size and spent + 2 <= budget:
+            batch = coords[j:j + (budget - spent) // 2]
+            j += len(batch)
+            X, moved = _coordinate_tries(x, batch, step)
+            norms = _residual_norms(T, _low_rank(*_factors(X, A0.shape, B0.shape)))
+            for c, (v, path) in enumerate(norms):
                 spent += 1
                 if v < best - 1e-15:
                     best, best_path = v, path
-                    best_AB = (A.copy(), B.copy())
-                    old = flat[i]
+                    x[batch[c // 2]] = moved[c]
                     improved = True
+                    j -= len(batch) - c // 2 - 1  # the next stack starts after it
                     break
-            else:
-                flat[i] = old
-                continue
         if not improved:
             step *= 0.5
 
+    best_AB = _factors(x, A0.shape, B0.shape)
     if hilbert:
         sk = float(s[k - 1]) if k - 1 < s.size else 0.0
         if abs(best - sk) > 1e-9 * max(1.0, sk):
@@ -364,6 +375,27 @@ def _approx_search(T, k, budget, seed):
     if best_path is None:
         best = _product_rounding(T, *best_AB, best)
     return float(best), best_AB
+
+
+def _factors(X, shape_A, shape_B):
+    """The factors A and B held by X (or by each row of X), as views."""
+    size = shape_A[0] * shape_A[1]
+    return (X[..., :size].reshape(X.shape[:-1] + shape_A),
+            X[..., size:].reshape(X.shape[:-1] + shape_B))
+
+
+def _coordinate_tries(x, coords, step):
+    """The candidates of a stretch of the coordinate descent from the entries
+    x: for each coordinate of ``coords``, in order, x with that entry moved
+    by +step and then by -step.  Returns them as the rows of a stack, and
+    the moved entries."""
+    at = np.repeat(coords, 2)
+    moved = x[at]
+    moved[0::2] += step
+    moved[1::2] += -step
+    X = np.repeat(x[None], len(at), axis=0)
+    X[np.arange(len(at)), at] = moved
+    return X, moved
 
 
 def _random_like(rng, X):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snumbers import operators
@@ -298,6 +298,90 @@ def test_products_of_matrices_near_the_float_maximum_warn_of_nothing(q):
     # ||T e_1||_q <= ||T|| <= the l_q norm of the rows' l_3/2 norms (Hölder)
     rows = [(1.0 + 0.5**1.5) ** (2.0 / 3.0), 1e-308]
     assert 1e308 <= near.lower <= 1e308 * lp_norm(rows, q) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("p, q, method", [
+    (0.5, 2.0, "column-max"), (1.0, 2.0, "column-max"), (2.0, math.inf, "row-max"),
+    (math.inf, math.inf, "row-max"), (2.0, 1.0, "sign-enumeration"),
+    (math.inf, 1.0, "sign-enumeration"), (math.inf, 2.0, "vertex-enumeration")])
+def test_exact_norms_of_tiny_matrices_scale_with_them(p, q, method):
+    # squares of these entries underflow (s >= 600); a nonzero row whose sum
+    # of powers is below the smallest normal float is rescaled, so the exact
+    # norm of 2^-s M is 2^-s times that of M, up to its last few bits.  The
+    # norms are l_1, l_2 and l_inf ones: for other r the float 1/r is not
+    # exact, and the root of a sum near 2^-1000 moves by about 50 eps with it.
+    eps = np.finfo(float).eps
+    M = np.random.default_rng(8).standard_normal((3, 4))
+    norm = op_norm(operator(M, p, q))
+    assert norm.method == method
+    for s in (500, 600, 800, 1000):
+        tiny = op_norm(operator(2.0**-s * M, p, q))
+        assert tiny.method == method
+        assert abs(tiny.lower - 2.0**-s * norm.lower) <= 4.0 * eps * 2.0**-s * norm.lower
+
+
+def test_exact_norms_of_1e_minus_200_entries_are_not_zero():
+    rows = op_norm(operator(np.full((2, 2), 1e-200), 2.0, math.inf))
+    assert rows.method == "row-max"
+    assert rows.lower == pytest.approx(2.0**0.5 * 1e-200, rel=1e-15, abs=0.0)
+    signs = op_norm(operator(np.full((3, 3), 1e-170), 2.0, 1.0))
+    assert signs.method == "sign-enumeration"
+    assert signs.lower == pytest.approx(3.0**1.5 * 1e-170, rel=1e-15, abs=0.0)
+
+
+# (p, q) pairs of every path of _norm_upper but identity-formula, which the
+# identity slices take; the enumerations are real-only
+STACK_PATHS = {
+    "column-max": [(0.5, 2.0), (1.0, 1.0), (0.7, 0.9)],
+    "svd": [(2.0, 2.0)],
+    "row-max": [(2.0, math.inf), (1.5, math.inf)],
+    "sign-enumeration": [(2.0, 1.0), (math.inf, 1.0)],
+    "vertex-enumeration": [(math.inf, 1.5), (math.inf, 3.0)],
+    None: [(2.0, 3.0), (3.0, 1.5), (1.5, 0.7), (2.0, 0.5), (0.5, 0.3)],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(path=st.sampled_from(list(STACK_PATHS)), field=st.sampled_from([REAL, COMPLEX]),
+       m=st.integers(1, 9), n=st.integers(1, 9),
+       kinds=st.lists(st.sampled_from(["gauss", "identity", "zero", "huge", "tiny"]),
+                      min_size=1, max_size=5),
+       pick=st.integers(0, 4), seed=st.integers(0, 2**16))
+@example(path="column-max", field=COMPLEX, m=9, n=9, kinds=["gauss", "identity", "tiny"], pick=0,
+         seed=1)
+@example(path="svd", field=REAL, m=8, n=8, kinds=["identity", "identity"], pick=0, seed=2)
+@example(path="row-max", field=REAL, m=3, n=9, kinds=["gauss", "huge", "zero"], pick=1, seed=3)
+@example(path="sign-enumeration", field=REAL, m=9, n=8, kinds=["tiny", "gauss"], pick=0, seed=4)
+@example(path="vertex-enumeration", field=REAL, m=8, n=9, kinds=["gauss", "tiny"], pick=1, seed=5)
+@example(path=None, field=COMPLEX, m=9, n=9, kinds=["huge", "identity", "gauss"], pick=0, seed=6)
+@example(path=None, field=REAL, m=8, n=9, kinds=["gauss", "zero", "tiny"], pick=3, seed=7)
+def test_a_stack_of_norms_is_its_slices_one_at_a_time(path, field, m, n, kinds, pick, seed):
+    # every value and path of _norm_uppers on a stack has the bits of the
+    # slice's own _norm_upper: rows of 8 or more take numpy's pairwise sums,
+    # 1e+-200 entries the rescaled norms, and an identity slice its formula
+    if path in ("sign-enumeration", "vertex-enumeration"):
+        field = REAL
+    pairs = STACK_PATHS[path]
+    p, q = pairs[pick % len(pairs)]
+    rng = np.random.default_rng(seed)
+    stack = []
+    for kind in kinds:
+        M = rng.standard_normal((m, n))
+        if field == COMPLEX:
+            M = M + 1j * rng.standard_normal((m, n))
+        if kind == "identity" and m == n:
+            M = np.eye(n)
+        stack.append(M * {"huge": 1e200, "tiny": 1e-200, "zero": 0.0}.get(kind, 1.0))
+    Ms = np.array(stack, dtype=complex if field == COMPLEX else float)
+    values, methods = operators._norm_uppers(Ms, p, q, field == REAL)
+    singles = [operators._norm_upper(operator(M, p, q, field=field)) for M in Ms]
+    assert [v.hex() for v in values.tolist()] == [v.hex() for v, _ in singles]
+    assert methods == [method for _, method in singles]
+    for M, method in zip(Ms, methods):
+        if m == n and np.array_equal(M, np.eye(n)):
+            assert method == "identity-formula"
+        else:
+            assert method == path
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,7 @@ def test_approx_search_value_is_above_the_norm_at_its_best_factors(field, kind, 
 def test_approx_search_is_exactly_zero_past_full_rank(monkeypatch, field, p, q):
     # k - 1 >= min(m, n): some operator of rank < k is T itself, so a_k = 0
     # exactly, with no residual norm taken
-    monkeypatch.setattr(widths, "_residual_norm", None)
+    monkeypatch.setattr(widths, "_residual_norms", None)
     rng = np.random.default_rng(5)
     for m, n in [(3, 3), (2, 4), (4, 2)]:
         M = rng.standard_normal((m, n))
@@ -277,12 +277,86 @@ def test_kolmogorov_search_is_exactly_zero_past_full_rank(monkeypatch, field, p,
 
 
 def test_residual_norm_of_an_overflowed_candidate_is_inf_without_a_norm(monkeypatch):
-    monkeypatch.setattr(widths, "_norm_upper", None)
+    monkeypatch.setattr(widths, "_norm_uppers", None)
     T = operator(np.ones((2, 2)), 1.5, 0.7)
     for bad in (math.inf, -math.inf, math.nan):
         S = np.zeros((2, 2))
         S[1, 0] = bad
-        assert widths._residual_norm(T, S) == (math.inf, None)
+        assert widths._residual_norms(T, S[None]) == [(math.inf, None)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(field=st.sampled_from([REAL, COMPLEX]),
+       pq=st.sampled_from([(1.0, 2.0), (2.0, 2.0), (2.0, INF), (2.0, 1.0), (INF, 2.0), (2.0, 3.0),
+                           (1.5, 0.7)]),
+       m=st.integers(1, 9), n=st.integers(1, 9),
+       bad=st.lists(st.sampled_from([None, math.inf, -math.inf, math.nan]), min_size=1,
+                    max_size=6),
+       seed=st.integers(0, 2**16))
+def test_residual_norms_of_a_stack_are_its_candidates_one_at_a_time(field, pq, m, n, bad, seed):
+    # every finite residual gets the bits and path of its own _norm_upper, and
+    # a candidate with a non-finite entry gets (inf, None) with no norm taken
+    p, q = pq
+    rng = np.random.default_rng(seed)
+    T = operator(_search_matrix(rng, m, n, field, "gauss"), p, q, field=field)
+    S = np.array([_search_matrix(rng, m, n, field, "gauss") for _ in bad])
+    for s, entry in zip(S, bad):
+        if entry is not None:
+            s[rng.integers(m), rng.integers(n)] = entry
+    seen = []
+
+    def recording(Ms, *args):
+        seen.append(Ms.copy())
+        return operators._norm_uppers(Ms, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(widths, "_norm_uppers", recording)
+        got = widths._residual_norms(T, S)
+    assert all(np.isfinite(Ms).all() for Ms in seen)
+    assert sum(len(Ms) for Ms in seen) == bad.count(None)
+    for (v, path), s, entry in zip(got, S, bad):
+        if entry is not None:
+            assert (v, path) == (math.inf, None)
+        else:
+            value, method = operators._norm_upper(operator(T.matrix - s, p, q, field=field))
+            assert (v.hex(), path) == (value.hex(), method)
+
+
+# approx_upper_search's values, recorded before its candidates were stacked:
+# the four approximation rows of the width-search benchmark at two matrix
+# seeds, then the README's complex l_1 -> l_inf identity (n = 8, k = 2..6)
+# and the complex l_0.5 -> l_1 identity (n = 4, k = 2..4) at budget 400 and
+# seed 42, as snum idnumbers runs them
+PINNED_SEARCHES = [
+    "0x1.4a0982a25ff01p+1", "0x1.8d09277f36c85p+1", "0x1.f05d52a9b9f98p+0",
+    "0x1.0c5acc5950572p+0", "0x1.41c3af6cca268p+1", "0x1.f2c7f7897b904p+0",
+    "0x1.2516e5f846e1ap+0", "0x1.2bf246534ed01p+0", "0x1.0000000000000p+0",
+    "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    "0x1.d2efde65ac8abp-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    "0x1.0000000000000p+0"]
+
+
+def test_approx_search_values_are_pinned():
+    # exact under the versions that wrote them (Python 3.11.7, numpy 2.4.6)
+    import platform
+
+    values = []
+    for n, field, p, q, k, budget in [(5, REAL, 2.0, 1.0, 3, 60), (3, COMPLEX, 2.0, 3.0, 2, 60),
+                                      (4, REAL, 2.0, 2.0, 2, 200), (5, REAL, 1.0, 2.0, 3, 200)]:
+        for seed in (3, 11):
+            rng = np.random.default_rng(seed)
+            M = rng.standard_normal((n, n))
+            if field == COMPLEX:
+                M = M + 1j * rng.standard_normal((n, n))
+            T = operator(M, p, q, field=field)
+            values.append(approx_upper_search(T, k, budget=budget, seed=seed))
+    for n, p, q, ks in [(8, 1.0, INF, range(2, 7)), (4, 0.5, 1.0, range(2, 5))]:
+        T = operators.identity_operator(n, p, q, field=COMPLEX)
+        values += [approx_upper_search(T, k, budget=400, seed=42) for k in ks]
+    if (platform.python_version(), np.__version__) == ("3.11.7", "2.4.6"):
+        assert [v.hex() for v in values] == PINNED_SEARCHES
+    else:
+        assert values == pytest.approx([float.fromhex(h) for h in PINNED_SEARCHES], rel=1e-12)
 
 
 def test_kolmogorov_search_hilbert():
