@@ -13,7 +13,8 @@ The package is organised by what gets computed:
              (certified lower, estimated upper), and the three-regime
              closed-form envelope for identities
   widths     approximation & Kolmogorov numbers: exact Hilbert values,
-             identity envelopes, rank-restricted searches, axiom checks
+             identity envelopes, rank-restricted searches, one (a_k, d_k)
+             Bracket pair per k, axiom checks
   spectral   Weyl/Carl/Koenig inequalities, the factor-14 Hilbert entropy
              bracket, spectral-radius limits
   cli        the `snum` command-line front end with JSON/CSV reports
@@ -79,6 +80,7 @@ from .widths import (
     kolmogorov_upper_search,
     real_complex_bracket,
     s_axiom_suite,
+    width_brackets,
 )
 from .spectral import (
     CheckReport,

@@ -48,13 +48,11 @@ import numpy as np
 
 from . import entropy as entropy_mod
 from .operators import (
-    CERTIFIED,
     EXACT,
     Bracket,
     BracketError,
     identity_operator,
     load_operator,
-    op_norm,
     operator,
 )
 from .spaces import (
@@ -71,11 +69,11 @@ from .spaces import (
 from .spectral import CheckReport, carl_check, hilbert_entropy_bracket, weyl_check
 from .widths import (
     approx_id_envelope,
-    approx_upper_search,
     hilbert_s_numbers,
     kolmogorov_id_envelope,
     kolmogorov_upper_search,
     s_axiom_suite,
+    width_brackets,
 )
 
 DEFAULT_SEED = 42
@@ -281,6 +279,14 @@ def _entropy_rows(T, cfg, cloud, clock):
             for k in range(cfg.k_lo, k_cap + 1)]
 
 
+def _width_rows(T, cfg, labels, clock):
+    """The width_brackets rows whose method has a label; each k is lapped alone."""
+    pairs = width_brackets(T, cfg.k_lo, cfg.k_hi, cfg.budget, cfg.seed)
+    return [_row(quantity, k, b, b.method, labels[b.method], clock.lap())
+            for k, pair in enumerate(pairs, cfg.k_lo)
+            for quantity, b in zip("ad", pair) if b.method in labels]
+
+
 def run_idnumbers(cfg):
     clock = _Clock(cfg.timings)
     rows = _envelope_rows(cfg.p, cfg.q, cfg.n, cfg.k_lo, cfg.k_hi, cfg.field, clock)
@@ -288,21 +294,8 @@ def run_idnumbers(cfg):
     if cfg.n <= 16:
         T = identity_operator(cfg.n, cfg.p, cfg.q, field=cfg.field)
         rows += _entropy_rows(T, cfg, min(2048, max(256, cfg.budget // 8)), clock)
-        hilbert = cfg.p == 2.0 and cfg.q == 2.0
-        cheap_norm = cfg.p <= 1.0 and cfg.q >= 1.0
-        if hilbert:
-            seq = hilbert_s_numbers(T)
-            for k in range(cfg.k_lo, cfg.k_hi + 1):
-                v = Bracket.point(seq.value(k), EXACT, "svd")
-                rows.append(_row("a", k, v, "svd", "estimator", clock.lap()))
-                rows.append(_row("d", k, v, "svd", "estimator", clock.lap()))
-        elif cheap_norm and cfg.n <= 8:
-            # the search's value is a certified upper at every (p, q); p <= 1 <= q
-            # only keeps the search cheap, since its residual norms are column-max
-            for k in range(cfg.k_lo, cfg.k_hi + 1):
-                a = approx_upper_search(T, k, budget=min(cfg.budget, 400), seed=cfg.seed)
-                rows.append(_row("a", k, Bracket(None, a, None, CERTIFIED, "rank-search"),
-                                 "rank-search", "estimator", clock.lap()))
+        # the closed forms stand in for the norm bound
+        rows += _width_rows(T, cfg, {"svd": "estimator", "rank-search": "estimator"}, clock)
 
     return {"config": cfg.to_json_dict(), "rows": _sort_rows(rows), "violations": []}, 0
 
@@ -315,31 +308,8 @@ def run_estimate(cfg):
             f"domain error: --n {cfg.n} does not match matrix columns {T.domain.n}"
         )
     rows = _entropy_rows(T, cfg, min(4096, max(256, cfg.budget // 4)), clock)
-    k_hi = cfg.k_hi
-
-    hilbert = T.domain.p == 2.0 and T.codomain.p == 2.0
-    if hilbert:
-        seq = hilbert_s_numbers(T)
-        for k in range(cfg.k_lo, k_hi + 1):
-            v = Bracket.point(seq.value(k), EXACT, "svd")
-            rows.append(_row("a", k, v, "svd", "exact", clock.lap()))
-            rows.append(_row("d", k, v, "svd", "exact", clock.lap()))
-    else:
-        norm = op_norm(T, budget=min(cfg.budget, 4000), seed=cfg.seed)
-        cheap_norm = T.domain.p <= 1.0 and T.codomain.p >= 1.0
-        # a_1 = d_1 = ||T||, so k = 1 takes both sides of the norm's bracket;
-        # for k >= 2 its certified upper is an upper bound only
-        upper = Bracket(None, norm.upper, None, CERTIFIED, norm.method)
-        for k in range(cfg.k_lo, k_hi + 1):
-            bound = norm if k == 1 else upper
-            if cheap_norm and T.domain.n <= 8:  # a cost gate, as in run_idnumbers
-                a = approx_upper_search(T, k, budget=min(cfg.budget, 400), seed=cfg.seed)
-                rows.append(_row("a", k, Bracket(None, a, None, CERTIFIED, "rank-search"),
-                                 "rank-search", "estimator", clock.lap()))
-            else:
-                rows.append(_row("a", k, bound, "norm-bound", "estimator", clock.lap()))
-            rows.append(_row("d", k, bound, "norm-bound", "estimator", clock.lap()))
-
+    rows += _width_rows(T, cfg, {"svd": "exact", "rank-search": "estimator",
+                                 "norm-bound": "estimator"}, clock)
     return {"config": cfg.to_json_dict(), "rows": _sort_rows(rows), "violations": []}, 0
 
 

@@ -138,17 +138,21 @@ def _dist_cols(cols, c, q):
 
 
 def _cloud_scale(points, q):
-    """1.0, or a power of two s such that ``_dist_cols`` on points / s stays
-    finite: one check per cloud, on its largest modulus M.
+    """1.0, or a power of two s such that ``_dist_cols`` on points / s neither
+    overflows nor underflows: one check per cloud, on its largest modulus M.
 
     _dist_cols takes the moduli of coordinate differences (at most 2M), their
     q-th powers, an n-term sum and its 1/q-th power.  The largest of these
-    is below 2^1020 when log2(2M / s) is at most 1020 for q = inf,
-    (1020 - log2 n) / q for q >= 1, and 1020 - log2(n) / q for q < 1.
-    Dividing by a power of two is exact (up to underflow of entries below
-    2^-1022 s, which only lowers the distances they are part of), so the
-    radii and gaps of the scaled cloud, times s, are those of the cloud,
-    and a cloud that needs no scaling keeps every bit.
+    is below 2^1020 when log2(2M / s) is at most the room: 1020 for
+    q = inf, (1020 - log2 n) / q for q >= 1, and 1020 - log2(n) / q for
+    q < 1.  A cloud with log2(2M) above the room is divided down to it.  At
+    a finite q, a cloud with log2(2M) below minus the room would take q-th
+    powers of gaps that underflow (a tiny cloud at q = 2 squares them to
+    0), so it is multiplied up to the room, by at most 2^1022.  Every other
+    cloud gets 1.0 and keeps every bit.  Scaling by a power of two is
+    exact (up to underflow of entries below 2^-1022 s, which only lowers
+    the distances they are part of), so the radii and gaps of the scaled
+    cloud, times s, are those of the cloud.
     """
     top = float(np.abs(points).max(initial=0.0))
     if not 0.0 < top < math.inf:
@@ -160,8 +164,11 @@ def _cloud_scale(points, q):
         room = (1020.0 - log2_n) / q
     else:
         room = 1020.0 - log2_n / q
-    shift = math.ceil(math.log2(top) + 1.0 - room)
-    return math.ldexp(1.0, shift) if shift > 0 else 1.0
+    log2_span = math.log2(top) + 1.0  # log2(2M)
+    shift = math.ceil(log2_span - room)
+    if shift > 0 or (log2_span < -room and not math.isinf(q)):
+        return math.ldexp(1.0, max(shift, -1022))
+    return 1.0
 
 
 def _scaled_back(values, scale):

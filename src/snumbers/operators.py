@@ -43,6 +43,12 @@ CERTIFIED = "certified"  # a proved bound on its side
 ESTIMATE = "estimate"  # a heuristic value, which may miss on its side
 SHAPE = "shape"  # an equivalence shape with unknown constants
 
+# op_norm's paths in its dispatch order: the six exact ones, then the two
+# certified brackets; the dispatch takes its method names from here
+NORM_PATHS = ("identity-formula", "column-max", "svd", "row-max", "sign-enumeration",
+              "vertex-enumeration", "power-method", "sampled-ascent")
+_IDENTITY, _COLUMN_MAX, _SVD, _ROW_MAX, _SIGNS, _VERTICES, _POWER, _ASCENT = NORM_PATHS
+
 
 class BracketError(ValueError):
     """A bracket whose sides contradict their kinds: a fault of its producer."""
@@ -651,8 +657,12 @@ def _norm_uppers(Ms, p, q, real):
     if not ident.any():
         values, method = _path_norms(Ms, p, q, real)
         return values, [method] * len(Ms)
-    values = np.full(len(Ms), float(Ms.shape[2]) ** max(0.0, inv_exponent(q) - inv_exponent(p)))
-    methods = ["identity-formula"] * len(Ms)
+    try:
+        value = float(Ms.shape[2]) ** max(0.0, inv_exponent(q) - inv_exponent(p))
+    except OverflowError:  # as on the other exact paths, a norm past the float range is inf
+        value = math.inf
+    values = np.full(len(Ms), value)
+    methods = [_IDENTITY] * len(Ms)
     if not ident.all():
         rest = np.flatnonzero(~ident)
         values[rest], method = _path_norms(Ms[rest], p, q, real)
@@ -666,16 +676,16 @@ def _path_norms(Ms, p, q, real):
     order, with its values and name; else ``_routed_upper`` and None."""
     m, n = Ms.shape[1:]
     if p <= min(1.0, q):
-        return _scaled_norm_rows(Ms.transpose(0, 2, 1), q).max(axis=1), "column-max"
+        return _scaled_norm_rows(Ms.transpose(0, 2, 1), q).max(axis=1), _COLUMN_MAX
     if p == 2.0 and q == 2.0:
-        return np.linalg.svd(Ms, compute_uv=False)[:, 0], "svd"
+        return np.linalg.svd(Ms, compute_uv=False)[:, 0], _SVD
     if math.isinf(q):
-        return _scaled_norm_rows(Ms, conjugate_exponent(p)).max(axis=1), "row-max"
+        return _scaled_norm_rows(Ms, conjugate_exponent(p)).max(axis=1), _ROW_MAX
     if real and p >= 1.0 and q == 1.0 and m <= 16:
         return (_max_image_norms(_half_cube(m), Ms.transpose(0, 2, 1), conjugate_exponent(p)),
-                "sign-enumeration")
+                _SIGNS)
     if real and math.isinf(p) and q >= 1.0 and n <= 16:
-        return _max_image_norms(_half_cube(n), Ms, q), "vertex-enumeration"
+        return _max_image_norms(_half_cube(n), Ms, q), _VERTICES
     return _routed_upper(Ms, p, q, real), None
 
 
@@ -685,7 +695,7 @@ def op_norm(T, budget=2000, seed=0):
     Dispatch, in this order; ``method`` names the path, and p' is the
     Hölder conjugate of p.
 
-    - ``identity-formula``: n^max(0, 1/q - 1/p).
+    - ``identity-formula``: n^max(0, 1/q - 1/p), inf past the float range.
     - ``column-max``, p <= min(1, q): the largest column l_q norm.  With
       r = min(1, q), ||.||_q^r is subadditive and ||x||_r <= ||x||_p, so
       ||Tx||_q^r <= sum_j |x_j|^r ||Te_j||_q^r <= max_j ||Te_j||_q^r ||x||_p^r,
@@ -723,9 +733,9 @@ def op_norm(T, budget=2000, seed=0):
         return Bracket.point(upper, EXACT, method)
     if T.domain.p >= 1.0 and T.codomain.p >= 1.0:
         return Bracket(_power_method(T, budget, seed), upper, CERTIFIED, CERTIFIED,
-                       "power-method")
+                       _POWER)
     return Bracket(_sampled_ascent(T, budget, seed), upper, CERTIFIED, CERTIFIED,
-                   "sampled-ascent")
+                   _ASCENT)
 
 
 # ---------------------------------------------------------------------------

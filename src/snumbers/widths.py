@@ -24,12 +24,13 @@ applies (e.g. the q = p' boundary, or the pair (1, inf)).
 import math
 import sys
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import entropy as entropy_mod
 from .operators import (
+    CERTIFIED,
     EXACT,
     SHAPE,
     Bracket,
@@ -492,12 +493,12 @@ def _kolmogorov_candidate_value(T, basis, q, n_samples, seed, bound=None):
     Otherwise direct is the largest distance over the unit vectors +e_j
     and n_samples sphere points, quotient is None, and value is direct.
     -e_j and i e_j are unimodular multiples of e_j, so their images have
-    the same distance, and they are not taken.  For p <= 1 <= q the
-    supremum is the column maximum, and direct already contains it: the
-    first n points are the +e_j, M @ e_j equals M[:, j] bit for bit, and
-    the seed is the same, so no separate column pass is made.  The
-    searched bases are orthonormal, so no second, re-orthonormalised route
-    is evaluated.
+    the same distance, and they are not taken.  For p <= min(1, q) the
+    supremum is the column maximum, as on op_norm's column-max path, and
+    direct already contains it: the first n points are the +e_j, M @ e_j
+    equals M[:, j] bit for bit, and the seed is the same, so no separate
+    column pass is made.  The searched bases are orthonormal, so no
+    second, re-orthonormalised route is evaluated.
 
     With ``bound=None`` every point gets one dist_to_subspace call, in
     order.  With a bound, each point gets an upper bound of its cap (the
@@ -567,15 +568,15 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     supremum is evaluated both directly and through the quotient-map
     formulation, and the two must agree to about 1e-6.  Elsewhere it is the
     largest distance over sampled points of the unit ball, one distance per
-    point, which only estimates the supremum from below; for p <= 1 <= q
+    point, which only estimates the supremum from below; for p <= min(1, q)
     the points include the columns (the images of the +e_j), whose maximum
     is the exact supremum.  At k = 1 the result is ``_norm_upper(T)``'s
-    value, op_norm's upper, as in ``approx_upper_search``.  Each distance is a quotient norm from
-    dist_to_subspace: exact for q = 2, certified for 1 <= q < inf and for
-    real q = inf (up to its Nelder-Mead fallback), and a descent elsewhere.
-    For k - 1 >= min(m, n) a
-    (k-1)-dimensional subspace contains the range, so the result is exactly
-    0, and no candidate is evaluated (``(0.0, [])`` with details).
+    value, op_norm's upper, as in ``approx_upper_search``.  Each distance
+    is a quotient norm from dist_to_subspace: exact for q = 2, certified
+    for 1 <= q < inf and for real q = inf (up to its Nelder-Mead
+    fallback), and a descent elsewhere.  For k - 1 >= min(m, n) a
+    (k-1)-dimensional subspace contains the range, so the result is
+    exactly 0, and no candidate is evaluated (``(0.0, [])`` with details).
 
     Without details, the non-Hilbert search is a branch and bound over this
     min-max: each candidate gets the best value so far as its bound and
@@ -583,11 +584,12 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     ``_kolmogorov_candidate_value``).  A point is skipped only when its cap,
     the value its distance never exceeds, is known to be <= the
     candidate's running max, or when that running max has reached the
-    bound and the candidate can no longer lower the minimum.  The distances that are solved are
-    the same floats as in a full evaluation, so the result is the same
-    float; at q = 2 the cap is the distance, and one solve per candidate
-    is made.  ``return_details=True`` evaluates every point of every
-    candidate, since its diagnostics report each candidate's full value.
+    bound and the candidate can no longer lower the minimum.  The
+    distances that are solved are the same floats as in a full
+    evaluation, so the result is the same float; at q = 2 the cap is the
+    distance, and one solve per candidate is made.  ``return_details=True``
+    evaluates every point of every candidate, since its diagnostics report
+    each candidate's full value.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -631,6 +633,34 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     if return_details:
         return float(best), cands
     return float(best)
+
+
+def width_brackets(T, k_lo, k_hi, budget, seed):
+    """One (a_k, d_k) pair of Brackets for each k = k_lo .. k_hi: the one place
+    that decides the kinds of the width sides, as ``entropy_brackets`` does for e_k.
+
+    - p = q = 2: sigma_k on both sides, ``exact``, method ``svd``.
+    - Elsewhere d_k is op_norm's bracket at k = 1 (a_1 = d_1 = ||T||) and its
+      certified upper for k >= 2 (d_k <= d_1), method ``norm-bound``, with
+      op_norm's budget min(budget, 4000).  a_k is the same bound, except
+      where p <= 1 <= q and n <= 8: there the residual norms are column
+      maxima and the search is cheap, and a_k is ``approx_upper_search``'s
+      certified upper at budget min(budget, 400), method ``rank-search``.
+
+    The pairs are yielded one k at a time, so a caller can time each.
+    """
+    if T.domain.p == 2.0 and T.codomain.p == 2.0:
+        seq = hilbert_s_numbers(T)
+        for k in range(k_lo, k_hi + 1):
+            yield (Bracket.point(seq.value(k), EXACT, "svd"),) * 2
+        return
+    norm = op_norm(T, budget=min(budget, 4000), seed=seed)
+    search = T.domain.p <= 1.0 <= T.codomain.p and T.domain.n <= 8
+    for k in range(k_lo, k_hi + 1):
+        d = (replace(norm, method="norm-bound") if k == 1
+             else Bracket(None, norm.upper, None, CERTIFIED, "norm-bound"))
+        a = approx_upper_search(T, k, budget=min(budget, 400), seed=seed) if search else None
+        yield (d if a is None else Bracket(None, a, None, CERTIFIED, "rank-search")), d
 
 
 # ---------------------------------------------------------------------------

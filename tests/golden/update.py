@@ -52,6 +52,8 @@ COMMANDS = [
     ("estimate-big-p2-q2", ["estimate", "--input", "big.csv", "--p", "2", "--q", "2"]),
     # exact norms whose powers underflow: 1e-200 entries at p <= 1 <= q
     ("estimate-tiny-p0.5-q2", ["estimate", "--input", "tiny.csv", "--p", "0.5", "--q", "2"]),
+    # an image cloud whose q-th powers of gaps underflow unless it is scaled up
+    ("estimate-tiny-p2-q40", ["estimate", "--input", "tiny.csv", "--p", "2", "--q", "40"]),
     # idnumbers: a quasi-Banach complex pair, p < q, and the Hilbert case
     ("idnumbers-p0.5-q1-complex", ["idnumbers", "--p", "0.5", "--q", "1", "--field", "complex"]),
     ("idnumbers-p1-q2", ["idnumbers", "--p", "1", "--q", "2"]),

@@ -382,6 +382,17 @@ def test_tiny_exponent_exits_two_and_names_it():
     assert "Traceback" not in r.stderr
 
 
+def test_idnumbers_rows_in_range_where_the_identity_norm_overflows(capsys):
+    # ||id: l_1^16 -> l_0.003^16|| = 16^332.3 is past the float range, but the
+    # closed forms at k = 14..16 are not; the norm bound it feeds is not
+    # printed by idnumbers, so the command still succeeds
+    code, doc = cli_json(capsys, "idnumbers", "--p", "1", "--q", "0.003", "--n", "16",
+                         "--k", "14..16")
+    assert code == 0
+    assert [r["upper"] for r in rows_of(doc, "a")] == [
+        pytest.approx(3.0 ** (1 / 0.003 - 1)), pytest.approx(2.0 ** (1 / 0.003 - 1)), 1.0]
+
+
 def test_tiny_exponent_at_n_one_exits_two_and_names_it():
     # n^(1/p) = 1 never overflows, but lgamma(1 + 1/p) in the volume does
     r = run_cli("volume", "--p", "1e-306", "--n", "1")

@@ -185,6 +185,22 @@ def test_clouds_whose_distance_powers_overflow_are_scaled(q):
     assert all(math.isfinite(b.upper) and b.upper > 1e300 for b in covers[:1])
 
 
+@pytest.mark.parametrize("s", [600, 1000])
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 40.0, INF])
+def test_tiny_clouds_give_the_brackets_of_the_cloud_scaled_down(s, q):
+    # the entropy numbers of 2^-s M are those of M times 2^-s; at q = 2 and
+    # q = 40 the q-th powers of the tiny cloud's gaps underflow to 0 unless
+    # the cloud is multiplied up by a power of two first
+    M = np.random.default_rng(5).standard_normal((3, 3))
+    ref = entropy_brackets(operator(M, 2.0, q), 4, 256, 128, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tiny = entropy_brackets(operator(M * 2.0**-s, 2.0, q), 4, 256, 128, 0)
+    for a, b in zip(tiny, ref):
+        assert a.lower == pytest.approx(b.lower * 2.0**-s, rel=1e-12, abs=0.0)
+        assert a.upper == pytest.approx(b.upper * 2.0**-s, rel=1e-12, abs=0.0)
+
+
 def test_lower_never_exceeds_padded_upper():
     # bracket consistency on a mixed bag of small identities
     for (p, q) in ((0.5, 1.0), (1.0, 2.0), (2.0, INF)):

@@ -1,4 +1,5 @@
-"""Label truth: every op_norm bracket contains an independent reference."""
+"""Label truth: every op_norm bracket contains an independent reference, and
+every width bracket respects the s-number sandwich through l_2."""
 
 import math
 
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from snumbers.operators import CERTIFIED, op_norm, operator
-from snumbers.spaces import COMPLEX, REAL
+from snumbers.operators import CERTIFIED, EXACT, NORM_PATHS, op_norm, operator, singular_values
+from snumbers.spaces import COMPLEX, REAL, inv_exponent
+from snumbers.widths import width_brackets
 
 INF = math.inf
 
@@ -57,6 +59,7 @@ def test_op_norm_brackets_contain_their_reference(field, kind, pq, m, n, seed):
     p, q = pq
     M = _matrix(np.random.default_rng(seed), m, n, field, kind)
     r = op_norm(operator(M, p, q, field=field), budget=400, seed=seed)
+    assert r.method in NORM_PATHS
     reached = oracles.norm_lower(M, p, q, seed=seed)
     enumerated = _enumerated(M, p, q)
     if r.exact:
@@ -69,3 +72,59 @@ def test_op_norm_brackets_contain_their_reference(field, kind, pq, m, n, seed):
     assert reached <= r.upper
     if enumerated is not None:
         assert r.lower <= enumerated * (1.0 + 1e-12) and enumerated <= r.upper
+
+
+def test_op_norm_reaches_every_path_of_norm_paths_and_no_other():
+    methods = set()
+    for field in (REAL, COMPLEX):
+        for p, q in PAIRS:
+            for M in (_matrix(np.random.default_rng(0), 3, 3, field, "gauss"), np.eye(3)):
+                methods.add(op_norm(operator(M, p, q, field=field), budget=50, seed=0).method)
+    assert methods == set(NORM_PATHS)
+
+
+# q < 1, p > q, and the exact paths of op_norm, (2, 1) and (inf, 2) among them
+WIDTH_PAIRS = [(2.0, 0.5), (1.0, 0.5), (0.7, 0.3), (3.0, 1.5), (4.0, 4.0 / 3.0), (2.0, 1.0),
+               (INF, 2.0), (0.5, 2.0), (1.0, 1.0), (2.0, INF), (2.0, 2.0), (2.0, 3.0)]
+
+
+def _id_norm(k, r, s):
+    """||id: l_r^k -> l_s^k|| = k^max(0, 1/s - 1/r), on either field."""
+    return float(k) ** max(0.0, inv_exponent(s) - inv_exponent(r))
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from([REAL, COMPLEX]), kind=st.sampled_from(["gauss", "rank-one"]),
+       pq=st.sampled_from(WIDTH_PAIRS), m=st.integers(1, 6), n=st.integers(1, 6),
+       seed=st.integers(0, 2**16))
+@example(field=REAL, kind="gauss", pq=(2.0, 1.0), m=5, n=5, seed=1)
+@example(field=COMPLEX, kind="gauss", pq=(INF, 2.0), m=4, n=6, seed=2)
+@example(field=REAL, kind="gauss", pq=(0.5, 2.0), m=6, n=6, seed=3)
+@example(field=COMPLEX, kind="gauss", pq=(2.0, 2.0), m=3, n=5, seed=4)
+def test_width_brackets_respect_the_sandwich_through_l2(field, kind, pq, m, n, seed):
+    # T: l_p^n -> l_q^m is id(2, p) T id(q, 2) away from T: l_2 -> l_2, so
+    # the ideal property and a_k >= d_k give
+    # sigma_k / (I_n(2, p) I_m(q, 2)) <= d_k <= a_k <= I_m(2, q) sigma_k I_n(p, 2),
+    # which every upper and lower side must respect, up to 1e-12 relative;
+    # an svd side is sigma_k itself.  Past the numerical rank sigma_k and the
+    # search's residual norms are rounding noise of about eps sigma_1, so the
+    # lower sandwich also allows 8 max(m, n) eps sigma_1
+    p, q = pq
+    M = _matrix(np.random.default_rng(seed), m, n, field, kind)
+    T = operator(M, p, q, field=field)
+    k_hi = min(m, n) + 1
+    s = np.zeros(k_hi)
+    s[:min(m, n)] = singular_values(T)
+    for k, pair in enumerate(width_brackets(T, 1, k_hi, 400, seed), 1):
+        sigma = float(s[k - 1])
+        noise = 8 * max(m, n) * np.finfo(float).eps * s[0]
+        low = max(0.0, sigma - noise) / (_id_norm(n, 2.0, p) * _id_norm(m, q, 2.0))
+        high = _id_norm(m, 2.0, q) * sigma * _id_norm(n, p, 2.0)
+        for b in pair:
+            assert b.upper >= low * (1.0 - 1e-12)
+            assert b.lower is None or b.lower <= high * (1.0 + 1e-12)
+            if b.method == "svd":
+                assert (b.lower_kind, b.upper_kind) == (EXACT, EXACT)
+                assert b.upper == pytest.approx(sigma, rel=1e-12)
+            else:
+                assert b.upper_kind == CERTIFIED or (k == 1 and b.exact)

@@ -23,6 +23,7 @@ from snumbers.widths import (
     kolmogorov_upper_search,
     real_complex_bracket,
     s_axiom_suite,
+    width_brackets,
 )
 
 INF = math.inf
@@ -551,6 +552,31 @@ def test_kolmogorov_search_never_below_sigma():
     for k in (2, 3, 4):
         v = kolmogorov_upper_search(T, k, budget=3000, seed=2)
         assert v >= sig[k - 1] - 1e-9
+
+
+def test_width_brackets_decide_the_kinds_of_both_sides():
+    M = np.random.default_rng(2).standard_normal((4, 4))
+    # p = q = 2: sigma_k on both sides, exact
+    pairs = list(width_brackets(operator(M, 2.0, 2.0), 2, 5, 1000, 0))
+    sigma = list(np.linalg.svd(M, compute_uv=False)) + [0.0]
+    assert [(a.upper, d.upper, a.exact, d.exact, a.method, d.method) for a, d in pairs] == [
+        (v, v, True, True, "svd", "svd") for v in sigma[1:]]
+    # p <= 1 <= q and n <= 8: the rank search for a_k, the norm bound for d_k
+    T = operator(M, 0.5, 2.0)
+    norm = op_norm(T, budget=1000, seed=0)
+    pairs = list(width_brackets(T, 1, 3, 1000, 0))
+    assert pairs[0][1] == Bracket(norm.lower, norm.upper, norm.lower_kind, norm.upper_kind,
+                                  "norm-bound")
+    for k, (a, d) in enumerate(pairs, 1):
+        assert a == Bracket(None, approx_upper_search(T, k, budget=400, seed=0), None,
+                            operators.CERTIFIED, "rank-search")
+        if k > 1:
+            assert d == Bracket(None, norm.upper, None, operators.CERTIFIED, "norm-bound")
+    # elsewhere, or past n = 8, both sides are the norm bound
+    for T in (operator(M, 2.0, 1.0), operator(np.eye(9), 0.5, 2.0)):
+        pairs = list(width_brackets(T, 1, 2, 1000, 0))
+        assert all(a is d and d.method == "norm-bound" for a, d in pairs)
+        assert pairs[1][1].lower is None and pairs[1][1].upper == pairs[0][1].upper
 
 
 def test_real_complex_bracket():
