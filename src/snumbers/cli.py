@@ -270,11 +270,17 @@ def _envelope_rows(p, q, n, k_lo, k_hi, field, clock, n_tag=""):
 
 def _entropy_rows(T, cfg, cloud, clock):
     """e rows for k_lo..k_hi, capped at log2(cloud) + 1: certified packing
-    lowers and cover uppers padded by the cloud's nearest-neighbour gap."""
+    lowers and cover uppers padded by the cloud's nearest-neighbour gap.
+    A cloud whose distances leave the float range (a tiny --q, or huge
+    entries) raises ValueError naming the e rows and --q."""
     k_cap = min(cfg.k_hi, int(math.log2(cloud)) + 1)
     if k_cap < cfg.k_lo:
         return []
-    brackets = entropy_mod.entropy_brackets(T, k_cap, cloud, max(64, min(cloud, 512)), cfg.seed)
+    try:
+        brackets = entropy_mod.entropy_brackets(T, k_cap, cloud, max(64, min(cloud, 512)),
+                                                cfg.seed)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in the e rows at --q {cfg.q!r}") from None
     return [_row("e", k, brackets[k - 1], "pack/cover", "estimator", clock.lap())
             for k in range(cfg.k_lo, k_cap + 1)]
 

@@ -215,17 +215,22 @@ def _real_coords(points):
     return np.hstack([points.real, points.imag]) if np.iscomplexobj(points) else points
 
 
-def _sorted_cloud(points):
-    """The cloud's real coordinates sorted along the widest of them, as
-    (perm, coords, widest): the stable sort permutation, the sorted (N, r)
-    coordinates, and the coordinate indices by decreasing width.  Every slab
-    |key_j - key| <= h on the widest coordinate is then a contiguous range
-    of positions."""
-    coords = _real_coords(points)
+def _widest(coords):
+    """The real coordinate indices of a cloud by decreasing width."""
     with np.errstate(over="ignore", invalid="ignore"):
-        widest = np.argsort(-np.ptp(coords, axis=0), kind="stable")
-    perm = np.argsort(coords[:, widest[0]], kind="stable")
-    return perm, coords[perm], widest
+        return np.argsort(-np.ptp(coords, axis=0), kind="stable")
+
+
+def _sorted_cloud(points):
+    """The cloud sorted along its widest real coordinate, as (perm, keys,
+    cols): the stable sort permutation, the sorted coordinate (the keys) and
+    the (n, N) columns of the sorted points.  Every slab |key_j - key| <= h
+    is then a contiguous range of positions."""
+    coords = _real_coords(points)
+    axis = _widest(coords)[0]
+    perm = np.argsort(coords[:, axis], kind="stable")
+    return (perm, np.ascontiguousarray(coords[perm, axis]),
+            np.ascontiguousarray(points[perm].T))
 
 
 def _slab_widen(n, q):
@@ -243,11 +248,14 @@ def _slab(keys, key, radius, widen):
     computed distance can round below the key gap (sqrt(1.5)**2 < 1.5), so
     the half-width is r times ``widen`` (``_slab_widen``), plus 4 eps |key|
     for the rounding of key +- r, which scales with |key|, not with r.
-    Outside the slab every computed distance exceeds ``radius``.
+    Outside the slab every computed distance exceeds ``radius``.  One
+    searchsorted finds both ends: a key exceeds the float v exactly when it
+    is at least nextafter(v, inf), so the left position of that is the
+    right position of v.
     """
     half = radius * widen + 4.0 * _EPS * abs(key)
-    return (int(keys.searchsorted(key - half, side="left")),
-            int(keys.searchsorted(key + half, side="right")))
+    lo, hi = keys.searchsorted((key - half, math.nextafter(key + half, math.inf))).tolist()
+    return lo, hi
 
 
 # neighbours on each side of a point, in each sorted order, that propose u_i
@@ -269,23 +277,54 @@ def _shift_minima(cols, q):
     return out
 
 
-def max_nn_gap(points, q):
+def _sorted_neighbour_minima(cols, q):
+    """For each column of ``cols`` (a cloud sorted by its widest real
+    coordinate), the least distance to its 16 neighbours on each side in
+    the sorted orders of the three widest real coordinates.  Each order's
+    columns are gathered once and shifted as contiguous slices, and its
+    minima are folded in by one scatter."""
+    coords = _real_coords(cols.T)
+    widest = _widest(coords)
+    upper = _shift_minima(cols, q)
+    for axis in widest[1:_NN_SORTED_AXES]:
+        order = np.argsort(coords[:, axis], kind="stable")
+        upper[order] = np.minimum(upper[order], _shift_minima(cols[:, order], q))
+    return upper
+
+
+def max_nn_gap(points, q, traversal=None):
     """Max over points of the distance to the nearest other point, exactly.
 
     Sort-by-projection search (Friedman, Baskett & Shustek, IEEE Trans.
     Comput. C-24, 1975) on the real coordinates ([re | im] for complex
-    points), in numpy alone.  The points are sorted along each of the three
-    widest coordinates, and u_i is the exact l_q distance from i to the
-    closest of its 16 neighbours on each side in those orders.  Each order's
-    columns are gathered once and shifted as contiguous slices, and its
-    minima are folded into u by one scatter.  u_i is an upper bound on the
-    true gap r_i = min_{j != i} d(i, j): it is one of the terms of that
-    minimum, computed by the same floating-point expression (which is
-    symmetric in i and j bit for bit), so u_i >= r_i.  Points are then
-    rechecked in descending u_i, and the scan stops at the first u_i <= best
-    gap found, because every remaining r_i <= u_i <= best.  A recheck of i
-    also lowers u_j to d(i, j) for the points j it meets, and a point whose
-    lowered u_j <= best is skipped for the same reason.
+    points), in numpy alone.  Each point i gets an upper bound u_i on its
+    true gap r_i = min_{j != i} d(i, j) from one of two sources:
+
+    * the sorted neighbours (``_sorted_neighbour_minima``): the least
+      distance from i to its 16 neighbours on each side in the sorted
+      orders of the three widest real coordinates;
+    * ``traversal``, a ``_FarthestPoints`` of these ``points`` at this q:
+      its ``near[i]``, the least distance computed to i while it ran.
+
+    Either way u_i is a distance from i to another point, computed by the
+    same floating-point expression as that term of r_i's minimum (the
+    expression is symmetric in i and j bit for bit), so u_i >= r_i.
+
+    With a traversal, every point it did not take has near[i] equal to its
+    distance to the centres, so at most the traversal's covering radius R
+    (the largest such distance); the points whose bound exceeds R are
+    centres.  These are rechecked first.  If that leaves the best gap at R
+    or above (a long traversal, whose R is below the cloud's largest gap),
+    every other point has u_i <= R <= best and cannot raise the maximum, so
+    the search ends.  Otherwise (a short traversal, whose R is still large)
+    the sorted-neighbour minima are folded into the bounds by a minimum and
+    the recheck goes on.  The rule compares two distances and has no
+    constant.
+
+    Points are then rechecked in descending u_i, and the scan stops at the
+    first u_i <= best gap found, because every remaining r_i <= u_i <= best.
+    A recheck of i also lowers u_j to d(i, j) for the points j it meets, and
+    a point whose lowered u_j <= best is skipped for the same reason.
 
     A recheck of i scans only slabs |key_j - key_i| <= r on the widest
     coordinate (``_slab``), every j with d(i, j) <= r lying in the slab of
@@ -295,8 +334,11 @@ def max_nn_gap(points, q):
     m = min(u_i, the slab's minimum) of i, and the recheck scans the rest of
     the slab of radius m, which is its two side ranges (the slab of radius
     best is inside it, since best < m and rounding is monotone).  Either way
-    r_i is known whenever it exceeds best, so the result equals the
-    brute-force maximum for every q and field.
+    r_i is known whenever it exceeds best, and a recheck leaves u_i at the
+    least distance it found, still >= r_i.  Since best only ever takes the
+    exact r_i of some point and every point is rechecked or has
+    r_i <= u_i <= best, the result equals the brute-force maximum for any
+    bounds u_i >= r_i, every q and either field.
     """
     N = points.shape[0]
     if N < 2:
@@ -304,15 +346,11 @@ def max_nn_gap(points, q):
     if not np.all(np.isfinite(points)):
         raise ValueError("max_nn_gap needs finite points")
     # work in the sorted order of the widest coordinate
-    perm, coords, widest = _sorted_cloud(points)
-    keys = np.ascontiguousarray(coords[:, widest[0]])
-    cols = np.ascontiguousarray(points[perm].T)
-
-    upper = _shift_minima(cols, q)
-    for axis in widest[1:_NN_SORTED_AXES]:
-        order = np.argsort(coords[:, axis], kind="stable")
-        upper[order] = np.minimum(upper[order], _shift_minima(cols[:, order], q))
-
+    if traversal is None:
+        _, keys, cols = _sorted_cloud(points)
+        upper = _sorted_neighbour_minima(cols, q)
+    else:
+        keys, cols, upper = traversal.keys, traversal.cols, traversal.near.copy()
     widen = _slab_widen(points.shape[1], q)
 
     def nearest(i, lo, hi):
@@ -324,25 +362,36 @@ def max_nn_gap(points, q):
         np.minimum(upper[lo:hi], d, out=upper[lo:hi])
         return float(d.min())
 
-    best = 0.0
-    scan = np.argsort(upper)[::-1]
-    bound = upper[scan]
-    for i, u_i in zip(scan.tolist(), bound.tolist()):
-        if u_i <= best:
-            break
-        if upper[i] <= best:  # tightened by an earlier recheck
-            continue
-        key = float(keys[i])
-        lo_b, hi_b = _slab(keys, key, best, widen)  # holds i
-        r_i = nearest(i, lo_b, hi_b)
-        if r_i <= best:
-            continue
-        lo, hi = _slab(keys, key, min(float(upper[i]), r_i), widen)
-        for a, b in ((lo, lo_b), (hi_b, hi)):
-            if a < b:
-                r_i = min(r_i, nearest(i, a, b))
-        best = max(best, r_i)
-    return best
+    def recheck(best, floor):
+        """best, raised to r_i for every i with r_i > best whose bound
+        exceeds max(best, floor); each recheck leaves u_i = its minimum."""
+        scan = np.argsort(upper)[::-1]
+        for i, u_i in zip(scan.tolist(), upper[scan].tolist()):
+            stop = max(best, floor)
+            if u_i <= stop:
+                break
+            if upper[i] <= stop:  # tightened by an earlier recheck
+                continue
+            key = float(keys[i])
+            lo_b, hi_b = _slab(keys, key, best, widen)  # holds i
+            r_i = nearest(i, lo_b, hi_b)
+            if r_i > best:
+                lo, hi = _slab(keys, key, min(float(upper[i]), r_i), widen)
+                for a, b in ((lo, lo_b), (hi_b, hi)):
+                    if a < b:
+                        r_i = min(r_i, nearest(i, a, b))
+                best = max(best, r_i)
+            upper[i] = r_i
+        return best
+
+    if traversal is None:
+        return recheck(0.0, 0.0)
+    radius = float(traversal.d.max())
+    best = recheck(0.0, radius)
+    if best >= radius:
+        return best
+    np.minimum(upper, _sorted_neighbour_minima(cols, q), out=upper)
+    return recheck(best, 0.0)
 
 
 class _FarthestPoints:
@@ -361,20 +410,34 @@ class _FarthestPoints:
     the computed distance exceeds gap >= d, so ``np.minimum`` would keep
     every bit there.  Of the points at distance gap, the one with the lowest
     index in ``points`` is taken, as ``np.argmax`` takes it in that order,
-    so the gaps are those of the unsorted traversal.  The start's distances
-    are a full pass, so an overflow still raises at the first insertion.
+    so the gaps are those of the unsorted traversal: the taken point's d is
+    set to -inf, and only when a second ``argmax`` meets gap again are the
+    ties listed.  Without a tie, that second argmax is also the next
+    insertion when the new point's slab does not hold it: d is unchanged
+    there and lowered elsewhere, so it stays the first maximum.  The
+    start's distances are a full pass, so an overflow still raises at the
+    first insertion.
+
+    ``near[i]`` is the least distance computed from i to another point so
+    far, taken or not: the start's full pass, then each insertion's slab
+    (the new point's distance to itself left out).  It is an upper bound on
+    i's nearest-neighbour distance that ``max_nn_gap`` reads.  For a point
+    not taken it equals d[i], so it is at most the covering radius d.max();
+    for the start it is exact.
     """
 
     def __init__(self, points, start, q):
-        self.perm, coords, widest = _sorted_cloud(points)
-        self.keys = np.ascontiguousarray(coords[:, widest[0]])
-        self.cols = np.ascontiguousarray(points[self.perm].T)
+        self.perm, self.keys, self.cols = _sorted_cloud(points)
         self.q, self.widen = q, _slab_widen(points.shape[1], q)
         start = int(np.flatnonzero(self.perm == start)[0])
         with np.errstate(over="ignore", invalid="ignore"):
             self.d = _dist_cols(self.cols, self.cols[:, start], q)
+        self.near = self.d.copy()
+        self.near[start] = math.inf
+        self.near[start] = self.near.min()
         self.d[start] = -np.inf
         self.gaps = []
+        self.next = -1  # the next insertion's position, when known
 
     def extend(self, count):
         """Run insertions until ``count`` gaps are known or none is left.
@@ -383,38 +446,49 @@ class _FarthestPoints:
         ones; the loop then stops without changing the state.  A gap of +inf
         or NaN means the distances overflowed, and raises ValueError.
         """
-        d, cols, keys, q = self.d, self.cols, self.keys, self.q
+        d, near, cols, keys, q = self.d, self.near, self.cols, self.keys, self.q
+        j_next = self.next
         with np.errstate(over="ignore", invalid="ignore"):
             while len(self.gaps) < count:
-                j = int(d.argmax())
+                j = j_next if j_next >= 0 else int(d.argmax())
                 gap = float(d[j])
                 if not gap < math.inf:
                     raise ValueError(f"image-cloud distances overflow a float (gap {gap})")
                 if not gap > 0.0:
                     break
-                if np.count_nonzero(d == gap) > 1:
+                d[j] = -np.inf
+                j_next = int(d.argmax())
+                if d[j_next] == gap:  # a tie: the lowest index in points is taken
+                    d[j] = gap
                     ties = np.flatnonzero(d == gap)
                     j = int(ties[np.argmin(self.perm[ties])])
+                    d[j] = -np.inf
+                    j_next = -1
                 self.gaps.append(gap)
                 lo, hi = _slab(keys, float(keys[j]), gap, self.widen)
-                np.minimum(d[lo:hi], _dist_cols(cols[:, lo:hi], cols[:, j], q), out=d[lo:hi])
-                d[j] = -np.inf
+                if lo <= j_next < hi:
+                    j_next = -1
+                dist = _dist_cols(cols[:, lo:hi], cols[:, j], q)
+                dist[j - lo] = math.inf
+                np.minimum(d[lo:hi], dist, out=d[lo:hi])
+                np.minimum(near[lo:hi], dist, out=near[lo:hi])
+        self.next = j_next
 
 
 # candidate first centres of the greedy cover
 _COVER_CANDIDATES = 256
 
 
-def _greedy_cover_radii(points, n_centers, q):
-    """Farthest-point k-center; radii[i] is the covering radius with i+1 centers.
+def _cover_traversal(points, n_centers, q):
+    """The greedy cover's farthest-point traversal, run to ``n_centers``
+    insertions: gaps[i] is the covering radius with i+1 centers.
 
     The first center approximates the Chebyshev center of the cloud: among
     a strided subsample of candidate points (so interior and boundary points
     are both represented whatever order the cloud was built in), take the one
     minimising the max distance to the whole cloud, ties broken by lowest
     index; later centers are the current farthest points, which is the
-    standard greedy covering heuristic.  Radii past the traversal's end are
-    exactly 0: every point is then a center or duplicates one.
+    standard greedy covering heuristic.
 
     A candidate's max is at least its distance to each extreme point of the
     cloud (the argmin and argmax of every real coordinate), computed by the
@@ -449,22 +523,37 @@ def _greedy_cover_radii(points, n_centers, q):
                 best, best_c = float(worst[c]), c
     trav = _FarthestPoints(points, int(cand_idx[int(np.argmin(worst))]), q)
     trav.extend(n_centers)
-    return np.array(trav.gaps + [0.0] * (n_centers - len(trav.gaps)))
+    return trav
 
 
-def _cover_radii_doubling(points, k_max, q):
-    """Greedy covering radii with 1, 2, 4, ..., 2^(k_max-1) centers.
+def _greedy_cover_radii(points, n_centers, q):
+    """Farthest-point k-center; radii[i] is the covering radius with i+1
+    centers (``_cover_traversal``).  Radii past the traversal's end are
+    exactly 0: every point is then a center or duplicates one."""
+    gaps = _cover_traversal(points, n_centers, q).gaps
+    return np.array(gaps + [0.0] * (n_centers - len(gaps)))
 
-    Entry k-1 equals ``_greedy_cover_radii(points, 2^(k_max-1), q)[2^(k-1) - 1]``.
+
+def _doubling_cover(points, k_max, q):
+    """(traversal, radii): the cover traversal for e_1 .. e_{k_max} and its
+    covering radii with 1, 2, 4, ..., 2^(k_max-1) centers.
+
     When 2^(k_max-1) equals the number N > 1 of points, the last radius is
     exactly 0 (N centers take every point) and only the first N/2 centers
     are run.
     """
     need = 2 ** (k_max - 1)
     run = need // 2 if need == points.shape[0] > 1 else need
-    radii = _greedy_cover_radii(points, run, q)
-    return [float(radii[2 ** (k - 1) - 1]) if 2 ** (k - 1) <= run else 0.0
-            for k in range(1, k_max + 1)]
+    trav = _cover_traversal(points, run, q)
+    gaps = trav.gaps
+    return trav, [gaps[2 ** (k - 1) - 1] if 2 ** (k - 1) <= len(gaps) else 0.0
+                  for k in range(1, k_max + 1)]
+
+
+def _cover_radii_doubling(points, k_max, q):
+    """Greedy covering radii with 1, 2, 4, ..., 2^(k_max-1) centers: entry
+    k-1 equals ``_greedy_cover_radii(points, 2^(k_max-1), q)[2^(k-1) - 1]``."""
+    return _doubling_cover(points, k_max, q)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +569,18 @@ def entropy_upper_cover_sequence(T, k_max, cloud=1024, seed=0):
     nonincreasing in k by construction.  When 2^(k_max-1) centers would take
     every cloud point, the traversal stops at half of them and e_{k_max}'s
     radius is the 0 that the remaining centers would reach (see
-    ``_cover_radii_doubling``).
+    ``_doubling_cover``).
+
+    Each upper comes with the cloud's max nearest-neighbour gap delta
+    (``max_nn_gap``), whose bounds come from the same traversal: near[i] is
+    the least distance the traversal computed from point i to another
+    point, so near[i] >= r_i, and the recheck stage turns any such bounds
+    into the exact maximum.  The point with the largest bound is rechecked
+    first, giving an exact gap L.  A point the traversal did not take has
+    near[i] at most the traversal's covering radius, so when that radius is
+    at most L (a long traversal) only centres are rechecked; otherwise (a
+    short one) the sorted-neighbour minima are folded into the bounds
+    first.  delta is the brute-force maximum either way.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -492,8 +592,9 @@ def entropy_upper_cover_sequence(T, k_max, cloud=1024, seed=0):
     scale = _cloud_scale(pts, q)
     if scale != 1.0:
         pts = pts / scale
-    radii = _scaled_back(_cover_radii_doubling(pts, k_max, q), scale)
-    delta = float(_scaled_back(max_nn_gap(pts, q), scale))
+    trav, radii = _doubling_cover(pts, k_max, q)
+    radii = _scaled_back(radii, scale)
+    delta = float(_scaled_back(max_nn_gap(pts, q, traversal=trav), scale))
     return [BoundPair(k=k, upper=float(radii[k - 1]), delta=delta) for k in range(1, k_max + 1)]
 
 

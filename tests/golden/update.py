@@ -54,6 +54,9 @@ COMMANDS = [
     ("estimate-tiny-p0.5-q2", ["estimate", "--input", "tiny.csv", "--p", "0.5", "--q", "2"]),
     # an image cloud whose q-th powers of gaps underflow unless it is scaled up
     ("estimate-tiny-p2-q40", ["estimate", "--input", "tiny.csv", "--p", "2", "--q", "40"]),
+    # a long cover traversal: 2,048 insertions into a cloud of 2,500 points
+    ("estimate-p3-q1.5-k8-13", ["estimate", "--input", "matrix.csv", "--p", "3", "--q", "1.5",
+                                "--k", "8..13"]),
     # idnumbers: a quasi-Banach complex pair, p < q, and the Hilbert case
     ("idnumbers-p0.5-q1-complex", ["idnumbers", "--p", "0.5", "--q", "1", "--field", "complex"]),
     ("idnumbers-p1-q2", ["idnumbers", "--p", "1", "--q", "2"]),

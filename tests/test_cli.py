@@ -349,6 +349,17 @@ def test_overflowing_image_distances_exit_two_without_warnings(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_tiny_q_image_distances_exit_two_and_name_q_and_the_e_rows():
+    # the closed forms 2^999 and 1 are finite, but l_0.001 distances between
+    # the identity's image points reach about 4^1000
+    r = run_cli("idnumbers", "--p", "1", "--q", "0.001", "--n", "4", "--k", "3..4")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: image-cloud distances overflow")
+    assert "e rows" in r.stderr and "--q 0.001" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_overflowing_rank_search_candidates_do_not_warn(tmp_path):
     # perturbed low-rank factors of a 1e200 matrix overflow in their product;
     # those candidates lose the search, so the report is unchanged and quiet

@@ -33,6 +33,7 @@ from snumbers.entropy import (
 from snumbers import entropy as entropy_mod
 from snumbers.entropy import (
     _cover_radii_doubling,
+    _cover_traversal,
     _dist_cols,
     _greedy_cover_radii,
     _packing_traversal,
@@ -586,6 +587,42 @@ def test_cover_sequence_on_a_cloud_of_exactly_2_to_k_max_minus_1_points(q):
     full = _greedy_cover_radii(image_cloud(T, 2 ** (k_max - 1), seed=4), 2 ** (k_max - 1), q)
     assert [b.upper for b in seq] == [float(full[2 ** (k - 1) - 1]) for k in range(1, k_max + 1)]
     assert seq[-1].upper == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(**cloud_args, centres=st.sampled_from(["half", "all"]) | st.integers(1, 32))
+def test_max_nn_gap_from_a_cover_traversal_equals_brute_force(seed, N, n, field, kind, q,
+                                                                centres):
+    # half or all of the cloud as centres: a long traversal, whose bounds
+    # alone settle the search; 1-32 centres: a short one, which folds in the
+    # sorted-neighbour minima
+    X = _cloud(seed, N, n, field, kind)
+    run = {"half": max(1, N // 2), "all": N}.get(centres, centres)
+    trav = _cover_traversal(X, run, q)
+    assert max_nn_gap(X, q, traversal=trav) == _reference_nn_gap(X, q)
+
+
+def _count_shift_minima(monkeypatch):
+    calls = []
+    real = entropy_mod._shift_minima
+    monkeypatch.setattr(entropy_mod, "_shift_minima",
+                        lambda cols, q: calls.append(q) or real(cols, q))
+    return calls
+
+
+@pytest.mark.parametrize("case", range(len(BENCH_SHAPES)))
+def test_long_covers_skip_the_sorted_neighbours_and_short_ones_take_them(monkeypatch, case):
+    T, cloud = _bench_operator(case)
+    q = T.codomain.p
+    gaps = [max_nn_gap(image_cloud(T, size, seed=case), q) for size in (cloud, 2500)]
+    calls = _count_shift_minima(monkeypatch)
+    # the benchmark's cover: N/2 centres
+    long = entropy_upper_cover_sequence(T, int(math.log2(cloud)) + 1, cloud=cloud, seed=case)
+    assert calls == []
+    # snum estimate's cover at k <= 6 on its 2,500-point cloud: 32 centres
+    short = entropy_upper_cover_sequence(T, 6, cloud=2500, seed=case)
+    assert calls == [q] * 3
+    assert [long[0].delta, short[0].delta] == gaps
 
 
 # ---------------------------------------------------------------------------
