@@ -254,8 +254,7 @@ def _slab(keys, key, radius, widen):
     right position of v.
     """
     half = radius * widen + 4.0 * _EPS * abs(key)
-    lo, hi = keys.searchsorted((key - half, math.nextafter(key + half, math.inf))).tolist()
-    return lo, hi
+    return keys.searchsorted((key - half, math.nextafter(key + half, math.inf))).tolist()
 
 
 # neighbours on each side of a point, in each sorted order, that propose u_i
@@ -575,12 +574,12 @@ def entropy_upper_cover_sequence(T, k_max, cloud=1024, seed=0):
     (``max_nn_gap``), whose bounds come from the same traversal: near[i] is
     the least distance the traversal computed from point i to another
     point, so near[i] >= r_i, and the recheck stage turns any such bounds
-    into the exact maximum.  The point with the largest bound is rechecked
-    first, giving an exact gap L.  A point the traversal did not take has
-    near[i] at most the traversal's covering radius, so when that radius is
-    at most L (a long traversal) only centres are rechecked; otherwise (a
-    short one) the sorted-neighbour minima are folded into the bounds
-    first.  delta is the brute-force maximum either way.
+    into the exact maximum.  A point the traversal did not take has near[i]
+    at most the traversal's covering radius R, so the centres bounded above
+    R are rechecked first.  When that finds a gap of at least R (a long
+    traversal) the search ends there; otherwise (a short one) the
+    sorted-neighbour minima are folded into the bounds and the recheck goes
+    on.  delta is the brute-force maximum either way.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

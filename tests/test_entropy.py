@@ -593,21 +593,13 @@ def test_cover_sequence_on_a_cloud_of_exactly_2_to_k_max_minus_1_points(q):
 @given(**cloud_args, centres=st.sampled_from(["half", "all"]) | st.integers(1, 32))
 def test_max_nn_gap_from_a_cover_traversal_equals_brute_force(seed, N, n, field, kind, q,
                                                                 centres):
-    # half or all of the cloud as centres: a long traversal, whose bounds
-    # alone settle the search; 1-32 centres: a short one, which folds in the
-    # sorted-neighbour minima
+    # half or all of the cloud as centres: long traversals, whose bounds
+    # mostly settle the search alone; 1-32 centres: short ones, which mostly
+    # fold in the sorted-neighbour minima
     X = _cloud(seed, N, n, field, kind)
     run = {"half": max(1, N // 2), "all": N}.get(centres, centres)
     trav = _cover_traversal(X, run, q)
     assert max_nn_gap(X, q, traversal=trav) == _reference_nn_gap(X, q)
-
-
-def _count_shift_minima(monkeypatch):
-    calls = []
-    real = entropy_mod._shift_minima
-    monkeypatch.setattr(entropy_mod, "_shift_minima",
-                        lambda cols, q: calls.append(q) or real(cols, q))
-    return calls
 
 
 @pytest.mark.parametrize("case", range(len(BENCH_SHAPES)))
@@ -615,7 +607,10 @@ def test_long_covers_skip_the_sorted_neighbours_and_short_ones_take_them(monkeyp
     T, cloud = _bench_operator(case)
     q = T.codomain.p
     gaps = [max_nn_gap(image_cloud(T, size, seed=case), q) for size in (cloud, 2500)]
-    calls = _count_shift_minima(monkeypatch)
+    calls = []
+    real = entropy_mod._shift_minima
+    monkeypatch.setattr(entropy_mod, "_shift_minima",
+                        lambda cols, q: calls.append(q) or real(cols, q))
     # the benchmark's cover: N/2 centres
     long = entropy_upper_cover_sequence(T, int(math.log2(cloud)) + 1, cloud=cloud, seed=case)
     assert calls == []
