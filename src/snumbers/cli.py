@@ -269,28 +269,28 @@ def _envelope_rows(p, q, n, k_lo, k_hi, field, clock, n_tag=""):
 
 
 def _entropy_rows(T, cfg, cloud, clock):
-    """e rows for k_lo..k_hi, capped at log2(cloud) + 1: certified packing
-    lowers and cover uppers padded by the cloud's nearest-neighbour gap.
-    A cloud whose distances leave the float range (a tiny --q, or huge
-    entries) raises ValueError naming the e rows and --q."""
-    k_cap = min(cfg.k_hi, int(math.log2(cloud)) + 1)
-    if k_cap < cfg.k_lo:
-        return []
+    """e rows for k_lo..k_hi: certified packing lowers and cover uppers padded
+    by the cloud's nearest-neighbour gap.  A cloud whose distances leave the
+    float range (a tiny --q, or huge entries) raises ValueError naming the
+    e rows and --q, unless 2^(k_lo-1) centres exceed the cloud: no requested
+    row has a cover of its own, and the rows are left out."""
     try:
-        brackets = entropy_mod.entropy_brackets(T, k_cap, cloud, max(64, min(cloud, 512)),
+        brackets = entropy_mod.entropy_brackets(T, cfg.k_hi, cloud, max(64, min(cloud, 512)),
                                                 cfg.seed)
     except ValueError as exc:
+        if 2 ** (cfg.k_lo - 1) > cloud:
+            return []
         raise ValueError(f"{exc} in the e rows at --q {cfg.q!r}") from None
     return [_row("e", k, brackets[k - 1], "pack/cover", "estimator", clock.lap())
-            for k in range(cfg.k_lo, k_cap + 1)]
+            for k in range(cfg.k_lo, cfg.k_hi + 1)]
 
 
-def _width_rows(T, cfg, labels, clock):
-    """The width_brackets rows whose method has a label; each k is lapped alone."""
+def _width_rows(T, cfg, clock):
+    """Every width_brackets row, labelled exact on svd rows; each k is lapped alone."""
     pairs = width_brackets(T, cfg.k_lo, cfg.k_hi, cfg.budget, cfg.seed)
-    return [_row(quantity, k, b, b.method, labels[b.method], clock.lap())
-            for k, pair in enumerate(pairs, cfg.k_lo)
-            for quantity, b in zip("ad", pair) if b.method in labels]
+    return [_row(quantity, k, b, b.method, "exact" if b.method == "svd" else "estimator",
+                 clock.lap())
+            for k, pair in enumerate(pairs, cfg.k_lo) for quantity, b in zip("ad", pair)]
 
 
 def run_idnumbers(cfg):
@@ -300,8 +300,7 @@ def run_idnumbers(cfg):
     if cfg.n <= 16:
         T = identity_operator(cfg.n, cfg.p, cfg.q, field=cfg.field)
         rows += _entropy_rows(T, cfg, min(2048, max(256, cfg.budget // 8)), clock)
-        # the closed forms stand in for the norm bound
-        rows += _width_rows(T, cfg, {"svd": "estimator", "rank-search": "estimator"}, clock)
+        rows += _width_rows(T, cfg, clock)
 
     return {"config": cfg.to_json_dict(), "rows": _sort_rows(rows), "violations": []}, 0
 
@@ -314,8 +313,7 @@ def run_estimate(cfg):
             f"domain error: --n {cfg.n} does not match matrix columns {T.domain.n}"
         )
     rows = _entropy_rows(T, cfg, min(4096, max(256, cfg.budget // 4)), clock)
-    rows += _width_rows(T, cfg, {"svd": "exact", "rank-search": "estimator",
-                                 "norm-bound": "estimator"}, clock)
+    rows += _width_rows(T, cfg, clock)
     return {"config": cfg.to_json_dict(), "rows": _sort_rows(rows), "violations": []}, 0
 
 

@@ -684,10 +684,14 @@ def entropy_brackets(T, k_max, cloud, pack_budget, seed):
     ``cloud`` points padded by the cloud's gap (``padded_upper``), an
     estimate, since the cloud only samples the image.  An estimate side may
     undershoot, so a lower above its upper is a violation for the caller to
-    report, not an error here.  The method is ``pack/cover``.
+    report, not an error here.  The method is ``pack/cover``.  The cover runs
+    to k_top = min(k_max, floor(log2 cloud) + 1), as 2^(k-1) centres must fit
+    the cloud; e_k does not increase with k, so past k_top it is e_{k_top}'s.
     """
     q = T.codomain.p
-    covers = entropy_upper_cover_sequence(T, k_max, cloud=cloud, seed=seed)
+    k_top = min(k_max, int(math.log2(cloud)) + 1)
+    covers = entropy_upper_cover_sequence(T, k_top, cloud=cloud, seed=seed)
+    covers += covers[-1:] * (k_max - k_top)
     packs = entropy_lower_pack_sequence(T, k_max, budget=pack_budget, seed=seed)
     return [Bracket(pack.lower, padded_upper(cover, q), CERTIFIED, ESTIMATE, "pack/cover")
             for pack, cover in zip(packs, covers)]
@@ -808,22 +812,17 @@ def rank_decay_bounds(m, k, norm=1.0, field=REAL):
 def best_certified_lower(T, k, budget=512, seed=0):
     """Best certified lower bound available for e_k(T).
 
-    Packing always applies; for identity operators the volumetric bound and
-    (p <= q, n >= 4) the Hamming bound join the maximum.  Returns a
-    BoundPair with the winning method recorded.  The packing reads the
-    traversal kept on T, so the calls for k = 1 .. K together build one
-    cloud and run one traversal of 2^(K-1) + 1 points.
+    ``Bracket.meet`` takes the largest of the packing lower, which wins a
+    tie, and, for identity operators, the volumetric and (p <= q, n >= 4)
+    Hamming bounds.  Returns a BoundPair with the winning method.  The
+    packing reads the traversal kept on T, so the calls for k = 1 .. K
+    together build one cloud and run one traversal of 2^(K-1) + 1 points.
     """
-    pair = entropy_lower_pack(T, k, budget=budget, seed=seed)
-    best, method = pair.lower, pair.method_lower
-    n = T.domain.n
+    lowers = [(entropy_lower_pack(T, k, budget=budget, seed=seed).lower, METHOD_PACKING)]
+    p, q, n = T.domain.p, T.codomain.p, T.domain.n
     if is_identity(T.matrix):
-        p, q = T.domain.p, T.codomain.p
-        vol = entropy_lower_volumetric(p, q, n, k, T.field)
-        if vol > best:
-            best, method = vol, METHOD_VOLUMETRIC
+        lowers.append((entropy_lower_volumetric(p, q, n, k, T.field), METHOD_VOLUMETRIC))
         if p <= q and n >= 4:
-            ham = hamming_pack_lower(p, q, n, k)
-            if ham > best:
-                best, method = ham, METHOD_HAMMING
-    return BoundPair(k=k, lower=best, method_lower=method)
+            lowers.append((hamming_pack_lower(p, q, n, k), METHOD_HAMMING))
+    best = Bracket.meet(*(Bracket(v, None, CERTIFIED, None, m) for v, m in lowers))
+    return BoundPair(k=k, lower=best.lower, method_lower=best.method)

@@ -82,6 +82,25 @@ class Bracket:
         """Both sides at one value of one kind: an exact value or a shape."""
         return cls(value, value, kind, kind, method)
 
+    @classmethod
+    def meet(cls, *brackets):
+        """The tightest bracket that the sides of kind ``exact`` or
+        ``certified`` among ``brackets`` prove: their largest lower and their
+        smallest upper, both certified.  Other sides are dropped, so an
+        estimate or shape never displaces a certified side.  On a tie the
+        earlier bracket wins; the method names the winner, or is
+        ``lower|upper`` when the two winners differ.  Crossed sides raise
+        BracketError, as the constructor does; an exact input that passes
+        that check is returned whole."""
+        sure = (EXACT, CERTIFIED)
+        lo, lo_method = max(((b.lower, b.method) for b in brackets if b.lower_kind in sure),
+                            key=lambda side: side[0], default=(None, None))
+        hi, hi_method = min(((b.upper, b.method) for b in brackets if b.upper_kind in sure),
+                            key=lambda side: side[0], default=(None, None))
+        met = cls(lo, hi, None if lo is None else CERTIFIED, None if hi is None else CERTIFIED,
+                  "|".join(dict.fromkeys(m for m in (lo_method, hi_method) if m)))
+        return next((b for b in brackets if b.exact), met)
+
     @property
     def exact(self):
         return self.lower_kind == EXACT and self.upper_kind == EXACT

@@ -214,19 +214,16 @@ def kolmogorov_id_envelope(p, q, n, k, field=REAL):
 
 def _residual_norms(T, products):
     """``operators._norm_uppers`` of the float residuals T - S for a stack of
-    candidate products S: a list of (upper, the exact path's name or None).
-    A residual with a non-finite entry (an overflowed candidate) is
-    (inf, None) without a norm: its norm would be inf or NaN, which fails
-    ``v < best`` just the same."""
+    candidate products S, as a list of floats.  A residual with a non-finite
+    entry (an overflowed candidate) is inf without a norm: its norm would be
+    inf or NaN, which fails ``v < best`` just the same."""
     R = T.matrix - products
     finite = np.flatnonzero(np.isfinite(R).all(axis=(1, 2)))
-    out = [(math.inf, None)] * len(R)
+    out = np.full(len(R), math.inf)
     if finite.size:
-        values, methods = _norm_uppers(R if finite.size == len(R) else R[finite],
-                                       T.domain.p, T.codomain.p, T.field == REAL)
-        for i, v, method in zip(finite.tolist(), values.tolist(), methods):
-            out[i] = (v, method)
-    return out
+        out[finite] = _norm_uppers(R if finite.size == len(R) else R[finite],
+                                   T.domain.p, T.codomain.p, T.field == REAL)[0]
+    return out.tolist()
 
 
 def _low_rank(A, B):
@@ -281,10 +278,9 @@ def approx_upper_search(T, k, budget=2000, seed=0):
     internally; the truncation candidate attains it), and elsewhere a
     certified upper from exact norms (see its docstring), with no power
     method and no sampling.  The search minimises these uppers, and the best
-    one is then raised to an upper of ||T - A B|| for the exact product of
-    its factors by ``_product_rounding``, whose docstring proves the margin.
-    On the exact paths the value is the exact norm of the float residual,
-    as before, with no margin for the rounding of that residual.  For
+    one, on every path, is then raised to an upper of ||T - A B|| for the
+    exact product of its factors by ``_product_rounding``, whose docstring
+    proves the margin, so the value is a certified upper of a_k.  For
     k - 1 >= min(m, n) a rank-(k-1) operator can equal T, so the result is
     exactly 0 and no candidate is evaluated.  At k = 1 the only candidate is
     S = 0, and the result is ``_norm_upper(T)``'s value, op_norm's upper,
@@ -335,10 +331,7 @@ def _approx_search(T, k, budget, seed):
                            for _ in range(min(3, budget - 1))]
     X = np.array([np.concatenate([a.ravel(), b.ravel()]) for a, b in starts])
     norms = _residual_norms(T, _low_rank(*_factors(X, A0.shape, B0.shape)))
-    (best, best_path), x = norms[0], X[0]
-    for (v, path), row in zip(norms[1:], X[1:]):
-        if v < best:
-            best, best_path, x = v, path, row
+    best, x = min(zip(norms, X), key=lambda candidate: candidate[0])
     spent = len(X)
 
     # coordinate descent on the entries of x, the best factors so far: each
@@ -355,10 +348,10 @@ def _approx_search(T, k, budget, seed):
             j += len(batch)
             X, moved = _coordinate_tries(x, batch, step)
             norms = _residual_norms(T, _low_rank(*_factors(X, A0.shape, B0.shape)))
-            for c, (v, path) in enumerate(norms):
+            for c, v in enumerate(norms):
                 spent += 1
                 if v < best - 1e-15:
-                    best, best_path = v, path
+                    best = v
                     x[batch[c // 2]] = moved[c]
                     improved = True
                     j -= len(batch) - c // 2 - 1  # the next stack starts after it
@@ -373,9 +366,7 @@ def _approx_search(T, k, budget, seed):
             raise AssertionError(
                 f"Eckart-Young consistency failed: search {best} vs sigma_k {sk}"
             )
-    if best_path is None:
-        best = _product_rounding(T, *best_AB, best)
-    return float(best), best_AB
+    return float(_product_rounding(T, *best_AB, best)), best_AB
 
 
 def _factors(X, shape_A, shape_B):
@@ -640,12 +631,12 @@ def width_brackets(T, k_lo, k_hi, budget, seed):
     that decides the kinds of the width sides, as ``entropy_brackets`` does for e_k.
 
     - p = q = 2: sigma_k on both sides, ``exact``, method ``svd``.
-    - Elsewhere d_k is op_norm's bracket at k = 1 (a_1 = d_1 = ||T||) and its
-      certified upper for k >= 2 (d_k <= d_1), method ``norm-bound``, with
-      op_norm's budget min(budget, 4000).  a_k is the same bound, except
-      where p <= 1 <= q and n <= 8: there the residual norms are column
-      maxima and the search is cheap, and a_k is ``approx_upper_search``'s
-      certified upper at budget min(budget, 400), method ``rank-search``.
+    - Elsewhere a_1 = d_1 = ||T||, op_norm's bracket (exact on its exact
+      paths), method ``norm-bound``, with op_norm's budget min(budget, 4000).
+      For k >= 2 d_k is its certified upper (d_k <= d_1), and while n <= 8
+      (the cost cap) a_k is ``Bracket.meet`` of ``approx_upper_search``'s
+      certified upper at budget min(budget, 400), method ``rank-search``,
+      and that bound, for every (p, q); past n = 8 a_k is the bound.
 
     The pairs are yielded one k at a time, so a caller can time each.
     """
@@ -654,13 +645,14 @@ def width_brackets(T, k_lo, k_hi, budget, seed):
         for k in range(k_lo, k_hi + 1):
             yield (Bracket.point(seq.value(k), EXACT, "svd"),) * 2
         return
-    norm = op_norm(T, budget=min(budget, 4000), seed=seed)
-    search = T.domain.p <= 1.0 <= T.codomain.p and T.domain.n <= 8
+    norm = replace(op_norm(T, budget=min(budget, 4000), seed=seed), method="norm-bound")
+    bound = Bracket(None, norm.upper, None, CERTIFIED, norm.method)
     for k in range(k_lo, k_hi + 1):
-        d = (replace(norm, method="norm-bound") if k == 1
-             else Bracket(None, norm.upper, None, CERTIFIED, "norm-bound"))
-        a = approx_upper_search(T, k, budget=min(budget, 400), seed=seed) if search else None
-        yield (d if a is None else Bracket(None, a, None, CERTIFIED, "rank-search")), d
+        a = d = norm if k == 1 else bound
+        if k > 1 and T.domain.n <= 8:  # at k = 1 the search gives op_norm's upper
+            search = approx_upper_search(T, k, budget=min(budget, 400), seed=seed)
+            a = Bracket.meet(Bracket(None, search, None, CERTIFIED, "rank-search"), bound)
+        yield a, d
 
 
 # ---------------------------------------------------------------------------

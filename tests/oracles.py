@@ -108,6 +108,19 @@ def dist_linf_exact(x, B):
     return best
 
 
+def residual_norm_from_l1_exact(M, A, B, q):
+    """||M - A B: l_1 -> l_q|| of real matrices, q in {1, inf}, in rational
+    arithmetic on the floats' exact values: the product is not rounded.  An
+    extreme point of the l_1 ball is +-e_j, so the norm is the largest
+    column's l_q norm: its l_1 norm at q = 1, its largest modulus at q = inf."""
+    R = [[Fraction(float(M[i, j])) - sum(Fraction(float(A[i, l])) * Fraction(float(B[l, j]))
+                                         for l in range(A.shape[1]))
+          for j in range(M.shape[1])] for i in range(M.shape[0])]
+    if q == 1.0:
+        return max(sum(abs(row[j]) for row in R) for j in range(M.shape[1]))
+    return max(abs(v) for row in R for v in row)
+
+
 def _lp(y, p):
     """l_p (quasi-)norm of a vector, taken of y over its largest modulus and
     multiplied back, so that no power overflows."""

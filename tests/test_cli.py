@@ -102,7 +102,7 @@ def test_idnumbers_hilbert_identity(capsys):
 def test_idnumbers_exact_formula_value(capsys):
     _, doc = cli_json(capsys, "idnumbers", "--p", "2", "--q", "1", "--n", "4",
                       "--k", "2")
-    (a,) = rows_of(doc, "a", 2)
+    (a,) = [r for r in rows_of(doc, "a", 2) if r["method"] == "closed-form"]
     assert a["lower"] == pytest.approx(math.sqrt(3.0))
     assert a["label"] == "exact-formula"
 
@@ -126,7 +126,7 @@ def test_estimate_diagonal_exact(capsys, diag_csv):
 @pytest.mark.parametrize("matrix, n_a_norm", [
     # real, n = 9 > 8: the a rows are norm bounds too
     ([[(i * 9 + j) % 7 - 3.0 for j in range(9)] for i in range(3)], 3),
-    # complex, n = 3: the a rows come from the rank search
+    # complex, n = 3: a_2 and a_3 come from the rank search
     ([[1 + 2j, 0, 0.5], [0, 1 - 1j, 2], [3j, 1, 0]], 0),
 ])
 def test_estimate_norm_bound_is_exact_only_at_k1(capsys, tmp_path, matrix, n_a_norm):
@@ -137,7 +137,8 @@ def test_estimate_norm_bound_is_exact_only_at_k1(capsys, tmp_path, matrix, n_a_n
     _, doc = cli_json(capsys, "estimate", "--input", str(path), "--p", "1", "--q", "2",
                       "--k", "1..3", "--budget", "400")
     norm_rows = [r for r in doc["rows"] if r["method"] == "norm-bound"]
-    assert len(norm_rows) == 3 + n_a_norm
+    # a_1 = d_1 = ||T|| is op_norm's bracket, with no search, at every n
+    assert len(norm_rows) == 3 + max(1, n_a_norm)
     column_max = float(np.linalg.norm(np.array(matrix), axis=0).max())
     for r in norm_rows:
         assert r["upper"] == pytest.approx(column_max, rel=1e-12)
@@ -376,7 +377,44 @@ def test_overflowing_rank_search_candidates_do_not_warn(tmp_path):
                            capture_output=True, text=True, env=env)
     assert strict.stdout == loose.stdout
     a = [r["upper"] for r in json.loads(strict.stdout)["rows"] if r["quantity"] == "a"]
-    assert a == [2e200, 6.798566308054619e184]
+    # a_2 is the rank search's margin for the rounding of a residual of
+    # 1e200 entries: the residual's own float norm is rounding noise
+    assert a == [2e200, 1.1337997667206968e186]
+
+
+def test_estimate_prints_an_e_row_for_every_k_past_the_cloud(capsys):
+    # the 2,500-point cloud holds 2^(k-1) centres up to k = 12; e_13 keeps
+    # e_12's padded upper and its own packing lower
+    matrix = os.path.join(os.path.dirname(__file__), "golden", "matrix.csv")
+    code, doc = cli_json(capsys, "estimate", "--input", matrix, "--p", "3", "--q", "1.5",
+                         "--k", "8..13")
+    assert code == 0
+    e = rows_of(doc, "e")
+    assert [r["k"] for r in e] == list(range(8, 14))
+    assert e[-1]["upper"] == e[-2]["upper"] and e[-1]["lower"] == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--p", "2", "--q", "1", "--k", "1..5"],
+    ["estimate", "--p", "1", "--q", "0.5", "--k", "1..6"],
+    ["estimate", "--p", "1", "--q", "inf", "--k", "1..5"],
+    ["estimate", "--p", "3", "--q", "1.5", "--k", "1..6"],
+    ["idnumbers", "--p", "0.5", "--q", "1", "--n", "4", "--k", "1..5"],
+    ["idnumbers", "--p", "1", "--q", "2", "--n", "6", "--k", "1..7"],
+])
+def test_no_a_row_prints_an_upper_above_the_d_row_at_its_k(capsys, argv):
+    # d_k <= a_k, and a_k meets the rank search with the norm bound that d_k
+    # prints, so an a upper above d's at the same k would contradict its label
+    if argv[0] == "estimate":
+        argv = argv + ["--input", os.path.join(os.path.dirname(__file__), "golden", "matrix.csv")]
+    code, doc = cli_json(capsys, *argv, "--budget", "2000")
+    assert code == 0
+    width = {(r["quantity"], r["k"]): r["upper"] for r in doc["rows"]
+             if r["method"] in ("svd", "norm-bound", "rank-search")}
+    ks = sorted({k for quantity, k in width if quantity == "d"})
+    assert ks == list(range(1, int(argv[argv.index("--k") + 1][3:]) + 1))
+    for k in ks:
+        assert width[("a", k)] <= width[("d", k)], k
 
 
 def test_bad_exponent_exits_two():
@@ -395,13 +433,15 @@ def test_tiny_exponent_exits_two_and_names_it():
 
 def test_idnumbers_rows_in_range_where_the_identity_norm_overflows(capsys):
     # ||id: l_1^16 -> l_0.003^16|| = 16^332.3 is past the float range, but the
-    # closed forms at k = 14..16 are not; the norm bound it feeds is not
-    # printed by idnumbers, so the command still succeeds
+    # closed forms at k = 14..16 are not; the norm bound rows print "inf", the
+    # cloud's distances overflow too, but 2^13 centres exceed the cloud, so
+    # no e row is printed, and the command still succeeds
     code, doc = cli_json(capsys, "idnumbers", "--p", "1", "--q", "0.003", "--n", "16",
                          "--k", "14..16")
     assert code == 0
-    assert [r["upper"] for r in rows_of(doc, "a")] == [
+    assert [r["upper"] for r in rows_of(doc, "a") if r["method"] == "closed-form"] == [
         pytest.approx(3.0 ** (1 / 0.003 - 1)), pytest.approx(2.0 ** (1 / 0.003 - 1)), 1.0]
+    assert [r["upper"] for r in doc["rows"] if r["method"] == "norm-bound"] == ["inf"] * 6
 
 
 def test_tiny_exponent_at_n_one_exits_two_and_names_it():

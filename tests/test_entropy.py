@@ -142,6 +142,21 @@ def test_cover_sequence_monotone_and_flags():
     assert all(b.method == "pack/cover" for b in brackets)
 
 
+def test_brackets_past_the_cloud_keep_the_packing_lower_and_the_last_cover_upper():
+    # a cloud of 100 points holds 2^(k-1) centres up to k = 7: past it each
+    # bracket keeps its own packing lower and e_7's padded upper
+    T = operator(np.random.default_rng(4).standard_normal((3, 3)), 3.0, 1.5)
+    brackets = entropy_brackets(T, 10, 100, 64, 0)
+    assert len(brackets) == 10
+    assert brackets[:7] == entropy_brackets(T, 7, 100, 64, 0)
+    packs = entropy_lower_pack_sequence(T, 10, budget=64, seed=0)
+    assert [b.lower for b in brackets] == [b.lower for b in packs]
+    assert [b.lower for b in brackets[7:]] == [0.0] * 3  # 2^(k-1) + 1 > 64 points
+    assert all(b.upper == brackets[6].upper for b in brackets[7:])
+    assert all((b.lower_kind, b.upper_kind, b.method) == (CERTIFIED, ESTIMATE, "pack/cover")
+               for b in brackets)
+
+
 def test_cover_requires_enough_cloud():
     T = identity_operator(2, 1.0, 2.0)
     with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """Label truth: every op_norm bracket contains an independent reference, and
-every width bracket respects the s-number sandwich through l_2."""
+every width bracket respects the s-number sandwich through l_2, and the
+rank search is an upper of the exact norm of its own residual."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import oracles
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from snumbers.operators import CERTIFIED, EXACT, NORM_PATHS, op_norm, operator, singular_values
 from snumbers.spaces import COMPLEX, REAL, inv_exponent
-from snumbers.widths import width_brackets
+from snumbers.widths import _approx_search, width_brackets
 
 INF = math.inf
 
@@ -106,9 +108,9 @@ def test_width_brackets_respect_the_sandwich_through_l2(field, kind, pq, m, n, s
     # the ideal property and a_k >= d_k give
     # sigma_k / (I_n(2, p) I_m(q, 2)) <= d_k <= a_k <= I_m(2, q) sigma_k I_n(p, 2),
     # which every upper and lower side must respect, up to 1e-12 relative;
-    # an svd side is sigma_k itself.  Past the numerical rank sigma_k and the
-    # search's residual norms are rounding noise of about eps sigma_1, so the
-    # lower sandwich also allows 8 max(m, n) eps sigma_1
+    # an svd side is sigma_k itself.  Past the numerical rank LAPACK's sigma_k
+    # is rounding noise of about eps sigma_1, but the rank search's margin for
+    # the rounding of its residual keeps its upper above it
     p, q = pq
     M = _matrix(np.random.default_rng(seed), m, n, field, kind)
     T = operator(M, p, q, field=field)
@@ -117,8 +119,7 @@ def test_width_brackets_respect_the_sandwich_through_l2(field, kind, pq, m, n, s
     s[:min(m, n)] = singular_values(T)
     for k, pair in enumerate(width_brackets(T, 1, k_hi, 400, seed), 1):
         sigma = float(s[k - 1])
-        noise = 8 * max(m, n) * np.finfo(float).eps * s[0]
-        low = max(0.0, sigma - noise) / (_id_norm(n, 2.0, p) * _id_norm(m, q, 2.0))
+        low = sigma / (_id_norm(n, 2.0, p) * _id_norm(m, q, 2.0))
         high = _id_norm(m, 2.0, q) * sigma * _id_norm(n, p, 2.0)
         for b in pair:
             assert b.upper >= low * (1.0 - 1e-12)
@@ -128,3 +129,21 @@ def test_width_brackets_respect_the_sandwich_through_l2(field, kind, pq, m, n, s
                 assert b.upper == pytest.approx(sigma, rel=1e-12)
             else:
                 assert b.upper_kind == CERTIFIED or (k == 1 and b.exact)
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=st.sampled_from([1.0, INF]), m=st.integers(2, 5), n=st.integers(2, 5),
+       k=st.integers(2, 5), seed=st.integers(0, 2**16))
+# both fell below the exact norm when the exact residual paths took no margin
+@example(q=1.0, m=3, n=3, k=2, seed=0)
+@example(q=INF, m=3, n=3, k=2, seed=1)
+def test_rank_search_is_an_upper_of_the_exact_norm_of_its_residual(q, m, n, k, seed):
+    # real l_1 -> l_1 and l_1 -> l_inf: the residual's norm is exact on the
+    # float residual fl(T - fl(A B)), and the search's value must also bound
+    # the norm of T - A B for its factors in rational arithmetic
+    M = np.random.default_rng(seed).standard_normal((m, n))
+    v, factors = _approx_search(operator(M, 1.0, q), k, 200, seed)
+    if factors is None:  # past full rank: a rank-(k-1) operator is T itself
+        assert v == 0.0 and k > min(m, n)
+        return
+    assert Fraction(v) >= oracles.residual_norm_from_l1_exact(M, *factors, q)

@@ -444,6 +444,82 @@ def test_bracket_is_exact_iff_both_kinds_are_exact():
     assert Bracket.point(3.0, EXACT, "m") == Bracket(3.0, 3.0, EXACT, EXACT, "m")
 
 
+# meet: brackets whose certified sides all hold for one value, 1.0, so that
+# no two of them cross; estimate and shape sides fall anywhere
+_SIDE_KINDS = st.sampled_from([None, CERTIFIED, ESTIMATE, SHAPE])
+_GAPS = st.floats(0.0, 4.0, allow_nan=False)
+
+
+@st.composite
+def _brackets(draw, kinds=_SIDE_KINDS):
+    lower_kind, upper_kind = draw(kinds), draw(kinds)
+    lower = None if lower_kind is None else 1.0 - draw(_GAPS)
+    upper = None if upper_kind is None else 1.0 + draw(_GAPS)
+    if lower_kind == ESTIMATE:
+        lower += draw(_GAPS)
+    if upper_kind == ESTIMATE:
+        upper -= draw(_GAPS)
+    return Bracket(lower, upper, lower_kind, upper_kind, draw(st.sampled_from("abc")))
+
+
+def _sides(b):
+    return b.lower, b.upper, b.lower_kind, b.upper_kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(bs=st.lists(_brackets(), max_size=5), extra=_brackets(st.just(CERTIFIED)))
+def test_meet_never_widens_when_a_certified_bracket_joins(bs, extra):
+    before, after = Bracket.meet(*bs), Bracket.meet(*bs, extra)
+    assert after.lower >= extra.lower and after.upper <= extra.upper
+    assert before.lower is None or after.lower >= before.lower
+    assert before.upper is None or after.upper <= before.upper
+
+
+@settings(max_examples=200, deadline=None)
+@given(bs=st.lists(_brackets(), max_size=5), data=st.data())
+def test_meet_values_and_kinds_do_not_depend_on_the_order(bs, data):
+    shuffled = data.draw(st.permutations(bs))
+    assert _sides(Bracket.meet(*shuffled)) == _sides(Bracket.meet(*bs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bs=st.lists(_brackets(), max_size=5),
+       loose=_brackets(st.sampled_from([None, ESTIMATE, SHAPE])), at=st.integers(0, 5))
+def test_meet_never_lets_an_estimate_or_shape_side_displace_a_certified_one(bs, loose, at):
+    met = Bracket.meet(*bs)
+    assert Bracket.meet(*bs[:at], loose, *bs[at:]) == met
+    assert {met.lower_kind, met.upper_kind} <= {None, CERTIFIED}
+
+
+@settings(max_examples=200, deadline=None)
+@given(bs=st.lists(_brackets(), max_size=5), at=st.integers(0, 5))
+def test_meet_returns_an_exact_input_whole(bs, at):
+    exact = Bracket.point(1.0, EXACT, "exact-input")
+    assert Bracket.meet(*bs[:at], exact, *bs[at:]) is exact
+
+
+def test_meet_refuses_crossed_certified_sides():
+    low = Bracket(2.0, None, CERTIFIED, None, "low")
+    high = Bracket(None, 1.0, None, CERTIFIED, "high")
+    for bs in [(low, high), (high, low), (Bracket.point(1.5, EXACT, "x"), low),
+               (high, Bracket.point(1.5, EXACT, "x"))]:
+        with pytest.raises(BracketError):
+            Bracket.meet(*bs)
+    # within the constructor's 1e-12 slack, and against an estimate, they meet
+    assert Bracket.meet(Bracket(1.0 + 1e-13, None, CERTIFIED, None, "low"), high).upper == 1.0
+    assert Bracket.meet(low, Bracket(None, 1.0, None, ESTIMATE, "e")).upper is None
+
+
+def test_meet_names_the_winners_and_the_earlier_wins_a_tie():
+    a = Bracket(1.0, 3.0, CERTIFIED, CERTIFIED, "a")
+    b = Bracket(1.0, 2.0, CERTIFIED, CERTIFIED, "b")
+    assert Bracket.meet(a, b) == Bracket(1.0, 2.0, CERTIFIED, CERTIFIED, "a|b")
+    assert Bracket.meet(b, a) == Bracket(1.0, 2.0, CERTIFIED, CERTIFIED, "b")
+    assert Bracket.meet(Bracket(None, 2.0, None, CERTIFIED, "u")) == Bracket(
+        None, 2.0, None, CERTIFIED, "u")
+    assert Bracket.meet() == Bracket(None, None, None, None, "")
+
+
 def test_op_norm_brackets_name_their_kinds():
     M = np.arange(1.0, 7.0).reshape(2, 3)
     exact_paths = [
