@@ -273,10 +273,12 @@ def _entropy_rows(T, cfg, cloud, clock):
     by the cloud's nearest-neighbour gap.  A cloud whose distances leave the
     float range (a tiny --q, or huge entries) raises ValueError naming the
     e rows and --q, unless 2^(k_lo-1) centres exceed the cloud: no requested
-    row has a cover of its own, and the rows are left out."""
+    row has a cover of its own, and the rows are left out.  A BracketError passes on."""
     try:
         brackets = entropy_mod.entropy_brackets(T, cfg.k_hi, cloud, max(64, min(cloud, 512)),
                                                 cfg.seed)
+    except BracketError:
+        raise
     except ValueError as exc:
         if 2 ** (cfg.k_lo - 1) > cloud:
             return []
@@ -286,10 +288,9 @@ def _entropy_rows(T, cfg, cloud, clock):
 
 
 def _width_rows(T, cfg, clock):
-    """Every width_brackets row, labelled exact on svd rows; each k is lapped alone."""
+    """Every width_brackets row, labelled exact on exact brackets; each k is lapped alone."""
     pairs = width_brackets(T, cfg.k_lo, cfg.k_hi, cfg.budget, cfg.seed)
-    return [_row(quantity, k, b, b.method, "exact" if b.method == "svd" else "estimator",
-                 clock.lap())
+    return [_row(quantity, k, b, b.method, "exact" if b.exact else "estimator", clock.lap())
             for k, pair in enumerate(pairs, cfg.k_lo) for quantity, b in zip("ad", pair)]
 
 

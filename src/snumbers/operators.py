@@ -517,7 +517,7 @@ def _route_table(p, q, m, n, real):
 
     for v in sorted({0.0, min(1.0, y), min(x, y), y}):
         route([(col(v), 1.0)], max(1.0, v, x), v)
-    sign = real and x <= 1.0 < y and m <= 16
+    sign = _row_signs(p, q, m, real) > 0
     if x <= 1.0:  # p >= 1: the row anchor, the sign enumeration, the triangle
         route([(row(x), 1.0)], x, 0.0)
         if sign:
@@ -690,6 +690,12 @@ def _norm_uppers(Ms, p, q, real):
     return values, methods
 
 
+def _row_signs(p, q, m, real):
+    """The number of sign vectors that a real m x n matrix's norm enumerates:
+    2^(m-1) on the q = 1 sign path and for the routed sign anchor, else 0."""
+    return 2 ** (m - 1) if real and p >= 1.0 >= q and p > q and m <= 16 else 0
+
+
 def _path_norms(Ms, p, q, real):
     """op_norm's exact path for a stack of non-identity matrices, in its
     order, with its values and name; else ``_routed_upper`` and None."""
@@ -700,7 +706,7 @@ def _path_norms(Ms, p, q, real):
         return np.linalg.svd(Ms, compute_uv=False)[:, 0], _SVD
     if math.isinf(q):
         return _scaled_norm_rows(Ms, conjugate_exponent(p)).max(axis=1), _ROW_MAX
-    if real and p >= 1.0 and q == 1.0 and m <= 16:
+    if q == 1.0 and _row_signs(p, q, m, real):
         return (_max_image_norms(_half_cube(m), Ms.transpose(0, 2, 1), conjugate_exponent(p)),
                 _SIGNS)
     if real and math.isinf(p) and q >= 1.0 and n <= 16:

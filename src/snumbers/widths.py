@@ -36,6 +36,7 @@ from .operators import (
     Bracket,
     _norm_upper,
     _norm_uppers,
+    _row_signs,
     add,
     compose,
     identity_operator,
@@ -218,11 +219,10 @@ def _residual_norms(T, products):
     entry (an overflowed candidate) is inf without a norm: its norm would be
     inf or NaN, which fails ``v < best`` just the same."""
     R = T.matrix - products
-    finite = np.flatnonzero(np.isfinite(R).all(axis=(1, 2)))
+    finite = np.isfinite(R).all(axis=(1, 2))
     out = np.full(len(R), math.inf)
-    if finite.size:
-        out[finite] = _norm_uppers(R if finite.size == len(R) else R[finite],
-                                   T.domain.p, T.codomain.p, T.field == REAL)[0]
+    if finite.any():
+        out[finite] = _norm_uppers(R[finite], T.domain.p, T.codomain.p, T.field == REAL)[0]
     return out.tolist()
 
 
@@ -290,12 +290,12 @@ def approx_upper_search(T, k, budget=2000, seed=0):
     each, whose values have the bits of one call per candidate.  The
     truncation and its restarts are one stack.  In the descent, a stack
     holds the +step and -step candidates of the pass's next coordinates,
-    all built from the current factors, as many as the remaining budget
-    allows.  The search then decides on them in order, by the sequential
-    rule: it takes the first improvement and discards the rest of the
-    stack, and the next stack starts from the new factors.  ``budget``
-    counts the candidates the search decides on, exactly as one norm per
-    candidate would; the discarded norms of a stack are not counted.
+    all built from the current factors, as many as the remaining budget and
+    2^14 residual entries allow.  The search then decides on them in order,
+    by the sequential rule: it takes the first improvement and discards the
+    rest of the stack, and the next stack starts from the new factors.
+    ``budget`` counts the candidates the search decides on, exactly as one
+    norm per candidate would; the discarded norms are not counted.
     """
     return _approx_search(T, k, budget, seed)[0]
 
@@ -344,7 +344,7 @@ def _approx_search(T, k, budget, seed):
         rng.shuffle(coords)
         j = 0
         while j < x.size and spent + 2 <= budget:
-            batch = coords[j:j + (budget - spent) // 2]
+            batch = coords[j:j + min(budget - spent, max(2, 2 ** 14 // M.size)) // 2]
             j += len(batch)
             X, moved = _coordinate_tries(x, batch, step)
             norms = _residual_norms(T, _low_rank(*_factors(X, A0.shape, B0.shape)))
@@ -633,10 +633,11 @@ def width_brackets(T, k_lo, k_hi, budget, seed):
     - p = q = 2: sigma_k on both sides, ``exact``, method ``svd``.
     - Elsewhere a_1 = d_1 = ||T||, op_norm's bracket (exact on its exact
       paths), method ``norm-bound``, with op_norm's budget min(budget, 4000).
-      For k >= 2 d_k is its certified upper (d_k <= d_1), and while n <= 8
-      (the cost cap) a_k is ``Bracket.meet`` of ``approx_upper_search``'s
-      certified upper at budget min(budget, 400), method ``rank-search``,
-      and that bound, for every (p, q); past n = 8 a_k is the bound.
+      For k >= 2 d_k is its certified upper (d_k <= d_1), and a_k is
+      ``Bracket.meet`` of ``approx_upper_search``'s certified upper at
+      budget min(budget, 400), method ``rank-search``, and that bound, while
+      the search is cheap (n <= 8, at most 2^7 ``_row_signs`` per residual
+      norm); elsewhere a_k is the bound.
 
     The pairs are yielded one k at a time, so a caller can time each.
     """
@@ -647,9 +648,11 @@ def width_brackets(T, k_lo, k_hi, budget, seed):
         return
     norm = replace(op_norm(T, budget=min(budget, 4000), seed=seed), method="norm-bound")
     bound = Bracket(None, norm.upper, None, CERTIFIED, norm.method)
+    m, n = T.matrix.shape
+    cheap = n <= 8 and _row_signs(T.domain.p, T.codomain.p, m, T.field == REAL) <= 2 ** 7
     for k in range(k_lo, k_hi + 1):
         a = d = norm if k == 1 else bound
-        if k > 1 and T.domain.n <= 8:  # at k = 1 the search gives op_norm's upper
+        if k > 1 and cheap:  # at k = 1 the search gives op_norm's upper
             search = approx_upper_search(T, k, budget=min(budget, 400), seed=seed)
             a = Bracket.meet(Bracket(None, search, None, CERTIFIED, "rank-search"), bound)
         yield a, d

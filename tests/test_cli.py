@@ -415,6 +415,11 @@ def test_no_a_row_prints_an_upper_above_the_d_row_at_its_k(capsys, argv):
     assert ks == list(range(1, int(argv[argv.index("--k") + 1][3:]) + 1))
     for k in ks:
         assert width[("a", k)] <= width[("d", k)], k
+    # a width row is labelled exact iff its bracket is: the norm-bound a_1 =
+    # d_1 rows on op_norm's exact paths too
+    labels = {(r["label"], r["exact"]) for r in doc["rows"]
+              if r["method"] in ("svd", "norm-bound", "rank-search")}
+    assert labels <= {("exact", True), ("estimator", False)}
 
 
 def test_bad_exponent_exits_two():
@@ -442,6 +447,23 @@ def test_idnumbers_rows_in_range_where_the_identity_norm_overflows(capsys):
     assert [r["upper"] for r in rows_of(doc, "a") if r["method"] == "closed-form"] == [
         pytest.approx(3.0 ** (1 / 0.003 - 1)), pytest.approx(2.0 ** (1 / 0.003 - 1)), 1.0]
     assert [r["upper"] for r in doc["rows"] if r["method"] == "norm-bound"] == ["inf"] * 6
+
+
+def test_a_bracket_fault_in_e_rows_past_the_cloud_exits_three(monkeypatch, capsys):
+    # only an overflowing cloud leaves out the e rows that the cloud cannot
+    # reach; a BracketError there is a fault of the program, as anywhere
+    import snumbers.cli
+    from snumbers.operators import BracketError
+
+    def broken(*args):
+        raise BracketError("inconsistent Bracket(...)")
+
+    monkeypatch.setattr(snumbers.cli.entropy_mod, "entropy_brackets", broken)
+    assert main(["idnumbers", "--p", "1", "--q", "0.003", "--n", "16", "--k", "14..16"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "internal error: BracketError: inconsistent Bracket(...)")
 
 
 def test_tiny_exponent_at_n_one_exits_two_and_names_it():

@@ -236,6 +236,23 @@ def test_enumerations_stop_at_16_dimensions():
     assert op_norm(operator(np.ones((2, 2)) * 1j, math.inf, 2.0)).method == "power-method"
 
 
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("m, n", [(3, 2), (5, 7), (16, 3), (17, 3)])
+@pytest.mark.parametrize("p, q", [(0.5, 2.0), (1.0, 1.0), (1.0, 0.5), (2.0, 1.0), (2.0, 2.0),
+                                  (3.0, 0.7), (2.0, 3.0), (math.inf, 1.0), (math.inf, 0.5),
+                                  (4.0, math.inf)])
+def test_row_signs_counts_the_sign_vectors_a_norm_enumerates(monkeypatch, field, m, n, p, q):
+    # _row_signs is the number of length-m sign vectors that _norm_uppers
+    # enumerates, on the exact path and in the routed anchor alike
+    cubes = []
+    half_cube = operators._half_cube
+    monkeypatch.setattr(operators, "_half_cube", lambda d: cubes.append(d) or half_cube(d))
+    M = np.random.default_rng(m * n).standard_normal((m, n))
+    real = field == REAL
+    operators._norm_uppers((M if real else M * (1 + 1j))[None], p, q, real)
+    assert cubes.count(m) * 2 ** (m - 1) == operators._row_signs(p, q, m, real)
+
+
 @settings(max_examples=30, deadline=None)
 @given(m=st.integers(1, 6), n=st.integers(1, 6), p=st.sampled_from([1.5, 2.0, 3.0, math.inf]),
        q=st.sampled_from([1.0, 1.2, 2.0, 4.0]), seed=st.integers(0, 2**16))

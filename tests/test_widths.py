@@ -323,6 +323,25 @@ def test_residual_norms_of_a_stack_are_its_candidates_one_at_a_time(field, pq, m
             assert v.hex() == value.hex()
 
 
+def test_approx_search_stacks_hold_at_most_2_to_14_residual_entries(monkeypatch):
+    # on a tall matrix the descent's stacks stop at 2^14 residual entries
+    # (32 candidates of 64 x 8) instead of the remaining budget's 400; the
+    # sequential rule decides the same, so the values are those of the
+    # uncapped stacks
+    entries = []
+    residual_norms = widths._residual_norms
+
+    def recording(T, products):
+        entries.append(products.size)
+        return residual_norms(T, products)
+
+    monkeypatch.setattr(widths, "_residual_norms", recording)
+    T = operator(np.random.default_rng(0).standard_normal((64, 8)), 1.0, 1.0)
+    assert [approx_upper_search(T, k, budget=400, seed=0).hex() for k in (2, 3, 4)] == [
+        "0x1.8707ee711584ep+5", "0x1.5b29e914b71abp+5", "0x1.362350690fef3p+5"]
+    assert max(entries) == 2 ** 14
+
+
 # approx_upper_search's values, with the rounding margin on every path: the
 # four approximation rows of the width-search benchmark at two matrix
 # seeds, then the README's complex l_1 -> l_inf identity (n = 8, k = 2..6)
@@ -579,6 +598,14 @@ def test_width_brackets_decide_the_kinds_of_both_sides():
     pairs = list(width_brackets(operator(np.eye(9), 0.5, 2.0), 1, 2, 1000, 0))
     assert all(a is d and d.method == "norm-bound" for a, d in pairs)
     assert pairs[1][1].lower is None and pairs[1][1].upper == pairs[0][1].upper
+    # and so is a_k where each residual norm would enumerate more than 2^7
+    # sign vectors: a real 12 x 8 matrix at q <= 1 < p, or at (1, 0.5)
+    M = np.random.default_rng(2).standard_normal((12, 8))
+    for p, q, field, method in [(2.0, 1.0, REAL, "norm-bound"), (1.0, 0.5, REAL, "norm-bound"),
+                                (2.0, 1.0, COMPLEX, "rank-search"),
+                                (1.0, 1.0, REAL, "rank-search"), (2.0, 3.0, REAL, "rank-search")]:
+        (a, d), = width_brackets(operator(M, p, q, field=field), 2, 2, 1000, 0)
+        assert (a.method, d.method) == (method, "norm-bound")
 
 
 def test_real_complex_bracket():
