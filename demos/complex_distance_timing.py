@@ -33,7 +33,9 @@ def nelder_mead_distance(x, basis, q, budget=2000):
     """The two-start Nelder-Mead route: from the least-squares and the zero
     coefficients, maxfev budget // 2 each, capped by ||x||_q and the
     least-squares residual."""
-    x, B, c_ls, r_ls, _, cap = spaces._distance_start(x, basis, q)
+    x, B = spaces._one_field(x, np.column_stack(basis))
+    c_ls = np.linalg.lstsq(B, x, rcond=None)[0]
+    cap = min(spaces.lp_norm(x, q), spaces.lp_norm(x - B @ c_ls, q))
     m = B.shape[1]
 
     def objective(z):
@@ -61,18 +63,18 @@ def bench_row_calls(seeds=range(1, 21)):
     from snumbers import widths
 
     calls = []
-    dist = widths.dist_to_subspace
+    solve = widths._subspace_distance
 
-    def recording(x, basis, q, **kwargs):
-        calls.append((np.array(x), [np.array(b) for b in basis], q))
-        return dist(x, basis, q, **kwargs)
+    def recording(x, B, Q, tilt, cap, q, **kwargs):
+        calls.append((np.array(x), list(B.T), q))
+        return solve(x, B, Q, tilt, cap, q, **kwargs)
 
-    widths.dist_to_subspace = recording
+    widths._subspace_distance = recording
     try:
         for seed in seeds:
             workloads.width_task(seed, 1).call()
     finally:
-        widths.dist_to_subspace = dist
+        widths._subspace_distance = solve
     return calls
 
 
@@ -87,8 +89,8 @@ def measure(calls):
     largest certified relative gap over the calls."""
     ours, theirs, fallbacks, gap = [], [], 0, 0.0
     for x, basis, q in calls:
-        value, lower = spaces._convex_distance(x.astype(complex),
-                                               np.column_stack(basis).astype(complex), q)
+        B = np.column_stack(basis).astype(complex)
+        value, lower = spaces._convex_distance(x.astype(complex), *spaces._orthonormal_span(B), q)
         rel = (value - lower) / value if value else 0.0
         fallbacks += rel > spaces.CERTIFIED_GAP
         gap = max(gap, rel)

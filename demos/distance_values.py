@@ -59,6 +59,15 @@ def certified(spaces, field, q):
     return 1.0 <= q < math.inf and q != 2.0
 
 
+def convex_pair(spaces, x, B, q):
+    """_convex_distance's (value, lower): it takes the basis's factorization
+    (Q, tilt) = _orthonormal_span(B), or B itself in checkouts that still
+    have _distance_start."""
+    if hasattr(spaces, "_distance_start"):
+        return spaces._convex_distance(x, B, q)
+    return spaces._convex_distance(x, *spaces._orthonormal_span(B), q)
+
+
 def record(per_cell):
     from snumbers import spaces
 
@@ -67,7 +76,7 @@ def record(per_cell):
         row = {"field": field, "q": repr(q), "n": x.size,
                "value": spaces.dist_to_subspace(x, basis, q).hex()}
         if certified(spaces, field, q):
-            value, lower = spaces._convex_distance(x, np.column_stack(basis), q)
+            value, lower = convex_pair(spaces, x, np.column_stack(basis), q)
             row["gap"] = value - lower
         rows.append(row)
     return rows

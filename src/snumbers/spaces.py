@@ -552,27 +552,26 @@ def _exchange_distance(x, Q, q):
     return float(np.abs(res).max()), y
 
 
-def _convex_distance(x, B, q):
+def _convex_distance(x, Q, tilt, q):
     """(value, lower) for dist(x, span B) on either field for 1 <= q < inf,
-    and on real data for q = inf.
+    and on real data for q = inf, where (Q, tilt) is ``_orthonormal_span(B)``.
 
     ``value`` is the l_q norm of a computed residual x - Q c, so it is at
     least the distance (up to rounding), and ``lower`` is ``_dual_lower``'s
     certified bound.  x is first divided by a power of two near its largest
-    modulus, which is exact and keeps every power finite, and (Q, tilt) is
-    ``_orthonormal_span(B)``.  Coordinates where x and Q both vanish add
-    nothing to either side and are dropped.  q = 1 tries the vertex anchors
-    first (for one basis vector u these are the Fermat-Weber anchors
-    x_i / u_i), then ``_newton_distance``; q = inf takes
-    ``_exchange_distance``; any other q tries ``_newton_distance`` plain,
-    then smoothed.  The tries stop at the first that certifies the value to
-    CERTIFIED_GAP, and the best value and lower over them are returned.
+    modulus, which is exact and keeps every power finite.  Coordinates where
+    x and Q both vanish add nothing to either side and are dropped.  q = 1
+    tries the vertex anchors first (for one basis vector u these are the
+    Fermat-Weber anchors x_i / u_i), then ``_newton_distance``; q = inf
+    takes ``_exchange_distance``; any other q tries ``_newton_distance``
+    plain, then smoothed.  The tries stop at the first that certifies the
+    value to CERTIFIED_GAP, and the best value and lower over them are
+    returned.
     """
     top = float(np.abs(x).max())
     if top == 0.0:
         return 0.0, 0.0
     scale = math.ldexp(1.0, math.frexp(top)[1])
-    Q, tilt = _orthonormal_span(B)
     keep = (x != 0.0) | (Q != 0.0).any(axis=1)
     x, Q = x[keep] / scale, Q[keep]
     if Q.shape[1] == x.size:
@@ -606,46 +605,97 @@ def _derivative_free_descent(objective, starts, maxfev):
     return best
 
 
-def _distance_start(x, basis, q):
-    """The start every dist_to_subspace(x, basis, q) solve takes, and its cap.
-
-    Returns (x, B, c_ls, r_ls, rank, cap): x and the stacked basis B cast to
-    one field, the least-squares coefficients, residual and rank of B, and
-    cap = min(||x||_q, ||r_ls||_q), or ||r_ls||_2 when q = 2.  The distance
-    is min(cap, solver value), so it never exceeds cap, and at q = 2 it is
-    cap.  x must be 1-d and the basis nonempty.
-    """
-    x = np.asarray(x)
-    basis = [np.asarray(b) for b in basis]
-    for b in basis:
-        if b.shape != x.shape:
-            raise ValueError(f"basis vector shape {b.shape} does not match x shape {x.shape}")
-    B = np.column_stack(basis)
+def _one_field(x, B):
+    """x, a vector or a stack of them, and the matrix B cast to one field:
+    complex if either is complex."""
     if np.iscomplexobj(x) or np.iscomplexobj(B):
-        x = x.astype(complex)
-        B = B.astype(complex)
-    else:
-        x = x.astype(float)
-        B = B.astype(float)
+        return x.astype(complex), B.astype(complex)
+    return x.astype(float), B.astype(float)
 
-    c_ls, _, rank, _ = np.linalg.lstsq(B, x, rcond=None)
-    r_ls = x - B @ c_ls
+
+def _row_norms(A, q):
+    """The l_q (quasi-)norm of each row of A, from that row alone: lp_norm's
+    value up to rounding, and lp_norm's own where the q-th powers of a
+    finite row overflow."""
+    a = np.abs(A)
+    with np.errstate(over="ignore"):
+        norms = a.max(axis=1) if math.isinf(q) else (a**q).sum(axis=1) ** (1.0 / q)
+    over = np.isinf(norms) & np.isfinite(a).all(axis=1)
+    norms[over] = [lp_norm(row, q) for row in A[over]]
+    return norms
+
+
+def _distance_caps(Y, Q, q):
+    """The value dist(y, span Q) never exceeds, for each row y of Y:
+    min(||y||_q, ||y - Q Q^H y||_q), or ||y - Q Q^H y||_2 when q = 2, which
+    is then the distance itself.  Q has orthonormal columns, from
+    ``_orthonormal_span``.  Each entry is a sum along one axis, in an order
+    that the other rows do not change, so the cap of y alone is the same
+    float as its cap in any stack."""
+    C = (Y[:, None, :] * Q.conj().T).sum(axis=2)
+    residual = _row_norms(Y - (C[:, :, None] * Q.T).sum(axis=1), q)
+    return residual if q == 2.0 else np.minimum(_row_norms(Y, q), residual)
+
+
+def _subspace_distance(x, B, Q, tilt, cap, q, budget=2000, seed=0):
+    """dist_to_subspace(x, list(B.T), q, budget, seed) from its one
+    factorization: x and B of one field (``_one_field``), (Q, tilt) =
+    ``_orthonormal_span(B)`` and cap, x's ``_distance_caps``.  The value
+    is min(cap, the branch's value), so it never exceeds cap, bit for bit,
+    and at q = 2 it is cap."""
     if q == 2.0:
-        return x, B, c_ls, r_ls, rank, float(np.linalg.norm(r_ls))
-    return x, B, c_ls, r_ls, rank, min(lp_norm(x, q), lp_norm(r_ls, q))
+        return cap
+    iscomplex = np.iscomplexobj(x)
+    n, m = B.shape
+
+    if 1.0 <= q < math.inf or (math.isinf(q) and not iscomplex):
+        value, lower = _convex_distance(x, Q, tilt, q)
+        if (value - lower <= CERTIFIED_GAP * value
+                or value <= 8.0 * n * np.finfo(float).eps * lp_norm(x, q)):
+            return float(min(cap, value))
+        cap = min(cap, value)
+    elif not iscomplex and q < 1.0 and math.comb(n, Q.shape[1]) <= MAX_VERTEX_SYSTEMS:
+        # q < 1: the objective is concave on every cell of the arrangement
+        # {x_i = (Qc)_i}.  Q has independent columns, so every cell is a
+        # pointed polyhedron, and a concave function that is bounded below on
+        # one is smallest at a vertex, so the vertex minimum is the distance
+        return float(min(cap, _arrangement_vertex_min(x, Q, q)[0]))
+
+    # the descent, over z = c for real data and z = (Re c, Im c) for complex,
+    # from the least-squares coefficients of B
+    c_ls = np.linalg.lstsq(B, x, rcond=None)[0]
+    z0 = np.concatenate([c_ls.real, c_ls.imag]) if iscomplex else c_ls
+    starts = [z0, np.zeros(z0.size)]
+    if q < 1.0:
+        rng = np.random.default_rng(_stable_seed(seed, x.view(float)))
+        scale = max(1.0, float(np.abs(z0).max(initial=0.0)))
+        starts += [z0 + 0.5 * scale * rng.standard_normal(z0.size) for _ in range(6)]
+
+    def objective(z):
+        r = np.abs(x - B @ (z[:m] + 1j * z[m:] if iscomplex else z))
+        return float(r.max() if math.isinf(q) else (r**q).sum())
+
+    val = _derivative_free_descent(objective, starts, max(200, budget // len(starts)))
+    return float(min(cap, val if math.isinf(q) else val ** (1.0 / q)))
 
 
 def dist_to_subspace(x, basis, q, budget=2000, seed=0):
     """Distance from x to span(basis) in the l_q (quasi-)norm.
 
     This equals the quotient norm of the class of x in l_q^n / span(basis).
-    Each branch is exact, certified or a descent:
+    The basis is stacked, cast to one field with x, and factored once:
+    (Q, tilt) = ``_orthonormal_span(B)``, orthonormal columns Q for its
+    numerical span.  Every branch reads that one factorization, and each
+    value is capped by ``_distance_caps``, min(||x||_q, ||x - Q Q^H x||_q),
+    the norm of x and of its residual after orthogonal projection.  Each
+    branch is exact, certified or a descent:
 
-    - q = 2, either field: exact (orthogonal projection).
+    - q = 2, either field: exact, the cap ||x - Q Q^H x||_2 (orthogonal
+      projection).
     - Every other 1 <= q < inf, either field, and real q = inf: certified.
-      ``_convex_distance`` solves the convex problem in numpy alone (at
-      q = 1 the vertex anchors, where as many residuals vanish as there are
-      basis vectors, then smoothed Newton steps; plain Newton steps for
+      ``_convex_distance`` solves the convex problem on Q in numpy alone (at
+      q = 1 the vertex anchors, where as many residuals vanish as Q has
+      columns, then smoothed Newton steps; plain Newton steps for
       1 < q < inf; Stiefel's exchange method for real q = inf) and bounds
       the distance from below by a Hahn-Banach certificate:
       dist(x, V) >= |y^H x| / ||y||_q' for every y orthogonal to V (Singer,
@@ -660,59 +710,33 @@ def dist_to_subspace(x, basis, q, budget=2000, seed=0):
       value is returned; so no value is above the descent's by more than
       its certified gap.
     - Real q < 1: not convex, but concave on each cell of the arrangement
-      {x_i = (Bc)_i}.  Exact, up to rounding, when the basis vectors are
-      linearly independent and comb(n, len(basis)) <= MAX_VERTEX_SYSTEMS,
-      by minimising over the cell vertices.
-    - Everything else (complex q = inf, the other q < 1 cases and the
-      uncertified convex values): a descent, Nelder-Mead from the
-      least-squares and the zero coefficients over their real coordinates
-      (the real and imaginary parts for complex data), with six more seeded
-      starts for q < 1.  scipy is loaded only for it.
+      {x_i = (Qc)_i}.  Exact, up to rounding, when comb(n, rank) <=
+      MAX_VERTEX_SYSTEMS, by minimising over the cell vertices; Q's columns
+      are independent, so a rank-deficient basis takes this route too.
+    - Everything else (complex q = inf, complex q < 1, real q < 1 above the
+      vertex cap, and the uncertified convex values): a descent, Nelder-Mead
+      from the least-squares and the zero coefficients of the stacked basis
+      over their real coordinates (the real and imaginary parts for complex
+      data), with six more seeded starts for q < 1.  scipy is loaded only
+      for it.
 
-    A descent returns an upper approximation of the infimum.  The zero and
-    the least-squares coefficients are always candidates, so the result
-    never exceeds min(||x||_q, ||x - B c_ls||_q).
+    A descent returns an upper approximation of the infimum.  Every value
+    is at most the cap.
     """
     _check_exponent(q, "q")
     x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError("x must be a 1-d vector")
-    basis = list(basis)
+    basis = [np.asarray(b) for b in basis]
     if not basis:
         return lp_norm(x, q)
-    x, B, c_ls, r_ls, rank, best = _distance_start(x, basis, q)
-    if q == 2.0:
-        return best
-    iscomplex = np.iscomplexobj(x)
-    n, m = B.shape
-
-    if 1.0 <= q < math.inf or (math.isinf(q) and not iscomplex):
-        value, lower = _convex_distance(x, B, q)
-        best = min(best, value)
-        if (value - lower <= CERTIFIED_GAP * value
-                or value <= 8.0 * n * np.finfo(float).eps * lp_norm(x, q)):
-            return float(best)
-    elif not iscomplex and q < 1.0 and rank == m and math.comb(n, m) <= MAX_VERTEX_SYSTEMS:
-        # q < 1: the objective is concave on every cell of the arrangement
-        # {x_i = (Bc)_i}.  With full column rank every cell is a pointed
-        # polyhedron, and a concave function that is bounded below on one
-        # is smallest at a vertex, so the vertex minimum is the distance
-        return float(min(best, _arrangement_vertex_min(x, B, q)[0]))
-
-    # the descent, over z = c for real data and z = (Re c, Im c) for complex
-    z0 = np.concatenate([c_ls.real, c_ls.imag]) if iscomplex else c_ls
-    starts = [z0, np.zeros(z0.size)]
-    if q < 1.0:
-        rng = np.random.default_rng(_stable_seed(seed, x.view(float)))
-        scale = max(1.0, float(np.abs(z0).max(initial=0.0)))
-        starts += [z0 + 0.5 * scale * rng.standard_normal(z0.size) for _ in range(6)]
-
-    def objective(z):
-        r = np.abs(x - B @ (z[:m] + 1j * z[m:] if iscomplex else z))
-        return float(r.max() if math.isinf(q) else (r**q).sum())
-
-    val = _derivative_free_descent(objective, starts, max(200, budget // len(starts)))
-    return float(min(best, val if math.isinf(q) else val ** (1.0 / q)))
+    for b in basis:
+        if b.shape != x.shape:
+            raise ValueError(f"basis vector shape {b.shape} does not match x shape {x.shape}")
+    x, B = _one_field(x, np.column_stack(basis))
+    Q, tilt = _orthonormal_span(B)
+    cap = float(_distance_caps(x[None], Q, q)[0])
+    return _subspace_distance(x, B, Q, tilt, cap, q, budget, seed)
 
 
 # ---------------------------------------------------------------------------

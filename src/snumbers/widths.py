@@ -47,7 +47,10 @@ from .operators import (
 from .spaces import (
     COMPLEX,
     REAL,
-    _distance_start,
+    _distance_caps,
+    _one_field,
+    _orthonormal_span,
+    _subspace_distance,
     conjugate_exponent,
     dist_to_subspace,
     inv_exponent,
@@ -426,53 +429,6 @@ def _orthonormal_columns(M):
     return Q
 
 
-def _column_norms(A, q):
-    """The l_q (quasi-)norm of each column of an array of moduli."""
-    if math.isinf(q):
-        return A.max(axis=0)
-    return (A**q).sum(axis=0) ** (1.0 / q)
-
-
-def _cap_bounds(Y, Q, q):
-    """(lo, hi) with lo <= cap <= hi for each column y of Y, where cap is
-    ``spaces._distance_start(y, list(Q.T), q)[-1]``, the value that
-    dist_to_subspace(y, list(Q.T), q) never exceeds.  Q must have
-    orthonormal columns.  One projection R = Y - Q (Q^H Y) serves every
-    column, in place of one least-squares solve per column.
-
-    Proof.  The cap is min(||y||_q, ||r_ls||_q) (||r_ls||_2 at q = 2),
-    with r_ls the residual of lstsq(Q, y).  Both r_ls and R are backward
-    stable evaluations of the exact residual r of y on span Q (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2002, chs. 3 and 20):
-    each is exact for data moved by a small multiple of (d + 2) eps,
-    relative, with d the number of columns, and Q is orthonormal to
-    working accuracy, so it amplifies no error.  Each entry of r_ls - R is
-    therefore within a small multiple of n (d + 2) eps ||y||_2; eta is 8
-    such units, against at most 0.76 measured over 8000 random
-    orthonormal bases, real and complex, n <= 40.  Norms are monotone in
-    the moduli, so N(max(|R| - eta, 0)) <= ||r_ls||_q <= N(|R| + eta)
-    exactly.  Each norm, the library's and these, is evaluated in floats
-    (moduli, powers, a sum of n terms, a root) to a relative error below
-    (n + 3) eps / min(1, q), so scaling the floats by 1 -+ rho, rho twice
-    the sum of two such errors, keeps both inequalities for the floats.
-    ||y||_q gets the same factors.  A column whose bounds overflow gets
-    hi = inf, so it is never skipped.
-    """
-    n, d = Q.shape
-    eps = np.finfo(float).eps
-    rho = 4.0 * (n + 3) * eps / min(1.0, q)
-    with np.errstate(over="ignore", invalid="ignore"):
-        R = np.abs(Y - Q @ (Q.conj().T @ Y))
-        eta = 8.0 * n * (d + 2) * eps * np.linalg.norm(Y, axis=0)
-        lo = _column_norms(np.maximum(R - eta, 0.0), q) * (1.0 - rho)
-        hi = _column_norms(R + eta, q) * (1.0 + rho)
-        if q != 2.0:
-            norms = _column_norms(np.abs(Y), q)
-            lo = np.minimum(lo, norms * (1.0 - rho))
-            hi = np.minimum(hi, norms * (1.0 + rho))
-    return lo, np.where(np.isnan(hi), math.inf, hi)
-
-
 def _kolmogorov_candidate_value(T, basis, q, n_samples, seed, bound=None):
     """sup over the unit ball of the distance to span(basis), a matrix with
     orthonormal columns.
@@ -491,19 +447,20 @@ def _kolmogorov_candidate_value(T, basis, q, n_samples, seed, bound=None):
     column pass is made.  The searched bases are orthonormal, so no
     second, re-orthonormalised route is evaluated.
 
-    With ``bound=None`` every point gets one dist_to_subspace call, in
-    order.  With a bound, each point gets an upper bound of its cap (the
-    value dist_to_subspace never exceeds): ``_cap_bounds``'s, from one
-    projection for the candidate, except for the points whose cap may be
-    the largest (upper bound >= every lower bound), which get their cap
-    itself from ``spaces._distance_start``; so the first point solved has
-    the largest cap, which at q = 2 is the candidate's value.  The points
-    are taken in descending order of these bounds (a stable sort, so ties
-    go to the lower index), and two stops skip the calls that cannot
-    change the search's result:
+    The basis is factored once, by ``spaces._orthonormal_span``, and every
+    point's distance is ``spaces._subspace_distance`` on that factorization
+    with the point's cap, from one ``spaces._distance_caps`` call for all
+    the points: the distance
+    dist_to_subspace(M @ x, list(basis.T), q, seed=seed) gives, which is at
+    most the cap, bit for bit.  With ``bound=None`` every point's distance
+    is solved, in order.  With a bound, the points are taken in descending
+    order of their caps (a stable sort, so ties go to the lower index), so
+    the first point solved has the largest cap, which at q = 2 is the
+    candidate's value, and two stops skip the solves that cannot change the
+    search's result:
 
-    - at the first point whose bound is <= the running max, since every
-      later bound, and so every later distance, is no larger: the running
+    - at the first point whose cap is <= the running max, since every
+      later cap, and so every later distance, is no larger: the running
       max is then the full max, the same float;
     - once the running max reaches ``bound``, since the candidate can then
       no longer lower a minimum that is already <= bound; the value
@@ -514,8 +471,8 @@ def _kolmogorov_candidate_value(T, basis, q, n_samples, seed, bound=None):
     distance is the quotient norm of M @ x modulo span(basis), of the kind
     its dist_to_subspace branch gives: exact (q = 2), certified to
     spaces.CERTIFIED_GAP (every other 1 <= q < inf, and real q = inf,
-    unless it falls back to Nelder-Mead), or a descent, which can only
-    overshoot.
+    unless it falls back to Nelder-Mead), exact up to rounding (real
+    q < 1 within the vertex cap), or a descent, which can only overshoot.
     """
     M = T.matrix
     p = T.domain.p
@@ -534,19 +491,21 @@ def _kolmogorov_candidate_value(T, basis, q, n_samples, seed, bound=None):
 
     rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, n, int(n_samples)])
     X = np.vstack([np.eye(n), sample_sphere(rng, n, p, T.field, n_samples)])
-    basis_cols = list(basis.T)
+    Y, B = _one_field(np.array([M @ x for x in X]), basis)
+    Q, tilt = _orthonormal_span(B)
+    caps = _distance_caps(Y, Q, q).tolist()
+
+    def distance(j):
+        return _subspace_distance(Y[j], B, Q, tilt, caps[j], q, seed=seed)
+
     if bound is None:
-        direct = max(dist_to_subspace(M @ x, basis_cols, q, seed=seed) for x in X)
+        direct = max(distance(j) for j in range(len(Y)))
         return direct, direct, None
-    Y = [M @ x for x in X]
-    lo, caps = _cap_bounds(np.column_stack(Y), basis, q)
-    top = np.flatnonzero(caps >= lo.max())
-    caps[top] = [_distance_start(Y[j], basis_cols, q)[-1] for j in top]
     direct = -math.inf
-    for j in np.argsort(-caps, kind="stable"):
+    for j in np.argsort(-np.array(caps), kind="stable"):
         if caps[j] <= direct or direct >= bound:
             break
-        direct = max(direct, dist_to_subspace(Y[j], basis_cols, q, seed=seed))
+        direct = max(direct, distance(j))
     return direct, direct, None
 
 
@@ -563,24 +522,27 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     the points include the columns (the images of the +e_j), whose maximum
     is the exact supremum.  At k = 1 the result is ``_norm_upper(T)``'s
     value, op_norm's upper, as in ``approx_upper_search``.  Each distance
-    is a quotient norm from dist_to_subspace: exact for q = 2, certified
-    for 1 <= q < inf and for real q = inf (up to its Nelder-Mead
-    fallback), and a descent elsewhere.  For k - 1 >= min(m, n) a
-    (k-1)-dimensional subspace contains the range, so the result is
-    exactly 0, and no candidate is evaluated (``(0.0, [])`` with details).
+    is the quotient norm dist_to_subspace gives: exact for q = 2,
+    certified for 1 <= q < inf and for real q = inf (up to its Nelder-Mead
+    fallback), exact up to rounding for real q < 1 within the vertex cap,
+    and a descent elsewhere.  Off the Hilbert case each candidate's basis
+    is factored once, and every point's distance and cap are read from
+    that one factorization.  For k - 1 >= min(m, n) a (k-1)-dimensional
+    subspace contains the range, so the result is exactly 0, and no
+    candidate is evaluated (``(0.0, [])`` with details).
 
     Without details, the non-Hilbert search is a branch and bound over this
     min-max: each candidate gets the best value so far as its bound and
     skips every distance solve that cannot change the result (see
     ``_kolmogorov_candidate_value``).  A point is skipped only when its cap,
-    the value its distance never exceeds, is known to be <= the
-    candidate's running max, or when that running max has reached the
-    bound and the candidate can no longer lower the minimum.  The
-    distances that are solved are the same floats as in a full
-    evaluation, so the result is the same float; at q = 2 the cap is the
-    distance, and one solve per candidate is made.  ``return_details=True``
-    evaluates every point of every candidate, since its diagnostics report
-    each candidate's full value.
+    the very float its distance is the minimum of, is <= the candidate's
+    running max, or when that running max has reached the bound and the
+    candidate can no longer lower the minimum.  The distances that are
+    solved are the same floats as in a full evaluation, so the result is
+    the same float; at q = 2 the cap is the distance, and one solve per
+    candidate is made.  ``return_details=True`` evaluates every point of
+    every candidate, since its diagnostics report each candidate's full
+    value.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

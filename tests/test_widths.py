@@ -413,13 +413,15 @@ def test_dist_raw_and_orthonormal_bases_agree():
     (4, COMPLEX, 0.5, 1.5, 2, True),
 ])
 def test_kolmogorov_search_one_distance_per_sample_point(monkeypatch, n, field, p, q, k, columns):
-    # every candidate takes the n unit vectors +e_j, then its sphere points
-    points, calls, firsts = [], [], []
-    dist, sphere = widths.dist_to_subspace, widths.sample_sphere
+    # every candidate factors its basis once and takes the n unit vectors +e_j,
+    # then its sphere points; each distance is the float dist_to_subspace gives
+    points, calls, firsts, factored = [], [], [], []
+    solve, sphere, span = widths._subspace_distance, widths.sample_sphere, widths._orthonormal_span
 
-    def count_dist(*args, **kwargs):
-        calls.append(np.array(args[0]))
-        return dist(*args, **kwargs)
+    def count_solve(*args, **kwargs):
+        d = solve(*args, **kwargs)
+        calls.append((np.array(args[0]), args[1], kwargs["seed"], d))
+        return d
 
     def count_sphere(*args, **kwargs):
         X = sphere(*args, **kwargs)
@@ -427,8 +429,13 @@ def test_kolmogorov_search_one_distance_per_sample_point(monkeypatch, n, field, 
         firsts.append(len(calls))
         return X
 
-    monkeypatch.setattr(widths, "dist_to_subspace", count_dist)
+    def count_span(B):
+        factored.append(1)
+        return span(B)
+
+    monkeypatch.setattr(widths, "_subspace_distance", count_solve)
     monkeypatch.setattr(widths, "sample_sphere", count_sphere)
+    monkeypatch.setattr(widths, "_orthonormal_span", count_span)
     rng = np.random.default_rng(19)
     M = rng.standard_normal((n, n))
     if field == COMPLEX:
@@ -437,12 +444,15 @@ def test_kolmogorov_search_one_distance_per_sample_point(monkeypatch, n, field, 
                                        seed=1, return_details=True)
     assert all(c.quotient is None and c.agreement_gap is None for c in cands)
     assert len(calls) == sum(points)
+    assert len(factored) == len(cands)
+    for y, B, seed, d in calls:
+        assert d == dist_to_subspace(y, list(B.T), q, seed=seed)
     if columns:
         # p <= 1 <= q: each candidate's first n points are the columns, whose
         # distance maximum is the supremum, so no separate column pass is needed
         for first in firsts:
             for j in range(n):
-                assert np.array_equal(calls[first + j], M[:, j])
+                assert np.array_equal(calls[first + j][0], M[:, j])
 
 
 # (field, n, p, q, rank-deficient): every dist_to_subspace branch, and q = 2
@@ -519,24 +529,27 @@ def test_kolmogorov_candidate_value_is_exact_below_its_bound(field, p, q):
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 @pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0, 3.0, INF])
 def test_batched_caps_bracket_each_points_own_cap(field, q):
-    # the search skips a point when the upper bound of its cap is <= a
-    # distance it already has, so every point's own cap (the value its
-    # dist_to_subspace call never exceeds) must lie between the bounds that
-    # one projection per candidate gives
+    # the search prunes on the caps of all its points, computed in one stack,
+    # and skips a point whose cap is <= a distance it already has; each must
+    # be the very float that the point's own dist_to_subspace call is the
+    # minimum of, so the bracket is a point: the cap of the point alone
     rng = np.random.default_rng(41)
     for t in range(40):
         n = int(rng.integers(2, 7))
         d = int(rng.integers(1, n))
-        G, Y = rng.standard_normal((n, d)), rng.standard_normal((n, 12))
+        G, Y = rng.standard_normal((n, d)), rng.standard_normal((12, n))
         if field == COMPLEX:
-            G, Y = G + 1j * rng.standard_normal((n, d)), Y + 1j * rng.standard_normal((n, 12))
+            G, Y = G + 1j * rng.standard_normal((n, d)), Y + 1j * rng.standard_normal((12, n))
         Q = np.linalg.qr(G)[0] if t % 2 else np.linalg.svd(G)[0][:, :d]
-        Y[:, 0] = Q @ Y[:d, 1]  # a point in the span, whose cap is rounding
-        Y[:, 2] *= 10.0 ** int(rng.integers(-8, 9))
-        lo, hi = widths._cap_bounds(Y, Q, q)
-        for j in range(Y.shape[1]):
-            cap = spaces._distance_start(Y[:, j], list(Q.T), q)[-1]
-            assert lo[j] <= cap <= hi[j]
+        Y[0] = Q @ Y[1, :d]  # a point in the span, whose cap is rounding
+        Y[2] *= 10.0 ** int(rng.integers(-8, 9))
+        Y[3] *= 1e200  # q-th powers that overflow for q > 1
+        caps = spaces._distance_caps(Y, Q, q)
+        for y, cap in zip(Y, caps):
+            assert cap == spaces._distance_caps(y[None], Q, q)[0]
+            residual = spaces.lp_norm(y - Q @ (Q.conj().T @ y), q)
+            own = residual if q == 2.0 else min(spaces.lp_norm(y, q), residual)
+            assert cap == pytest.approx(own, rel=1e-13, abs=1e-13 * spaces.lp_norm(y, q))
 
 
 @pytest.mark.parametrize("field, budget, n_cand", [
@@ -547,13 +560,13 @@ def test_kolmogorov_search_at_q2_solves_one_distance_per_candidate(monkeypatch, 
     # at q = 2 the cap is the distance: the largest cap is the candidate's
     # value, and no other point can raise it
     calls = []
-    dist = widths.dist_to_subspace
+    solve = widths._subspace_distance
 
-    def count_dist(*args, **kwargs):
+    def count_solve(*args, **kwargs):
         calls.append(1)
-        return dist(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(widths, "dist_to_subspace", count_dist)
+    monkeypatch.setattr(widths, "_subspace_distance", count_solve)
     rng = np.random.default_rng(29)
     M = rng.standard_normal((4, 4))
     if field == COMPLEX:
