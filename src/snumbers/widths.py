@@ -595,11 +595,13 @@ def width_brackets(T, k_lo, k_hi, budget, seed):
     - p = q = 2: sigma_k on both sides, ``exact``, method ``svd``.
     - Elsewhere a_1 = d_1 = ||T||, op_norm's bracket (exact on its exact
       paths), method ``norm-bound``, with op_norm's budget min(budget, 4000).
-      For k >= 2 d_k is its certified upper (d_k <= d_1), and a_k is
-      ``Bracket.meet`` of ``approx_upper_search``'s certified upper at
-      budget min(budget, 400), method ``rank-search``, and that bound, while
-      the search is cheap (n <= 8, at most 2^7 ``_row_signs`` per residual
-      norm); elsewhere a_k is the bound.
+      For k >= 2 a_k is ``Bracket.meet`` of ``approx_upper_search``'s
+      certified upper at budget min(budget, 400), method ``rank-search``,
+      and its certified upper (a_k <= a_1), while the search is cheap
+      (n <= 8, at most 2^7 ``_row_signs`` per residual norm); elsewhere
+      a_k is that bound.  d_k is a_k's bracket: d_k <= a_k, since the range
+      of an operator of rank below k is a subspace of dimension below k,
+      so a_k's certified upper is d_k's too, and a_k has no lower side.
 
     The pairs are yielded one k at a time, so a caller can time each.
     """
@@ -616,7 +618,7 @@ def width_brackets(T, k_lo, k_hi, budget, seed):
         a = d = norm if k == 1 else bound
         if k > 1 and cheap:  # at k = 1 the search gives op_norm's upper
             search = approx_upper_search(T, k, budget=min(budget, 400), seed=seed)
-            a = Bracket.meet(Bracket(None, search, None, CERTIFIED, "rank-search"), bound)
+            a = d = Bracket.meet(Bracket(None, search, None, CERTIFIED, "rank-search"), bound)
         yield a, d
 
 

@@ -137,8 +137,9 @@ def test_estimate_norm_bound_is_exact_only_at_k1(capsys, tmp_path, matrix, n_a_n
     _, doc = cli_json(capsys, "estimate", "--input", str(path), "--p", "1", "--q", "2",
                       "--k", "1..3", "--budget", "400")
     norm_rows = [r for r in doc["rows"] if r["method"] == "norm-bound"]
-    # a_1 = d_1 = ||T|| is op_norm's bracket, with no search, at every n
-    assert len(norm_rows) == 3 + max(1, n_a_norm)
+    # a_1 = d_1 = ||T|| is op_norm's bracket, with no search, at every n, and
+    # each d_k row is its a_k row (d_k <= a_k)
+    assert len(norm_rows) == 2 * max(1, n_a_norm)
     column_max = float(np.linalg.norm(np.array(matrix), axis=0).max())
     for r in norm_rows:
         assert r["upper"] == pytest.approx(column_max, rel=1e-12)

@@ -593,32 +593,31 @@ def test_width_brackets_decide_the_kinds_of_both_sides():
     sigma = list(np.linalg.svd(M, compute_uv=False)) + [0.0]
     assert [(a.upper, d.upper, a.exact, d.exact, a.method, d.method) for a, d in pairs] == [
         (v, v, True, True, "svd", "svd") for v in sigma[1:]]
-    # elsewhere a_1 = d_1 is op_norm's bracket with no search, d_k (k >= 2) its
-    # certified upper, and a_k the meet of the rank search with that upper
-    # while n <= 8, at every (p, q): at (2, 1) too, where the search wins
+    # elsewhere a_1 = d_1 is op_norm's bracket with no search, a_k (k >= 2)
+    # the meet of the rank search with its certified upper while n <= 8, at
+    # every (p, q): at (2, 1) too, where the search wins; and d_k <= a_k
+    # takes a_k's bracket
     for T in (operator(M, 0.5, 2.0), operator(M, 2.0, 1.0)):
         norm = op_norm(T, budget=1000, seed=0)
-        bound = Bracket(None, norm.upper, None, operators.CERTIFIED, "norm-bound")
         pairs = list(width_brackets(T, 1, 3, 1000, 0))
         assert pairs[0] == (Bracket(norm.lower, norm.upper, norm.lower_kind, norm.upper_kind,
                                     "norm-bound"),) * 2
         for k, (a, d) in enumerate(pairs[1:], 2):
             search = approx_upper_search(T, k, budget=400, seed=0)
-            assert d == bound
-            assert a == Bracket(None, search, None, operators.CERTIFIED, "rank-search")
+            assert d == a == Bracket(None, search, None, operators.CERTIFIED, "rank-search")
             assert search < norm.upper
     # past n = 8 both sides are the norm bound
     pairs = list(width_brackets(operator(np.eye(9), 0.5, 2.0), 1, 2, 1000, 0))
     assert all(a is d and d.method == "norm-bound" for a, d in pairs)
     assert pairs[1][1].lower is None and pairs[1][1].upper == pairs[0][1].upper
-    # and so is a_k where each residual norm would enumerate more than 2^7
-    # sign vectors: a real 12 x 8 matrix at q <= 1 < p, or at (1, 0.5)
+    # and so are a_k and d_k where each residual norm would enumerate more
+    # than 2^7 sign vectors: a real 12 x 8 matrix at q <= 1 < p, or at (1, 0.5)
     M = np.random.default_rng(2).standard_normal((12, 8))
     for p, q, field, method in [(2.0, 1.0, REAL, "norm-bound"), (1.0, 0.5, REAL, "norm-bound"),
                                 (2.0, 1.0, COMPLEX, "rank-search"),
                                 (1.0, 1.0, REAL, "rank-search"), (2.0, 3.0, REAL, "rank-search")]:
         (a, d), = width_brackets(operator(M, p, q, field=field), 2, 2, 1000, 0)
-        assert (a.method, d.method) == (method, "norm-bound")
+        assert d == a and a.method == method
 
 
 def test_real_complex_bracket():
