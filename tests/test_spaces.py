@@ -600,10 +600,10 @@ def test_dist_descent_draws_are_pinned():
     # one Nelder-Mead descent serves both fields; these values were computed
     # when real q < 1 and the complex field had a descent each, so the merged
     # descent makes the same starts and draws (exact under the versions that
-    # wrote them: Python 3.11.7, numpy 2.4.6, scipy 1.17.1).  The draws of
-    # three rank-deficient real q < 1 instances come first, as they did when
-    # those descended; they now take the vertex minimum, and their values
-    # are checked in test_dist_quasi_full_rank_skips_descent
+    # wrote them: Python 3.11.7, numpy 2.4.6, scipy 1.17.1).  Three
+    # rank-deficient real q < 1 instances were drawn first; they are still
+    # drawn, so the complex instances keep their inputs, but such bases now
+    # take the vertex minimum (test_dist_quasi_full_rank_skips_descent)
     import platform
 
     import scipy
