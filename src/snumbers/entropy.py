@@ -31,7 +31,6 @@ from .operators import (
     ESTIMATE,
     SHAPE,
     Bracket,
-    _norm_rows,
     _unit_directions,
     is_identity,
 )
@@ -39,6 +38,7 @@ from .spaces import (
     COMPLEX,
     REAL,
     SpaceSpec,
+    _norm_rows,
     inv_exponent,
     log_ball_volume,
     sample_ball,

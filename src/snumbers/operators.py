@@ -20,7 +20,6 @@ import dataclasses
 import functools
 import math
 import sys
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +28,10 @@ from .spaces import (
     COMPLEX,
     REAL,
     SpaceSpec,
-    _abs_norm_function,
     _dual,
-    _rescaled,
+    _norm_rows,
+    _scaled_norm_rows,
+    _stable_seed,
     conjugate_exponent,
     inv_exponent,
     sample_sphere,
@@ -224,46 +224,6 @@ def is_identity(M):
     return (M == np.eye(n, dtype=M.dtype)).all(axis=(-2, -1))
 
 
-def _power_sums(a, q):
-    """The sums of the q-th powers of the moduli a along the last axis, q < inf."""
-    if q == 2.0:
-        return (a * a).sum(axis=-1)
-    if q == 1.0:
-        return a.sum(axis=-1)
-    return (a**q).sum(axis=-1)
-
-
-def _root(sums, q):
-    """The l_q norms whose sums of q-th powers are ``sums``, as _norm_rows takes them."""
-    return np.sqrt(sums) if q == 2.0 else sums if q == 1.0 else sums ** (1.0 / q)
-
-
-def _norm_rows(A, q):
-    """lp_norm applied to each row of A (the last axis, under any stack axes)."""
-    a = np.abs(A)
-    if math.isinf(q):
-        return a.max(axis=-1)
-    return _root(_power_sums(a, q), q)
-
-
-def _scaled_norm_rows(A, q):
-    """_norm_rows of A, with each nonzero row whose value is not finite, or
-    whose sum of powers is below the smallest normal float, recomputed by
-    ``_rescaled``; every other row keeps its bits."""
-    a = np.abs(A)
-    if math.isinf(q):
-        return a.max(axis=-1)
-    with np.errstate(over="ignore"):
-        sums = _power_sums(a, q)
-        v = _root(sums, q)
-    bad = ~((sums >= sys.float_info.min) & (v < math.inf))
-    if bad.any():
-        bad &= a.max(axis=-1) > 0.0
-        norm = _abs_norm_function(q)
-        v[bad] = [_rescaled(norm, row) for row in a[bad]]
-    return v
-
-
 @functools.lru_cache(maxsize=None)
 def _half_cube(d):
     """The 2^(d-1) sign vectors s in {-1, 1}^d with s_1 = +1, as rows.  The
@@ -330,9 +290,7 @@ def _sample_phase(T, M, budget, seed):
     ``(seed, T.matrix)``, so no other call changes its draws; it is returned
     for the ascent's steps."""
     n = T.domain.n
-    rng = np.random.default_rng(
-        [int(seed) & 0xFFFFFFFF, zlib.crc32(np.ascontiguousarray(T.matrix).tobytes())]
-    )
+    rng = np.random.default_rng(_stable_seed(seed, T.matrix))
     X = np.vstack([_unit_directions(n, T.field),
                    sample_sphere(rng, n, T.domain.p, T.field, max(16, budget // 2))])
     vals = _scaled_norm_rows(X @ M.T, T.codomain.p)
@@ -344,12 +302,10 @@ def _sampled_ascent(T, M, budget, seed):
     """Seeded lower bound for ||T: l_p -> l_q|| by sampling plus hill climbing.
 
     The value is the running maximum of the sampled norms and of the four
-    climbs from the best samples.  Both norms are resolved once per call
-    (``_abs_norm_function``: lp_norm's arithmetic, the same floats).
+    climbs from the best samples.
     """
     p, q = T.domain.p, T.codomain.p
     n = T.domain.n
-    norm_p, norm_q = _abs_norm_function(p), _abs_norm_function(q)
     rng, X, vals, order = _sample_phase(T, M, budget, seed)
     best = float(vals[order[0]])
     spent = X.shape[0]
@@ -362,12 +318,12 @@ def _sampled_ascent(T, M, budget, seed):
             if T.field == COMPLEX:
                 step = step + 1j * rng.standard_normal(n)
             y = x + radius * step
-            ny = norm_p(np.abs(y))
+            ny = _norm_rows(y, p)
             spent += 1
             if ny == 0.0:
                 continue
             y = y / ny
-            v = norm_q(np.abs(M @ y))
+            v = float(_norm_rows(M @ y, q))
             if v > cur:
                 x, cur = y, v
             else:
@@ -400,41 +356,36 @@ def _power_method(T, M, budget, seed):
     ``budget`` norms are spent.
 
     The value is the running maximum of the sampled norms and of the
-    iterates, so it is never below the sample maximum.  A norm whose powers
-    overflow is recomputed by ``_rescaled``; a finite one keeps its bits.
+    iterates, so it is never below the sample maximum.  Each iterate's norm
+    is ``_scaled_norm_rows``', which rescues powers out of the float range.
     """
     MH = M.conj().T
     p, q = T.domain.p, T.codomain.p
-    norm_p, norm_q = _abs_norm_function(p), _abs_norm_function(q)
     dual_p = conjugate_exponent(p)
     _, X, vals, order = _sample_phase(T, M, budget, seed)
     best = float(vals[order[0]])
     spent = X.shape[0]
     top = np.linalg.svd(M, full_matrices=False)[2][0].conj()
-    with np.errstate(over="ignore"):  # an overflowed norm is recomputed
-        for x in [X[i] for i in order[:4]] + [top / norm_p(np.abs(top))]:
-            cur, misses = 0.0, 0
-            while spent < budget:
-                y = M @ x
-                a = np.abs(y)
-                v = norm_q(a)
-                if not math.isfinite(v):
-                    v = _rescaled(norm_q, a)
-                spent += 1
-                if not v > cur:
-                    misses += 1
-                    if misses == 2:
-                        break
-                else:
-                    misses = 0
-                    cur = v
-                w = MH @ _dual(y, a, q)
-                x = _dual(w, np.abs(w), dual_p)
-                nx = norm_p(np.abs(x))
-                if nx == 0.0:
+    for x in [X[i] for i in order[:4]] + [top / _norm_rows(top, p)]:
+        cur, misses = 0.0, 0
+        while spent < budget:
+            y = M @ x
+            v = float(_scaled_norm_rows(y, q))
+            spent += 1
+            if not v > cur:
+                misses += 1
+                if misses == 2:
                     break
-                x = x / nx
-            best = max(best, cur)
+            else:
+                misses = 0
+                cur = v
+            w = MH @ _dual(y, np.abs(y), q)
+            x = _dual(w, np.abs(w), dual_p)
+            nx = _norm_rows(x, p)
+            if nx == 0.0:
+                break
+            x = x / nx
+        best = max(best, cur)
     return best
 
 

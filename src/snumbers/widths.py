@@ -23,7 +23,6 @@ applies (e.g. the q = p' boundary, or the pair (1, inf)).
 
 import math
 import sys
-import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,6 +49,7 @@ from .spaces import (
     _distance_caps,
     _one_field,
     _orthonormal_span,
+    _stable_seed,
     _subspace_distance,
     conjugate_exponent,
     dist_to_subspace,
@@ -322,9 +322,7 @@ def _approx_search(T, k, budget, seed):
     r_eff = min(r, s.size)
     A0 = U[:, :r_eff] * s[:r_eff]
     B0 = Vh[:r_eff]
-    rng = np.random.default_rng(
-        [int(seed) & 0xFFFFFFFF, zlib.crc32(np.ascontiguousarray(M).tobytes()), k]
-    )
+    rng = np.random.default_rng(_stable_seed(seed, M, k))
     scale = float(s[0]) if s.size else 1.0
 
     # the truncation and up to 3 random restarts around it, in one stack; a
@@ -564,9 +562,7 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     n_svd = max(1, n_cand // 5)
     n_samples = max(8, min(64, budget // (n_cand * 2)))
 
-    rng = np.random.default_rng(
-        [int(seed) & 0xFFFFFFFF, zlib.crc32(np.ascontiguousarray(M).tobytes()), k, 77]
-    )
+    rng = np.random.default_rng(_stable_seed(seed, M, k, 77))
     bases = [("svd", U[:, :dim])]
     for _ in range(n_svd - 1):
         J = U[:, :dim] + 0.05 * _random_like(rng, U[:, :dim])

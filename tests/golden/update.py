@@ -89,14 +89,13 @@ def _in_golden_dir():
 
 
 def run(argv):
-    """(stdout, exit code) of ``snum argv``, run in-process from this directory."""
+    """(stdout, stderr, exit code) of ``snum argv``, run in-process from this directory."""
     from snumbers.cli import main
 
-    out = io.StringIO()
-    with _in_golden_dir(), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with _in_golden_dir(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return out.getvalue(), code
+    return out.getvalue(), err.getvalue(), code
 
 
 def _same_float(a, b, exact):
@@ -162,17 +161,22 @@ def check():
             problems.append(f"{name}: argv {recorded[name]['argv']} -> {argv}")
             continue
         path = output_path(name, argv)
-        text, code = run(argv)
+        text, err, code = run(argv)
         if code != recorded[name]["exit"]:
-            problems.append(f"{name}: exit code {recorded[name]['exit']} -> {code}")
-        problems += diff(name, path.read_text(), text, path.suffix == ".csv", exact)
+            last = err.strip().splitlines()[-1] if err.strip() else "no stderr"
+            problems.append(f"{name}: exit code {recorded[name]['exit']} -> {code}: {last}")
+        try:
+            problems += diff(name, path.read_text(), text, path.suffix == ".csv", exact)
+        except json.JSONDecodeError:
+            # a crashed command prints no report; the next command is still checked
+            problems.append(f"{name}: output is not a report, values not compared")
     return problems
 
 
 def write():
     commands = []
     for name, argv in COMMANDS:
-        text, code = run(argv)
+        text, _, code = run(argv)
         output_path(name, argv).write_text(text)
         commands.append({"name": name, "argv": argv, "exit": code})
     MANIFEST.write_text(json.dumps({"versions": versions(), "commands": commands}, indent=2) + "\n")

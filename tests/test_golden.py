@@ -2,6 +2,7 @@
 the golden files were written (``tests/golden/update.py`` rewrites them)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -32,3 +33,23 @@ def test_diff_reads_floats_by_hex_or_relative_tolerance():
     assert golden.diff("c", csv_old, csv_old.replace("0.5", "0.5000000000000001"),
                        True, exact=True)
     assert golden.diff("c", csv_old, csv_old.replace(",1,", ",2,"), True, exact=False)
+
+
+def test_check_reports_a_crashed_command_and_checks_the_rest(monkeypatch):
+    # forged outputs: the first command crashes with exit code 3 and no
+    # stdout, the last exits 1 with its golden report, every other command
+    # prints its golden report
+    exits = {c["name"]: c["exit"] for c in json.loads(golden.MANIFEST.read_text())["commands"]}
+    names = {tuple(argv): name for name, argv in golden.COMMANDS}
+    crashed, last = golden.COMMANDS[0][0], golden.COMMANDS[-1][0]
+
+    def forged(argv):
+        name = names[tuple(argv)]
+        if name == crashed:
+            return "", "Traceback (most recent call last):\nerror: forged crash\n", 3
+        return golden.output_path(name, argv).read_text(), "", 1 if name == last else exits[name]
+
+    monkeypatch.setattr(golden, "run", forged)
+    assert golden.check() == [f"{crashed}: exit code 0 -> 3: error: forged crash",
+                              f"{crashed}: output is not a report, values not compared",
+                              f"{last}: exit code 0 -> 1: no stderr"]

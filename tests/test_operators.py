@@ -337,6 +337,22 @@ def test_exact_norms_of_tiny_matrices_scale_with_them(p, q, method):
         assert abs(tiny.lower - 2.0**-s * norm.lower) <= 4.0 * eps * 2.0**-s * norm.lower
 
 
+def test_power_method_lower_of_1e_minus_200_entries_scales_with_them():
+    # the iterates' 40th powers underflow unless rescued, which left the
+    # lower at the sample maximum
+    unit = op_norm(operator(np.ones((2, 2)), 2.0, 40.0))
+    tiny = op_norm(operator(1e-200 * np.ones((2, 2)), 2.0, 40.0))
+    assert tiny.method == unit.method == "power-method"
+    assert tiny.lower == pytest.approx(1e-200 * unit.lower, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p, q, method", [(1.0, 1.0, "column-max"), (2.0, math.inf, "row-max")])
+def test_exact_norms_of_a_matrix_with_an_inf_entry_are_inf(p, q, method):
+    r = op_norm(operator([[math.inf, 1.0], [0.0, 1.0]], p, q))
+    assert r.method == method
+    assert r.lower == r.upper == math.inf
+
+
 def test_exact_norms_of_1e_minus_200_entries_are_not_zero():
     rows = op_norm(operator(np.full((2, 2), 1e-200), 2.0, math.inf))
     assert rows.method == "row-max"

@@ -253,7 +253,7 @@ def _old_quasi_distance(x, B, q, budget=2000, seed=0):
             except np.linalg.LinAlgError:
                 continue
             best = min(best, lp_norm(x - B @ c, q))
-    rng = np.random.default_rng(spaces._stable_seed(seed, x))
+    rng = np.random.default_rng(spaces._stable_seed(seed, x, x.size))
     scale = max(1.0, float(np.abs(c_ls).max(initial=0.0)))
     starts = [c_ls, np.zeros(m)] + [c_ls + 0.5 * scale * rng.standard_normal(m) for _ in range(6)]
     maxfev = max(100, budget // len(starts))
@@ -636,13 +636,29 @@ def test_dist_large_entries_do_not_overflow(x):
     assert d == pytest.approx(1e200 * dist_to_subspace(x / 1e200, b, 3.0), rel=1e-13)
 
 
+@pytest.mark.parametrize("x", [np.array([1e-200, 2e-200, 3e-200]),
+                               np.array([1e-200, 2e-200j, 3e-200])])
+def test_dist_tiny_entries_do_not_underflow(x):
+    # the cubes of ||x||_3 and of the residual's norm underflow; the distance
+    # is 1e-200 times the unit-scale one, to rounding
+    b = [np.array([1.0, 1.0, 0.5])]
+    d = dist_to_subspace(x, b, 3.0)
+    assert d == pytest.approx(1e-200 * dist_to_subspace(x * 1e200, b, 3.0), rel=1e-13, abs=0.0)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_lp_norm_rescales_only_overflowed_powers():
-    x = np.array([1e200, -2e200, 3e200j])
-    unit = np.abs(x / 1e200)
-    assert lp_norm(unit, 3.0) == spaces._abs_norm_function(3.0)(unit)
-    for p in (0.5, 1.0, 2.0, 3.0):
-        assert lp_norm(x, p) == pytest.approx(1e200 * lp_norm(unit, p), rel=1e-14)
+def test_lp_norm_rescales_powers_out_of_range():
+    unit = np.array([1.0, 2.0, 3.0])
+    # in range: the raw sum of powers and its root
+    assert lp_norm(unit, 3.0) == float((unit**3).sum() ** (1.0 / 3.0))
+    # powers that overflow or underflow: the norm of the vector divided by
+    # its largest modulus, multiplied back
+    for scale in (1e200, 1e-200):
+        x = scale * np.array([1.0, -2.0, 3.0j])
+        for p in (0.5, 1.0, 2.0, 3.0):
+            assert lp_norm(x, p) == pytest.approx(scale * lp_norm(unit, p), rel=1e-14)
+    assert lp_norm([3e-170, 4e-170], 2.0) == 5e-170
+    assert lp_norm(np.zeros(3), 3.0) == 0.0
     assert lp_norm(np.array([1.7e308, 1.7e308]), 1.0) == math.inf
     assert lp_norm(np.array([math.inf, 1.0]), 3.0) == math.inf
     assert math.isnan(lp_norm(np.array([math.nan, 1.0]), 3.0))

@@ -323,6 +323,16 @@ def test_residual_norms_of_a_stack_are_its_candidates_one_at_a_time(field, pq, m
             assert v.hex() == value.hex()
 
 
+def test_product_rounding_keeps_the_margin_of_a_tiny_residual():
+    # the margin is an l_2 norm of entries near 1e-216, whose squares
+    # underflow unless rescued; a zero margin would leave the value unproved
+    T = operator(1e-200 * np.random.default_rng(3).standard_normal((3, 3)), 0.5, 2.0)
+    U, s, Vh = np.linalg.svd(T.matrix)
+    A, B = U[:, :1] * s[:1], Vh[:1]
+    value = operators._norm_upper(operator(T.matrix - A @ B, 0.5, 2.0))[0]
+    assert 0.0 < value < widths._product_rounding(T, A, B, value)
+
+
 def test_approx_search_stacks_hold_at_most_2_to_14_residual_entries(monkeypatch):
     # on a tall matrix the descent's stacks stop at 2^14 residual entries
     # (32 candidates of 64 x 8) instead of the remaining budget's 400; the
