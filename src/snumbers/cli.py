@@ -313,6 +313,7 @@ def run_estimate(cfg):
         raise ValueError(
             f"domain error: --n {cfg.n} does not match matrix columns {T.domain.n}"
         )
+    cfg = dataclasses.replace(cfg, n=T.domain.n, field=T.field)
     rows = _entropy_rows(T, cfg, min(4096, max(256, cfg.budget // 4)), clock)
     rows += _width_rows(T, cfg, clock)
     return {"config": cfg.to_json_dict(), "rows": _sort_rows(rows), "violations": []}, 0
@@ -365,7 +366,7 @@ def _verify_aoki(cfg):
         for t in range(n_vectors):
             n = int(rng.integers(1, 6))
             x = rng.standard_normal(n) * rng.integers(1, 4)
-            val = aoki_norm(x, p, depth=2, trials=8, seed=cfg.seed + t)
+            val = aoki_norm(x, p)
             ref = lp_norm(x, p)
             rep.check("aoki-sandwich", val, ref, f"p={p}, t={t}: above", cfg.tol)
             rep.check("aoki-sandwich", ref / C0**2, val, f"p={p}, t={t}: below", cfg.tol)
@@ -528,7 +529,8 @@ def _build_parser():
                         help="dimension" + (" (default: from file)" if needs_input else ""))
         sp.add_argument("--k", type=_parse_krange, default=(1, 4), metavar="K[..K2]",
                         help="index or index range, e.g. 3 or 1..6")
-        sp.add_argument("--field", choices=[REAL, COMPLEX], default=REAL)
+        if not needs_input:  # estimate takes its field from the matrix file
+            sp.add_argument("--field", choices=[REAL, COMPLEX], default=REAL)
         sp.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default: SNUM_SEED or {DEFAULT_SEED})")
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
@@ -571,7 +573,7 @@ def config_from_args(args):
         n=args.n,
         k_lo=args.k[0],
         k_hi=args.k[1],
-        field=args.field,
+        field=getattr(args, "field", REAL),
         seed=seed,
         budget=args.budget,
         tol=args.tol,

@@ -13,7 +13,7 @@ rho-norm obtained by minimising over finite decompositions,
 
 with rho = ln 2 / ln(2C).  The sandwich ||x||_0 <= ||x|| <= (2C)^2 ||x||_0
 holds, so the two are equivalent with explicit constants.  This module
-implements the constants, a bounded search approximating ||.||_0 from above,
+implements the constants, the closed form ||.||_0 = ||.||_p of l_p (p < 1),
 distances to linear subspaces (= quotient norms), unit-ball volumes, and
 samplers for l_p spheres and balls over either scalar field.
 
@@ -190,126 +190,47 @@ def _stable_seed(seed, x, *tail):
 
 
 class AokiNorm:
-    """Bounded-search upper approximation of the rho-norm of l_p, 0 < p < 1.
+    """The rho-norm of l_p, 0 < p < 1, in closed form: ||x||_0 = ||x||_p.
 
-    The search pool contains the trivial decomposition, coordinate
-    bipartitions, `trials` random signed splits, and greedy refinements with
-    up to `depth` parts.  Every pool entry is a genuine decomposition, so the
-    returned value is an upper bound of the true infimum; the sandwich
-    ||x||_p / C0^2 <= result <= ||x||_p therefore holds automatically.
-
-    The evaluator memoises the best decomposition per vector.  For sums use
-    ``value_of_sum(x, y)``: the pool for x+y then contains the concatenation
-    of the stored decompositions of x and y, which makes
-
-        value(x+y)^rho <= value(x)^rho + value(y)^rho
-
-    hold by construction.
+    Proof.  The triangle constant of l_p is C = 2^(1/p - 1), so 2C =
+    2^(1/p) and rho = ln 2 / ln(2C) = p.  For scalars a, b and 0 < p <= 1,
+    |a + b|^p <= (|a| + |b|)^p <= |a|^p + |b|^p, since t -> t^p is concave
+    with 0^p = 0.  Summing over coordinates, ||f + g||_p^p <= ||f||_p^p +
+    ||g||_p^p, and by induction ||x||_p^p <= sum_i ||f_i||_p^p for every
+    decomposition x = f_1 + ... + f_m.  So no decomposition beats the
+    trivial one [x], and the infimum ||x||_0 is attained there: ||x||_0 =
+    ||x||_p.  Hence the sandwich ||x||_p / C0^2 <= ||x||_0 <= ||x||_p holds,
+    and ||x + y||_0^rho <= ||x||_0^rho + ||y||_0^rho is p-subadditivity.
     """
 
-    def __init__(self, p, depth=3, trials=32, seed=0):
+    def __init__(self, p):
         if not (0.0 < p < 1.0):
-            raise ValueError(f"the rho-norm search needs 0 < p < 1, got {p!r}")
-        if not depth >= 1:
-            raise ValueError("depth must be >= 1")
-        if not trials >= 1:
-            raise ValueError("trials must be >= 1")
+            raise ValueError(f"the rho-norm needs 0 < p < 1, got {p!r}")
         self.p = float(p)
-        self.depth = int(depth)
-        self.trials = int(trials)
-        self.seed = int(seed)
         self.info = QuasiNormInfo.for_exponent(p)
-        self._cache = {}
 
-    # -- scoring ---------------------------------------------------------
-
-    def _score(self, parts):
-        rho = self.info.rho
-        s = sum(lp_norm(f, self.p) ** rho for f in parts)
-        return float(s ** (1.0 / rho))
-
-    def _two_part_splits(self, x, rng):
-        """Candidate splits x = u + (x - u): coordinate masks and signed blends."""
-        n = x.size
-        out = []
-        if n > 1:
-            if n <= 10:
-                masks = range(1, 2 ** (n - 1))
-            else:
-                masks = (int(rng.integers(1, 2**n - 1)) for _ in range(self.trials))
-            for m in masks:
-                sel = np.array([(m >> i) & 1 for i in range(n)], dtype=bool)
-                u = np.where(sel, x, 0.0)
-                out.append((u, x - u))
-        for _ in range(self.trials):
-            t = rng.uniform(-0.5, 1.5, n)
-            u = x * t
-            out.append((u, x - u))
-        return out
-
-    # -- evaluation ------------------------------------------------------
-
-    def evaluate(self, x, extra_pool=()):
-        """Return (value, parts) of the best decomposition found for x."""
+    @staticmethod
+    def _vector(x):
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or x.size == 0:
             raise ValueError("expected a nonempty 1-d vector")
-        key = (x.shape, x.tobytes())
-        rng = np.random.default_rng(_stable_seed(self.seed, x, x.size))
-
-        pool = [[x]]
-        for u, v in self._two_part_splits(x, rng):
-            pool.append([u, v])
-        for parts in extra_pool:
-            pool.append([np.asarray(f, dtype=float) for f in parts])
-
-        best = min(pool, key=self._score)
-        # greedy refinement: keep splitting the heaviest part while it pays
-        current = [f for f in best]
-        while len(current) < self.depth:
-            i = max(range(len(current)), key=lambda j: lp_norm(current[j], self.p))
-            head = current[i]
-            if not np.any(head):
-                break
-            sub = [[head]] + [[u, v] for u, v in self._two_part_splits(head, rng)]
-            chosen = min(sub, key=self._score)
-            if len(chosen) == 1:
-                break
-            trial = current[:i] + chosen + current[i + 1 :]
-            if self._score(trial) >= self._score(current) - 1e-15:
-                break
-            current = trial
-        if self._score(current) < self._score(best):
-            best = current
-
-        val = self._score(best)
-        prev = self._cache.get(key)
-        if prev is None or val < prev[0]:
-            self._cache[key] = (val, [f.copy() for f in best])
-        return self._cache[key]
+        return x
 
     def value(self, x):
-        return self.evaluate(x)[0]
+        return lp_norm(self._vector(x), self.p)
 
     def parts(self, x):
-        return [f.copy() for f in self.evaluate(x)[1]]
+        """An optimal decomposition of x: the trivial one."""
+        return [self._vector(x).copy()]
 
     def value_of_sum(self, x, y):
-        """Value at x + y with the pool seeded by the stored decompositions of x and y."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        _, px = self.evaluate(x)
-        _, py = self.evaluate(y)
-        return self.evaluate(x + y, extra_pool=[list(px) + list(py)])[0]
+        return self.value(self._vector(x) + self._vector(y))
 
 
-def aoki_norm(x, p, depth=3, trials=32, seed=0):
-    """One-shot upper approximation of the Aoki-Rolewicz rho-norm of x in l_p.
-
-    The result lies in [||x||_p / (2C)^2, ||x||_p] with C the triangle
-    constant of l_p; see :class:`AokiNorm` for the search contract.
-    """
-    return AokiNorm(p, depth=depth, trials=trials, seed=seed).value(x)
+def aoki_norm(x, p):
+    """The Aoki-Rolewicz rho-norm of x in l_p, 0 < p < 1, which is ||x||_p;
+    see :class:`AokiNorm` for the proof."""
+    return AokiNorm(p).value(x)
 
 
 # ---------------------------------------------------------------------------

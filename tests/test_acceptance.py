@@ -122,7 +122,7 @@ def test_criterion_04_quasi_norm_sandwich_and_subadditivity():
     tol = 1e-9
     bad = 0
     for p in (0.4, 0.5, 0.8):
-        an = AokiNorm(p, seed=17)
+        an = AokiNorm(p)
         A = an.info.equivalence_factor  # C0^2
         for _ in range(200):
             x = rng.standard_normal(int(rng.integers(1, 7)))

@@ -591,6 +591,27 @@ def test_dimension_mismatch_exits_two(tmp_path):
     assert "does not match matrix columns" in r.stderr
 
 
+def test_estimate_echoes_the_field_and_dimension_of_its_matrix(capsys, tmp_path):
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    wide = tmp_path / "wide.csv"
+    wide.write_text("1,2,3\n4,5,6\n")
+    promoted = tmp_path / "promoted.csv"
+    promoted.write_text("1+0i,2\n3,4\n")
+    cases = [(os.path.join(golden, name), field, n)
+             for name, field, n in (("matrix.csv", "real", 4), ("complex.csv", "complex", 3),
+                                    ("big.csv", "real", 2), ("zero.csv", "real", 3))]
+    cases += [(str(wide), "real", 3), (str(promoted), "complex", 2)]
+    for path, field, n in cases:
+        code, doc = cli_json(capsys, "estimate", "--input", path, "--p", "0.5", "--q", "2",
+                             "--k", "1", "--budget", "300")
+        assert code == 0, path
+        assert (doc["config"]["field"], doc["config"]["n"]) == (field, n), path
+    # the field comes from the file, so estimate takes no --field
+    code = main(["estimate", "--input", os.path.join(golden, "matrix.csv"), "--field", "complex"])
+    assert code == 2
+    assert "--field" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # determinism and seeds
 # ---------------------------------------------------------------------------
