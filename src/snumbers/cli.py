@@ -529,7 +529,9 @@ def _build_parser():
                         help="dimension" + (" (default: from file)" if needs_input else ""))
         sp.add_argument("--k", type=_parse_krange, default=(1, 4), metavar="K[..K2]",
                         help="index or index range, e.g. 3 or 1..6")
-        if not needs_input:  # estimate takes its field from the matrix file
+        # estimate takes its field from the matrix file, and verify's checks
+        # fix their own fields
+        if name in ("idnumbers", "volume", "sweep"):
             sp.add_argument("--field", choices=[REAL, COMPLEX], default=REAL)
         sp.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default: SNUM_SEED or {DEFAULT_SEED})")

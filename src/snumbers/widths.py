@@ -47,7 +47,6 @@ from .spaces import (
     COMPLEX,
     REAL,
     _distance_caps,
-    _one_field,
     _orthonormal_span,
     _stable_seed,
     _subspace_distance,
@@ -427,55 +426,66 @@ def _orthonormal_columns(M):
     return Q
 
 
-def _kolmogorov_candidate_value(T, basis, q, n_samples, seed, bound=None):
+def _sample_images(T, n_samples, seed):
+    """The images the non-Hilbert Kolmogorov search measures every candidate
+    on: M @ x for the n unit vectors +e_j, then n_samples sphere points from
+    ``default_rng([seed, n, n_samples])``, as the rows of one array of a
+    single field, complex if any image is."""
+    n = T.domain.n
+    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, n, int(n_samples)])
+    X = np.vstack([np.eye(n), sample_sphere(rng, n, T.domain.p, T.field, n_samples)])
+    Y = np.array([T.matrix @ x for x in X])
+    return Y.astype(complex if np.iscomplexobj(Y) else float)
+
+
+def _kolmogorov_candidate_value(T, basis, q, images, seed, bound=None):
     """sup over the unit ball of the distance to span(basis), a matrix with
     orthonormal columns.
 
     Returns (value, direct, quotient).  Hilbert case: quotient is the exact
     operator norm of the projected matrix, direct the least-squares distance
     at its maximiser, and value the larger of the two; they are the same
-    number mathematically, so their gap measures evaluation error only.
-    Otherwise direct is the largest distance over the unit vectors +e_j
-    and n_samples sphere points, quotient is None, and value is direct.
-    -e_j and i e_j are unimodular multiples of e_j, so their images have
-    the same distance, and they are not taken.  For p <= min(1, q) the
+    number mathematically, so their gap measures evaluation error only;
+    ``images`` is not used.  Otherwise direct is the largest distance over
+    ``images``, the rows of ``_sample_images``, which the search draws once
+    and shares between its candidates; quotient is None, and value is
+    direct.  -e_j and i e_j are unimodular multiples of e_j, so their images
+    have the same distance, and they are not taken.  For p <= min(1, q) the
     supremum is the column maximum, as on op_norm's column-max path, and
-    direct already contains it: the first n points are the +e_j, M @ e_j
-    equals M[:, j] bit for bit, and the seed is the same, so no separate
-    column pass is made.  The searched bases are orthonormal, so no
-    second, re-orthonormalised route is evaluated.
+    direct already contains it: the first n images are M @ e_j, which equals
+    M[:, j] bit for bit, so no separate column pass is made.  The searched
+    bases are orthonormal, so no second, re-orthonormalised route is
+    evaluated.
 
     The basis is factored once, by ``spaces._orthonormal_span``, and every
-    point's distance is ``spaces._subspace_distance`` on that factorization
-    with the point's cap, from one ``spaces._distance_caps`` call for all
-    the points: the distance
-    dist_to_subspace(M @ x, list(basis.T), q, seed=seed) gives, which is at
-    most the cap, bit for bit.  With ``bound=None`` every point's distance
-    is solved, in order.  With a bound, the points are taken in descending
-    order of their caps (a stable sort, so ties go to the lower index), so
-    the first point solved has the largest cap, which at q = 2 is the
-    candidate's value, and two stops skip the solves that cannot change the
-    search's result:
+    image's distance is ``spaces._subspace_distance`` on that factorization
+    with the image's cap, from one ``spaces._distance_caps`` call for all
+    the images: the distance dist_to_subspace(y, list(basis.T), q,
+    seed=seed) gives, which is at most the cap, bit for bit; ``seed`` seeds
+    only the descents of these solves.  With ``bound=None`` every image's
+    distance is solved, in order.  With a bound, the images are taken in
+    descending order of their caps (a stable sort, so ties go to the lower
+    index), so the first one solved has the largest cap, which at q = 2 is
+    the candidate's value, and two stops skip the solves that cannot change
+    the search's result:
 
-    - at the first point whose cap is <= the running max, since every
+    - at the first image whose cap is <= the running max, since every
       later cap, and so every later distance, is no larger: the running
       max is then the full max, the same float;
     - once the running max reaches ``bound``, since the candidate can then
       no longer lower a minimum that is already <= bound; the value
       returned is the running max, which is below the full max or equal.
 
-    A point's distance depends only on (M @ x, basis, q, seed), so taking
-    fewer points, in another order, changes no evaluated distance.  Each
-    distance is the quotient norm of M @ x modulo span(basis), of the kind
-    its dist_to_subspace branch gives: exact (q = 2), certified to
+    An image's distance depends only on (y, basis, q, seed), so taking
+    fewer images, in another order, changes no evaluated distance.  Each
+    distance is the quotient norm of y modulo span(basis), of the kind its
+    dist_to_subspace branch gives: exact (q = 2), certified to
     spaces.CERTIFIED_GAP (every other 1 <= q < inf, and real q = inf,
     unless it falls back to Nelder-Mead), exact up to rounding (real
     q < 1 within the vertex cap), or a descent, which can only overshoot.
     """
     M = T.matrix
-    p = T.domain.p
-    n = T.domain.n
-    if p == 2.0 and q == 2.0:
+    if T.domain.p == 2.0 and q == 2.0:
         Q = _orthonormal_columns(basis)
         P = np.eye(M.shape[0]) - Q @ Q.conj().T
         PM = P @ M
@@ -487,17 +497,15 @@ def _kolmogorov_candidate_value(T, basis, q, n_samples, seed, bound=None):
         value = max(direct, quotient)
         return value, direct, quotient
 
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, n, int(n_samples)])
-    X = np.vstack([np.eye(n), sample_sphere(rng, n, p, T.field, n_samples)])
-    Y, B = _one_field(np.array([M @ x for x in X]), basis)
+    B = basis.astype(images.dtype)
     Q, tilt = _orthonormal_span(B)
-    caps = _distance_caps(Y, Q, q).tolist()
+    caps = _distance_caps(images, Q, q).tolist()
 
     def distance(j):
-        return _subspace_distance(Y[j], B, Q, tilt, caps[j], q, seed=seed)
+        return _subspace_distance(images[j], B, Q, tilt, caps[j], q, seed=seed)
 
     if bound is None:
-        direct = max(distance(j) for j in range(len(Y)))
+        direct = max(distance(j) for j in range(len(images)))
         return direct, direct, None
     direct = -math.inf
     for j in np.argsort(-np.array(caps), kind="stable"):
@@ -514,33 +522,37 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     vectors plus jitters of it (about a fifth of the candidates), and random
     orthonormal frames for the rest.  In the Hilbert case each candidate's
     supremum is evaluated both directly and through the quotient-map
-    formulation, and the two must agree to about 1e-6.  Elsewhere it is the
-    largest distance over sampled points of the unit ball, one distance per
-    point, which only estimates the supremum from below; for p <= min(1, q)
-    the points include the columns (the images of the +e_j), whose maximum
-    is the exact supremum.  At k = 1 the result is ``_norm_upper(T)``'s
-    value, op_norm's upper, as in ``approx_upper_search``.  Each distance
-    is the quotient norm dist_to_subspace gives: exact for q = 2,
-    certified for 1 <= q < inf and for real q = inf (up to its Nelder-Mead
-    fallback), exact up to rounding for real q < 1 within the vertex cap,
-    and a descent elsewhere.  Off the Hilbert case each candidate's basis
-    is factored once, and every point's distance and cap are read from
-    that one factorization.  For k - 1 >= min(m, n) a (k-1)-dimensional
-    subspace contains the range, so the result is exactly 0, and no
-    candidate is evaluated (``(0.0, [])`` with details).
+    formulation, and the two must agree to about 1e-6; nothing is sampled.
+    Elsewhere it is the largest distance over one set of points of the unit
+    ball, drawn once per search and shared by every candidate: the +e_j and
+    sphere points from the generator ``default_rng([seed, n, n_samples])``,
+    whose images M @ x are formed once (``_sample_images``).  That only
+    estimates the supremum from below; for p <= min(1, q) the points
+    include the columns (the images of the +e_j), whose maximum is the
+    exact supremum.  At k = 1 the result is ``_norm_upper(T)``'s value,
+    op_norm's upper, as in ``approx_upper_search``.  Each distance is the
+    quotient norm dist_to_subspace gives, with candidate i's ``seed + i``
+    seeding its descents: exact for q = 2, certified for 1 <= q < inf and
+    for real q = inf (up to its Nelder-Mead fallback), exact up to rounding
+    for real q < 1 within the vertex cap, and a descent elsewhere.  Off the
+    Hilbert case each candidate's basis is factored once, and every image's
+    distance and cap are read from that one factorization.  For
+    k - 1 >= min(m, n) a (k-1)-dimensional subspace contains the range, so
+    the result is exactly 0, and no candidate is evaluated (``(0.0, [])``
+    with details).
 
     Without details, the non-Hilbert search is a branch and bound over this
     min-max: each candidate gets the best value so far as its bound and
     skips every distance solve that cannot change the result (see
-    ``_kolmogorov_candidate_value``).  A point is skipped only when its cap,
-    the very float its distance is the minimum of, is <= the candidate's
-    running max, or when that running max has reached the bound and the
-    candidate can no longer lower the minimum.  The distances that are
-    solved are the same floats as in a full evaluation, so the result is
+    ``_kolmogorov_candidate_value``).  An image is skipped only when its
+    cap, the very float its distance is the minimum of, is <= the
+    candidate's running max, or when that running max has reached the bound
+    and the candidate can no longer lower the minimum.  The distances that
+    are solved are the same floats as in a full evaluation, so the result is
     the same float; at q = 2 the cap is the distance, and one solve per
-    candidate is made.  ``return_details=True`` evaluates every point of
-    every candidate, since its diagnostics report each candidate's full
-    value.
+    candidate is made.  ``return_details=True`` evaluates every image for
+    every candidate, on the same images, since its diagnostics report each
+    candidate's full value.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -571,11 +583,12 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
         G = _random_like(rng, np.empty((m_, dim)))
         bases.append(("random", _orthonormal_columns(G)))
 
+    images = None if hilbert else _sample_images(T, n_samples, seed)
     cands = []
     best = math.inf
     for i, (kind, basis) in enumerate(bases):
         value, direct, quotient = _kolmogorov_candidate_value(
-            T, basis, q, n_samples, seed + i, bound=None if return_details else best
+            T, basis, q, images, seed + i, bound=None if return_details else best
         )
         cands.append(SubspaceCandidate(kind, value, direct, quotient))
         best = min(best, value)

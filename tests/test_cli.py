@@ -612,6 +612,13 @@ def test_estimate_echoes_the_field_and_dimension_of_its_matrix(capsys, tmp_path)
     assert "--field" in capsys.readouterr().err
 
 
+def test_verify_takes_no_field(capsys):
+    # verify's checks fix their own fields, so a --field would only be echoed
+    code = main(["verify", "--budget", "300", "--field", "complex"])
+    assert code == 2
+    assert "--field" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # determinism and seeds
 # ---------------------------------------------------------------------------

@@ -399,6 +399,52 @@ def test_kolmogorov_search_hilbert():
     assert all(c.agreement_gap <= 1e-6 for c in cands)
 
 
+# kolmogorov_upper_search's values where the shared sample set changes
+# nothing: the bench's real (1, 1) k = 2 and (1, 1.5) k = 3 rows at matrix
+# and search seeds 1-3, a complex (0.5, 1.5) search and a (2, 2) search,
+# then candidate 0's full value (the SVD span, whose points are the ones it
+# drew itself) at real (2, 3), real (2, inf) and complex (2, 1)
+PINNED_KOLMOGOROV = [
+    "0x1.c22e6bf6b2846p+0", "0x1.4a214c4fbb0c1p+1", "0x1.d661013abe288p+1",
+    "0x1.7da7c3a4868a4p+0", "0x1.f28ab12cc4eaep-1", "0x1.8eedaaacd8efcp+0",
+    "0x1.f245cd66c474bp+0", "0x1.2500ee2f13b0ep+0"]
+PINNED_FIRST_CANDIDATES = ["0x1.1843247a12f87p-1", "0x1.41323c9057efcp+0",
+                           "0x1.d6fe00f6456d6p+0"]
+
+
+def test_kolmogorov_search_values_are_pinned():
+    # exact under the versions that wrote them (Python 3.11.7, numpy 2.4.6):
+    # every value at p <= min(1, q), every Hilbert value and every
+    # candidate-0 value is the same float as with a sample set per candidate
+    import platform
+
+    values = []
+    for n, p, q, k, budget in [(4, 1.0, 1.0, 2, 100), (5, 1.0, 1.5, 3, 160)]:
+        for seed in (1, 2, 3):
+            M = np.random.default_rng(seed).standard_normal((n, n))
+            values.append(kolmogorov_upper_search(operator(M, p, q), k, budget=budget, seed=seed))
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    values.append(kolmogorov_upper_search(operator(M, 0.5, 1.5, field=COMPLEX), 2, budget=100,
+                                          seed=5))
+    M = np.random.default_rng(6).standard_normal((5, 5))
+    values.append(kolmogorov_upper_search(operator(M, 2.0, 2.0), 3, budget=2000, seed=6))
+    for n, field, p, q, k, budget in [(4, REAL, 2.0, 3.0, 2, 300), (5, REAL, 2.0, INF, 3, 100),
+                                      (3, COMPLEX, 2.0, 1.0, 2, 100)]:
+        rng = np.random.default_rng(7)
+        M = rng.standard_normal((n, n))
+        if field == COMPLEX:
+            M = M + 1j * rng.standard_normal((n, n))
+        _, cands = kolmogorov_upper_search(operator(M, p, q, field=field), k, budget=budget,
+                                           seed=7, return_details=True)
+        values.append(cands[0].value)
+    pinned = PINNED_KOLMOGOROV + PINNED_FIRST_CANDIDATES
+    if (platform.python_version(), np.__version__) == ("3.11.7", "2.4.6"):
+        assert [v.hex() for v in values] == pinned
+    else:
+        assert values == pytest.approx([float.fromhex(h) for h in pinned], rel=1e-12)
+
+
 def test_dist_raw_and_orthonormal_bases_agree():
     # the cross-check the non-Hilbert Kolmogorov search no longer pays for:
     # a raw basis and its orthonormalisation span the same subspace
@@ -423,9 +469,12 @@ def test_dist_raw_and_orthonormal_bases_agree():
     (4, COMPLEX, 0.5, 1.5, 2, True),
 ])
 def test_kolmogorov_search_one_distance_per_sample_point(monkeypatch, n, field, p, q, k, columns):
-    # every candidate factors its basis once and takes the n unit vectors +e_j,
-    # then its sphere points; each distance is the float dist_to_subspace gives
-    points, calls, firsts, factored = [], [], [], []
+    # the search draws one sample set and forms its images once: the n
+    # columns M @ e_j, then the sphere points' images.  Under details every
+    # candidate factors its basis once and solves every shared image, in
+    # order, with its own seed; each distance is the float dist_to_subspace
+    # gives
+    points, calls, factored = [], [], []
     solve, sphere, span = widths._subspace_distance, widths.sample_sphere, widths._orthonormal_span
 
     def count_solve(*args, **kwargs):
@@ -436,7 +485,6 @@ def test_kolmogorov_search_one_distance_per_sample_point(monkeypatch, n, field, 
     def count_sphere(*args, **kwargs):
         X = sphere(*args, **kwargs)
         points.append(n + X.shape[0])
-        firsts.append(len(calls))
         return X
 
     def count_span(B):
@@ -453,16 +501,24 @@ def test_kolmogorov_search_one_distance_per_sample_point(monkeypatch, n, field, 
     _, cands = kolmogorov_upper_search(operator(M, p, q, field=field), k, budget=100,
                                        seed=1, return_details=True)
     assert all(c.quotient is None and c.agreement_gap is None for c in cands)
-    assert len(calls) == sum(points)
+    assert len(points) == 1
+    assert len(calls) == len(cands) * points[0]
     assert len(factored) == len(cands)
+    images = [y for y, _, _, _ in calls[:points[0]]]
+    for i in range(len(cands)):
+        solved = calls[i * points[0]:(i + 1) * points[0]]
+        assert all(np.array_equal(y, z) and seed == 1 + i
+                   for (y, _, seed, _), z in zip(solved, images))
     for y, B, seed, d in calls:
         assert d == dist_to_subspace(y, list(B.T), q, seed=seed)
+    # the first n images are the columns, bit for bit
+    for j in range(n):
+        assert np.array_equal(images[j], M[:, j])
     if columns:
-        # p <= 1 <= q: each candidate's first n points are the columns, whose
-        # distance maximum is the supremum, so no separate column pass is needed
-        for first in firsts:
-            for j in range(n):
-                assert np.array_equal(calls[first + j][0], M[:, j])
+        # p <= min(1, q): the columns' distance maximum is each candidate's
+        # supremum, so no separate column pass is needed
+        for i, c in enumerate(cands):
+            assert c.value == max(d for _, _, _, d in calls[i * points[0]:i * points[0] + n])
 
 
 # (field, n, p, q, rank-deficient): every dist_to_subspace branch, and q = 2
@@ -526,10 +582,11 @@ def test_kolmogorov_candidate_value_is_exact_below_its_bound(field, p, q):
             G = G + 1j * rng.standard_normal((4, 2))
         T = operator(M, p, q, field=field)
         basis = np.linalg.qr(G)[0]
-        full = widths._kolmogorov_candidate_value(T, basis, q, 16, 3)[0]
+        images = widths._sample_images(T, 16, 3)
+        full = widths._kolmogorov_candidate_value(T, basis, q, images, 3)[0]
         for factor in (0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0, INF):
             bound = full * factor
-            v = widths._kolmogorov_candidate_value(T, basis, q, 16, 3, bound=bound)[0]
+            v = widths._kolmogorov_candidate_value(T, basis, q, images, 3, bound=bound)[0]
             if full < bound:
                 assert v == full
             else:
