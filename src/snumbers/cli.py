@@ -11,7 +11,7 @@ Five subcommands over the library:
         file-based bounds for a user matrix (exact Hilbert path when
         p = q = 2, certified packing lowers + padded cover uppers for e);
 
-    snum verify [--budget 2000] [--inject-bug weyl]
+    snum verify [--budget 2000] [--seed 7] [--tol 1e-9] [--inject-bug weyl]
         the property suite: Weyl sweep, Carl, the factor-14 bracket, the
         quasi-norm sandwich, entropy bound consistency, quotient-form
         agreement, regime continuity, and the s-number axioms; process
@@ -23,10 +23,12 @@ Five subcommands over the library:
     snum sweep --p 1 --q 2 --n 64 --k 1..8
         the idnumbers envelopes swept over doubling dimensions 4..n.
 
-Reports are JSON (default) or CSV with a fixed column order, embed the
-fully-resolved run configuration, and are byte-identical for identical
-configurations: elapsed_ms fields are 0.0 unless --timings is given, and
-all randomness flows from --seed (SNUM_SEED serves as a fallback).
+Each subcommand takes only the options it reads (the _TAKES table) plus
+--output and --timings.  Reports are JSON (default) or CSV with a fixed
+column order, embed the fully-resolved run configuration (an option the
+subcommand does not take at its default), and are byte-identical for
+identical configurations: elapsed_ms fields are 0.0 unless --timings is
+given, and all randomness flows from --seed (SNUM_SEED serves as a fallback).
 Exponents accept decimal literals or the token "inf" and are serialized
 back the same way.
 
@@ -77,8 +79,6 @@ from .widths import (
 )
 
 DEFAULT_SEED = 42
-DEFAULT_BUDGET = 10_000
-DEFAULT_TOL = 1e-9
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -148,6 +148,8 @@ REPORT_SCHEMA = {
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
+    """The resolved options of one command; one it does not take is at its _OPTIONS default."""
+
     command: str
     p: float
     q: float
@@ -159,9 +161,9 @@ class RunConfig:
     budget: int
     tol: float
     output: str
-    input_path: str | None = None
-    timings: bool = False
-    inject_bug: str | None = None
+    input_path: str | None
+    timings: bool
+    inject_bug: str | None
 
     def to_json_dict(self):
         d = dataclasses.asdict(self)
@@ -309,7 +311,7 @@ def run_idnumbers(cfg):
 def run_estimate(cfg):
     clock = _Clock(cfg.timings)
     T = load_operator(cfg.input_path, cfg.p, cfg.q, field=None)
-    if cfg.n >= 1 and cfg.n != T.domain.n:
+    if cfg.n is not None and cfg.n != T.domain.n:
         raise ValueError(
             f"domain error: --n {cfg.n} does not match matrix columns {T.domain.n}"
         )
@@ -510,6 +512,39 @@ def render(report, output):
     return render_json(report) if output == "json" else render_csv(report)
 
 
+# Every option by its dest, with its argparse keywords and its one default.
+_OPTIONS = {
+    "p": dict(type=_parse_exponent, default=2.0, help="domain exponent (decimal or 'inf')"),
+    "q": dict(type=_parse_exponent, default=2.0, help="codomain exponent (decimal or 'inf')"),
+    "n": dict(type=int, default=4, help="dimension"),
+    "k": dict(type=_parse_krange, default=(1, 4), metavar="K[..K2]",
+              help="index or index range, e.g. 3 or 1..6"),
+    "field": dict(choices=[REAL, COMPLEX], default=REAL),
+    "seed": dict(type=int, default=None, help=f"RNG seed (default: SNUM_SEED or {DEFAULT_SEED})"),
+    "budget": dict(type=int, default=10_000, help="evaluation budget for estimators"),
+    "tol": dict(type=float, default=1e-9),
+    "input": dict(required=True, default=None, help="matrix CSV path"),
+    "inject_bug": dict(choices=["weyl"], default=None, help=argparse.SUPPRESS),
+    "output": dict(choices=["json", "csv"], default="json"),
+    "timings": dict(action="store_true", default=False,
+                    help="fill elapsed_ms (breaks byte-identical reports)"),
+}
+
+# estimate takes its dimension from the matrix file; a given --n is checked against it
+_OVERRIDES = {("estimate", "n"): dict(default=None, help="dimension (default: from the file)")}
+
+# The options each subcommand reads, besides --output and --timings.  estimate
+# takes its field from the matrix file, and verify's checks fix their own
+# exponents, sizes and fields.
+_TAKES = {
+    "idnumbers": ("p", "q", "n", "k", "field", "seed", "budget"),
+    "estimate": ("input", "p", "q", "n", "k", "seed", "budget"),
+    "verify": ("seed", "budget", "tol", "inject_bug"),
+    "volume": ("p", "n", "field"),
+    "sweep": ("p", "q", "n", "k", "field"),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="snum",
@@ -517,35 +552,11 @@ def _build_parser():
                     "Kolmogorov numbers on finite-dimensional l_p spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_input in (("idnumbers", False), ("estimate", True),
-                              ("verify", False), ("volume", False), ("sweep", False)):
-        sp = sub.add_parser(name)
-        sp.add_argument("--p", type=_parse_exponent, default=2.0,
-                        help="domain exponent (decimal or 'inf')")
-        sp.add_argument("--q", type=_parse_exponent, default=2.0,
-                        help="codomain exponent (decimal or 'inf')")
-        # estimate takes its dimension from the matrix file; 0 = unset there
-        sp.add_argument("--n", type=int, default=0 if needs_input else 4,
-                        help="dimension" + (" (default: from file)" if needs_input else ""))
-        sp.add_argument("--k", type=_parse_krange, default=(1, 4), metavar="K[..K2]",
-                        help="index or index range, e.g. 3 or 1..6")
-        # estimate takes its field from the matrix file, and verify's checks
-        # fix their own fields
-        if name in ("idnumbers", "volume", "sweep"):
-            sp.add_argument("--field", choices=[REAL, COMPLEX], default=REAL)
-        sp.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (default: SNUM_SEED or {DEFAULT_SEED})")
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="evaluation budget for estimators")
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        sp.add_argument("--output", choices=["json", "csv"], default="json")
-        sp.add_argument("--timings", action="store_true",
-                        help="fill elapsed_ms (breaks byte-identical reports)")
-        if needs_input:
-            sp.add_argument("--input", required=True, help="matrix CSV path")
-        if name == "verify":
-            sp.add_argument("--inject-bug", choices=["weyl"], default=None,
-                            help=argparse.SUPPRESS)
+    for command, names in _TAKES.items():
+        sp = sub.add_parser(command)
+        for name in names + ("output", "timings"):
+            spec = {**_OPTIONS[name], **_OVERRIDES.get((command, name), {})}
+            sp.add_argument("--" + name.replace("_", "-"), dest=name, **spec)
     return parser
 
 
@@ -559,31 +570,19 @@ _RUNNERS = {
 
 
 def config_from_args(args):
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("SNUM_SEED", DEFAULT_SEED))
-    if args.n < 1 and args.command != "estimate":
+    opts = {name: spec["default"] for name, spec in _OPTIONS.items()}
+    opts.update(vars(args))
+    if opts["seed"] is None:
+        opts["seed"] = int(os.environ.get("SNUM_SEED", DEFAULT_SEED))
+    if opts["n"] is not None and opts["n"] < 1:
         raise ValueError("dimension must be >= 1")
-    if args.budget < 1:
+    if opts["budget"] < 1:
         raise ValueError("budget must be >= 1")
-    if not 0.0 <= args.tol < math.inf:
-        raise ValueError(f"--tol {args.tol!r} must be finite and >= 0")
-    return RunConfig(
-        command=args.command,
-        p=args.p,
-        q=args.q,
-        n=args.n,
-        k_lo=args.k[0],
-        k_hi=args.k[1],
-        field=getattr(args, "field", REAL),
-        seed=seed,
-        budget=args.budget,
-        tol=args.tol,
-        output=args.output,
-        input_path=getattr(args, "input", None),
-        timings=args.timings,
-        inject_bug=getattr(args, "inject_bug", None),
-    )
+    if not 0.0 <= opts["tol"] < math.inf:
+        raise ValueError(f"--tol {opts['tol']!r} must be finite and >= 0")
+    opts["k_lo"], opts["k_hi"] = opts.pop("k")
+    opts["input_path"] = opts.pop("input")
+    return RunConfig(**opts)
 
 
 def _power_of_n_overflows(cfg, e):

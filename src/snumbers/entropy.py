@@ -549,12 +549,6 @@ def _doubling_cover(points, k_max, q):
                   for k in range(1, k_max + 1)]
 
 
-def _cover_radii_doubling(points, k_max, q):
-    """Greedy covering radii with 1, 2, 4, ..., 2^(k_max-1) centers: entry
-    k-1 equals ``_greedy_cover_radii(points, 2^(k_max-1), q)[2^(k-1) - 1]``."""
-    return _doubling_cover(points, k_max, q)[1]
-
-
 # ---------------------------------------------------------------------------
 # covering upper estimates
 # ---------------------------------------------------------------------------

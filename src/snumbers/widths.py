@@ -558,7 +558,6 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
         raise ValueError("k must be >= 1")
     q = T.codomain.p
     M = T.matrix
-    m_ = T.codomain.n
     dim = k - 1
 
     if dim >= min(M.shape):
@@ -580,7 +579,7 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
         J = U[:, :dim] + 0.05 * _random_like(rng, U[:, :dim])
         bases.append(("svd-jitter", _orthonormal_columns(J)))
     for _ in range(n_cand - len(bases)):
-        G = _random_like(rng, np.empty((m_, dim)))
+        G = _random_like(rng, U[:, :dim])
         bases.append(("random", _orthonormal_columns(G)))
 
     images = None if hilbert else _sample_images(T, n_samples, seed)

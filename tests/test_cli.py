@@ -25,6 +25,7 @@ from snumbers.cli import (
 )
 
 CLI = [sys.executable, "-m", "snumbers.cli"]
+MATRIX = os.path.join(os.path.dirname(__file__), "golden", "matrix.csv")
 
 
 def run_cli(*args, env=None):
@@ -606,17 +607,51 @@ def test_estimate_echoes_the_field_and_dimension_of_its_matrix(capsys, tmp_path)
                              "--k", "1", "--budget", "300")
         assert code == 0, path
         assert (doc["config"]["field"], doc["config"]["n"]) == (field, n), path
-    # the field comes from the file, so estimate takes no --field
-    code = main(["estimate", "--input", os.path.join(golden, "matrix.csv"), "--field", "complex"])
-    assert code == 2
-    assert "--field" in capsys.readouterr().err
 
 
-def test_verify_takes_no_field(capsys):
-    # verify's checks fix their own fields, so a --field would only be echoed
-    code = main(["verify", "--budget", "300", "--field", "complex"])
-    assert code == 2
-    assert "--field" in capsys.readouterr().err
+@pytest.mark.parametrize("command, flag, value", [
+    # verify's checks fix their own exponents, sizes and fields
+    ("verify", "--p", "3"), ("verify", "--q", "3"), ("verify", "--n", "5"), ("verify", "--k", "2"),
+    ("verify", "--field", "complex"),
+    # a volume reads only p, n and the field; a sweep has closed forms only
+    ("volume", "--q", "3"), ("volume", "--k", "2"), ("volume", "--seed", "5"),
+    ("volume", "--budget", "300"), ("volume", "--tol", "0.5"),
+    ("sweep", "--seed", "5"), ("sweep", "--budget", "300"), ("sweep", "--tol", "0.5"),
+    # only verify's checks read a tolerance, and estimate's field comes from its file
+    ("idnumbers", "--tol", "0.5"), ("estimate", "--tol", "0.5"), ("estimate", "--field", "complex"),
+])
+def test_an_option_a_subcommand_does_not_read_exits_two_and_is_named(capsys, command, flag,
+                                                                     value):
+    # such an option would only change the config echo, not a row
+    extra = ["--input", MATRIX] if command == "estimate" else []
+    assert main([command, *extra, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+@pytest.mark.parametrize("argv, code, echoed", [
+    (["idnumbers", "--p", "1", "--q", "3", "--n", "3", "--k", "2..3", "--field", "complex",
+      "--seed", "5", "--budget", "300"], 0,
+     dict(p=1.0, q=3.0, n=3, k_lo=2, k_hi=3, field="complex", seed=5, budget=300)),
+    (["estimate", "--input", MATRIX, "--p", "1", "--q", "3", "--n", "4", "--k", "2..3",
+      "--seed", "5", "--budget", "300"], 0,
+     dict(input=MATRIX, p=1.0, q=3.0, n=4, k_lo=2, k_hi=3, seed=5, budget=300)),
+    (["verify", "--seed", "5", "--budget", "300", "--tol", "1e-8", "--inject-bug", "weyl"], 1,
+     dict(seed=5, budget=300, tol=1e-8, inject_bug="weyl")),
+    (["volume", "--p", "1", "--n", "3", "--field", "complex"], 0,
+     dict(p=1.0, n=3, field="complex")),
+    (["sweep", "--p", "1", "--q", "3", "--n", "8", "--k", "2..3", "--field", "complex"], 0,
+     dict(p=1.0, q=3.0, n=8, k_lo=2, k_hi=3, field="complex")),
+])
+def test_every_option_a_subcommand_takes_is_echoed(capsys, argv, code, echoed):
+    # the mirror of the test above: no option in use is lost
+    got, doc = cli_json(capsys, *argv, "--timings")
+    assert got == code
+    assert {key: doc["config"][key] for key in echoed} == echoed
+    assert doc["config"]["timings"] is True
+    cfg = config_from_args(_build_parser().parse_args(argv + ["--output", "csv"]))
+    assert cfg.to_json_dict()["output"] == "csv"
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ from snumbers.entropy import (
 )
 from snumbers import entropy as entropy_mod
 from snumbers.entropy import (
-    _cover_radii_doubling,
     _cover_traversal,
+    _doubling_cover,
     _dist_cols,
     _greedy_cover_radii,
     _packing_traversal,
@@ -590,7 +590,7 @@ def test_cover_radii_doubling_equal_a_full_run(seed, log2_N, short, n, field, ki
     k_max = max(1, log2_N + 1 - short)
     full = _greedy_cover_radii(X, 2 ** (k_max - 1), q)
     expected = [float(full[2 ** (k - 1) - 1]) for k in range(1, k_max + 1)]
-    got = _cover_radii_doubling(X, k_max, q)
+    got = _doubling_cover(X, k_max, q)[1]
     assert [float(r).hex() for r in got] == [r.hex() for r in expected]
 
 

@@ -593,6 +593,28 @@ def test_kolmogorov_candidate_value_is_exact_below_its_bound(field, p, q):
                 assert bound <= v <= full
 
 
+@pytest.mark.parametrize("k, budget", [(2, 100), (3, 100), (2, 4000)])
+def test_kolmogorov_search_draws_complex_random_bases_for_complex_operators(monkeypatch, k,
+                                                                            budget):
+    # a real random basis spans a real subspace of C^m, a thin family: every
+    # random candidate of a complex operator must have a nonzero imaginary part
+    bases = []
+    candidate = widths._kolmogorov_candidate_value
+
+    def record(T, basis, *args, **kwargs):
+        bases.append(basis)
+        return candidate(T, basis, *args, **kwargs)
+
+    monkeypatch.setattr(widths, "_kolmogorov_candidate_value", record)
+    rng = np.random.default_rng(43)
+    M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    _, cands = kolmogorov_upper_search(operator(M, 2.0, 1.0, field=COMPLEX), k, budget=budget,
+                                       seed=5, return_details=True)
+    random = [B for B, c in zip(bases, cands, strict=True) if c.kind == "random"]
+    assert len(random) >= 4
+    assert all(np.iscomplexobj(B) and np.any(B.imag != 0.0) for B in random)
+
+
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 @pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0, 3.0, INF])
 def test_batched_caps_bracket_each_points_own_cap(field, q):
