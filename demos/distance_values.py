@@ -4,11 +4,10 @@ two checkouts of the library.
 The instances cover every (field, q) cell, q in {0.5, 1, 1.5, 2, 3, inf} on
 real and complex data, with n <= 6 coordinates and m <= 3 basis vectors;
 every third instance gets a dependent extra basis vector, so its basis is
-rank-deficient.  Each is solved at the default budget and seed.  A record
-holds every value by ``float.hex`` and, where the checkout's
-dist_to_subspace takes ``spaces._convex_distance`` (1 <= q < inf but the
-exact q = 2, and real q = inf, unless the checkout still solves real q in
-{1, inf} by linear programming), its certified gap value - lower.
+rank-deficient.  Each is solved at the default seed.  A record holds every
+value by ``float.hex`` and, where the checkout's dist_to_subspace takes
+``spaces._convex_distance`` (1 <= q < inf but the exact q = 2, and real
+q = inf), its certified gap value - lower.
 
 Run bare, it prints this checkout's count per cell and the median and
 largest certified gap.  Record each checkout with its own source on the
@@ -54,17 +53,12 @@ def certified(spaces, field, q):
     """Whether this checkout's dist_to_subspace takes _convex_distance."""
     if not hasattr(spaces, "_convex_distance"):
         return False
-    if field == "real" and (q == 1.0 or math.isinf(q)):
-        return not hasattr(spaces, "_linprog_distance")
-    return 1.0 <= q < math.inf and q != 2.0
+    return (1.0 <= q < math.inf and q != 2.0) or (field == "real" and math.isinf(q))
 
 
 def convex_pair(spaces, x, B, q):
-    """_convex_distance's (value, lower): it takes the basis's factorization
-    (Q, tilt) = _orthonormal_span(B), or B itself in checkouts that still
-    have _distance_start."""
-    if hasattr(spaces, "_distance_start"):
-        return spaces._convex_distance(x, B, q)
+    """_convex_distance's (value, lower) on the basis's factorization
+    (Q, tilt) = _orthonormal_span(B)."""
     return spaces._convex_distance(x, *spaces._orthonormal_span(B), q)
 
 

@@ -3,15 +3,16 @@
 Below 1 the triangle inequality only holds up to C = 2^(1/p - 1), but each
 space still carries an equivalent rho-norm with rho = p.  For l_p itself
 |a + b|^p <= |a|^p + |b|^p makes the trivial decomposition optimal, so the
-rho-norm is ||x||_p exactly, and AokiNorm returns it in closed form.
+rho-norm is ||x||_p exactly, and aoki_norm returns it in closed form; its
+constants C, C0 and rho are QuasiNormInfo.for_exponent(p)'s.
 """
 
 import numpy as np
 
 from snumbers.spaces import (
-    AokiNorm,
     QuasiNormInfo,
     SpaceSpec,
+    aoki_norm,
     ball_volume,
     dist_to_subspace,
     lp_norm,
@@ -31,11 +32,10 @@ if __name__ == "__main__":
     print()
     print("rho-norm vs ||x||_p (equal: the trivial decomposition is optimal)")
     for p in (0.4, 0.5, 0.8):
-        an = AokiNorm(p)
         worst = 0.0
         for _ in range(50):
             x = rng.standard_normal(5)
-            worst = max(worst, abs(an.value(x) - lp_norm(x, p)) / lp_norm(x, p))
+            worst = max(worst, abs(aoki_norm(x, p) - lp_norm(x, p)) / lp_norm(x, p))
         print(f"  p={p}: worst relative gap over 50 vectors = {worst:.2e}")
 
     print()
@@ -47,10 +47,11 @@ if __name__ == "__main__":
         print(row)
 
     print()
-    print("distance to a line in l_q, q = 0.7: the minimizer sits on a kink")
+    print("distance to a line in l_q, q = 0.7: the minimizer sits on a kink,")
+    print("  which the vertex search over the kinks finds exactly")
     x = np.array([1.0, 0.0, -0.5])
     direction = np.array([1.0, 1.0, 1.0])
-    d = dist_to_subspace(x, [direction], 0.7, budget=4000, seed=1)
+    d = dist_to_subspace(x, [direction], 0.7, seed=1)
     # compare against a fine scan of the single coefficient
     ts = np.linspace(-2, 2, 20001)
     scan = min(lp_norm(x - t * direction, 0.7) for t in ts)

@@ -23,7 +23,6 @@ The package is organised by what gets computed:
 from .spaces import (
     COMPLEX,
     REAL,
-    AokiNorm,
     QuasiNormInfo,
     SpaceSpec,
     aoki_norm,

@@ -161,13 +161,12 @@ class RunConfig:
     budget: int
     tol: float
     output: str
-    input_path: str | None
+    input: str | None
     timings: bool
     inject_bug: str | None
 
     def to_json_dict(self):
         d = dataclasses.asdict(self)
-        d["input"] = d.pop("input_path")
         d.update(p=_fmt_exponent(self.p), q=_fmt_exponent(self.q))
         return d
 
@@ -265,17 +264,18 @@ def _envelope_rows(p, q, n, k_lo, k_hi, field, clock, n_tag=""):
         rows.append(_row("e", k, env, "regime-envelope", env.method + n_tag, clock.lap()))
         a_env = approx_id_envelope(p, q, n, k)
         rows.append(_row("a", k, a_env, "closed-form", a_env.method + n_tag, clock.lap()))
-        d_env = kolmogorov_id_envelope(p, q, n, k, field=field)
+        d_env = kolmogorov_id_envelope(p, q, n, k)
         rows.append(_row("d", k, d_env, "closed-form", d_env.method + n_tag, clock.lap()))
     return rows
 
 
 def _entropy_rows(T, cfg, cloud, clock):
     """e rows for k_lo..k_hi: certified packing lowers and cover uppers padded
-    by the cloud's nearest-neighbour gap.  A cloud whose distances leave the
-    float range (a tiny --q, or huge entries) raises ValueError naming the
-    e rows and --q, unless 2^(k_lo-1) centres exceed the cloud: no requested
-    row has a cover of its own, and the rows are left out.  A BracketError passes on."""
+    by the cloud's nearest-neighbour gap.  A cloud that leaves the float
+    range (a tiny --p or --q, or huge entries) raises ValueError naming the
+    e rows, --p and --q, unless 2^(k_lo-1) centres exceed the cloud: no
+    requested row has a cover of its own, and the rows are left out.  A
+    BracketError passes on."""
     try:
         brackets = entropy_mod.entropy_brackets(T, cfg.k_hi, cloud, max(64, min(cloud, 512)),
                                                 cfg.seed)
@@ -284,7 +284,7 @@ def _entropy_rows(T, cfg, cloud, clock):
     except ValueError as exc:
         if 2 ** (cfg.k_lo - 1) > cloud:
             return []
-        raise ValueError(f"{exc} in the e rows at --q {cfg.q!r}") from None
+        raise ValueError(f"{exc} in the e rows at --p {cfg.p!r} --q {cfg.q!r}") from None
     return [_row("e", k, brackets[k - 1], "pack/cover", "estimator", clock.lap())
             for k in range(cfg.k_lo, cfg.k_hi + 1)]
 
@@ -310,7 +310,7 @@ def run_idnumbers(cfg):
 
 def run_estimate(cfg):
     clock = _Clock(cfg.timings)
-    T = load_operator(cfg.input_path, cfg.p, cfg.q, field=None)
+    T = load_operator(cfg.input, cfg.p, cfg.q)
     if cfg.n is not None and cfg.n != T.domain.n:
         raise ValueError(
             f"domain error: --n {cfg.n} does not match matrix columns {T.domain.n}"
@@ -581,7 +581,6 @@ def config_from_args(args):
     if not 0.0 <= opts["tol"] < math.inf:
         raise ValueError(f"--tol {opts['tol']!r} must be finite and >= 0")
     opts["k_lo"], opts["k_hi"] = opts.pop("k")
-    opts["input_path"] = opts.pop("input")
     return RunConfig(**opts)
 
 
@@ -590,8 +589,8 @@ def _power_of_n_overflows(cfg, e):
     dimension n (the larger size of an --input matrix); 2^(1/e) and
     lgamma(1 + 1/e) overflow at such an e even when n = 1."""
     n = cfg.n
-    if cfg.input_path is not None:
-        n = max(load_operator(cfg.input_path, cfg.p, cfg.q, field=None).matrix.shape)
+    if cfg.input is not None:
+        n = max(load_operator(cfg.input, cfg.p, cfg.q).matrix.shape)
     try:
         max(2.0, float(n)) ** inv_exponent(e)
     except OverflowError:

@@ -38,6 +38,7 @@ from .spaces import (
     COMPLEX,
     REAL,
     SpaceSpec,
+    _check_exponent,
     _norm_rows,
     inv_exponent,
     log_ball_volume,
@@ -83,7 +84,7 @@ def padded_upper(pair, q):
     """
     if pair.upper is None:
         return None
-    qbar = _qbar(q)
+    qbar = min(1.0, q)
     if qbar == 1.0:
         return pair.upper + pair.delta
     return (pair.upper**qbar + pair.delta**qbar) ** (1.0 / qbar)
@@ -297,28 +298,26 @@ def max_nn_gap(points, q, traversal=None):
     Sort-by-projection search (Friedman, Baskett & Shustek, IEEE Trans.
     Comput. C-24, 1975) on the real coordinates ([re | im] for complex
     points), in numpy alone.  Each point i gets an upper bound u_i on its
-    true gap r_i = min_{j != i} d(i, j) from one of two sources:
+    true gap r_i = min_{j != i} d(i, j): ``near[i]`` of ``traversal``, a
+    ``_FarthestPoints`` of these ``points`` at this q, the least distance
+    computed to i while it ran.  Without one, the traversal is
+    ``_FarthestPoints(points, 0, q)``, the start's full pass alone.  u_i is
+    a distance from i to another point, computed by the same floating-point
+    expression as that term of r_i's minimum (the expression is symmetric
+    in i and j bit for bit), so u_i >= r_i.
 
-    * the sorted neighbours (``_sorted_neighbour_minima``): the least
-      distance from i to its 16 neighbours on each side in the sorted
-      orders of the three widest real coordinates;
-    * ``traversal``, a ``_FarthestPoints`` of these ``points`` at this q:
-      its ``near[i]``, the least distance computed to i while it ran.
-
-    Either way u_i is a distance from i to another point, computed by the
-    same floating-point expression as that term of r_i's minimum (the
-    expression is symmetric in i and j bit for bit), so u_i >= r_i.
-
-    With a traversal, every point it did not take has near[i] equal to its
+    Every point the traversal did not take has near[i] equal to its
     distance to the centres, so at most the traversal's covering radius R
     (the largest such distance); the points whose bound exceeds R are
     centres.  These are rechecked first.  If that leaves the best gap at R
     or above (a long traversal, whose R is below the cloud's largest gap),
     every other point has u_i <= R <= best and cannot raise the maximum, so
     the search ends.  Otherwise (a short traversal, whose R is still large)
-    the sorted-neighbour minima are folded into the bounds by a minimum and
-    the recheck goes on.  The rule compares two distances and has no
-    constant.
+    the sorted-neighbour minima (``_sorted_neighbour_minima``: the least
+    distance from i to its 16 neighbours on each side in the sorted orders
+    of the three widest real coordinates, again distances >= r_i) are folded
+    into the bounds by a minimum and the recheck goes on.  The rule compares
+    two distances and has no constant.
 
     Points are then rechecked in descending u_i, and the scan stops at the
     first u_i <= best gap found, because every remaining r_i <= u_i <= best.
@@ -344,12 +343,10 @@ def max_nn_gap(points, q, traversal=None):
         return 0.0
     if not np.all(np.isfinite(points)):
         raise ValueError("max_nn_gap needs finite points")
-    # work in the sorted order of the widest coordinate
     if traversal is None:
-        _, keys, cols = _sorted_cloud(points)
-        upper = _sorted_neighbour_minima(cols, q)
-    else:
-        keys, cols, upper = traversal.keys, traversal.cols, traversal.near.copy()
+        traversal = _FarthestPoints(points, 0, q)
+    # work in the sorted order of the widest coordinate
+    keys, cols, upper = traversal.keys, traversal.cols, traversal.near.copy()
     widen = _slab_widen(points.shape[1], q)
 
     def nearest(i, lo, hi):
@@ -383,8 +380,6 @@ def max_nn_gap(points, q, traversal=None):
             upper[i] = r_i
         return best
 
-    if traversal is None:
-        return recheck(0.0, 0.0)
     radius = float(traversal.d.max())
     best = recheck(0.0, radius)
     if best >= radius:
@@ -596,10 +591,6 @@ def entropy_upper_cover_sequence(T, k_max, cloud=1024, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def _qbar(q):
-    return 1.0 if math.isinf(q) else min(1.0, q)
-
-
 def _packing_traversal(T, budget, seed):
     """Traversal of T's cloud from its largest-norm point, kept on T (its
     matrix is read-only), and the ``_cloud_scale`` its cloud was divided by."""
@@ -652,7 +643,7 @@ def entropy_lower_pack_sequence(T, k_max, budget=512, seed=0):
     # separation of the first (i+2) points = min of the first (i+1) insertions
     prefix_sep = np.minimum.accumulate(insert_dists)
 
-    denom = 2.0 ** (1.0 / _qbar(q))
+    denom = 2.0 ** (1.0 / min(1.0, q))
     out = []
     for k in range(1, k_max + 1):
         K = 2 ** (k - 1) + 1
@@ -729,7 +720,7 @@ def hamming_pack_lower(p, q, n, k):
     if n < 4:
         warnings.warn(f"Hamming packing needs n >= 4 (got n={n}); returning 0", stacklevel=2)
         return 0.0
-    denom = 2.0 ** (1.0 / _qbar(q))
+    denom = 2.0 ** (1.0 / min(1.0, q))
     best = 0.0
     for m in range(1, n // 4 + 1):
         log2_a = _log2_binom(n, 2 * m) - _log2_binom(n, m)
@@ -771,6 +762,8 @@ def regime_envelope(p, q, n, k, field=COMPLEX):
     over the reals; boundary indices are assigned to the mid regime, where
     both adjacent pieces agree up to a bounded factor.
     """
+    _check_exponent(p)
+    _check_exponent(q, "q")
     if p > q:
         raise ValueError("the regime envelope needs p <= q")
     if k < 1:

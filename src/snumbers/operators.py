@@ -766,6 +766,7 @@ def read_matrix_csv(path):
     return np.array(data, dtype=complex if any_complex else float)
 
 
-def load_operator(path, p, q, field=None):
-    """Read a CSV matrix and wrap it as an operator l_p -> l_q."""
-    return operator(read_matrix_csv(path), p, q, field=field)
+def load_operator(path, p, q):
+    """Read a CSV matrix and wrap it as an operator l_p -> l_q, over the
+    complex scalars exactly when an entry is complex."""
+    return operator(read_matrix_csv(path), p, q)

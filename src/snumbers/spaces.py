@@ -189,8 +189,10 @@ def _stable_seed(seed, x, *tail):
     return [int(seed) & 0xFFFFFFFF, zlib.crc32(np.ascontiguousarray(x).tobytes()), *tail]
 
 
-class AokiNorm:
-    """The rho-norm of l_p, 0 < p < 1, in closed form: ||x||_0 = ||x||_p.
+def aoki_norm(x, p):
+    """The Aoki-Rolewicz rho-norm of x in l_p, 0 < p < 1, in closed form:
+    ||x||_0 = ||x||_p.  Its constants C, C0 and rho are
+    ``QuasiNormInfo.for_exponent(p)``'s.
 
     Proof.  The triangle constant of l_p is C = 2^(1/p - 1), so 2C =
     2^(1/p) and rho = ln 2 / ln(2C) = p.  For scalars a, b and 0 < p <= 1,
@@ -202,35 +204,12 @@ class AokiNorm:
     ||x||_p.  Hence the sandwich ||x||_p / C0^2 <= ||x||_0 <= ||x||_p holds,
     and ||x + y||_0^rho <= ||x||_0^rho + ||y||_0^rho is p-subadditivity.
     """
-
-    def __init__(self, p):
-        if not (0.0 < p < 1.0):
-            raise ValueError(f"the rho-norm needs 0 < p < 1, got {p!r}")
-        self.p = float(p)
-        self.info = QuasiNormInfo.for_exponent(p)
-
-    @staticmethod
-    def _vector(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.size == 0:
-            raise ValueError("expected a nonempty 1-d vector")
-        return x
-
-    def value(self, x):
-        return lp_norm(self._vector(x), self.p)
-
-    def parts(self, x):
-        """An optimal decomposition of x: the trivial one."""
-        return [self._vector(x).copy()]
-
-    def value_of_sum(self, x, y):
-        return self.value(self._vector(x) + self._vector(y))
-
-
-def aoki_norm(x, p):
-    """The Aoki-Rolewicz rho-norm of x in l_p, 0 < p < 1, which is ||x||_p;
-    see :class:`AokiNorm` for the proof."""
-    return AokiNorm(p).value(x)
+    if not (0.0 < p < 1.0):
+        raise ValueError(f"the rho-norm needs 0 < p < 1, got {p!r}")
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("expected a nonempty 1-d vector")
+    return lp_norm(x, float(p))
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +264,8 @@ def _dual(y, a, r):
 # certified relative gap is at most this; otherwise the Nelder-Mead descent
 # runs as well
 CERTIFIED_GAP = 1e-9
+# the objective evaluations of that Nelder-Mead descent, shared by its starts
+DESCENT_BUDGET = 2000
 _NEWTON_STEPS = 60
 # the q = 1 smoothing mu is max |r| times 10^-s for these s, in turn
 _SMOOTHING = (1, 3, 5, 7, 9, 11)
@@ -570,8 +551,8 @@ def _distance_caps(Y, Q, q):
     return residual if q == 2.0 else np.minimum(_scaled_norm_rows(Y, q), residual)
 
 
-def _subspace_distance(x, B, Q, tilt, cap, q, budget=2000, seed=0):
-    """dist_to_subspace(x, list(B.T), q, budget, seed) from its one
+def _subspace_distance(x, B, Q, tilt, cap, q, seed=0):
+    """dist_to_subspace(x, list(B.T), q, seed) from its one
     factorization: x and B of one field (``_one_field``), (Q, tilt) =
     ``_orthonormal_span(B)`` and cap, x's ``_distance_caps``.  The value
     is min(cap, the branch's value), so it never exceeds cap, bit for bit,
@@ -609,11 +590,11 @@ def _subspace_distance(x, B, Q, tilt, cap, q, budget=2000, seed=0):
         r = np.abs(x - B @ (z[:m] + 1j * z[m:] if iscomplex else z))
         return float(r.max() if math.isinf(q) else _power_sums(r, q))
 
-    val = _derivative_free_descent(objective, starts, max(200, budget // len(starts)))
+    val = _derivative_free_descent(objective, starts, max(200, DESCENT_BUDGET // len(starts)))
     return float(min(cap, val if math.isinf(q) else val ** (1.0 / q)))
 
 
-def dist_to_subspace(x, basis, q, budget=2000, seed=0):
+def dist_to_subspace(x, basis, q, seed=0):
     """Distance from x to span(basis) in the l_q (quasi-)norm.
 
     This equals the quotient norm of the class of x in l_q^n / span(basis).
@@ -651,8 +632,8 @@ def dist_to_subspace(x, basis, q, budget=2000, seed=0):
       vertex cap, and the uncertified convex values): a descent, Nelder-Mead
       from the least-squares and the zero coefficients of the stacked basis
       over their real coordinates (the real and imaginary parts for complex
-      data), with six more seeded starts for q < 1.  scipy is loaded only
-      for it.
+      data), with six more seeded starts for q < 1, DESCENT_BUDGET
+      objective evaluations in all.  scipy is loaded only for it.
 
     A descent returns an upper approximation of the infimum.  Every value
     is at most the cap.
@@ -670,7 +651,7 @@ def dist_to_subspace(x, basis, q, budget=2000, seed=0):
     x, B = _one_field(x, np.column_stack(basis))
     Q, tilt = _orthonormal_span(B)
     cap = float(_distance_caps(x[None], Q, q)[0])
-    return _subspace_distance(x, B, Q, tilt, cap, q, budget, seed)
+    return _subspace_distance(x, B, Q, tilt, cap, q, seed)
 
 
 # ---------------------------------------------------------------------------

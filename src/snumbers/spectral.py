@@ -8,7 +8,8 @@ sequence we check
 
   * Weyl:  prod_{i<=k} |lambda_i| <= prod_{i<=k} sigma_i for every k, with
     equality of the full products (both equal |det T|), and the companion
-    p-sum domination for every p > 0;
+    p-sum domination, which holds for every p > 0 and is checked on
+    WEYL_P_GRID;
   * Carl:  the geometric mean of the top k moduli is at most
     min_n 2^(n/2k) e_n(T), hence |lambda_k| <= sqrt(2) e_k(T) --- checked
     against *upper estimates* of e_n, which can only make the test harder;
@@ -32,6 +33,9 @@ from .operators import CERTIFIED, EXACT, singular_values
 
 SQRT2 = math.sqrt(2.0)
 BRACKET_FACTOR = 14.0
+# the exponents p of the p-sum comparisons in weyl_check and koenig_limit_check
+WEYL_P_GRID = (0.5, 1.0, 2.0, 4.0)
+KOENIG_P_GRID = (0.5, 1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -135,12 +139,12 @@ def _require_hilbert(T, who):
         raise ValueError(f"{who} needs an l_2 -> l_2 operator")
 
 
-def weyl_check(T, p_grid=(0.5, 1.0, 2.0, 4.0), tol=1e-9):
+def weyl_check(T, tol=1e-9):
     """Eigenvalue/singular-value domination on a square Hilbert instance.
 
     Checks, for every k up to the dimension: the modulus product against
     the singular-value product, and the partial p-sums for each p in
-    ``p_grid`` (weak majorization).  At k = n the two products must agree
+    WEYL_P_GRID (weak majorization).  At k = n the two products must agree
     with each other and with |det T| (two one-sided entries each, so the
     report shows equality rather than just <=).
     """
@@ -155,9 +159,7 @@ def weyl_check(T, p_grid=(0.5, 1.0, 2.0, 4.0), tol=1e-9):
         pl = float(np.prod(lam[:k]))
         ps = float(np.prod(sig[:k]))
         rep.check("weyl-product", pl, ps, f"k={k}", tol)
-    for p in p_grid:
-        if p <= 0:
-            raise ValueError("p-sum exponents must be positive")
+    for p in WEYL_P_GRID:
         for k in range(1, n + 1):
             rep.check(
                 "weyl-psum",
@@ -283,13 +285,13 @@ def spectral_radius(T, max_power=64, return_schedule=False):
     return value
 
 
-def koenig_limit_check(T, index, k_schedule=(1, 2, 4, 8, 16, 32, 64), p_grid=(0.5, 1.0, 2.0)):
+def koenig_limit_check(T, index, k_schedule=(1, 2, 4, 8, 16, 32, 64)):
     """Power-root convergence of one singular value to one eigenvalue modulus.
 
     Reports sigma_index(T^k)^(1/k) along ``k_schedule`` together with the
     target |lambda_index| and the final relative error; the p-sum companion
-    constant K_p = sum |lambda|^p / sum sigma^p is fitted and asserted
-    finite (its value is not contractual).  Convergence speed depends on the
+    constant K_p = sum |lambda|^p / sum sigma^p is fitted at each p in
+    KOENIG_P_GRID and asserted finite (its value is not contractual).  Convergence speed depends on the
     eigenvalue-modulus gaps, so only finiteness is asserted here; tolerance
     belongs to the caller.
     """
@@ -316,7 +318,7 @@ def koenig_limit_check(T, index, k_schedule=(1, 2, 4, 8, 16, 32, 64), p_grid=(0.
     rep.extras["rel_error"] = abs(final - target) / max(target, 1e-300)
     sig1 = singular_values(T)
     fitted = {}
-    for p in p_grid:
+    for p in KOENIG_P_GRID:
         lhs = float(np.sum(lam**p))
         rhs = float(np.sum(sig1**p))
         K = 1.0 if lhs == 0.0 else (lhs / rhs if rhs > 0 else math.inf)

@@ -46,6 +46,7 @@ from .operators import (
 from .spaces import (
     COMPLEX,
     REAL,
+    _check_exponent,
     _distance_caps,
     _orthonormal_span,
     _stable_seed,
@@ -112,6 +113,8 @@ def hilbert_s_numbers(T):
 
 
 def _validate_id_args(p, q, n, k):
+    _check_exponent(p)
+    _check_exponent(q, "q")
     if not n >= 1:
         raise ValueError("n must be >= 1")
     if not k >= 1:
@@ -177,7 +180,7 @@ def _phi_kolmogorov(n, k, p, q):
     return max(n ** (iq - ip), min(1.0, n**iq / math.sqrt(k)) * root), "phi-case-4"
 
 
-def kolmogorov_id_envelope(p, q, n, k, field=REAL):
+def kolmogorov_id_envelope(p, q, n, k):
     """Bracket for d_k(id: l_p^n -> l_q^n), with the case as its method.
 
     For 1 <= q <= p the case-1 value (n - k + 1)^(1/q - 1/p) coincides with
@@ -190,8 +193,6 @@ def kolmogorov_id_envelope(p, q, n, k, field=REAL):
     it is consistent with d <= a) and no closed form beyond.
     """
     _validate_id_args(p, q, n, k)
-    if field not in (REAL, COMPLEX):
-        raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
     if k > n:
         return Bracket.point(0.0, EXACT, "rank-zero")
     ip, iq = inv_exponent(p), inv_exponent(q)
@@ -421,11 +422,6 @@ class SubspaceCandidate:
         return abs(self.direct - self.quotient) / max(1.0, self.direct, self.quotient)
 
 
-def _orthonormal_columns(M):
-    Q, _ = np.linalg.qr(M)
-    return Q
-
-
 def _sample_images(T, n_samples, seed):
     """The images the non-Hilbert Kolmogorov search measures every candidate
     on: M @ x for the n unit vectors +e_j, then n_samples sphere points from
@@ -486,7 +482,7 @@ def _kolmogorov_candidate_value(T, basis, q, images, seed, bound=None):
     """
     M = T.matrix
     if T.domain.p == 2.0 and q == 2.0:
-        Q = _orthonormal_columns(basis)
+        Q = np.linalg.qr(basis)[0]
         P = np.eye(M.shape[0]) - Q @ Q.conj().T
         PM = P @ M
         u, s, vh = np.linalg.svd(PM)
@@ -577,10 +573,10 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     bases = [("svd", U[:, :dim])]
     for _ in range(n_svd - 1):
         J = U[:, :dim] + 0.05 * _random_like(rng, U[:, :dim])
-        bases.append(("svd-jitter", _orthonormal_columns(J)))
+        bases.append(("svd-jitter", np.linalg.qr(J)[0]))
     for _ in range(n_cand - len(bases)):
         G = _random_like(rng, U[:, :dim])
-        bases.append(("random", _orthonormal_columns(G)))
+        bases.append(("random", np.linalg.qr(G)[0]))
 
     images = None if hilbert else _sample_images(T, n_samples, seed)
     cands = []

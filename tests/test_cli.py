@@ -363,6 +363,16 @@ def test_tiny_q_image_distances_exit_two_and_name_q_and_the_e_rows():
     assert "Traceback" not in r.stderr
 
 
+def test_tiny_p_sphere_draws_exit_two_and_name_p_in_the_e_rows(capsys):
+    # the sampler's Gamma(1/p) draws overflow at p = 0.001 while q = 1 is
+    # harmless, so the error names --p as well as --q
+    assert main(["estimate", "--input", MATRIX, "--p", "0.001", "--q", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too small to sample the l_p sphere" in captured.err
+    assert "in the e rows at --p 0.001 --q 1.0" in captured.err
+
+
 def test_overflowing_rank_search_candidates_do_not_warn(tmp_path):
     # perturbed low-rank factors of a 1e200 matrix overflow in their product;
     # those candidates lose the search, so the report is unchanged and quiet

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snumbers import operators, spaces, widths
+from snumbers.entropy import regime_envelope
 from snumbers.operators import SHAPE, Bracket, diagonal_operator, op_norm, operator, realify
 from snumbers.spaces import COMPLEX, REAL, dist_to_subspace
 from snumbers.widths import (
@@ -135,6 +136,23 @@ def test_kolmogorov_log_bracket_at_q_inf():
     assert env.method.endswith("-log-bracket")
     assert not env.exact
     assert env.upper == pytest.approx(env.lower * math.log(math.e * 8 / 2) ** 1.5)
+
+
+@pytest.mark.parametrize("envelope, args", [
+    (kolmogorov_id_envelope, (2.0, math.nan, 4, 2)),
+    (kolmogorov_id_envelope, (0.0, 1.0, 4, 2)),
+    (approx_id_envelope, (-1.0, 1.0, 4, 2)),
+    (approx_id_envelope, (0.0, 1.0, 4, 1)),
+    (approx_id_envelope, (2.0, math.nan, 4, 2)),
+    (regime_envelope, (math.nan, 1.0, 4, 2)),
+    (regime_envelope, (1.0, -INF, 4, 2)),
+])
+def test_identity_envelopes_reject_exponents_that_are_not_positive(envelope, args):
+    # a NaN, zero or negative exponent is no l_p space: each envelope refuses
+    # it by name instead of returning a bracket or dividing by zero
+    name = "p" if not args[0] > 0 else "q"
+    with pytest.raises(ValueError, match=f"^{name} must be a positive number"):
+        envelope(*args)
 
 
 def test_kolmogorov_never_above_approx_on_nested_grid():
