@@ -10,9 +10,9 @@ import math
 import numpy as np
 
 from snumbers.entropy import (
+    PACK_POINTS,
     best_certified_lower,
-    entropy_upper_cover_sequence,
-    padded_upper,
+    entropy_brackets,
     regime_envelope,
 )
 from snumbers.operators import identity_operator
@@ -22,13 +22,12 @@ INF = math.inf
 
 def bracket_table(p, q, n, k_max=6, cloud=3000, seed=42):
     T = identity_operator(n, p, q)
-    covers = entropy_upper_cover_sequence(T, k_max, cloud=cloud, seed=seed)
     print(f"id: l_{p}^{n} -> l_{q}^{n}")
     print("   k   lower  (method)          upper+delta")
-    for k in range(1, k_max + 1):
-        lo = best_certified_lower(T, k, budget=600, seed=seed)
-        up = padded_upper(covers[k - 1], q)
-        print(f"  {k:2d}  {lo.lower:6.4f}  ({lo.method_lower:<12s})   {up:6.4f}")
+    for k, b in enumerate(entropy_brackets(T, k_max, cloud, seed), 1):
+        # the bracket's lower is best_certified_lower's, which names the bound that won
+        method = best_certified_lower(T, k, budget=min(cloud, PACK_POINTS), seed=seed).method_lower
+        print(f"  {k:2d}  {b.lower:6.4f}  ({method:<12s})   {b.upper:6.4f}")
     print()
 
 

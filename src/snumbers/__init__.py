@@ -55,7 +55,6 @@ from .entropy import (
     BoundPair,
     best_certified_lower,
     entropy_brackets,
-    entropy_lower_pack,
     entropy_lower_pack_sequence,
     entropy_lower_volumetric,
     entropy_upper_cover_sequence,

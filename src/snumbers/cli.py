@@ -70,6 +70,7 @@ from .spaces import (
 )
 from .spectral import CheckReport, carl_check, hilbert_entropy_bracket, weyl_check
 from .widths import (
+    NO_CLOSED_FORM,
     approx_id_envelope,
     hilbert_s_numbers,
     kolmogorov_id_envelope,
@@ -260,7 +261,7 @@ def _envelope_rows(p, q, n, k_lo, k_hi, field, clock, n_tag=""):
     rows = []
     for k in range(k_lo, k_hi + 1):
         env = (entropy_mod.regime_envelope(p, q, n, k, field=field) if p <= q
-               else Bracket(None, None, None, None, "no closed form"))
+               else Bracket(None, None, None, None, NO_CLOSED_FORM))
         rows.append(_row("e", k, env, "regime-envelope", env.method + n_tag, clock.lap()))
         a_env = approx_id_envelope(p, q, n, k)
         rows.append(_row("a", k, a_env, "closed-form", a_env.method + n_tag, clock.lap()))
@@ -270,15 +271,13 @@ def _envelope_rows(p, q, n, k_lo, k_hi, field, clock, n_tag=""):
 
 
 def _entropy_rows(T, cfg, cloud, clock):
-    """e rows for k_lo..k_hi: certified packing lowers and cover uppers padded
-    by the cloud's nearest-neighbour gap.  A cloud that leaves the float
-    range (a tiny --p or --q, or huge entries) raises ValueError naming the
-    e rows, --p and --q, unless 2^(k_lo-1) centres exceed the cloud: no
-    requested row has a cover of its own, and the rows are left out.  A
-    BracketError passes on."""
+    """e rows for k_lo..k_hi: the brackets of ``entropy_brackets``.  A cloud
+    that leaves the float range (a tiny --p or --q, or huge entries) raises
+    ValueError naming the e rows, --p and --q, unless 2^(k_lo-1) centres
+    exceed the cloud: no requested row has a cover of its own, and the rows
+    are left out.  A BracketError passes on."""
     try:
-        brackets = entropy_mod.entropy_brackets(T, cfg.k_hi, cloud, max(64, min(cloud, 512)),
-                                                cfg.seed)
+        brackets = entropy_mod.entropy_brackets(T, cfg.k_hi, cloud, cfg.seed)
     except BracketError:
         raise
     except ValueError as exc:
@@ -347,7 +346,7 @@ def _verify_carl_bracket(cfg):
     for idx, diag in enumerate([(1.0, 0.5), (2.0, 1.0, 0.25)]):
         T = operator(np.diag(diag), 2, 2)
         k_max = 4
-        brackets = entropy_mod.entropy_brackets(T, k_max, cloud, min(cloud, 256), cfg.seed + idx)
+        brackets = entropy_mod.entropy_brackets(T, k_max, cloud, cfg.seed + idx)
         rep.merge(carl_check(T, [b.upper for b in brackets], k_max, tol=cfg.tol),
                   "carl", f"diag{diag}: ")
         for n_index in range(1, 4):
@@ -381,13 +380,9 @@ def _verify_entropy_consistency(cfg):
     for (p, q) in ((1.0, 2.0), (1.0, math.inf), (0.5, 1.0)):
         for n in (2, 3):
             T = identity_operator(n, p, q)
-            k_max = min(5, int(math.log2(cloud)) + 1)
-            bounds = entropy_mod.entropy_upper_cover_sequence(T, k_max, cloud=cloud, seed=cfg.seed)
-            for k in range(1, k_max + 1):
-                low = entropy_mod.best_certified_lower(T, k, budget=min(cloud, 256), seed=cfg.seed)
-                up = entropy_mod.padded_upper(bounds[k - 1], q)
-                rep.check("entropy-bracket", low.lower, up,
-                          f"id l_{p}^{n}->l_{q}: k={k} ({low.method_lower})", cfg.tol)
+            for k, b in enumerate(entropy_mod.entropy_brackets(T, 5, cloud, cfg.seed), 1):
+                rep.check("entropy-bracket", b.lower, b.upper, f"id l_{p}^{n}->l_{q}: k={k}",
+                          cfg.tol)
     return rep
 
 

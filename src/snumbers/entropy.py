@@ -10,8 +10,8 @@ values are out of reach beyond toy cases, so this module provides
 * certified lower bounds: farthest-point packings of certified image
   points, the volume comparison bound, and a combinatorial packing of
   scaled sign vectors separated in Hamming distance,
-* ``entropy_brackets``, the one place that joins packing lowers and padded
-  cover uppers into a ``Bracket`` per k and decides the kinds of its sides,
+* ``entropy_brackets``, the one place that joins best certified lowers and
+  padded cover uppers into a ``Bracket`` per k and decides their kinds,
 * the closed-form three-regime envelope for the identity l_p -> l_q
   (p <= q) with its regime boundaries at k = log2(2n) and k = 2n in the
   complex convention (n replaces 2n over the reals), and
@@ -626,9 +626,8 @@ def entropy_lower_pack_sequence(T, k_max, budget=512, seed=0):
     kept on the operator and extended, only when a call needs more of it,
     to the last insertion some k <= k_max reads: the largest 2^(k-1) with
     2^(k-1) + 1 <= N (N is the cloud's point count, at least ``budget``).
-    Calls in any order, including the per-k calls of ``entropy_lower_pack``
-    and ``best_certified_lower``, return exactly what a fresh traversal
-    returns.
+    Calls in any order, including the per-k calls of ``best_certified_lower``,
+    return exactly what a fresh traversal returns.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -656,30 +655,30 @@ def entropy_lower_pack_sequence(T, k_max, budget=512, seed=0):
     return out
 
 
-def entropy_lower_pack(T, k, budget=512, seed=0):
-    """Certified farthest-point packing lower bound for e_k(T)."""
-    return entropy_lower_pack_sequence(T, k, budget=budget, seed=seed)[-1]
+# image points in the packing of ``entropy_brackets``, at most: e_k reads
+# only 2^(k-1) + 1 of them, and packing the whole cloud costs ten times as much
+PACK_POINTS = 512
 
 
-def entropy_brackets(T, k_max, cloud, pack_budget, seed):
-    """Brackets of e_1 .. e_{k_max}: the packing lower and the padded cover upper.
+def entropy_brackets(T, k_max, cloud, seed):
+    """Brackets of e_1 .. e_{k_max}: the best certified lower and the padded cover upper.
 
-    The lower is ``entropy_lower_pack_sequence`` on ``pack_budget`` points,
-    a certified bound.  The upper is ``entropy_upper_cover_sequence`` on
-    ``cloud`` points padded by the cloud's gap (``padded_upper``), an
-    estimate, since the cloud only samples the image.  An estimate side may
-    undershoot, so a lower above its upper is a violation for the caller to
-    report, not an error here.  The method is ``pack/cover``.  The cover runs
-    to k_top = min(k_max, floor(log2 cloud) + 1), as 2^(k-1) centres must fit
+    The lower is ``best_certified_lower`` on min(cloud, PACK_POINTS) points,
+    certified.  The upper is ``entropy_upper_cover_sequence`` on ``cloud``
+    points padded by the cloud's gap (``padded_upper``), an estimate, since
+    the cloud only samples the image.  An estimate side may undershoot, so a
+    lower above its upper is a violation for the caller to report, not an
+    error here.  The method is ``pack/cover``.  The cover runs to
+    k_top = min(k_max, floor(log2 cloud) + 1), as 2^(k-1) centres must fit
     the cloud; e_k does not increase with k, so past k_top it is e_{k_top}'s.
     """
     q = T.codomain.p
     k_top = min(k_max, int(math.log2(cloud)) + 1)
     covers = entropy_upper_cover_sequence(T, k_top, cloud=cloud, seed=seed)
     covers += covers[-1:] * (k_max - k_top)
-    packs = entropy_lower_pack_sequence(T, k_max, budget=pack_budget, seed=seed)
-    return [Bracket(pack.lower, padded_upper(cover, q), CERTIFIED, ESTIMATE, "pack/cover")
-            for pack, cover in zip(packs, covers)]
+    return [Bracket(best_certified_lower(T, k, budget=min(cloud, PACK_POINTS), seed=seed).lower,
+                    padded_upper(cover, q), CERTIFIED, ESTIMATE, "pack/cover")
+            for k, cover in enumerate(covers, 1)]
 
 
 def entropy_lower_volumetric(p, q, n, k, field=REAL):
@@ -762,8 +761,7 @@ def regime_envelope(p, q, n, k, field=COMPLEX):
     over the reals; boundary indices are assigned to the mid regime, where
     both adjacent pieces agree up to a bounded factor.
     """
-    _check_exponent(p)
-    _check_exponent(q, "q")
+    p, q = _check_exponent(p), _check_exponent(q, "q")
     if p > q:
         raise ValueError("the regime envelope needs p <= q")
     if k < 1:
@@ -797,7 +795,7 @@ def rank_decay_bounds(m, k, norm=1.0, field=REAL):
 
 
 def best_certified_lower(T, k, budget=512, seed=0):
-    """Best certified lower bound available for e_k(T).
+    """Best certified lower bound available for e_k(T): the one rule for e lowers.
 
     ``Bracket.meet`` takes the largest of the packing lower, which wins a
     tie, and, for identity operators, the volumetric and (p <= q, n >= 4)
@@ -805,7 +803,8 @@ def best_certified_lower(T, k, budget=512, seed=0):
     packing reads the traversal kept on T, so the calls for k = 1 .. K
     together build one cloud and run one traversal of 2^(K-1) + 1 points.
     """
-    lowers = [(entropy_lower_pack(T, k, budget=budget, seed=seed).lower, METHOD_PACKING)]
+    pack = entropy_lower_pack_sequence(T, k, budget=budget, seed=seed)[-1]
+    lowers = [(pack.lower, METHOD_PACKING)]
     p, q, n = T.domain.p, T.codomain.p, T.domain.n
     if is_identity(T.matrix):
         lowers.append((entropy_lower_volumetric(p, q, n, k, T.field), METHOD_VOLUMETRIC))

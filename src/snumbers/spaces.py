@@ -22,6 +22,7 @@ Vectors are one-dimensional numpy arrays, real or complex.
 
 import itertools
 import math
+import numbers
 import sys
 import zlib
 from dataclasses import dataclass
@@ -49,8 +50,11 @@ def conjugate_exponent(p):
 
 
 def _check_exponent(p, name="p"):
-    if not (isinstance(p, (int, float)) and not math.isnan(p) and p > 0):
+    """p as a float, so that a numpy float32 p is not computed in single
+    precision; ValueError unless p is a real number (not a bool) in (0, inf]."""
+    if isinstance(p, bool) or not (isinstance(p, numbers.Real) and not math.isnan(p) and p > 0):
         raise ValueError(f"{name} must be a positive number or inf, got {p!r}")
+    return float(p)
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ class SpaceSpec:
     field: str = REAL
 
     def __post_init__(self):
-        _check_exponent(self.p)
+        object.__setattr__(self, "p", _check_exponent(self.p))
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if self.field not in _FIELDS:
@@ -136,7 +140,7 @@ def lp_norm(x, p):
     rule, so the value is inf or 0 only when the norm itself is out of the
     float range.
     """
-    _check_exponent(p)
+    p = _check_exponent(p)
     x = np.asarray(x)
     if x.size == 0:
         raise ValueError("lp_norm of an empty vector is undefined")
@@ -150,7 +154,7 @@ def quasi_constant(p):
     bound is attained asymptotically by pairs of disjointly supported
     vectors of equal norm.
     """
-    _check_exponent(p)
+    p = _check_exponent(p)
     return max(1.0, 2.0 ** (inv_exponent(p) - 1.0))
 
 
@@ -638,7 +642,7 @@ def dist_to_subspace(x, basis, q, seed=0):
     A descent returns an upper approximation of the infimum.  Every value
     is at most the cap.
     """
-    _check_exponent(q, "q")
+    q = _check_exponent(q, "q")
     x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError("x must be a 1-d vector")
@@ -701,7 +705,7 @@ def sample_sphere(rng, n, p, field=REAL, size=1):
     on top of real moduli.  Raises ValueError when p is so small that a
     power 1/p of the draws or of their norm overflows a float.
     """
-    _check_exponent(p)
+    p = _check_exponent(p)
     if field == COMPLEX:
         r = np.abs(sample_sphere(rng, n, p, REAL, size))
         phase = rng.uniform(0.0, 2.0 * np.pi, (size, n))

@@ -113,12 +113,12 @@ def hilbert_s_numbers(T):
 
 
 def _validate_id_args(p, q, n, k):
-    _check_exponent(p)
-    _check_exponent(q, "q")
+    p, q = _check_exponent(p), _check_exponent(q, "q")
     if not n >= 1:
         raise ValueError("n must be >= 1")
     if not k >= 1:
         raise ValueError("k must be >= 1")
+    return p, q
 
 
 def approx_id_envelope(p, q, n, k):
@@ -132,7 +132,7 @@ def approx_id_envelope(p, q, n, k):
     cells (q = p' boundary, the pair (1, inf) at large k, and p < 1 with
     q > 2 at large k) report no closed form.  The case is the method.
     """
-    _validate_id_args(p, q, n, k)
+    p, q = _validate_id_args(p, q, n, k)
     if k > n:
         return Bracket.point(0.0, EXACT, "rank-zero")
     ip, iq = inv_exponent(p), inv_exponent(q)
@@ -192,7 +192,7 @@ def kolmogorov_id_envelope(p, q, n, k):
     only known up to a constant, so it is reported for k <= n//2 + 1 (where
     it is consistent with d <= a) and no closed form beyond.
     """
-    _validate_id_args(p, q, n, k)
+    p, q = _validate_id_args(p, q, n, k)
     if k > n:
         return Bracket.point(0.0, EXACT, "rank-zero")
     ip, iq = inv_exponent(p), inv_exponent(q)

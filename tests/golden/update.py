@@ -61,6 +61,9 @@ COMMANDS = [
     ("idnumbers-p0.5-q1-complex", ["idnumbers", "--p", "0.5", "--q", "1", "--field", "complex"]),
     ("idnumbers-p1-q2", ["idnumbers", "--p", "1", "--q", "2"]),
     ("idnumbers-p2-q2", ["idnumbers", "--p", "2", "--q", "2"]),
+    # identity e rows past the packing's reach: the volume bound gives their lowers
+    ("idnumbers-p1-q2-n16-k9-12", ["idnumbers", "--p", "1", "--q", "2", "--n", "16",
+                                   "--k", "9..12"]),
 ]
 
 

@@ -23,6 +23,7 @@ from snumbers.cli import (
     run_verify,
     _build_parser,
 )
+from snumbers.widths import NO_CLOSED_FORM
 
 CLI = [sys.executable, "-m", "snumbers.cli"]
 MATRIX = os.path.join(os.path.dirname(__file__), "golden", "matrix.csv")
@@ -106,6 +107,15 @@ def test_idnumbers_exact_formula_value(capsys):
     (a,) = [r for r in rows_of(doc, "a", 2) if r["method"] == "closed-form"]
     assert a["lower"] == pytest.approx(math.sqrt(3.0))
     assert a["label"] == "exact-formula"
+
+
+def test_e_envelope_rows_past_the_closed_form_spell_it_as_the_widths_do(capsys):
+    # at p > q the three-regime envelope does not apply; the e rows say so
+    # with the label the a and d envelopes use
+    _, doc = cli_json(capsys, "idnumbers", "--p", "2", "--q", "1", "--n", "4", "--k", "1..3")
+    env = [r for r in rows_of(doc, "e") if r["method"] == "regime-envelope"]
+    assert [r["k"] for r in env] == [1, 2, 3]
+    assert all((r["label"], r["lower"], r["upper"]) == (NO_CLOSED_FORM, None, None) for r in env)
 
 
 def test_idnumbers_regime_value_complex(capsys):
@@ -547,7 +557,7 @@ def test_entropy_width_and_readme_commands_load_no_numpy_ma(tmp_path):
         M = np.random.default_rng(1).standard_normal((4, 4))
         for q in (0.5, 1.0, 2.0, math.inf):
             T = snumbers.operator(M, 1.0, q)
-            entropy.entropy_brackets(T, 9, cloud=256, pack_budget=128, seed=1)
+            entropy.entropy_brackets(T, 9, cloud=256, seed=1)
             assert not loaded(), ("entropy_brackets", q)
         for p, q in ((2.0, 1.0), (1.0, 1.5), (2.0, 2.0)):
             T = snumbers.operator(M, p, q)

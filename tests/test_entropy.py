@@ -18,7 +18,6 @@ from snumbers.entropy import (
     BoundPair,
     best_certified_lower,
     entropy_brackets,
-    entropy_lower_pack,
     entropy_lower_pack_sequence,
     entropy_lower_volumetric,
     entropy_upper_cover_sequence,
@@ -103,11 +102,13 @@ def test_packing_lower_sign_vectors():
     # are pairwise sup-distance >= 1 apart, so three points certify
     # e_2 >= 1/2
     T = identity_operator(2, 1.0, INF)
-    b = entropy_lower_pack(T, 2, budget=256, seed=0)
+    b = entropy_lower_pack_sequence(T, 2, budget=64, seed=0)[-1]
     assert b.lower == pytest.approx(0.5)
     assert b.method_lower == "packing"
-    bracket = entropy_brackets(T, 2, 64, 256, 0)[1]
-    assert bracket.lower == b.lower
+    # the volume bound is 1/2 too (up to rounding); the bracket takes the meet
+    bracket = entropy_brackets(T, 2, 64, 0)[1]
+    assert bracket.lower == best_certified_lower(T, 2, budget=64, seed=0).lower
+    assert bracket.lower == pytest.approx(0.5)
     assert bracket.lower_kind == CERTIFIED
 
 
@@ -136,7 +137,7 @@ def test_cover_sequence_monotone_and_flags():
     ups = [b.upper for b in seq]
     assert all(a >= b - 1e-12 for a, b in zip(ups, ups[1:]))
     assert all(b.delta == seq[0].delta for b in seq)  # one cloud, one gap
-    brackets = entropy_brackets(T, 4, 600, 256, 0)
+    brackets = entropy_brackets(T, 4, 600, 0)
     assert [b.upper for b in brackets] == [padded_upper(c, INF) for c in seq]
     assert all(b.upper_kind == ESTIMATE for b in brackets)
     assert all(b.method == "pack/cover" for b in brackets)
@@ -146,15 +147,36 @@ def test_brackets_past_the_cloud_keep_the_packing_lower_and_the_last_cover_upper
     # a cloud of 100 points holds 2^(k-1) centres up to k = 7: past it each
     # bracket keeps its own packing lower and e_7's padded upper
     T = operator(np.random.default_rng(4).standard_normal((3, 3)), 3.0, 1.5)
-    brackets = entropy_brackets(T, 10, 100, 64, 0)
+    brackets = entropy_brackets(T, 10, 100, 0)
     assert len(brackets) == 10
-    assert brackets[:7] == entropy_brackets(T, 7, 100, 64, 0)
-    packs = entropy_lower_pack_sequence(T, 10, budget=64, seed=0)
+    assert brackets[:7] == entropy_brackets(T, 7, 100, 0)
+    # the packing takes the whole 100-point cloud; T is no identity, so it
+    # alone gives the lower
+    packs = entropy_lower_pack_sequence(T, 10, budget=100, seed=0)
     assert [b.lower for b in brackets] == [b.lower for b in packs]
-    assert [b.lower for b in brackets[7:]] == [0.0] * 3  # 2^(k-1) + 1 > 64 points
+    assert [b.lower for b in brackets[7:]] == [0.0] * 3  # 2^(k-1) + 1 > 100 points
     assert all(b.upper == brackets[6].upper for b in brackets[7:])
     assert all((b.lower_kind, b.upper_kind, b.method) == (CERTIFIED, ESTIMATE, "pack/cover")
                for b in brackets)
+
+
+@pytest.mark.parametrize("n, cloud", [(3, 128), (4, 256), (16, 1024)])
+@pytest.mark.parametrize("kind", ["identity", "gauss"])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("p, q", [(1.0, 2.0), (2.0, 2.0), (1.0, INF), (0.5, 1.0)])
+def test_bracket_lowers_are_the_best_certified_lowers(p, q, field, kind, n, cloud):
+    # one rule for the lower of e_k: the bracket's is best_certified_lower's
+    # on the packing of min(cloud, 512) points, volume and Hamming bounds
+    # included for identities
+    rng = np.random.default_rng([n, cloud])
+    M = np.eye(n) if kind == "identity" else rng.standard_normal((n, n))
+    if field == COMPLEX and kind == "gauss":
+        M = M + 1j * rng.standard_normal((n, n))
+    K = int(math.log2(cloud)) + 1
+    brackets = entropy_brackets(operator(M, p, q, field=field), K, cloud, 5)
+    T = operator(M, p, q, field=field)
+    assert [b.lower for b in brackets] == [
+        best_certified_lower(T, k, budget=min(cloud, 512), seed=5).lower for k in range(1, K + 1)]
 
 
 def test_cover_requires_enough_cloud():
@@ -208,10 +230,10 @@ def test_tiny_clouds_give_the_brackets_of_the_cloud_scaled_down(s, q):
     # q = 40 the q-th powers of the tiny cloud's gaps underflow to 0 unless
     # the cloud is multiplied up by a power of two first
     M = np.random.default_rng(5).standard_normal((3, 3))
-    ref = entropy_brackets(operator(M, 2.0, q), 4, 256, 128, 0)
+    ref = entropy_brackets(operator(M, 2.0, q), 4, 256, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        tiny = entropy_brackets(operator(M * 2.0**-s, 2.0, q), 4, 256, 128, 0)
+        tiny = entropy_brackets(operator(M * 2.0**-s, 2.0, q), 4, 256, 0)
     for a, b in zip(tiny, ref):
         assert a.lower == pytest.approx(b.lower * 2.0**-s, rel=1e-12, abs=0.0)
         assert a.upper == pytest.approx(b.upper * 2.0**-s, rel=1e-12, abs=0.0)
@@ -447,7 +469,7 @@ def _reference_best_lower(T, k, budget, seed):
     exponents=st.lists(st.tuples(st.sampled_from([0.5, 1.0, 2.0]),
                                  st.sampled_from([0.5, 1.0, 2.0, INF])),
                        min_size=1, max_size=3),
-    calls=st.lists(st.tuples(st.sampled_from(["sequence", "pack", "best"]),
+    calls=st.lists(st.tuples(st.sampled_from(["sequence", "best"]),
                              st.integers(0, 2), st.integers(1, 9),
                              st.sampled_from([40, 130, 300]), st.sampled_from([0, 1, 7])),
                    min_size=1, max_size=12),
@@ -466,9 +488,6 @@ def test_memoised_packing_equals_a_fresh_traversal(matrix_seed, field, kind, exp
         if what == "sequence":
             got = entropy_lower_pack_sequence(T, k, budget=budget, seed=seed)
             assert got == _reference_pack_sequence(T, k, budget, seed)
-        elif what == "pack":
-            got = entropy_lower_pack(T, k, budget=budget, seed=seed)
-            assert got == _reference_pack_sequence(T, k, budget, seed)[-1]
         else:
             got = best_certified_lower(T, k, budget=budget, seed=seed)
             assert got == _reference_best_lower(T, k, budget, seed)

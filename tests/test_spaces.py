@@ -54,6 +54,25 @@ def test_lp_norm_anchors():
     assert lp_norm([3 + 4j], 1.0) == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("p", [np.int64(2), np.float32(1.5), np.float64(0.5), 3, math.inf])
+def test_real_exponents_are_taken_as_floats(p):
+    # numpy scalars are exponents too, and a float32 one is computed in
+    # double precision, as the Python float of its value
+    x = np.array([1.0, -2.0, 3.0])
+    assert lp_norm(x, p) == lp_norm(x, float(p))
+    assert SpaceSpec(p, 3).p == float(p)
+    assert type(SpaceSpec(p, 3).p) is float
+
+
+@pytest.mark.parametrize("p", [True, False, np.True_, 1j, "2", None, math.nan, 0, -1.0])
+def test_exponents_that_are_not_positive_reals_are_refused(p):
+    # a bool is no exponent: True would give the l_1 norm
+    with pytest.raises(ValueError, match="must be a positive number or inf"):
+        lp_norm(np.ones(3), p)
+    with pytest.raises(ValueError, match="must be a positive number or inf"):
+        SpaceSpec(p, 3)
+
+
 def test_quasi_constant_values():
     assert quasi_constant(0.5) == 2.0
     assert quasi_constant(1.0) == 1.0
