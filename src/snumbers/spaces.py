@@ -51,8 +51,10 @@ def conjugate_exponent(p):
 
 def _check_exponent(p, name="p"):
     """p as a float, so that a numpy float32 p is not computed in single
-    precision; ValueError unless p is a real number (not a bool) in (0, inf]."""
-    if isinstance(p, bool) or not (isinstance(p, numbers.Real) and not math.isnan(p) and p > 0):
+    precision; ValueError unless p is a real number (not a bool) in (0, inf].
+    A float skips the slower abstract-class check: norms call this per vector."""
+    real = type(p) is float or (isinstance(p, numbers.Real) and not isinstance(p, bool))
+    if not (real and not math.isnan(p) and p > 0):
         raise ValueError(f"{name} must be a positive number or inf, got {p!r}")
     return float(p)
 
