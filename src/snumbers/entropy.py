@@ -22,6 +22,7 @@ All randomness is driven by explicit integer seeds.
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,12 +113,21 @@ def _row_sum(terms):
 def _dist_cols(cols, c, q):
     """Distances from the points with coordinate columns ``cols`` to ``c``.
 
-    ``cols`` is the (n, N) transpose of the point array and ``c`` has one
-    entry per coordinate (scalars, or arrays broadcasting against a column).
-    The elementwise operations are those of ``_norm_rows(points - c, q)`` in
-    the same order, so the result is bit-identical, but they run over n
+    ``cols`` is the (n, N) transpose of the point array and ``c`` is one
+    point (n entries) or an (n, N) array of points, one per column.  The
+    elementwise operations are those of ``_norm_rows(points - c, q)`` in the
+    same order, so the result is bit-identical, but they run over n
     contiguous length-N columns instead of N short rows, in place.
+
+    A real cloud takes a few whole-array operations: one broadcast
+    difference, its modulus (at q = 2 it is squared without one, since
+    (-x)^2 = x^2 exactly), one in-place q-th power, the rows added left to
+    right into the first (``_row_sum``'s order; n >= 8 keeps its pairwise
+    sum) and one root.  A complex cloud takes one coordinate at a time,
+    which measured faster on large slabs.
     """
+    if cols.dtype.kind != "c":
+        return _dist_real(cols, c, q)
     a = [np.abs(col - cj) for col, cj in zip(cols, c)]
     if math.isinf(q):
         out = a[0]
@@ -135,6 +145,30 @@ def _dist_cols(cols, c, q):
         t **= q
     total = _row_sum(a)
     total **= 1.0 / q
+    return total
+
+
+def _dist_real(cols, c, q):
+    """``_dist_cols`` on a real cloud, over the whole (n, N) difference."""
+    a = cols - (c[:, None] if c.ndim == 1 else c)
+    if q == 2.0:
+        a *= a
+    else:
+        np.abs(a, out=a)
+    if math.isinf(q):
+        return a.max(axis=0)
+    if q != 1.0 and q != 2.0:
+        a **= q
+    if a.shape[0] >= 8:
+        total = np.ascontiguousarray(a.T).sum(axis=1)
+    else:
+        total = a[0]
+        for t in a[1:]:
+            total += t
+    if q == 2.0:
+        return np.sqrt(total, out=total)
+    if q != 1.0:
+        total **= 1.0 / q
     return total
 
 
@@ -222,16 +256,59 @@ def _widest(coords):
         return np.argsort(-np.ptp(coords, axis=0), kind="stable")
 
 
-def _sorted_cloud(points):
-    """The cloud sorted along its widest real coordinate, as (perm, keys,
-    cols): the stable sort permutation, the sorted coordinate (the keys) and
-    the (n, N) columns of the sorted points.  Every slab |key_j - key| <= h
-    is then a contiguous range of positions."""
+def _key_direction(points, coords):
+    """The signs u of the principal direction v of a cloud's (N, m) real
+    coordinates, or None for a cloud that is not finite, is 0, or is so
+    large that its projection on u could overflow.
+
+    Over the complex field the sign of a coordinate is the phase of its
+    (re, im) pair of v: each coordinate of u has modulus 1 (0 where v's is
+    0).  Of the directions whose per-coordinate moduli are at most 1, u
+    spreads the cloud at least as much as v scaled to a largest modulus of
+    1.  With moduli taken per coordinate and v a unit vector, <u, v> =
+    ||v||_1 >= ||v||_2^2 / ||v||_inf = 1 / ||v||_inf.  The covariance C is
+    at least lambda_1 v v^T, so u's variance u^T C u >= lambda_1 ||v||_1^2
+    is at least lambda_1 / ||v||_inf^2, the variance along v / ||v||_inf.
+    """
+    top = float(np.abs(coords).max(initial=0.0))
+    if not 0.0 < 2.0 * coords.shape[1] * top < math.inf:
+        return None
+    X = coords / top
+    X -= X.mean(axis=0)
+    v = np.linalg.eigh(X.T @ X)[1][:, -1]
+    pairs = v.reshape(2, -1) if np.iscomplexobj(points) else v[None, :]
+    moduli = np.sqrt((pairs * pairs).sum(axis=0))
+    return (pairs / np.where(moduli > 0.0, moduli, 1.0)).reshape(-1)
+
+
+def _sorted_cloud(points, q):
+    """The cloud sorted along its key, as (perm, keys, cols, widen, slack):
+    the stable sort permutation, the sorted keys as a list, the (n, N)
+    columns of the sorted points and the slab allowances of the key
+    (``_slab``).  Every slab |key_j - key| <= h is then a contiguous range
+    of positions.
+
+    At q > 1 the key is the widest real coordinate, which is exact.  At
+    q <= 1 it is the projection ``coords @ u`` on the signs u of the
+    principal direction (``_key_direction``), along which the cloud spreads
+    more than along one coordinate.  ||a||_1 <= ||a||_q there, so a u whose
+    per-coordinate moduli are at most 1 moves the key by at most ||a||_q.
+    The projection and the rounding bound of ``_slab`` are sums of m terms
+    of modulus at most about M, the cloud's largest real coordinate, so
+    below 2 m M, which ``_key_direction`` keeps finite; a cloud it refuses
+    keeps the coordinate key.
+    """
     coords = _real_coords(points)
-    axis = _widest(coords)[0]
-    perm = np.argsort(coords[:, axis], kind="stable")
-    return (perm, np.ascontiguousarray(coords[perm, axis]),
-            np.ascontiguousarray(points[perm].T))
+    widen, slack = _slab_widen(points.shape[1], q), 0.0
+    u = _key_direction(points, coords) if q <= 1.0 else None
+    if u is None:
+        key = coords[:, _widest(coords)[0]]
+    else:
+        key = coords @ u
+        widen *= 1.0 + 4.0 * _EPS
+        slack = 2.0 * (coords.shape[1] + 1) * _EPS * float((np.abs(coords) @ np.abs(u)).max())
+    perm = np.argsort(key, kind="stable")
+    return perm, key[perm].tolist(), np.ascontiguousarray(points[perm].T), widen, slack
 
 
 def _slab_widen(n, q):
@@ -240,27 +317,42 @@ def _slab_widen(n, q):
     return 1.0 + 4.0 * (n + 4) * _EPS / min(1.0, q)
 
 
-def _slab(keys, key, radius, widen):
-    """Positions lo:hi of the sorted ``keys`` holding every point whose
+def _slab(keys, key, radius, widen, slack):
+    """Positions lo:hi of the sorted list ``keys`` holding every point whose
     computed distance to a point with key ``key`` is at most ``radius``.
 
-    |Re a_c| <= |a_c| <= ||a||_q and |Im a_c| <= |a_c| <= ||a||_q for every
-    q in (0, inf], so d(i, j) <= r puts key_j within r of key_i.  The
-    computed distance can round below the key gap (sqrt(1.5)**2 < 1.5), so
-    the half-width is r times ``widen`` (``_slab_widen``), plus 4 eps |key|
-    for the rounding of key +- r, which scales with |key|, not with r.
-    Outside the slab every computed distance exceeds ``radius``.  One
-    searchsorted finds both ends: a key exceeds the float v exactly when it
-    is at least nextafter(v, inf), so the left position of that is the
-    right position of v.
+    The computed distance can round below the true one (sqrt(1.5)**2 <
+    1.5), so d(i, j) <= r puts the true distance below r w, with w =
+    ``_slab_widen``.  A coordinate key moves by at most that: |Re a_c| <=
+    |a_c| <= ||a||_q and |Im a_c| <= |a_c| <= ||a||_q for every q in
+    (0, inf], and the key is exact.  A projected key (q <= 1) moves by at
+    most mu ||a||_1 <= mu ||a||_q, where mu is u's largest modulus: a
+    computed modulus of v is within 2 eps of the true one (a square, a sum,
+    a root) and each divided component gains eps/2 more, so
+    mu <= 1 + 3 eps, and ``widen`` is w (1 + 4 eps).  The projection is also
+    rounded: a dot product of m terms (m real coordinates), in any order
+    and with or without fused multiply-adds, is within gamma_m sum_k |u_k|
+    |x_ik| of the exact one, gamma_m = m (eps/2) / (1 - m eps/2) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, section 3.1).
+    Two keys take that error once each, so their gap is within 2 gamma_m S
+    of the exact gap, S = max_i sum_k |u_k| |x_ik|.  ``slack`` is
+    2 (m + 1) eps times S as computed (that sum of nonnegative terms rounds
+    by at most gamma_m relative), which exceeds 2 gamma_m S; it is 0 for a
+    coordinate key.
+
+    The half-width is therefore r ``widen`` + ``slack``, plus 4 eps |key|
+    for the rounding of key +- half, which scales with |key|, not with r.
+    Outside the slab every computed distance exceeds ``radius``.  The ends
+    are bisections of the list: the first key >= key - half, and past the
+    last key <= key + half.
     """
-    half = radius * widen + 4.0 * _EPS * abs(key)
-    return keys.searchsorted((key - half, math.nextafter(key + half, math.inf))).tolist()
+    half = radius * widen + slack + 4.0 * _EPS * abs(key)
+    return bisect_left(keys, key - half), bisect_right(keys, key + half)
 
 
 # neighbours on each side of a point, in each sorted order, that propose u_i
 _NN_SORTED_NEIGHBOURS = 16
-# sorted orders (widest real coordinates) that propose u_i
+# sorted orders (the key, then widest real coordinates) that propose u_i
 _NN_SORTED_AXES = 3
 
 
@@ -278,11 +370,11 @@ def _shift_minima(cols, q):
 
 
 def _sorted_neighbour_minima(cols, q):
-    """For each column of ``cols`` (a cloud sorted by its widest real
-    coordinate), the least distance to its 16 neighbours on each side in
-    the sorted orders of the three widest real coordinates.  Each order's
-    columns are gathered once and shifted as contiguous slices, and its
-    minima are folded in by one scatter."""
+    """For each column of ``cols`` (a cloud sorted by its key,
+    ``_sorted_cloud``), the least distance to its 16 neighbours on each side
+    in that order and in the sorted orders of the second and third widest
+    real coordinates.  Each order's columns are gathered once and shifted
+    as contiguous slices, and its minima are folded in by one scatter."""
     coords = _real_coords(cols.T)
     widest = _widest(coords)
     upper = _shift_minima(cols, q)
@@ -314,9 +406,9 @@ def max_nn_gap(points, q, traversal=None):
     every other point has u_i <= R <= best and cannot raise the maximum, so
     the search ends.  Otherwise (a short traversal, whose R is still large)
     the sorted-neighbour minima (``_sorted_neighbour_minima``: the least
-    distance from i to its 16 neighbours on each side in the sorted orders
-    of the three widest real coordinates, again distances >= r_i) are folded
-    into the bounds by a minimum and the recheck goes on.  The rule compares
+    distance from i to its 16 neighbours on each side in the key's sorted
+    order and in those of two real coordinates, again distances >= r_i) are
+    folded into the bounds by a minimum and the recheck goes on.  The rule compares
     two distances and has no constant.
 
     Points are then rechecked in descending u_i, and the scan stops at the
@@ -324,9 +416,9 @@ def max_nn_gap(points, q, traversal=None):
     A recheck of i also lowers u_j to d(i, j) for the points j it meets, and
     a point whose lowered u_j <= best is skipped for the same reason.
 
-    A recheck of i scans only slabs |key_j - key_i| <= r on the widest
-    coordinate (``_slab``), every j with d(i, j) <= r lying in the slab of
-    radius r.  The recheck first scans the slab of radius best.  If it holds
+    A recheck of i scans only slabs |key_j - key_i| <= r of the traversal's
+    key (``_slab``), every j with d(i, j) <= r lying in the slab of radius
+    r.  The recheck first scans the slab of radius best.  If it holds
     a j with d(i, j) <= best, then r_i <= best and i cannot raise the
     maximum, so i is done.  Otherwise the nearest j lies within
     m = min(u_i, the slab's minimum) of i, and the recheck scans the rest of
@@ -345,9 +437,9 @@ def max_nn_gap(points, q, traversal=None):
         raise ValueError("max_nn_gap needs finite points")
     if traversal is None:
         traversal = _FarthestPoints(points, 0, q)
-    # work in the sorted order of the widest coordinate
+    # work in the traversal's sorted order
     keys, cols, upper = traversal.keys, traversal.cols, traversal.near.copy()
-    widen = _slab_widen(points.shape[1], q)
+    widen, slack = traversal.widen, traversal.slack
 
     def nearest(i, lo, hi):
         """min of d(i, j) over j != i in lo:hi, lowering u_j on the way."""
@@ -368,11 +460,11 @@ def max_nn_gap(points, q, traversal=None):
                 break
             if upper[i] <= stop:  # tightened by an earlier recheck
                 continue
-            key = float(keys[i])
-            lo_b, hi_b = _slab(keys, key, best, widen)  # holds i
+            key = keys[i]
+            lo_b, hi_b = _slab(keys, key, best, widen, slack)  # holds i
             r_i = nearest(i, lo_b, hi_b)
             if r_i > best:
-                lo, hi = _slab(keys, key, min(float(upper[i]), r_i), widen)
+                lo, hi = _slab(keys, key, min(float(upper[i]), r_i), widen, slack)
                 for a, b in ((lo, lo_b), (hi_b, hi)):
                     if a < b:
                         r_i = min(r_i, nearest(i, a, b))
@@ -398,11 +490,12 @@ class _FarthestPoints:
     ``extend(count)`` continues the loop exactly where it stopped, so the gaps
     after any sequence of extensions are those of one uninterrupted traversal.
 
-    The cloud is kept sorted along its widest real coordinate
-    (``_sorted_cloud``), and an insertion at distance ``gap`` lowers d only
-    on the slab of radius gap around the new point (``_slab``).  Outside it
-    the computed distance exceeds gap >= d, so ``np.minimum`` would keep
-    every bit there.  Of the points at distance gap, the one with the lowest
+    The cloud is kept sorted along its key (``_sorted_cloud``: the widest
+    real coordinate, or at q <= 1 the projection on the signs of the
+    principal direction), and an insertion at distance ``gap`` lowers d only
+    on the slab of radius gap around the new point (``_slab``, whose ends
+    are bisections of the keys, kept as a list).  Outside it the computed
+    distance exceeds gap >= d, so ``np.minimum`` would keep every bit there.  Of the points at distance gap, the one with the lowest
     index in ``points`` is taken, as ``np.argmax`` takes it in that order,
     so the gaps are those of the unsorted traversal: the taken point's d is
     set to -inf, and only when a second ``argmax`` meets gap again are the
@@ -421,8 +514,8 @@ class _FarthestPoints:
     """
 
     def __init__(self, points, start, q):
-        self.perm, self.keys, self.cols = _sorted_cloud(points)
-        self.q, self.widen = q, _slab_widen(points.shape[1], q)
+        self.perm, self.keys, self.cols, self.widen, self.slack = _sorted_cloud(points, q)
+        self.q = q
         start = int(np.flatnonzero(self.perm == start)[0])
         with np.errstate(over="ignore", invalid="ignore"):
             self.d = _dist_cols(self.cols, self.cols[:, start], q)
@@ -441,6 +534,7 @@ class _FarthestPoints:
         or NaN means the distances overflowed, and raises ValueError.
         """
         d, near, cols, keys, q = self.d, self.near, self.cols, self.keys, self.q
+        widen, slack = self.widen, self.slack
         j_next = self.next
         with np.errstate(over="ignore", invalid="ignore"):
             while len(self.gaps) < count:
@@ -459,7 +553,7 @@ class _FarthestPoints:
                     d[j] = -np.inf
                     j_next = -1
                 self.gaps.append(gap)
-                lo, hi = _slab(keys, float(keys[j]), gap, self.widen)
+                lo, hi = _slab(keys, keys[j], gap, widen, slack)
                 if lo <= j_next < hi:
                     j_next = -1
                 dist = _dist_cols(cols[:, lo:hi], cols[:, j], q)

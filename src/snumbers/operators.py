@@ -28,6 +28,7 @@ from .spaces import (
     COMPLEX,
     REAL,
     SpaceSpec,
+    _check_dimension,
     _dual,
     _norm_rows,
     _scaled_norm_rows,
@@ -165,7 +166,7 @@ def operator(matrix, p, q, field=None):
 
 def identity_operator(n, p, q, field=REAL):
     """The identity id: l_p^n -> l_q^n."""
-    return operator(np.eye(n), p, q, field=field)
+    return operator(np.eye(_check_dimension(n)), p, q, field=field)
 
 
 def diagonal_operator(diag, p=2.0, q=2.0, field=None):

@@ -59,6 +59,14 @@ def _check_exponent(p, name="p"):
     return float(p)
 
 
+def _check_dimension(n):
+    """n as an int; ValueError unless n is a positive integer (a Python or
+    numpy int, not a bool and not a float)."""
+    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class SpaceSpec:
     """A space l_p^n over the real or complex scalars.
@@ -74,8 +82,7 @@ class SpaceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _check_exponent(self.p))
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", _check_dimension(self.n))
         if self.field not in _FIELDS:
             raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
 

@@ -36,6 +36,7 @@ from snumbers.entropy import (
     _dist_cols,
     _greedy_cover_radii,
     _packing_traversal,
+    _slab,
 )
 from snumbers.operators import (
     CERTIFIED,
@@ -290,13 +291,12 @@ def test_max_nn_gap_rejects_non_finite_points():
 GAP_QS = [0.3, 0.5, 1.0, 1.5, 2.0, 3.0, INF]
 
 
-def _reference_nn_gap(points, q):
-    """Chunked all-pairs nearest-neighbour gap, the brute-force definition."""
-    chunk = 512
+def _reference_nn_distances(points, q):
+    """Chunked all-pairs distance from each point to its nearest other point,
+    the brute-force definition."""
+    chunk = 128
     N = points.shape[0]
-    if N < 2:
-        return 0.0
-    worst = 0.0
+    out = np.empty(N)
     for start in range(0, N, chunk):
         block = points[start : start + chunk]
         if math.isinf(q):
@@ -305,17 +305,26 @@ def _reference_nn_gap(points, q):
             D = (np.abs(block[:, None, :] - points[None, :, :]) ** q).sum(axis=2) ** (1.0 / q)
         for i in range(block.shape[0]):
             D[i, start + i] = np.inf
-        worst = max(worst, float(D.min(axis=1).max()))
-    return worst
+        out[start : start + chunk] = D.min(axis=1)
+    return out
+
+
+def _reference_nn_gap(points, q):
+    """The brute-force max nearest-neighbour gap."""
+    return float(_reference_nn_distances(points, q).max()) if points.shape[0] >= 2 else 0.0
+
+
+def _reference_start(points, q, subsample=256):
+    """The greedy cover's first centre, by row-major distances."""
+    N = points.shape[0]
+    cand_idx = np.linspace(0, N - 1, min(N, subsample)).astype(int)
+    worst = [_norm_rows(points - points[ci], q).max() for ci in cand_idx]
+    return int(cand_idx[int(np.argmin(worst))])
 
 
 def _reference_cover_radii(points, n_centers, q, subsample=256):
     """Farthest-point k-center with row-major distances (_norm_rows)."""
-    N = points.shape[0]
-    m = min(N, subsample)
-    cand_idx = np.linspace(0, N - 1, m).astype(int)
-    worst = [_norm_rows(points - points[ci], q).max() for ci in cand_idx]
-    d = _norm_rows(points - points[int(cand_idx[int(np.argmin(worst))])], q)
+    d = _norm_rows(points - points[_reference_start(points, q, subsample)], q)
     radii = [float(d.max())]
     for _ in range(1, n_centers):
         j = int(np.argmax(d))
@@ -367,6 +376,78 @@ cloud_args = dict(
 def test_max_nn_gap_equals_brute_force(seed, N, n, field, kind, q):
     X = _cloud(seed, N, n, field, kind)
     assert max_nn_gap(X, q) == _reference_nn_gap(X, q)
+
+
+def _assert_slabs_hold_their_points(X, q):
+    """Every j whose computed distance from i is at most r lies in i's slab
+    of radius r.  r = d(i, j) is the tightest radius for j, as slabs grow
+    with r, so that radius is checked for every pair."""
+    trav = entropy_mod._FarthestPoints(X, 0, q)
+    keys, cols = trav.keys, trav.cols
+    at = np.arange(len(keys))
+    for i, key in enumerate(keys):
+        d = _dist_cols(cols, cols[:, i], q)
+        lo, hi = np.array([_slab(keys, key, r, trav.widen, trav.slack) for r in d.tolist()]).T
+        assert np.all((lo <= at) & (at < hi)), (i, q)
+
+
+def _star(rng, n, field, arms=6):
+    """Points c + t e_k (times a phase over C) around a centre c far from
+    the origin whose coordinates cancel in the key: the distance between two
+    points on one arm is |t - t'| at every q, and each key coordinate has
+    modulus 1, so the key gap of such a pair equals its distance."""
+    c = _offset(rng, n)
+    if field == COMPLEX:
+        c = c + 1j * _offset(rng, n)
+    points = [c]
+    for k in range(n):
+        phase = np.exp(1j * rng.uniform(0, 2 * np.pi)) if field == COMPLEX else 1.0
+        for t in rng.standard_normal(arms):
+            x = c.copy()
+            x[k] += t * phase
+            points.append(x)
+    return np.array(points)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 60), n=st.integers(1, 6),
+       field=st.sampled_from([REAL, COMPLEX]),
+       kind=st.sampled_from(["offset", "star", "gauss", "grid", "scales"]),
+       q=st.sampled_from([0.5, 1.0]))
+def test_projected_key_slabs_hold_every_point_within_their_radius(seed, N, n, field, kind, q):
+    # at q <= 1 the key is a rounded projection; far from the origin
+    # (|coordinate| 1e6 to 1e8) its rounding is largest against the gaps
+    if kind == "star":
+        X = _star(np.random.default_rng(seed), n, field)
+    else:
+        X = _cloud(seed, N, n, field, kind)
+    _assert_slabs_hold_their_points(X, q)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("q", [0.5, 1.0])
+def test_projected_key_slabs_hold_points_whose_key_rounds_in_a_cancellation(field, q):
+    # a diagonal arm pins the key's signs to those of (w, w, w); the key of
+    # c + t w e_1 sums terms of 1e8 + t, 1e8 and -2e8, whose partial sums
+    # of order 2e8 round by up to 1.5e-8, while the key, the gaps and the
+    # distances are of order 1 and a gap along one arm equals its distance
+    rng = np.random.default_rng(7)
+    w = (1 + 1j) / np.sqrt(2) if field == COMPLEX else 1.0
+    c = np.array([1e8, 1e8, -2e8]) * (1 + 1j if field == COMPLEX else 1.0)
+    diagonal = [c + s * w for s in 10.0 * rng.standard_normal(20)]
+    arms = [c + t * w * e for e in np.eye(3) for t in rng.standard_normal(8)]
+    _assert_slabs_hold_their_points(np.array(diagonal + arms), q)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_clouds_whose_projection_could_overflow_keep_the_coordinate_key(field):
+    X = _cloud(3, 40, 3, field, "gauss") * 1e307
+    widest = np.argmax(np.ptp(entropy_mod._real_coords(X), axis=0))
+    for scale, projected in ((1e-300, True), (1.0, False)):
+        trav = entropy_mod._FarthestPoints(X * scale, 0, 0.5)
+        assert (trav.slack > 0.0) == projected
+        if not projected:
+            assert trav.keys == sorted(entropy_mod._real_coords(X)[:, widest].tolist())
 
 
 IMAGE_QS = [0.5, 1.0, 2.0, INF]
@@ -549,6 +630,35 @@ def test_cover_radii_on_bench_clouds_equal_reference_bitwise(case):
     q = T.codomain.p
     assert _hex(_greedy_cover_radii(X, cloud // 2, q)) == _hex(
         _reference_cover_radii(X, cloud // 2, q))
+
+
+def _reference_cover_distances(points, insertions, q):
+    """Each point's row-major distance to the greedy cover's centres after
+    ``insertions`` insertions, -inf at the centres."""
+    start = _reference_start(points, q)
+    d = _norm_rows(points - points[start], q)
+    d[start] = -np.inf
+    for _ in range(insertions):
+        j = int(np.argmax(d))
+        d = np.minimum(d, _norm_rows(points - points[j], q))
+        d[j] = -np.inf
+    return d
+
+
+@pytest.mark.parametrize("case", range(len(BENCH_SHAPES)))
+def test_cover_traversal_state_on_bench_clouds(case):
+    # d, un-permuted, is the row-major traversal's bit for bit, and near[i]
+    # bounds point i's nearest-neighbour distance above, which max_nn_gap
+    # rests on: the slabs of the key decide which distances reach near
+    T, cloud = _bench_operator(case)
+    X = image_cloud(T, cloud, seed=case)
+    q = T.codomain.p
+    trav = _cover_traversal(X, cloud // 2, q)
+    assert len(trav.gaps) == cloud // 2
+    d, near = np.empty(cloud), np.empty(cloud)
+    d[trav.perm], near[trav.perm] = trav.d, trav.near
+    assert _hex(d) == _hex(_reference_cover_distances(X, cloud // 2, q))
+    assert np.all(near >= _reference_nn_distances(X, q))
 
 
 @pytest.mark.parametrize("case", range(len(BENCH_SHAPES)))

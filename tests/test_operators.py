@@ -44,6 +44,13 @@ def test_operator_shape_and_field_checks():
     assert Tc.field == COMPLEX  # inferred
 
 
+@pytest.mark.parametrize("n", [True, 2.0, np.True_, 0])
+def test_identity_refuses_dimensions_that_are_not_positive_integers(n):
+    # checked before np.eye, which takes a bool and raises TypeError on a float
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        identity_operator(n, 1.0, 2.0)
+
+
 def test_matrix_is_frozen():
     T = identity_operator(2, 1, 2)
     with pytest.raises(ValueError):

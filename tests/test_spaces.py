@@ -73,6 +73,19 @@ def test_exponents_that_are_not_positive_reals_are_refused(p):
         SpaceSpec(p, 3)
 
 
+@pytest.mark.parametrize("n", [True, False, np.True_, 2.0, np.float64(3.0), "3", None, 0, -2])
+def test_dimensions_that_are_not_positive_integers_are_refused(n):
+    # a bool is no dimension: True would give l_p^1
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        SpaceSpec(2.0, n)
+
+
+@pytest.mark.parametrize("n", [3, np.int64(3), np.int32(3)])
+def test_integer_dimensions_are_taken_as_ints(n):
+    spec = SpaceSpec(2.0, n)
+    assert spec.n == 3 and type(spec.n) is int
+
+
 def test_quasi_constant_values():
     assert quasi_constant(0.5) == 2.0
     assert quasi_constant(1.0) == 1.0
