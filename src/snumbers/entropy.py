@@ -155,10 +155,10 @@ def _dist_real(cols, c, q):
         a *= a
     else:
         np.abs(a, out=a)
-    if math.isinf(q):
-        return a.max(axis=0)
-    if q != 1.0 and q != 2.0:
-        a **= q
+        if math.isinf(q):
+            return a.max(axis=0)
+        if q != 1.0:
+            a **= q
     if a.shape[0] >= 8:
         total = np.ascontiguousarray(a.T).sum(axis=1)
     else:

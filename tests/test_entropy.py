@@ -392,10 +392,11 @@ def _assert_slabs_hold_their_points(X, q):
 
 
 def _star(rng, n, field, arms=6):
-    """Points c + t e_k (times a phase over C) around a centre c far from
-    the origin whose coordinates cancel in the key: the distance between two
-    points on one arm is |t - t'| at every q, and each key coordinate has
-    modulus 1, so the key gap of such a pair equals its distance."""
+    """Points c + t e_k (times a phase over C) around a centre c with
+    |coordinates| 1e6 to 1e8.  Two points on one arm are |t - t'| apart at
+    every q, and over the reals each coordinate of the key direction is +-1
+    or 0, so the key gap of such a pair is its distance, up to the key's
+    rounding."""
     c = _offset(rng, n)
     if field == COMPLEX:
         c = c + 1j * _offset(rng, n)
