@@ -567,8 +567,18 @@ _RUNNERS = {
 def config_from_args(args):
     opts = {name: spec["default"] for name, spec in _OPTIONS.items()}
     opts.update(vars(args))
-    if opts["seed"] is None:
-        opts["seed"] = int(os.environ.get("SNUM_SEED", DEFAULT_SEED))
+    seed, source = opts["seed"], "--seed"
+    if seed is None:
+        # a subcommand that takes no --seed keeps the default, whatever SNUM_SEED says
+        seed, source = DEFAULT_SEED, "SNUM_SEED"
+        if "seed" in _TAKES[opts["command"]]:
+            seed = os.environ.get(source, seed)
+    try:
+        opts["seed"] = int(seed)
+    except ValueError:
+        opts["seed"] = -1
+    if opts["seed"] < 0:
+        raise ValueError(f"{source} {seed!r} must be an integer >= 0")
     if opts["n"] is not None and opts["n"] < 1:
         raise ValueError("dimension must be >= 1")
     if opts["budget"] < 1:

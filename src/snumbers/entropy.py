@@ -389,32 +389,32 @@ def max_nn_gap(points, q, traversal=None):
 
     Sort-by-projection search (Friedman, Baskett & Shustek, IEEE Trans.
     Comput. C-24, 1975) on the real coordinates ([re | im] for complex
-    points), in numpy alone.  Each point i gets an upper bound u_i on its
-    true gap r_i = min_{j != i} d(i, j): ``near[i]`` of ``traversal``, a
-    ``_FarthestPoints`` of these ``points`` at this q, the least distance
-    computed to i while it ran.  Without one, the traversal is
-    ``_FarthestPoints(points, 0, q)``, the start's full pass alone.  u_i is
-    a distance from i to another point, computed by the same floating-point
-    expression as that term of r_i's minimum (the expression is symmetric
-    in i and j bit for bit), so u_i >= r_i.
+    points), in numpy alone.  It starts from ``traversal``, a
+    ``_FarthestPoints`` of these ``points`` at this q; without one, the
+    traversal is ``_FarthestPoints(points, 0, q)``, the start's full pass
+    alone.  Each point i gets an upper bound u_i on its true gap
+    r_i = min_{j != i} d(i, j).  A centre of the traversal (d = -inf) has
+    u_i = near[i], which is r_i exactly (``_FarthestPoints``).  Any other
+    point has u_i = d[i], its distance to the nearest centre, computed by
+    the same floating-point expression as that term of r_i's minimum (the
+    expression is symmetric in i and j bit for bit), so u_i >= r_i.
 
-    Every point the traversal did not take has near[i] equal to its
-    distance to the centres, so at most the traversal's covering radius R
-    (the largest such distance); the points whose bound exceeds R are
-    centres.  These are rechecked first.  If that leaves the best gap at R
-    or above (a long traversal, whose R is below the cloud's largest gap),
-    every other point has u_i <= R <= best and cannot raise the maximum, so
-    the search ends.  Otherwise (a short traversal, whose R is still large)
-    the sorted-neighbour minima (``_sorted_neighbour_minima``: the least
-    distance from i to its 16 neighbours on each side in the key's sorted
-    order and in those of two real coordinates, again distances >= r_i) are
-    folded into the bounds by a minimum and the recheck goes on.  The rule compares
-    two distances and has no constant.
+    The best gap starts at the centres' largest r_i.  If that is at least
+    the traversal's covering radius R = max d (a long traversal, whose R is
+    below the cloud's largest gap), every other point has r_i <= u_i <= R
+    <= best, and the search ends without computing a distance.  Otherwise
+    (a short traversal, whose R is still large) the sorted-neighbour minima
+    (``_sorted_neighbour_minima``: the least distance from i to its 16
+    neighbours on each side in the key's sorted order and in those of two
+    real coordinates, again distances >= r_i) are folded into the bounds by
+    a minimum, and the points are rechecked.  The rule compares two
+    distances and has no constant.
 
-    Points are then rechecked in descending u_i, and the scan stops at the
-    first u_i <= best gap found, because every remaining r_i <= u_i <= best.
-    A recheck of i also lowers u_j to d(i, j) for the points j it meets, and
-    a point whose lowered u_j <= best is skipped for the same reason.
+    Points are rechecked in descending u_i, and the scan stops at the first
+    u_i <= best gap found, because every remaining r_i <= u_i <= best; the
+    centres, whose u_i = r_i <= best, are never rechecked.  A recheck of i
+    also lowers u_j to d(i, j) for the points j it meets, and a point whose
+    lowered u_j <= best is skipped for the same reason.
 
     A recheck of i scans only slabs |key_j - key_i| <= r of the traversal's
     key (``_slab``), every j with d(i, j) <= r lying in the slab of radius
@@ -438,46 +438,41 @@ def max_nn_gap(points, q, traversal=None):
     if traversal is None:
         traversal = _FarthestPoints(points, 0, q)
     # work in the traversal's sorted order
-    keys, cols, upper = traversal.keys, traversal.cols, traversal.near.copy()
+    keys, cols, d, near = traversal.keys, traversal.cols, traversal.d, traversal.near
     widen, slack = traversal.widen, traversal.slack
+    centres = d == -np.inf
+    best = float(near[centres].max())
+    if best >= d.max():
+        return best
+    upper = np.where(centres, near, d)
+    np.minimum(upper, _sorted_neighbour_minima(cols, q), out=upper)
 
     def nearest(i, lo, hi):
         """min of d(i, j) over j != i in lo:hi, lowering u_j on the way."""
-        d = _dist_cols(cols[:, lo:hi], cols[:, i], q)
+        dist = _dist_cols(cols[:, lo:hi], cols[:, i], q)
         if lo <= i < hi:
-            d[i - lo] = math.inf
+            dist[i - lo] = math.inf
         # d(i, j) is also a term of r_j's minimum
-        np.minimum(upper[lo:hi], d, out=upper[lo:hi])
-        return float(d.min())
+        np.minimum(upper[lo:hi], dist, out=upper[lo:hi])
+        return float(dist.min())
 
-    def recheck(best, floor):
-        """best, raised to r_i for every i with r_i > best whose bound
-        exceeds max(best, floor); each recheck leaves u_i = its minimum."""
-        scan = np.argsort(upper)[::-1]
-        for i, u_i in zip(scan.tolist(), upper[scan].tolist()):
-            stop = max(best, floor)
-            if u_i <= stop:
-                break
-            if upper[i] <= stop:  # tightened by an earlier recheck
-                continue
-            key = keys[i]
-            lo_b, hi_b = _slab(keys, key, best, widen, slack)  # holds i
-            r_i = nearest(i, lo_b, hi_b)
-            if r_i > best:
-                lo, hi = _slab(keys, key, min(float(upper[i]), r_i), widen, slack)
-                for a, b in ((lo, lo_b), (hi_b, hi)):
-                    if a < b:
-                        r_i = min(r_i, nearest(i, a, b))
-                best = max(best, r_i)
-            upper[i] = r_i
-        return best
-
-    radius = float(traversal.d.max())
-    best = recheck(0.0, radius)
-    if best >= radius:
-        return best
-    np.minimum(upper, _sorted_neighbour_minima(cols, q), out=upper)
-    return recheck(best, 0.0)
+    scan = np.argsort(upper)[::-1]
+    for i, u_i in zip(scan.tolist(), upper[scan].tolist()):
+        if u_i <= best:
+            break
+        if upper[i] <= best:  # tightened by an earlier recheck
+            continue
+        key = keys[i]
+        lo_b, hi_b = _slab(keys, key, best, widen, slack)  # holds i
+        r_i = nearest(i, lo_b, hi_b)
+        if r_i > best:
+            lo, hi = _slab(keys, key, min(float(upper[i]), r_i), widen, slack)
+            for a, b in ((lo, lo_b), (hi_b, hi)):
+                if a < b:
+                    r_i = min(r_i, nearest(i, a, b))
+            best = max(best, r_i)
+        upper[i] = r_i
+    return best
 
 
 class _FarthestPoints:
@@ -505,12 +500,15 @@ class _FarthestPoints:
     start's distances are a full pass, so an overflow still raises at the
     first insertion.
 
-    ``near[i]`` is the least distance computed from i to another point so
-    far, taken or not: the start's full pass, then each insertion's slab
-    (the new point's distance to itself left out).  It is an upper bound on
-    i's nearest-neighbour distance that ``max_nn_gap`` reads.  For a point
-    not taken it equals d[i], so it is at most the covering radius d.max();
-    for the start it is exact.
+    ``near[j]`` of a taken point j is its nearest-neighbour distance
+    r_j = min_{i != j} d(i, j), exactly, which ``max_nn_gap`` reads; it is
+    +inf, and not read, elsewhere.  For the start, it is the least of the
+    full pass.  A later j is taken at gap = d[j], the computed distance to
+    the centre c that set d[j].  Its slab of radius gap holds every point
+    whose computed distance to j is at most gap, c among them, because the
+    distance is symmetric bit for bit.  So r_j <= gap, j's nearest
+    neighbour lies in the slab, and near[j] is the least of the slab's
+    distances with j's own left out.
     """
 
     def __init__(self, points, start, q):
@@ -519,9 +517,9 @@ class _FarthestPoints:
         start = int(np.flatnonzero(self.perm == start)[0])
         with np.errstate(over="ignore", invalid="ignore"):
             self.d = _dist_cols(self.cols, self.cols[:, start], q)
-        self.near = self.d.copy()
-        self.near[start] = math.inf
-        self.near[start] = self.near.min()
+        self.d[start] = math.inf
+        self.near = np.full(self.d.size, math.inf)
+        self.near[start] = self.d.min()
         self.d[start] = -np.inf
         self.gaps = []
         self.next = -1  # the next insertion's position, when known
@@ -558,8 +556,8 @@ class _FarthestPoints:
                     j_next = -1
                 dist = _dist_cols(cols[:, lo:hi], cols[:, j], q)
                 dist[j - lo] = math.inf
+                near[j] = dist.min()
                 np.minimum(d[lo:hi], dist, out=d[lo:hi])
-                np.minimum(near[lo:hi], dist, out=near[lo:hi])
         self.next = j_next
 
 
@@ -614,14 +612,6 @@ def _cover_traversal(points, n_centers, q):
     return trav
 
 
-def _greedy_cover_radii(points, n_centers, q):
-    """Farthest-point k-center; radii[i] is the covering radius with i+1
-    centers (``_cover_traversal``).  Radii past the traversal's end are
-    exactly 0: every point is then a center or duplicates one."""
-    gaps = _cover_traversal(points, n_centers, q).gaps
-    return np.array(gaps + [0.0] * (n_centers - len(gaps)))
-
-
 def _doubling_cover(points, k_max, q):
     """(traversal, radii): the cover traversal for e_1 .. e_{k_max} and its
     covering radii with 1, 2, 4, ..., 2^(k_max-1) centers.
@@ -653,16 +643,8 @@ def entropy_upper_cover_sequence(T, k_max, cloud=1024, seed=0):
     radius is the 0 that the remaining centers would reach (see
     ``_doubling_cover``).
 
-    Each upper comes with the cloud's max nearest-neighbour gap delta
-    (``max_nn_gap``), whose bounds come from the same traversal: near[i] is
-    the least distance the traversal computed from point i to another
-    point, so near[i] >= r_i, and the recheck stage turns any such bounds
-    into the exact maximum.  A point the traversal did not take has near[i]
-    at most the traversal's covering radius R, so the centres bounded above
-    R are rechecked first.  When that finds a gap of at least R (a long
-    traversal) the search ends there; otherwise (a short one) the
-    sorted-neighbour minima are folded into the bounds and the recheck goes
-    on.  delta is the brute-force maximum either way.
+    Each upper comes with the cloud's max nearest-neighbour gap delta,
+    which ``max_nn_gap`` finds exactly from the same traversal.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

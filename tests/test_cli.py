@@ -350,6 +350,51 @@ def test_bad_tol_exits_two_and_names_it(capsys, tol):
     assert captured.err.startswith("error: --tol")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--budget", "300", "--seed", "-5"],
+    ["estimate", "--input", MATRIX, "--seed", "-1"],
+    ["idnumbers", "--n", "4", "--k", "1", "--seed", "-5"],
+])
+def test_negative_seed_exits_two_and_names_it(capsys, argv):
+    # estimate and idnumbers would otherwise mask it to 32 bits, and verify
+    # would fail in numpy with a message that names no option
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --seed")
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5", ""])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--budget", "300"],
+    ["estimate", "--input", MATRIX],
+    ["idnumbers", "--n", "4", "--k", "1"],
+])
+def test_bad_seed_from_the_environment_exits_two_and_names_it(capsys, monkeypatch, argv,
+                                                              value):
+    monkeypatch.setenv("SNUM_SEED", value)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: SNUM_SEED")
+
+
+@pytest.mark.parametrize("argv", [
+    ["volume", "--p", "0.5", "--n", "3"],
+    ["sweep", "--p", "1", "--q", "2", "--n", "8", "--k", "1..2"],
+])
+@pytest.mark.parametrize("value", ["abc", "9"])
+def test_subcommands_without_a_seed_do_not_read_the_environment(capsys, monkeypatch, argv,
+                                                                value):
+    # they echo the default seed, whatever SNUM_SEED says
+    monkeypatch.delenv("SNUM_SEED", raising=False)
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("SNUM_SEED", value)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_overflowing_image_distances_exit_two_without_warnings(tmp_path):
     big = tmp_path / "big.csv"
     # antipodal images 2e308 apart: the packing's separation overflows

@@ -34,7 +34,6 @@ from snumbers.entropy import (
     _cover_traversal,
     _doubling_cover,
     _dist_cols,
-    _greedy_cover_radii,
     _packing_traversal,
     _slab,
 )
@@ -322,6 +321,13 @@ def _reference_start(points, q, subsample=256):
     return int(cand_idx[int(np.argmin(worst))])
 
 
+def _cover_radii(points, n_centers, q):
+    """The cover traversal's radii with 1 .. n_centers centres; past the
+    traversal's end (every point a centre or a duplicate of one) they are 0."""
+    gaps = _cover_traversal(points, n_centers, q).gaps
+    return np.array(gaps + [0.0] * (n_centers - len(gaps)))
+
+
 def _reference_cover_radii(points, n_centers, q, subsample=256):
     """Farthest-point k-center with row-major distances (_norm_rows)."""
     d = _norm_rows(points - points[_reference_start(points, q, subsample)], q)
@@ -476,7 +482,7 @@ def test_max_nn_gap_on_image_clouds_equals_brute_force(field, kind, q):
 def test_cover_radii_equal_row_major_reference(seed, N, n, field, kind, q):
     X = _cloud(seed, N, n, field, kind)
     centers = max(1, N // 2)
-    assert np.array_equal(_greedy_cover_radii(X, centers, q), _reference_cover_radii(X, centers, q))
+    assert np.array_equal(_cover_radii(X, centers, q), _reference_cover_radii(X, centers, q))
 
 
 @pytest.mark.parametrize("n", [1, 3, 7, 8, 9, 15, 16, 17, 64, 129, 130, 300])
@@ -629,7 +635,7 @@ def test_cover_radii_on_bench_clouds_equal_reference_bitwise(case):
     T, cloud = _bench_operator(case)
     X = image_cloud(T, cloud, seed=case)
     q = T.codomain.p
-    assert _hex(_greedy_cover_radii(X, cloud // 2, q)) == _hex(
+    assert _hex(_cover_traversal(X, cloud // 2, q).gaps) == _hex(
         _reference_cover_radii(X, cloud // 2, q))
 
 
@@ -648,9 +654,10 @@ def _reference_cover_distances(points, insertions, q):
 
 @pytest.mark.parametrize("case", range(len(BENCH_SHAPES)))
 def test_cover_traversal_state_on_bench_clouds(case):
-    # d, un-permuted, is the row-major traversal's bit for bit, and near[i]
-    # bounds point i's nearest-neighbour distance above, which max_nn_gap
-    # rests on: the slabs of the key decide which distances reach near
+    # d, un-permuted, is the row-major traversal's bit for bit, and near[j]
+    # of each centre j is j's nearest-neighbour distance bit for bit, which
+    # max_nn_gap rests on: the slabs of the key decide which distances
+    # reach d and near
     T, cloud = _bench_operator(case)
     X = image_cloud(T, cloud, seed=case)
     q = T.codomain.p
@@ -659,7 +666,8 @@ def test_cover_traversal_state_on_bench_clouds(case):
     d, near = np.empty(cloud), np.empty(cloud)
     d[trav.perm], near[trav.perm] = trav.d, trav.near
     assert _hex(d) == _hex(_reference_cover_distances(X, cloud // 2, q))
-    assert np.all(near >= _reference_nn_distances(X, q))
+    centres = d == -np.inf
+    assert _hex(near[centres]) == _hex(_reference_nn_distances(X, q)[centres])
 
 
 @pytest.mark.parametrize("case", range(len(BENCH_SHAPES)))
@@ -685,7 +693,7 @@ def test_first_centre_ties_go_to_the_lowest_index(monkeypatch):
     real = entropy_mod._FarthestPoints
     monkeypatch.setattr(entropy_mod, "_FarthestPoints",
                         lambda points, start, q: starts.append(start) or real(points, start, q))
-    radii = _greedy_cover_radii(X, X.shape[0], 1.0)
+    radii = _cover_radii(X, X.shape[0], 1.0)
     assert starts == [4]
     assert _hex(radii) == _hex(_reference_cover_radii(X, X.shape[0], 1.0))
 
@@ -718,7 +726,7 @@ def test_cover_radii_doubling_equal_a_full_run(seed, log2_N, short, n, field, ki
     # shorter k_max run the traversal as it is
     X = _cloud(seed, 2**log2_N, n, field, kind)
     k_max = max(1, log2_N + 1 - short)
-    full = _greedy_cover_radii(X, 2 ** (k_max - 1), q)
+    full = _cover_radii(X, 2 ** (k_max - 1), q)
     expected = [float(full[2 ** (k - 1) - 1]) for k in range(1, k_max + 1)]
     got = _doubling_cover(X, k_max, q)[1]
     assert [float(r).hex() for r in got] == [r.hex() for r in expected]
@@ -729,7 +737,7 @@ def test_cover_sequence_on_a_cloud_of_exactly_2_to_k_max_minus_1_points(q):
     T = operator(np.random.default_rng(2).standard_normal((3, 3)), 1.0, q)
     k_max = 7
     seq = entropy_upper_cover_sequence(T, k_max, cloud=2 ** (k_max - 1), seed=4)
-    full = _greedy_cover_radii(image_cloud(T, 2 ** (k_max - 1), seed=4), 2 ** (k_max - 1), q)
+    full = _cover_radii(image_cloud(T, 2 ** (k_max - 1), seed=4), 2 ** (k_max - 1), q)
     assert [b.upper for b in seq] == [float(full[2 ** (k - 1) - 1]) for k in range(1, k_max + 1)]
     assert seq[-1].upper == 0.0
 
@@ -745,6 +753,19 @@ def test_max_nn_gap_from_a_cover_traversal_equals_brute_force(seed, N, n, field,
     run = {"half": max(1, N // 2), "all": N}.get(centres, centres)
     trav = _cover_traversal(X, run, q)
     assert max_nn_gap(X, q, traversal=trav) == _reference_nn_gap(X, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**cloud_args, centres=st.sampled_from([1, "half", "all"]) | st.integers(1, 32))
+def test_cover_centres_carry_their_exact_nearest_neighbour_distance(seed, N, n, field, kind,
+                                                                    q, centres):
+    # at every taken position near is the brute-force nearest-neighbour
+    # distance bit for bit: the slab a centre was taken with holds it
+    X = _cloud(seed, N, n, field, kind)
+    run = {"half": max(1, N // 2), "all": N}.get(centres, centres)
+    trav = _cover_traversal(X, run, q)
+    taken = trav.d == -np.inf
+    assert _hex(trav.near[taken]) == _hex(_reference_nn_distances(X, q)[trav.perm][taken])
 
 
 @pytest.mark.parametrize("case", range(len(BENCH_SHAPES)))
@@ -763,6 +784,14 @@ def test_long_covers_skip_the_sorted_neighbours_and_short_ones_take_them(monkeyp
     short = entropy_upper_cover_sequence(T, 6, cloud=2500, seed=case)
     assert calls == [q] * 3
     assert [long[0].delta, short[0].delta] == gaps
+    # the long cover's centres settle the gap alone: no distance is computed
+    X = image_cloud(T, cloud, seed=case)
+    trav = _doubling_cover(X, int(math.log2(cloud)) + 1, q)[0]
+    real_dist = entropy_mod._dist_cols
+    monkeypatch.setattr(entropy_mod, "_dist_cols",
+                        lambda *args: calls.append("dist") or real_dist(*args))
+    assert max_nn_gap(X, q, traversal=trav) == gaps[0]
+    assert calls == [q] * 3
 
 
 # ---------------------------------------------------------------------------
