@@ -96,20 +96,6 @@ def padded_upper(pair, q):
 # ---------------------------------------------------------------------------
 
 
-def _row_sum(terms):
-    """``np.stack(terms, axis=1).sum(axis=1)``, bit for bit.
-
-    numpy sums a row of fewer than 8 items left to right, so short rows are
-    added term by term into ``terms[0]`` without building the (N, n) array.
-    """
-    if len(terms) >= 8:
-        return np.stack(terms, axis=1).sum(axis=1)
-    total = terms[0]
-    for t in terms[1:]:
-        total += t
-    return total
-
-
 def _dist_cols(cols, c, q):
     """Distances from the points with coordinate columns ``cols`` to ``c``.
 
@@ -119,46 +105,27 @@ def _dist_cols(cols, c, q):
     same order, so the result is bit-identical, but they run over n
     contiguous length-N columns instead of N short rows, in place.
 
-    A real cloud takes a few whole-array operations: one broadcast
-    difference, its modulus (at q = 2 it is squared without one, since
-    (-x)^2 = x^2 exactly), one in-place q-th power, the rows added left to
-    right into the first (``_row_sum``'s order; n >= 8 keeps its pairwise
-    sum) and one root.  A complex cloud takes one coordinate at a time,
-    which measured faster on large slabs.
+    Only the moduli depend on the field.  A real cloud takes one broadcast
+    difference and its modulus (none at q = 2, since (-x)^2 = x^2 exactly);
+    a complex cloud takes them one coordinate at a time, which measured
+    faster on large slabs.  Then both take one in-place q-th power, the
+    rows added left to right into the first (n >= 8 keeps numpy's pairwise
+    row sum) and one root.
     """
-    if cols.dtype.kind != "c":
-        return _dist_real(cols, c, q)
-    a = [np.abs(col - cj) for col, cj in zip(cols, c)]
+    if cols.dtype.kind == "c":
+        a = np.empty(cols.shape)
+        for j in range(a.shape[0]):
+            np.abs(cols[j] - c[j], out=a[j])
+    else:
+        a = cols - (c[:, None] if c.ndim == 1 else c)
+        if q != 2.0:
+            np.abs(a, out=a)
     if math.isinf(q):
-        out = a[0]
-        for t in a[1:]:
-            np.maximum(out, t, out=out)
-        return out
-    if q == 2.0:
-        for t in a:
-            t *= t
-        total = _row_sum(a)
-        return np.sqrt(total, out=total)
-    if q == 1.0:
-        return _row_sum(a)
-    for t in a:
-        t **= q
-    total = _row_sum(a)
-    total **= 1.0 / q
-    return total
-
-
-def _dist_real(cols, c, q):
-    """``_dist_cols`` on a real cloud, over the whole (n, N) difference."""
-    a = cols - (c[:, None] if c.ndim == 1 else c)
+        return a.max(axis=0)
     if q == 2.0:
         a *= a
-    else:
-        np.abs(a, out=a)
-        if math.isinf(q):
-            return a.max(axis=0)
-        if q != 1.0:
-            a **= q
+    elif q != 1.0:
+        a **= q
     if a.shape[0] >= 8:
         total = np.ascontiguousarray(a.T).sum(axis=1)
     else:
@@ -228,7 +195,7 @@ def image_cloud(T, size, seed):
     """
     n = T.domain.n
     p = T.domain.p
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, n, T.codomain.n])
+    rng = np.random.default_rng([int(seed), n, T.codomain.n])
     base = _unit_directions(n, T.field)
     extra = max(0, size - base.shape[0])
     n_sphere = (2 * extra) // 3
@@ -390,10 +357,12 @@ def max_nn_gap(points, q, traversal=None):
     Sort-by-projection search (Friedman, Baskett & Shustek, IEEE Trans.
     Comput. C-24, 1975) on the real coordinates ([re | im] for complex
     points), in numpy alone.  It starts from ``traversal``, a
-    ``_FarthestPoints`` of these ``points`` at this q; without one, the
-    traversal is ``_FarthestPoints(points, 0, q)``, the start's full pass
-    alone.  Each point i gets an upper bound u_i on its true gap
-    r_i = min_{j != i} d(i, j).  A centre of the traversal (d = -inf) has
+    ``_FarthestPoints`` of these ``points`` at this q.  Without one, the
+    points are divided by their ``_cloud_scale`` s, as the cover's are, the
+    traversal is ``_FarthestPoints(points / s, 0, q)``, the start's full
+    pass alone, and the gap comes back through ``_scaled_back``: times s,
+    with a ValueError when that overflows a float.  Each point i gets an
+    upper bound u_i on its true gap r_i = min_{j != i} d(i, j).  A centre of the traversal (d = -inf) has
     u_i = near[i], which is r_i exactly (``_FarthestPoints``).  Any other
     point has u_i = d[i], its distance to the nearest centre, computed by
     the same floating-point expression as that term of r_i's minimum (the
@@ -436,7 +405,9 @@ def max_nn_gap(points, q, traversal=None):
     if not np.all(np.isfinite(points)):
         raise ValueError("max_nn_gap needs finite points")
     if traversal is None:
-        traversal = _FarthestPoints(points, 0, q)
+        scale = _cloud_scale(points, q)
+        pts = points if scale == 1.0 else points / scale
+        return float(_scaled_back(max_nn_gap(pts, q, _FarthestPoints(pts, 0, q)), scale))
     # work in the traversal's sorted order
     keys, cols, d, near = traversal.keys, traversal.cols, traversal.d, traversal.near
     widen, slack = traversal.widen, traversal.slack

@@ -198,8 +198,11 @@ class QuasiNormInfo:
 
 def _stable_seed(seed, x, *tail):
     """A generator seed from ``seed``, the bytes of the array x and the ints
-    ``tail``, so a draw depends on its inputs alone, not on call order."""
-    return [int(seed) & 0xFFFFFFFF, zlib.crc32(np.ascontiguousarray(x).tobytes()), *tail]
+    ``tail``, so a draw depends on its inputs alone, not on call order.
+
+    ``seed`` is any integer >= 0, used whole: seeds 2^32 apart draw
+    different numbers.  A negative seed makes numpy raise ValueError."""
+    return [int(seed), zlib.crc32(np.ascontiguousarray(x).tobytes()), *tail]
 
 
 def aoki_norm(x, p):

@@ -428,7 +428,7 @@ def _sample_images(T, n_samples, seed):
     ``default_rng([seed, n, n_samples])``, as the rows of one array of a
     single field, complex if any image is."""
     n = T.domain.n
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, n, int(n_samples)])
+    rng = np.random.default_rng([int(seed), n, int(n_samples)])
     X = np.vstack([np.eye(n), sample_sphere(rng, n, T.domain.p, T.field, n_samples)])
     Y = np.array([T.matrix @ x for x in X])
     return Y.astype(complex if np.iscomplexobj(Y) else float)

@@ -299,10 +299,8 @@ def test_verify_check_counts(capsys):
     assert counts == {
         "check:weyl": 202,
         "check:carl+bracket": 36,
-        "check:aoki-sandwich": 40,
         "check:entropy-bracket": 30,
         "check:quotient-agreement": 34,
-        "check:regime-continuity": 60,
         "check:axioms": 132,
     }
 
@@ -356,12 +354,18 @@ def test_bad_tol_exits_two_and_names_it(capsys, tol):
     ["idnumbers", "--n", "4", "--k", "1", "--seed", "-5"],
 ])
 def test_negative_seed_exits_two_and_names_it(capsys, argv):
-    # estimate and idnumbers would otherwise mask it to 32 bits, and verify
-    # would fail in numpy with a message that names no option
+    # it would otherwise fail in numpy with a message that names no option
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --seed")
+
+
+def test_seeds_2_to_the_32_apart_print_different_rows(capsys):
+    # the seed is used whole, not wrapped to 32 bits
+    rows = [cli_json(capsys, "idnumbers", "--n", "4", "--k", "1..3", "--seed", seed)[1]["rows"]
+            for seed in ("0", str(2**32))]
+    assert rows[0] != rows[1]
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "1.5", ""])

@@ -259,6 +259,12 @@ def test_image_cloud_deterministic_and_in_image():
     assert np.all((a[:, 0] / 2.0) ** 2 + a[:, 1] ** 2 <= 1.0 + 1e-9)
 
 
+def test_image_cloud_seeds_2_to_the_32_apart_differ():
+    # the seed is used whole, not wrapped to 32 bits
+    T = diagonal_operator([2.0, 1.0])
+    assert not np.array_equal(image_cloud(T, 128, seed=0), image_cloud(T, 128, seed=2**32))
+
+
 def test_max_nn_gap_line():
     pts = np.array([[0.0], [1.0], [3.0]])
     assert max_nn_gap(pts, 2.0) == pytest.approx(2.0)
@@ -281,6 +287,31 @@ def test_max_nn_gap_rejects_non_finite_points():
         pts[1, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             max_nn_gap(pts, 2.0)
+
+
+@pytest.mark.parametrize("s", [-1000, -660, 660, 1000])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.0, INF])
+def test_max_nn_gap_of_a_scaled_cloud_is_the_gap_scaled(s, field, q):
+    # a cloud times 2^s has its gap times 2^s; at q >= 2 the q-th powers of
+    # its distances overflow (s > 0) or underflow (s < 0) unless the cloud is
+    # scaled by a power of two first, as the cover's cloud is
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((50, 3))
+    if field == COMPLEX:
+        X = X + 1j * rng.standard_normal((50, 3))
+    gap = max_nn_gap(X * 2.0**s, q)
+    expected = _reference_nn_gap(X, q) * 2.0**s
+    if q == 3.0:
+        assert gap == pytest.approx(expected, rel=1e-13, abs=0.0)
+    else:
+        assert gap == expected
+
+
+def test_max_nn_gap_past_the_float_range_raises():
+    for q in (0.5, 2.0, INF):
+        with pytest.raises(ValueError, match="overflow"):
+            max_nn_gap(np.array([[-1.5e308], [1.5e308]]), q)
 
 
 # ---------------------------------------------------------------------------
