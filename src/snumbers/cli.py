@@ -308,10 +308,6 @@ def run_idnumbers(cfg):
 def run_estimate(cfg):
     clock = _Clock(cfg.timings)
     T = load_operator(cfg.input, cfg.p, cfg.q)
-    if cfg.n is not None and cfg.n != T.domain.n:
-        raise ValueError(
-            f"domain error: --n {cfg.n} does not match matrix columns {T.domain.n}"
-        )
     cfg = dataclasses.replace(cfg, n=T.domain.n, field=T.field)
     rows = _entropy_rows(T, cfg, min(4096, max(256, cfg.budget // 4)), clock)
     rows += _width_rows(T, cfg, clock)
@@ -486,15 +482,12 @@ _OPTIONS = {
                     help="fill elapsed_ms (breaks byte-identical reports)"),
 }
 
-# estimate takes its dimension from the matrix file; a given --n is checked against it
-_OVERRIDES = {("estimate", "n"): dict(default=None, help="dimension (default: from the file)")}
-
 # The options each subcommand reads, besides --output and --timings.  estimate
-# takes its field from the matrix file, and verify's checks fix their own
-# exponents, sizes and fields.
+# takes its dimension and field from the matrix file, and verify's checks fix
+# their own exponents, sizes and fields.
 _TAKES = {
     "idnumbers": ("p", "q", "n", "k", "field", "seed", "budget"),
-    "estimate": ("input", "p", "q", "n", "k", "seed", "budget"),
+    "estimate": ("input", "p", "q", "k", "seed", "budget"),
     "verify": ("seed", "budget", "tol", "inject_bug"),
     "volume": ("p", "n", "field"),
     "sweep": ("p", "q", "n", "k", "field"),
@@ -511,8 +504,7 @@ def _build_parser():
     for command, names in _TAKES.items():
         sp = sub.add_parser(command)
         for name in names + ("output", "timings"):
-            spec = {**_OPTIONS[name], **_OVERRIDES.get((command, name), {})}
-            sp.add_argument("--" + name.replace("_", "-"), dest=name, **spec)
+            sp.add_argument("--" + name.replace("_", "-"), dest=name, **_OPTIONS[name])
     return parser
 
 
@@ -540,7 +532,7 @@ def config_from_args(args):
         opts["seed"] = -1
     if opts["seed"] < 0:
         raise ValueError(f"{source} {seed!r} must be an integer >= 0")
-    if opts["n"] is not None and opts["n"] < 1:
+    if opts["n"] < 1:
         raise ValueError("dimension must be >= 1")
     if opts["budget"] < 1:
         raise ValueError("budget must be >= 1")

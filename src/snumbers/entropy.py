@@ -317,14 +317,12 @@ def _slab(keys, key, radius, widen, slack):
     return bisect_left(keys, key - half), bisect_right(keys, key + half)
 
 
-# neighbours on each side of a point, in each sorted order, that propose u_i
-_NN_SORTED_NEIGHBOURS = 16
-# sorted orders (the key, then widest real coordinates) that propose u_i
-_NN_SORTED_AXES = 3
+# neighbours on each side of a point, in the key's sorted order, that propose u_i
+_NN_SORTED_NEIGHBOURS = 64
 
 
 def _shift_minima(cols, q):
-    """min over 1 <= s <= 16 of the distances from each column of ``cols``
+    """min over 1 <= s <= 64 of the distances from each column of ``cols``
     to the columns s places before and after it."""
     N = cols.shape[1]
     out = np.full(N, math.inf)
@@ -334,21 +332,6 @@ def _shift_minima(cols, q):
         np.minimum(out[:-s], d, out=out[:-s])
         np.minimum(out[s:], d, out=out[s:])
     return out
-
-
-def _sorted_neighbour_minima(cols, q):
-    """For each column of ``cols`` (a cloud sorted by its key,
-    ``_sorted_cloud``), the least distance to its 16 neighbours on each side
-    in that order and in the sorted orders of the second and third widest
-    real coordinates.  Each order's columns are gathered once and shifted
-    as contiguous slices, and its minima are folded in by one scatter."""
-    coords = _real_coords(cols.T)
-    widest = _widest(coords)
-    upper = _shift_minima(cols, q)
-    for axis in widest[1:_NN_SORTED_AXES]:
-        order = np.argsort(coords[:, axis], kind="stable")
-        upper[order] = np.minimum(upper[order], _shift_minima(cols[:, order], q))
-    return upper
 
 
 def max_nn_gap(points, q, traversal=None):
@@ -373,10 +356,10 @@ def max_nn_gap(points, q, traversal=None):
     below the cloud's largest gap), every other point has r_i <= u_i <= R
     <= best, and the search ends without computing a distance.  Otherwise
     (a short traversal, whose R is still large) the sorted-neighbour minima
-    (``_sorted_neighbour_minima``: the least distance from i to its 16
-    neighbours on each side in the key's sorted order and in those of two
-    real coordinates, again distances >= r_i) are folded into the bounds by
-    a minimum, and the points are rechecked.  The rule compares two
+    (``_shift_minima``: the least distance from i to its 64 neighbours on
+    each side in the traversal's key order, whose columns are already
+    sorted, again distances >= r_i) are folded into the bounds by a
+    minimum, and the points are rechecked.  The rule compares two
     distances and has no constant.
 
     Points are rechecked in descending u_i, and the scan stops at the first
@@ -416,7 +399,7 @@ def max_nn_gap(points, q, traversal=None):
     if best >= d.max():
         return best
     upper = np.where(centres, near, d)
-    np.minimum(upper, _sorted_neighbour_minima(cols, q), out=upper)
+    np.minimum(upper, _shift_minima(cols, q), out=upper)
 
     def nearest(i, lo, hi):
         """min of d(i, j) over j != i in lo:hi, lowering u_j on the way."""

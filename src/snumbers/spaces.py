@@ -276,11 +276,10 @@ def _dual(y, a, r):
     return y / (a + (a == 0.0)) * (a / top) ** (r - 1.0)
 
 
-# a 1 <= q < inf distance from ``_convex_distance`` is accepted when its
-# certified relative gap is at most this; otherwise the Nelder-Mead descent
-# runs as well
+# ``_convex_distance`` stops at the first try whose certified relative gap is
+# at most this
 CERTIFIED_GAP = 1e-9
-# the objective evaluations of that Nelder-Mead descent, shared by its starts
+# the objective evaluations of the Nelder-Mead descent, shared by its starts
 DESCENT_BUDGET = 2000
 _NEWTON_STEPS = 60
 # the q = 1 smoothing mu is max |r| times 10^-s for these s, in turn
@@ -579,12 +578,8 @@ def _subspace_distance(x, B, Q, tilt, cap, q, seed=0):
     n, m = B.shape
 
     if 1.0 <= q < math.inf or (math.isinf(q) and not iscomplex):
-        value, lower = _convex_distance(x, Q, tilt, q)
-        if (value - lower <= CERTIFIED_GAP * value
-                or value <= 8.0 * n * np.finfo(float).eps * lp_norm(x, q)):
-            return float(min(cap, value))
-        cap = min(cap, value)
-    elif not iscomplex and q < 1.0 and math.comb(n, Q.shape[1]) <= MAX_VERTEX_SYSTEMS:
+        return float(min(cap, _convex_distance(x, Q, tilt, q)[0]))
+    if not iscomplex and q < 1.0 and math.comb(n, Q.shape[1]) <= MAX_VERTEX_SYSTEMS:
         # q < 1: the objective is concave on every cell of the arrangement
         # {x_i = (Qc)_i}.  Q has independent columns, so every cell is a
         # pointed polyhedron, and a concave function that is bounded below on
@@ -623,33 +618,32 @@ def dist_to_subspace(x, basis, q, seed=0):
 
     - q = 2, either field: exact, the cap ||x - Q Q^H x||_2 (orthogonal
       projection).
-    - Every other 1 <= q < inf, either field, and real q = inf: certified.
-      ``_convex_distance`` solves the convex problem on Q in numpy alone (at
-      q = 1 the vertex anchors, where as many residuals vanish as Q has
-      columns, then smoothed Newton steps; plain Newton steps for
-      1 < q < inf; Stiefel's exchange method for real q = inf) and bounds
-      the distance from below by a Hahn-Banach certificate:
-      dist(x, V) >= |y^H x| / ||y||_q' for every y orthogonal to V (Singer,
-      Best Approximation in Normed Linear Spaces, 1970), with y the Hölder
-      dual of the final residual (the exchange method's reference vector
-      at q = inf), less the rounding margin that ``_dual_lower`` proves.
-      The value is returned when it is within CERTIFIED_GAP (relative) of
-      that bound, or when it is at most 8 n eps ||x||_q: the residual
-      x - Q c rounds at the scale of x, so such a value is the distance up
-      to that rounding (a point in span(basis), where the bound is 0).
-      Otherwise the Nelder-Mead descent below also runs, and the smaller
-      value is returned; so no value is above the descent's by more than
-      its certified gap.
+    - Every other 1 <= q < inf, either field, and real q = inf: certified,
+      never a descent.  ``_convex_distance`` solves the convex problem on
+      Q in numpy alone (at q = 1 the vertex anchors, where as many
+      residuals vanish as Q has columns, then smoothed Newton steps; plain
+      Newton steps for 1 < q < inf; Stiefel's exchange method for real
+      q = inf) and bounds the distance from below by a Hahn-Banach
+      certificate: dist(x, V) >= |y^H x| / ||y||_q' for every y orthogonal
+      to V (Singer, Best Approximation in Normed Linear Spaces, 1970), with
+      y the Hölder dual of the final residual (the exchange method's
+      reference vector at q = inf), less the rounding margin that
+      ``_dual_lower`` proves.  The value, the norm of a computed residual,
+      is an upper bound whatever the certificate says, and is returned as
+      it is.  It exceeds the distance by at most value - lower, which the
+      tries aim to bring within CERTIFIED_GAP (relative); at a point in
+      span(basis) the bound is 0 and the value is rounding at the scale of
+      x.
     - Real q < 1: not convex, but concave on each cell of the arrangement
       {x_i = (Qc)_i}.  Exact, up to rounding, when comb(n, rank) <=
       MAX_VERTEX_SYSTEMS, by minimising over the cell vertices; Q's columns
       are independent, so a rank-deficient basis takes this route too.
-    - Everything else (complex q = inf, complex q < 1, real q < 1 above the
-      vertex cap, and the uncertified convex values): a descent, Nelder-Mead
-      from the least-squares and the zero coefficients of the stacked basis
-      over their real coordinates (the real and imaginary parts for complex
-      data), with six more seeded starts for q < 1, DESCENT_BUDGET
-      objective evaluations in all.  scipy is loaded only for it.
+    - Everything else (complex q = inf, complex q < 1, and real q < 1 above
+      the vertex cap): a descent, Nelder-Mead from the least-squares and
+      the zero coefficients of the stacked basis over their real
+      coordinates (the real and imaginary parts for complex data), with six
+      more seeded starts for q < 1, DESCENT_BUDGET objective evaluations in
+      all.  scipy is loaded only for it.
 
     A descent returns an upper approximation of the infimum.  Every value
     is at most the cap.

@@ -476,9 +476,9 @@ def _kolmogorov_candidate_value(T, basis, q, images, seed, bound=None):
     fewer images, in another order, changes no evaluated distance.  Each
     distance is the quotient norm of y modulo span(basis), of the kind its
     dist_to_subspace branch gives: exact (q = 2), certified to
-    spaces.CERTIFIED_GAP (every other 1 <= q < inf, and real q = inf,
-    unless it falls back to Nelder-Mead), exact up to rounding (real
-    q < 1 within the vertex cap), or a descent, which can only overshoot.
+    spaces.CERTIFIED_GAP or an upper bound (every other 1 <= q < inf, and
+    real q = inf), exact up to rounding (real q < 1 within the vertex cap),
+    or a descent, which can only overshoot.
     """
     M = T.matrix
     if T.domain.p == 2.0 and q == 2.0:

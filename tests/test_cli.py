@@ -653,14 +653,6 @@ def test_exact_rows_have_equal_bounds(capsys, tmp_path):
             assert r["lower"] == r["upper"], (argv, r)
 
 
-def test_dimension_mismatch_exits_two(tmp_path):
-    f = tmp_path / "m.csv"
-    f.write_text("1,0\n0,1\n")
-    r = run_cli("estimate", "--input", str(f), "--n", "5")
-    assert r.returncode == 2
-    assert "does not match matrix columns" in r.stderr
-
-
 def test_estimate_echoes_the_field_and_dimension_of_its_matrix(capsys, tmp_path):
     golden = os.path.join(os.path.dirname(__file__), "golden")
     wide = tmp_path / "wide.csv"
@@ -686,8 +678,10 @@ def test_estimate_echoes_the_field_and_dimension_of_its_matrix(capsys, tmp_path)
     ("volume", "--q", "3"), ("volume", "--k", "2"), ("volume", "--seed", "5"),
     ("volume", "--budget", "300"), ("volume", "--tol", "0.5"),
     ("sweep", "--seed", "5"), ("sweep", "--budget", "300"), ("sweep", "--tol", "0.5"),
-    # only verify's checks read a tolerance, and estimate's field comes from its file
+    # only verify's checks read a tolerance, and estimate's field and dimension
+    # come from its file: even an --n that matches the 4x4 file is refused
     ("idnumbers", "--tol", "0.5"), ("estimate", "--tol", "0.5"), ("estimate", "--field", "complex"),
+    ("estimate", "--n", "4"),
 ])
 def test_an_option_a_subcommand_does_not_read_exits_two_and_is_named(capsys, command, flag,
                                                                      value):
@@ -703,7 +697,7 @@ def test_an_option_a_subcommand_does_not_read_exits_two_and_is_named(capsys, com
     (["idnumbers", "--p", "1", "--q", "3", "--n", "3", "--k", "2..3", "--field", "complex",
       "--seed", "5", "--budget", "300"], 0,
      dict(p=1.0, q=3.0, n=3, k_lo=2, k_hi=3, field="complex", seed=5, budget=300)),
-    (["estimate", "--input", MATRIX, "--p", "1", "--q", "3", "--n", "4", "--k", "2..3",
+    (["estimate", "--input", MATRIX, "--p", "1", "--q", "3", "--k", "2..3",
       "--seed", "5", "--budget", "300"], 0,
      dict(input=MATRIX, p=1.0, q=3.0, n=4, k_lo=2, k_hi=3, seed=5, budget=300)),
     (["verify", "--seed", "5", "--budget", "300", "--tol", "1e-8", "--inject-bug", "weyl"], 1,

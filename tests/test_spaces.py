@@ -525,11 +525,11 @@ _CONVEX_CASES = ([pytest.param(COMPLEX, q, id=str(q)) for q in (1.0, 1.5, 3.0)]
 @given(seed=st.integers(0, 2**16), n=st.integers(1, 5), m=st.integers(1, 3),
        deficient=st.booleans())
 def test_dist_complex_convex_is_certified_or_falls_back(field, q, seed, n, m, deficient):
-    # every value is certified to CERTIFIED_GAP or also runs the Nelder-Mead
-    # descent; it stays below its cap, and above the previous route's value
-    # (Nelder-Mead for complex data, L-BFGS for real) by at most its
-    # certified gap (lower <= dist <= old), up to the rounding of the sums
-    # that the certificate states (a few n eps)
+    # every value is the solver's, capped, and runs no Nelder-Mead descent;
+    # it stays above the previous route's value (Nelder-Mead for complex
+    # data, L-BFGS for real) by at most its certified gap
+    # (lower <= dist <= old), up to the rounding of the sums that the
+    # certificate states (a few n eps)
     x, basis = _convex_instance(seed, n, m, deficient, field)
     _, _, Q, tilt = _factored(x, basis)
     value, lower = spaces._convex_distance(x, Q, tilt, q)
@@ -539,13 +539,26 @@ def test_dist_complex_convex_is_certified_or_falls_back(field, q, seed, n, m, de
         d = dist_to_subspace(x, basis, q, seed=seed)
     cap = spaces._distance_caps(x[None], Q, q)[0]
     assert d <= cap
-    if value - lower <= spaces.CERTIFIED_GAP * value:
-        assert not calls and d == min(cap, value)
-    else:
-        assert calls
+    assert not calls and d == min(cap, value)
     old = _old_complex_distance if field == COMPLEX else _old_smooth_distance
     rounding = 8.0 * n * np.finfo(float).eps * value
     assert d <= old(x, basis, q) + (value - lower) + rounding
+
+
+@pytest.mark.parametrize("field, q", _CONVEX_CASES + [pytest.param(REAL, 1.0, id="real-1.0"),
+                                                      pytest.param(REAL, math.inf, id="real-inf")])
+def test_dist_convex_uncertified_value_is_returned_without_descent(monkeypatch, field, q):
+    # a value whose certificate misses CERTIFIED_GAP is still the norm of a
+    # residual, an upper bound: it is returned capped, and nothing descends
+    x, basis = _convex_instance(3, 4, 2, False, field)
+    _, _, Q, tilt = _factored(x, basis)
+    value = spaces._convex_distance(x, Q, tilt, q)[0]
+    assert value > 1e-3 * lp_norm(x, q)  # x is not in span(basis)
+    monkeypatch.setattr(spaces, "_convex_distance", lambda *args: (value, 0.0))
+    calls = _recording_descent(monkeypatch)
+    cap = float(spaces._distance_caps(x[None], Q, q)[0])
+    assert dist_to_subspace(x, basis, q) == min(cap, value)
+    assert not calls
 
 
 @pytest.mark.parametrize("field, q", _CONVEX_CASES)
@@ -595,7 +608,7 @@ def test_dist_real_l1_and_linf_match_rational_oracle(seed, n, m, deficient, q):
                                       (COMPLEX, 1.0)])
 def test_points_in_span_take_no_descent(monkeypatch, field, q):
     # the certified lower is 0 on span(B), so no relative gap certifies the
-    # rounding-level value; it is accepted within 8 n eps ||x||_q instead
+    # rounding-level value; it is returned as it is, within 8 n eps ||x||_q
     rng = np.random.default_rng(4)
     B = rng.standard_normal((5, 2))
     if field == COMPLEX:
