@@ -322,8 +322,8 @@ _NN_SORTED_NEIGHBOURS = 64
 
 
 def _shift_minima(cols, q):
-    """min over 1 <= s <= 64 of the distances from each column of ``cols``
-    to the columns s places before and after it."""
+    """min over 1 <= s <= _NN_SORTED_NEIGHBOURS of the distances from each
+    column of ``cols`` to the columns s places before and after it."""
     N = cols.shape[1]
     out = np.full(N, math.inf)
     for s in range(1, min(_NN_SORTED_NEIGHBOURS, N - 1) + 1):

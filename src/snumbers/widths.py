@@ -528,8 +528,8 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     exact supremum.  At k = 1 the result is ``_norm_upper(T)``'s value,
     op_norm's upper, as in ``approx_upper_search``.  Each distance is the
     quotient norm dist_to_subspace gives, with candidate i's ``seed + i``
-    seeding its descents: exact for q = 2, certified for 1 <= q < inf and
-    for real q = inf (up to its Nelder-Mead fallback), exact up to rounding
+    seeding its descents: exact for q = 2, certified to spaces.CERTIFIED_GAP or an upper bound
+    for 1 <= q < inf and real q = inf, exact up to rounding
     for real q < 1 within the vertex cap, and a descent elsewhere.  Off the
     Hilbert case each candidate's basis is factored once, and every image's
     distance and cap are read from that one factorization.  For

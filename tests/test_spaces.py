@@ -562,14 +562,15 @@ def test_dist_convex_uncertified_value_is_returned_without_descent(monkeypatch, 
 
 
 @pytest.mark.parametrize("field, q", _CONVEX_CASES)
-def test_dist_complex_convex_certifies_random_instances(monkeypatch, field, q):
-    # the certificate, not the fallback, decides on generic instances
-    calls = _recording_descent(monkeypatch)
+def test_dist_complex_convex_certifies_random_instances(field, q):
+    # on generic instances off the span the value is certified: its
+    # Hahn-Banach lower is within CERTIFIED_GAP of it
     for seed in range(30):
         n = 2 + seed % 4
         x, basis = _convex_instance(seed, n, 1 + seed % min(3, n - 1), seed % 5 == 0, field)
-        dist_to_subspace(x, basis, q)
-    assert not calls
+        _, _, Q, tilt = _factored(x, basis)
+        value, lower = spaces._convex_distance(x, Q, tilt, q)
+        assert value - lower <= spaces.CERTIFIED_GAP * value
 
 
 def _linprog_distance(x, B, q):

@@ -547,7 +547,7 @@ PRUNED_SEARCH_CASES = [
     (REAL, 3, 1.0, 1.5, True),  # smooth
     (REAL, 3, 2.0, 3.0, False),  # smooth
     (REAL, 4, 1.0, 0.5, False),  # quasi: vertex minimum
-    (REAL, 4, 1.0, 0.5, True),  # quasi: descent
+    (REAL, 4, 1.0, 0.5, True),  # quasi: vertex minimum on independent columns
     (REAL, 4, 1.0, 2.0, True),  # q2 with p != 2: the cap is the distance
     (COMPLEX, 3, 2.0, 1.0, False),  # complex, certified
     (COMPLEX, 3, 1.0, 1.5, True),  # complex, certified
@@ -564,9 +564,8 @@ def test_pruned_kolmogorov_search_equals_full_evaluation(field, n, p, q, deficie
     # The search without details skips the distance solves that cannot change
     # its min-max; return_details=True solves every one.  The two must agree
     # bit for bit.  Multi-start Nelder-Mead (the complex q = inf and q < 1
-    # solves, the fallback of an uncertified complex one, and the
-    # rank-deficient quasi solves) is held to 20 evaluations per start so
-    # that the full evaluation stays cheap; the skipping relies only on the
+    # solves) is held to 20 evaluations per start so that the full
+    # evaluation stays cheap; the skipping relies only on the
     # caps and the per-point seeds, which this leaves as they are.
     rng = np.random.default_rng(mseed)
     M = rng.standard_normal((n, n))
