@@ -308,6 +308,13 @@ def run_idnumbers(cfg):
 def run_estimate(cfg):
     clock = _Clock(cfg.timings)
     T = load_operator(cfg.input, cfg.p, cfg.q)
+    # below the smallest normal float every product rounds by a whole
+    # subnormal step, which no relative margin covers
+    top = float(np.abs(T.matrix).max())
+    if 0.0 < top < sys.float_info.min:
+        raise ValueError(f"{cfg.input}: the largest entry modulus {top!r} is below the "
+                         f"smallest normal float {sys.float_info.min!r}; scale the matrix "
+                         f"up by a power of two")
     cfg = dataclasses.replace(cfg, n=T.domain.n, field=T.field)
     rows = _entropy_rows(T, cfg, min(4096, max(256, cfg.budget // 4)), clock)
     rows += _width_rows(T, cfg, clock)

@@ -100,24 +100,25 @@ def _dist_cols(cols, c, q):
     """Distances from the points with coordinate columns ``cols`` to ``c``.
 
     ``cols`` is the (n, N) transpose of the point array and ``c`` is one
-    point (n entries) or an (n, N) array of points, one per column.  The
-    elementwise operations are those of ``_norm_rows(points - c, q)`` in the
-    same order, so the result is bit-identical, but they run over n
-    contiguous length-N columns instead of N short rows, in place.
+    point (n entries).  The elementwise operations are those of
+    ``_norm_rows(points - c, q)`` in the same order, so the result is
+    bit-identical, but they run over n contiguous length-N columns instead
+    of N short rows, in place.
 
     Only the moduli depend on the field.  A real cloud takes one broadcast
     difference and its modulus (none at q = 2, since (-x)^2 = x^2 exactly);
     a complex cloud takes them one coordinate at a time, which measured
-    faster on large slabs.  Then both take one in-place q-th power, the
-    rows added left to right into the first (n >= 8 keeps numpy's pairwise
-    row sum) and one root.
+    faster on large slabs.  Then both take one in-place q-th power, one
+    row sum and one root.  Below 8 rows the sum is ``a.sum(axis=0)``, which
+    adds the rows of the C-contiguous array left to right, as ``_norm_rows``
+    does; from 8 rows on it is numpy's pairwise sum along each point.
     """
     if cols.dtype.kind == "c":
         a = np.empty(cols.shape)
         for j in range(a.shape[0]):
             np.abs(cols[j] - c[j], out=a[j])
     else:
-        a = cols - (c[:, None] if c.ndim == 1 else c)
+        a = cols - c[:, None]
         if q != 2.0:
             np.abs(a, out=a)
     if math.isinf(q):
@@ -126,12 +127,7 @@ def _dist_cols(cols, c, q):
         a *= a
     elif q != 1.0:
         a **= q
-    if a.shape[0] >= 8:
-        total = np.ascontiguousarray(a.T).sum(axis=1)
-    else:
-        total = a[0]
-        for t in a[1:]:
-            total += t
+    total = np.ascontiguousarray(a.T).sum(axis=1) if a.shape[0] >= 8 else a.sum(axis=0)
     if q == 2.0:
         return np.sqrt(total, out=total)
     if q != 1.0:
@@ -317,70 +313,31 @@ def _slab(keys, key, radius, widen, slack):
     return bisect_left(keys, key - half), bisect_right(keys, key + half)
 
 
-# neighbours on each side of a point, in the key's sorted order, that propose u_i
-_NN_SORTED_NEIGHBOURS = 64
-
-
-def _shift_minima(cols, q):
-    """min over 1 <= s <= _NN_SORTED_NEIGHBOURS of the distances from each
-    column of ``cols`` to the columns s places before and after it."""
-    N = cols.shape[1]
-    out = np.full(N, math.inf)
-    for s in range(1, min(_NN_SORTED_NEIGHBOURS, N - 1) + 1):
-        # the distance is symmetric bit for bit: fl(a - b) = -fl(b - a)
-        d = _dist_cols(cols[:, :-s], cols[:, s:], q)
-        np.minimum(out[:-s], d, out=out[:-s])
-        np.minimum(out[s:], d, out=out[s:])
-    return out
-
-
 def max_nn_gap(points, q, traversal=None):
     """Max over points of the distance to the nearest other point, exactly.
 
-    Sort-by-projection search (Friedman, Baskett & Shustek, IEEE Trans.
-    Comput. C-24, 1975) on the real coordinates ([re | im] for complex
-    points), in numpy alone.  It starts from ``traversal``, a
-    ``_FarthestPoints`` of these ``points`` at this q.  Without one, the
-    points are divided by their ``_cloud_scale`` s, as the cover's are, the
-    traversal is ``_FarthestPoints(points / s, 0, q)``, the start's full
-    pass alone, and the gap comes back through ``_scaled_back``: times s,
-    with a ValueError when that overflows a float.  Each point i gets an
-    upper bound u_i on its true gap r_i = min_{j != i} d(i, j).  A centre of the traversal (d = -inf) has
-    u_i = near[i], which is r_i exactly (``_FarthestPoints``).  Any other
-    point has u_i = d[i], its distance to the nearest centre, computed by
-    the same floating-point expression as that term of r_i's minimum (the
-    expression is symmetric in i and j bit for bit), so u_i >= r_i.
+    Read off ``traversal``, a ``_FarthestPoints`` of these ``points`` at
+    this q.  Without one, the points are divided by their ``_cloud_scale``
+    s, as the cover's are, the traversal is ``_FarthestPoints(points / s,
+    0, q)``, the start's full pass alone, and the gap comes back through
+    ``_scaled_back``: times s, with a ValueError when that overflows a
+    float.
 
-    The best gap starts at the centres' largest r_i.  If that is at least
-    the traversal's covering radius R = max d (a long traversal, whose R is
-    below the cloud's largest gap), every other point has r_i <= u_i <= R
-    <= best, and the search ends without computing a distance.  Otherwise
-    (a short traversal, whose R is still large) the sorted-neighbour minima
-    (``_shift_minima``: the least distance from i to its 64 neighbours on
-    each side in the traversal's key order, whose columns are already
-    sorted, again distances >= r_i) are folded into the bounds by a
-    minimum, and the points are rechecked.  The rule compares two
-    distances and has no constant.
-
-    Points are rechecked in descending u_i, and the scan stops at the first
-    u_i <= best gap found, because every remaining r_i <= u_i <= best; the
-    centres, whose u_i = r_i <= best, are never rechecked.  A recheck of i
-    also lowers u_j to d(i, j) for the points j it meets, and a point whose
-    lowered u_j <= best is skipped for the same reason.
-
-    A recheck of i scans only slabs |key_j - key_i| <= r of the traversal's
-    key (``_slab``), every j with d(i, j) <= r lying in the slab of radius
-    r.  The recheck first scans the slab of radius best.  If it holds
-    a j with d(i, j) <= best, then r_i <= best and i cannot raise the
-    maximum, so i is done.  Otherwise the nearest j lies within
-    m = min(u_i, the slab's minimum) of i, and the recheck scans the rest of
-    the slab of radius m, which is its two side ranges (the slab of radius
-    best is inside it, since best < m and rounding is monotone).  Either way
-    r_i is known whenever it exceeds best, and a recheck leaves u_i at the
-    least distance it found, still >= r_i.  Since best only ever takes the
-    exact r_i of some point and every point is rechecked or has
-    r_i <= u_i <= best, the result equals the brute-force maximum for any
-    bounds u_i >= r_i, every q and either field.
+    A centre j of the traversal (d = -inf) carries near[j] = r_j, its
+    nearest-neighbour distance r_j = min_{i != j} d(i, j), exactly
+    (``_FarthestPoints``).  Any other point i has d[i], its computed
+    distance to the nearest centre, which is that term of r_i's minimum
+    (the distance is symmetric bit for bit), so r_i <= d[i].  The best gap
+    starts at the centres' largest r_j.  While it is below the covering
+    radius R = max d, one more centre is inserted and its exact r_j folded
+    in; an insertion keeps both facts.  Once best >= R, every other point
+    has r_i <= d[i] <= R <= best, and best is some r_j, so it is the
+    brute-force maximum, for every q and either field.  The loop ends: a
+    traversal with nothing left to insert has R <= 0 <= best.  A long
+    traversal (a cover's N/2 centres) mostly settles the gap with no
+    insertion and no distance computed; a short one inserts centres until
+    its radius falls to the gap.  The insertions only append to ``gaps``,
+    so the cover's radii, read before, keep their bits.
     """
     N = points.shape[0]
     if N < 2:
@@ -391,41 +348,11 @@ def max_nn_gap(points, q, traversal=None):
         scale = _cloud_scale(points, q)
         pts = points if scale == 1.0 else points / scale
         return float(_scaled_back(max_nn_gap(pts, q, _FarthestPoints(pts, 0, q)), scale))
-    # work in the traversal's sorted order
-    keys, cols, d, near = traversal.keys, traversal.cols, traversal.d, traversal.near
-    widen, slack = traversal.widen, traversal.slack
-    centres = d == -np.inf
-    best = float(near[centres].max())
-    if best >= d.max():
-        return best
-    upper = np.where(centres, near, d)
-    np.minimum(upper, _shift_minima(cols, q), out=upper)
-
-    def nearest(i, lo, hi):
-        """min of d(i, j) over j != i in lo:hi, lowering u_j on the way."""
-        dist = _dist_cols(cols[:, lo:hi], cols[:, i], q)
-        if lo <= i < hi:
-            dist[i - lo] = math.inf
-        # d(i, j) is also a term of r_j's minimum
-        np.minimum(upper[lo:hi], dist, out=upper[lo:hi])
-        return float(dist.min())
-
-    scan = np.argsort(upper)[::-1]
-    for i, u_i in zip(scan.tolist(), upper[scan].tolist()):
-        if u_i <= best:
-            break
-        if upper[i] <= best:  # tightened by an earlier recheck
-            continue
-        key = keys[i]
-        lo_b, hi_b = _slab(keys, key, best, widen, slack)  # holds i
-        r_i = nearest(i, lo_b, hi_b)
-        if r_i > best:
-            lo, hi = _slab(keys, key, min(float(upper[i]), r_i), widen, slack)
-            for a, b in ((lo, lo_b), (hi_b, hi)):
-                if a < b:
-                    r_i = min(r_i, nearest(i, a, b))
-            best = max(best, r_i)
-        upper[i] = r_i
+    d, near = traversal.d, traversal.near
+    best = float(near.max())
+    while best < d.max():
+        traversal.extend(len(traversal.gaps) + 1)
+        best = float(near.max())
     return best
 
 
@@ -444,8 +371,9 @@ class _FarthestPoints:
     principal direction), and an insertion at distance ``gap`` lowers d only
     on the slab of radius gap around the new point (``_slab``, whose ends
     are bisections of the keys, kept as a list).  Outside it the computed
-    distance exceeds gap >= d, so ``np.minimum`` would keep every bit there.  Of the points at distance gap, the one with the lowest
-    index in ``points`` is taken, as ``np.argmax`` takes it in that order,
+    distance exceeds gap >= d, so ``np.minimum`` would keep every bit
+    there.  Of the points at distance gap, the one with the lowest index
+    in ``points`` is taken, as ``np.argmax`` takes it in that order,
     so the gaps are those of the unsorted traversal: the taken point's d is
     set to -inf, and only when a second ``argmax`` meets gap again are the
     ties listed.  Without a tie, that second argmax is also the next
@@ -455,8 +383,10 @@ class _FarthestPoints:
     first insertion.
 
     ``near[j]`` of a taken point j is its nearest-neighbour distance
-    r_j = min_{i != j} d(i, j), exactly, which ``max_nn_gap`` reads; it is
-    +inf, and not read, elsewhere.  For the start, it is the least of the
+    r_j = min_{i != j} d(i, j), exactly; it is -inf elsewhere, so
+    near.max() is the centres' largest, which ``max_nn_gap`` reads.  The
+    gap may extend a cover's traversal past its centres, after the cover
+    has read its radii from ``gaps``.  For the start, it is the least of the
     full pass.  A later j is taken at gap = d[j], the computed distance to
     the centre c that set d[j].  Its slab of radius gap holds every point
     whose computed distance to j is at most gap, c among them, because the
@@ -472,7 +402,7 @@ class _FarthestPoints:
         with np.errstate(over="ignore", invalid="ignore"):
             self.d = _dist_cols(self.cols, self.cols[:, start], q)
         self.d[start] = math.inf
-        self.near = np.full(self.d.size, math.inf)
+        self.near = np.full(self.d.size, -math.inf)
         self.near[start] = self.d.min()
         self.d[start] = -np.inf
         self.gaps = []
@@ -598,7 +528,8 @@ def entropy_upper_cover_sequence(T, k_max, cloud=1024, seed=0):
     ``_doubling_cover``).
 
     Each upper comes with the cloud's max nearest-neighbour gap delta,
-    which ``max_nn_gap`` finds exactly from the same traversal.
+    which ``max_nn_gap`` finds exactly from the same traversal, after the
+    radii are read: it may insert centres past the cover's.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

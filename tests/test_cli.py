@@ -338,6 +338,22 @@ def test_nan_csv_entry_exits_two_and_names_position(tmp_path, capsys):
     assert "line 1, column 2: non-finite entry 'nan+1i'" in err
 
 
+@pytest.mark.parametrize("text, p, q, code", [
+    ("5e-324,0\n0,5e-324\n", "3", "1.5", 2), ("5e-324,0\n0,5e-324\n", "2", "2", 2),
+    ("3e-320,0\n0,3e-320\n", "3", "1.5", 2),
+    # one normal entry: the matrix runs
+    ("1,5e-324\n0,1\n", "3", "1.5", 0)])
+def test_a_subnormal_matrix_exits_two_and_names_the_file(tmp_path, capsys, text, p, q, code):
+    # every product of a matrix below the smallest normal float rounds by a
+    # whole subnormal step: on the 5e-324 diagonal at (3, 1.5), op_norm's
+    # certified lower 1e-323 is above its certified upper 5e-324
+    path = tmp_path / "tiny.csv"
+    path.write_text(text)
+    assert main(["estimate", "--input", str(path), "--p", p, "--q", q, "--k", "1..2"]) == code
+    err = capsys.readouterr().err
+    assert (str(path) in err and "smallest normal float" in err) == (code == 2)
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_bad_tol_exits_two_and_names_it(capsys, tol):
     # exit 1 means a violated property; a tolerance that is not a finite

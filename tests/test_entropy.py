@@ -273,8 +273,9 @@ def test_max_nn_gap_line():
 def test_max_nn_gap_slab_covers_distances_rounded_below_the_key_gap():
     # (1.5^q)^(1/q) rounds to 1.4999999999999998 at q = 0.5, and 3 to
     # 2.9999999999999996 at q = 3, below the key gap that bounds the slab;
-    # the point at key 0 is rechecked first and its nearest neighbour lies
-    # exactly that key gap away
+    # the point at key 0 starts the traversal, its nearest neighbour lies
+    # exactly that key gap away, and the gap is its rounded distance once
+    # one insertion has brought the covering radius below it
     for gap, q in ((1.5, 0.5), (3.0, 3.0), (0.7, 0.3)):
         for shift in (0.0, 1e7):
             pts = np.array([[shift, 1.0], [shift + gap, 1.0], [shift + gap, 1.0 + gap / 100]])
@@ -411,6 +412,8 @@ cloud_args = dict(
 @settings(max_examples=150, deadline=None)
 @given(**cloud_args)
 def test_max_nn_gap_equals_brute_force(seed, N, n, field, kind, q):
+    # no traversal given: the start's full pass, then insertions until the
+    # centres' largest gap reaches the covering radius
     X = _cloud(seed, N, n, field, kind)
     assert max_nn_gap(X, q) == _reference_nn_gap(X, q)
 
@@ -777,9 +780,9 @@ def test_cover_sequence_on_a_cloud_of_exactly_2_to_k_max_minus_1_points(q):
 @given(**cloud_args, centres=st.sampled_from(["half", "all"]) | st.integers(1, 32))
 def test_max_nn_gap_from_a_cover_traversal_equals_brute_force(seed, N, n, field, kind, q,
                                                                 centres):
-    # half or all of the cloud as centres: long traversals, whose bounds
-    # mostly settle the search alone; 1-32 centres: short ones, which mostly
-    # fold in the sorted-neighbour minima
+    # half or all of the cloud as centres: long traversals, whose centres
+    # mostly settle the gap alone; 1-32 centres: short ones, which mostly
+    # insert more centres until their largest gap reaches the covering radius
     X = _cloud(seed, N, n, field, kind)
     run = {"half": max(1, N // 2), "all": N}.get(centres, centres)
     trav = _cover_traversal(X, run, q)
@@ -787,42 +790,47 @@ def test_max_nn_gap_from_a_cover_traversal_equals_brute_force(seed, N, n, field,
 
 
 @settings(max_examples=150, deadline=None)
-@given(**cloud_args, centres=st.sampled_from([1, "half", "all"]) | st.integers(1, 32))
+@given(**cloud_args,
+       centres=st.sampled_from([1, "half", "all", "gap"]) | st.integers(1, 32))
 def test_cover_centres_carry_their_exact_nearest_neighbour_distance(seed, N, n, field, kind,
                                                                     q, centres):
     # at every taken position near is the brute-force nearest-neighbour
-    # distance bit for bit: the slab a centre was taken with holds it
+    # distance bit for bit: the slab a centre was taken with holds it;
+    # "gap" is a one-centre cover after max_nn_gap, whose insertions take
+    # centres past the cover's
     X = _cloud(seed, N, n, field, kind)
-    run = {"half": max(1, N // 2), "all": N}.get(centres, centres)
+    run = {"half": max(1, N // 2), "all": N, "gap": 1}.get(centres, centres)
     trav = _cover_traversal(X, run, q)
+    if centres == "gap":
+        max_nn_gap(X, q, traversal=trav)
     taken = trav.d == -np.inf
     assert _hex(trav.near[taken]) == _hex(_reference_nn_distances(X, q)[trav.perm][taken])
 
 
 @pytest.mark.parametrize("case", range(len(BENCH_SHAPES)))
 def test_long_covers_skip_the_sorted_neighbours_and_short_ones_take_them(monkeypatch, case):
+    # long covers settle the gap with their own centres; short ones insert more
     T, cloud = _bench_operator(case)
     q = T.codomain.p
-    gaps = [max_nn_gap(image_cloud(T, size, seed=case), q) for size in (cloud, 2500)]
     calls = []
-    real = entropy_mod._shift_minima
-    monkeypatch.setattr(entropy_mod, "_shift_minima",
-                        lambda cols, q: calls.append(q) or real(cols, q))
-    # the benchmark's cover: N/2 centres
-    long = entropy_upper_cover_sequence(T, int(math.log2(cloud)) + 1, cloud=cloud, seed=case)
-    assert calls == []
-    # snum estimate's cover at k <= 6 on its 2,500-point cloud: 32 centres
-    short = entropy_upper_cover_sequence(T, 6, cloud=2500, seed=case)
-    assert calls == [q]
-    assert [long[0].delta, short[0].delta] == gaps
-    # the long cover's centres settle the gap alone: no distance is computed
-    X = image_cloud(T, cloud, seed=case)
-    trav = _doubling_cover(X, int(math.log2(cloud)) + 1, q)[0]
     real_dist = entropy_mod._dist_cols
     monkeypatch.setattr(entropy_mod, "_dist_cols",
-                        lambda *args: calls.append("dist") or real_dist(*args))
-    assert max_nn_gap(X, q, traversal=trav) == gaps[0]
-    assert calls == [q]
+                        lambda *args: calls.append(1) or real_dist(*args))
+    # the benchmark's cover, N/2 centres: its centres settle the gap, with no
+    # distance computed and no centre inserted
+    X = image_cloud(T, cloud, seed=case)
+    trav = _doubling_cover(X, int(math.log2(cloud)) + 1, q)[0]
+    inserted, calls[:] = len(trav.gaps), []
+    assert max_nn_gap(X, q, traversal=trav) == _reference_nn_gap(X, q)
+    assert calls == [] and len(trav.gaps) == inserted
+    # snum estimate's cover at k <= 6 on its 2,500-point cloud, 32 centres:
+    # the gap inserts centres until their largest gap reaches the radius
+    X = image_cloud(T, 2500, seed=case)
+    trav = _doubling_cover(X, 6, q)[0]
+    assert len(trav.gaps) == 32
+    assert max_nn_gap(X, q, traversal=trav) == _reference_nn_gap(X, q)
+    assert len(trav.gaps) > 32
+    assert trav.near[trav.d == -np.inf].max() >= trav.d.max()
 
 
 # ---------------------------------------------------------------------------
