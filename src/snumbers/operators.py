@@ -60,8 +60,11 @@ class Bracket:
     """A lower and an upper value, each with its kind (or both None), and the
     method or case that produced them.  Refused: NaN, a kind without a value
     or a value without one, ``exact`` on one side only or on two unequal
-    sides, and ``lower > upper + 1e-12`` unless a side is an ``estimate``
-    (which may undershoot)."""
+    sides, and ``lower > upper + 1e-12 * min(1, |upper|)`` unless a side is
+    an ``estimate`` (which may undershoot): an absolute 1e-12 at and above
+    1, and relative below it, so crossed sides are refused at every scale.
+    The modulus keeps the allowance positive for negative sides, such as a
+    log-volume."""
 
     lower: float | None
     upper: float | None
@@ -74,7 +77,8 @@ class Bracket:
         if ((lo is None) != (lo_kind is None) or (hi is None) != (hi_kind is None)
                 or lo != lo or hi != hi  # NaN
                 or (EXACT in (lo_kind, hi_kind) and not (lo_kind == hi_kind and lo == hi))
-                or (lo is not None and hi is not None and lo > hi + 1e-12
+                or (lo is not None and hi is not None
+                    and lo > hi + 1e-12 * min(1.0, abs(hi))
                     and ESTIMATE not in (lo_kind, hi_kind))):
             raise BracketError(f"inconsistent {self}")
 

@@ -248,21 +248,44 @@ def _arrangement_vertex_min(x, B, q):
     would otherwise add |1e-16|^q, which is 1e-8 at q = 1/2.  Returns the
     value and the residual of the best vertex, or (inf, None) when every
     subsystem is singular.
+
+    The subsystems are solved in one stacked ``np.linalg.solve`` and their
+    residuals formed in one stacked ``matmul``: numpy's linalg gufuncs run
+    the same LAPACK routine on each matrix of a stack, and a stacked matmul
+    against column vectors takes the matrix-vector product of each, so
+    every vertex has the bits of its own solve and of ``B @ c``.  A singular
+    subsystem fails the whole stack; the subsystems are then solved one at
+    a time, and the singular ones skipped.  The norms stay one ``lp_norm``
+    per residual: a stacked norm takes its powers on an array, which can
+    round differently from the scalar powers of one row.
     """
     n, m = B.shape
+    subsets = itertools.islice(itertools.combinations(range(n), m), MAX_VERTEX_SYSTEMS)
+    rows = np.array(list(subsets), dtype=np.intp)
+    try:
+        C = np.linalg.solve(B[rows], x[rows][..., None])
+    except np.linalg.LinAlgError:
+        R = [_vertex_residual(x, B, at) for at in rows]
+    else:
+        R = x - np.matmul(B, C)[..., 0]
     best, best_r = math.inf, None
-    for rows in itertools.islice(itertools.combinations(range(n), m), MAX_VERTEX_SYSTEMS):
-        rows = list(rows)
-        try:
-            c = np.linalg.solve(B[rows], x[rows])
-        except np.linalg.LinAlgError:
+    for r, at in zip(R, rows):
+        if r is None:  # a singular subsystem
             continue
-        r = x - B @ c
-        r[rows] = 0.0
+        r[at] = 0.0
         value = lp_norm(r, q)
         if value < best:
             best, best_r = value, r
     return best, best_r
+
+
+def _vertex_residual(x, B, rows):
+    """x - B c for the solution c of the subsystem on ``rows``, from its own
+    solve, or None when the subsystem is singular."""
+    try:
+        return x - B @ np.linalg.solve(B[rows], x[rows])
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _dual(y, a, r):
@@ -294,9 +317,15 @@ def _orthonormal_span(B):
     angle between span Q and span B (Wedin: the SVD's backward error over
     sigma_r)."""
     U, s, _ = np.linalg.svd(B, full_matrices=False)
+    return _span_of_svd(U, s, max(B.shape))
+
+
+def _span_of_svd(U, s, size):
+    """``_orthonormal_span``'s rank and tilt rule on the factors U and s of
+    ``np.linalg.svd(B, full_matrices=False)``, with size = max(n, m)."""
     if not s.size or s[0] == 0.0:
         return U[:, :0], 0.0
-    tol = max(B.shape) * np.finfo(float).eps * s[0]
+    tol = size * np.finfo(float).eps * s[0]
     r = int((s > tol).sum())
     return U[:, :r], tol / s[r - 1]
 
@@ -560,9 +589,13 @@ def _distance_caps(Y, Q, q):
     is then the distance itself.  Q has orthonormal columns, from
     ``_orthonormal_span``.  Each entry is a sum along one axis, in an order
     that the other rows do not change, so the cap of y alone is the same
-    float as its cap in any stack."""
-    C = (Y[:, None, :] * Q.conj().T).sum(axis=2)
-    residual = _scaled_norm_rows(Y - (C[:, :, None] * Q.T).sum(axis=1), q)
+    float as its cap in any stack.  Q may also be a stack of such matrices,
+    all of one shape; the caps are then one row per matrix, and each row is
+    the same floats as the caps of its matrix alone, since the stack axis
+    only adds an outer loop to the same products and sums."""
+    Qt = np.swapaxes(Q, -1, -2)
+    C = (Y[:, None, :] * Qt.conj()[..., None, :, :]).sum(axis=-1)
+    residual = _scaled_norm_rows(Y - (C[..., None] * Qt[..., None, :, :]).sum(axis=-2), q)
     return residual if q == 2.0 else np.minimum(_scaled_norm_rows(Y, q), residual)
 
 

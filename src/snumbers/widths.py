@@ -48,7 +48,7 @@ from .spaces import (
     REAL,
     _check_exponent,
     _distance_caps,
-    _orthonormal_span,
+    _span_of_svd,
     _stable_seed,
     _subspace_distance,
     conjugate_exponent,
@@ -275,19 +275,21 @@ def approx_upper_search(T, k, budget=2000, seed=0):
     a_k(T) is the infimum of ||T - L|| over operators L of rank < k, so any
     such L gives an upper.  Candidates: the SVD truncation, random
     perturbations of it, and a coordinate-descent polish of the low-rank
-    factors.  Each residual norm is ``operators._norm_upper`` of the float
+    factors.  At p = q = 2 the truncation alone is evaluated: it attains
+    a_k = sigma_k (Eckart-Young-Mirsky), so no restart or descent can lower
+    it.  Each residual norm is ``operators._norm_upper`` of the float
     residual: op_norm's exact value on its exact paths, so in the Hilbert
     case the result matches sigma_k to within 1e-9 relative (checked
-    internally; the truncation candidate attains it), and elsewhere a
-    certified upper from exact norms (see its docstring), with no power
-    method and no sampling.  The search minimises these uppers, and the best
-    one, on every path, is then raised to an upper of ||T - A B|| for the
-    exact product of its factors by ``_product_rounding``, whose docstring
-    proves the margin, so the value is a certified upper of a_k.  For
-    k - 1 >= min(m, n) a rank-(k-1) operator can equal T, so the result is
-    exactly 0 and no candidate is evaluated.  At k = 1 the only candidate is
-    S = 0, and the result is ``_norm_upper(T)``'s value, op_norm's upper,
-    which ``kolmogorov_upper_search`` also gives at k = 1 (a_1 = d_1 = ||T||).
+    internally), and elsewhere a certified upper from exact norms (see its
+    docstring), with no power method and no sampling.  The search minimises
+    these uppers, and the best one, on every path, is then raised to an
+    upper of ||T - A B|| for the exact product of its factors by
+    ``_product_rounding``, whose docstring proves the margin, so the value
+    is a certified upper of a_k.  For k - 1 >= min(m, n) a rank-(k-1)
+    operator can equal T, so the result is exactly 0 and no candidate is
+    evaluated.  At k = 1 the only candidate is S = 0, and the result is
+    ``_norm_upper(T)``'s value, op_norm's upper, which
+    ``kolmogorov_upper_search`` also gives at k = 1 (a_1 = d_1 = ||T||).
 
     The candidates are scored in stacks, one ``operators._norm_uppers`` call
     each, whose values have the bits of one call per candidate.  The
@@ -325,11 +327,13 @@ def _approx_search(T, k, budget, seed):
     rng = np.random.default_rng(_stable_seed(seed, M, k))
     scale = float(s[0]) if s.size else 1.0
 
-    # the truncation and up to 3 random restarts around it, in one stack; a
-    # row of X holds the entries of A, then those of B
+    # the truncation and, off the Hilbert case, up to 3 random restarts
+    # around it, in one stack; a row of X holds the entries of A, then those
+    # of B.  At p = q = 2 the truncation attains a_k = sigma_k
+    # (Eckart-Young-Mirsky), so neither restarts nor the descent can lower it
     starts = [(A0, B0)] + [(A0 + 0.05 * scale * _random_like(rng, A0),
                             B0 + 0.05 * _random_like(rng, B0))
-                           for _ in range(min(3, budget - 1))]
+                           for _ in range(0 if hilbert else min(3, budget - 1))]
     X = np.array([np.concatenate([a.ravel(), b.ravel()]) for a, b in starts])
     norms = _residual_norms(T, _low_rank(*_factors(X, A0.shape, B0.shape)))
     best, x = min(zip(norms, X), key=lambda candidate: candidate[0])
@@ -339,7 +343,7 @@ def _approx_search(T, k, budget, seed):
     # coordinate tries +step, then -step, and takes the first that improves
     # on the best by 1e-15
     step = 0.1 * max(scale, 1e-12)
-    while spent + 2 <= budget and step > 1e-10 * max(scale, 1.0):
+    while not hilbert and spent + 2 <= budget and step > 1e-10 * max(scale, 1.0):
         improved = False
         coords = np.arange(x.size)
         rng.shuffle(coords)
@@ -426,15 +430,36 @@ def _sample_images(T, n_samples, seed):
     """The images the non-Hilbert Kolmogorov search measures every candidate
     on: M @ x for the n unit vectors +e_j, then n_samples sphere points from
     ``default_rng([seed, n, n_samples])``, as the rows of one array of a
-    single field, complex if any image is."""
+    single field, complex if any image is.  They are formed by one stacked
+    ``np.matmul(M, X[..., None])``, which takes the matrix-vector product of
+    each column vector, so each image has the bits of its own M @ x."""
     n = T.domain.n
     rng = np.random.default_rng([int(seed), n, int(n_samples)])
     X = np.vstack([np.eye(n), sample_sphere(rng, n, T.domain.p, T.field, n_samples)])
-    Y = np.array([T.matrix @ x for x in X])
+    Y = np.matmul(T.matrix, X[..., None])[..., 0]
     return Y.astype(complex if np.iscomplexobj(Y) else float)
 
 
-def _kolmogorov_candidate_value(T, basis, q, images, seed, bound=None):
+def _factored_candidates(bases, images, q):
+    """(B, Q, tilt, caps) for each candidate basis: the basis cast to the
+    images' field, ``spaces._orthonormal_span`` of it, and the images'
+    ``spaces._distance_caps`` on that span, as a list.  The bases are
+    factored by one stacked ``np.linalg.svd`` and capped by one stacked
+    ``_distance_caps`` when their ranks agree (one call per candidate when
+    they do not).  numpy's linalg gufuncs run the same LAPACK routine on
+    each matrix of a stack, and the stacked caps add only an outer loop, so
+    every value has the bits of the calls for one candidate alone."""
+    Bs = np.array(bases).astype(images.dtype)
+    U, s, _ = np.linalg.svd(Bs, full_matrices=False)
+    spans = [_span_of_svd(u, sv, max(Bs.shape[1:])) for u, sv in zip(U, s)]
+    if len({Q.shape[1] for Q, _ in spans}) == 1:
+        caps = _distance_caps(images, np.array([Q for Q, _ in spans]), q)
+    else:
+        caps = [_distance_caps(images, Q, q) for Q, _ in spans]
+    return [(B, Q, tilt, c.tolist()) for B, (Q, tilt), c in zip(Bs, spans, caps)]
+
+
+def _kolmogorov_candidate_value(T, basis, q, images, seed, bound=None, factored=None):
     """sup over the unit ball of the distance to span(basis), a matrix with
     orthonormal columns.
 
@@ -442,28 +467,32 @@ def _kolmogorov_candidate_value(T, basis, q, images, seed, bound=None):
     operator norm of the projected matrix, direct the least-squares distance
     at its maximiser, and value the larger of the two; they are the same
     number mathematically, so their gap measures evaluation error only;
-    ``images`` is not used.  Otherwise direct is the largest distance over
-    ``images``, the rows of ``_sample_images``, which the search draws once
-    and shares between its candidates; quotient is None, and value is
-    direct.  -e_j and i e_j are unimodular multiples of e_j, so their images
-    have the same distance, and they are not taken.  For p <= min(1, q) the
-    supremum is the column maximum, as on op_norm's column-max path, and
-    direct already contains it: the first n images are M @ e_j, which equals
-    M[:, j] bit for bit, so no separate column pass is made.  The searched
-    bases are orthonormal, so no second, re-orthonormalised route is
-    evaluated.
+    ``images`` is not used.  Without details the search evaluates only its
+    SVD candidate here, which attains sigma_k (Eckart-Young-Mirsky).
+    Otherwise direct is the largest distance over ``images``, the rows of
+    ``_sample_images``, which the search draws once and shares between its
+    candidates; quotient is None, and value is direct.  -e_j and i e_j are
+    unimodular multiples of e_j, so their images have the same distance, and
+    they are not taken.  For p <= min(1, q) the supremum is the column
+    maximum, as on op_norm's column-max path, and direct already contains
+    it: the first n images are M @ e_j, which equals M[:, j] bit for bit, so
+    no separate column pass is made.  The searched bases are orthonormal, so
+    no second, re-orthonormalised route is evaluated.
 
-    The basis is factored once, by ``spaces._orthonormal_span``, and every
-    image's distance is ``spaces._subspace_distance`` on that factorization
-    with the image's cap, from one ``spaces._distance_caps`` call for all
-    the images: the distance dist_to_subspace(y, list(basis.T), q,
-    seed=seed) gives, which is at most the cap, bit for bit; ``seed`` seeds
-    only the descents of these solves.  With ``bound=None`` every image's
-    distance is solved, in order.  With a bound, the images are taken in
-    descending order of their caps (a stable sort, so ties go to the lower
-    index), so the first one solved has the largest cap, which at q = 2 is
-    the candidate's value, and two stops skip the solves that cannot change
-    the search's result:
+    The basis is factored once, as ``spaces._orthonormal_span`` factors it,
+    and every image's distance is ``spaces._subspace_distance`` on that
+    factorization with the image's cap, from one ``spaces._distance_caps``
+    call for all the images: ``factored``, the candidate's entry of the
+    search's ``_factored_candidates``, or that of the basis alone.  The two
+    are the same floats, since numpy's linalg gufuncs run the same LAPACK
+    routine on each matrix of a stack.  The distance is the one
+    dist_to_subspace(y, list(basis.T), q, seed=seed) gives, which is at most
+    the cap, bit for bit; ``seed`` seeds only the descents of these solves.
+    With ``bound=None`` every image's distance is solved, in order.  With a
+    bound, the images are taken in descending order of their caps (a stable
+    sort, so ties go to the lower index), so the first one solved has the
+    largest cap, which at q = 2 is the candidate's value, and two stops skip
+    the solves that cannot change the search's result:
 
     - at the first image whose cap is <= the running max, since every
       later cap, and so every later distance, is no larger: the running
@@ -493,9 +522,9 @@ def _kolmogorov_candidate_value(T, basis, q, images, seed, bound=None):
         value = max(direct, quotient)
         return value, direct, quotient
 
-    B = basis.astype(images.dtype)
-    Q, tilt = _orthonormal_span(B)
-    caps = _distance_caps(images, Q, q).tolist()
+    if factored is None:
+        factored = _factored_candidates([basis], images, q)[0]
+    B, Q, tilt, caps = factored
 
     def distance(j):
         return _subspace_distance(images[j], B, Q, tilt, caps[j], q, seed=seed)
@@ -516,9 +545,14 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
 
     Candidate (k-1)-dimensional subspaces: the span of the top left singular
     vectors plus jitters of it (about a fifth of the candidates), and random
-    orthonormal frames for the rest.  In the Hilbert case each candidate's
-    supremum is evaluated both directly and through the quotient-map
-    formulation, and the two must agree to about 1e-6; nothing is sampled.
+    orthonormal frames for the rest.  Every candidate's Gaussian matrix is
+    drawn first, in the generator's order, and the drawn matrices are
+    orthonormalised by one stacked ``np.linalg.qr``.  In the Hilbert case a
+    candidate's supremum is evaluated both directly and through the
+    quotient-map formulation, and the two must agree to about 1e-6; nothing
+    is sampled.  There the SVD span attains d_k = sigma_k
+    (Eckart-Young-Mirsky), so without details it is the only candidate
+    evaluated, and no other candidate is drawn.
     Elsewhere it is the largest distance over one set of points of the unit
     ball, drawn once per search and shared by every candidate: the +e_j and
     sphere points from the generator ``default_rng([seed, n, n_samples])``,
@@ -531,8 +565,12 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     seeding its descents: exact for q = 2, certified to spaces.CERTIFIED_GAP or an upper bound
     for 1 <= q < inf and real q = inf, exact up to rounding
     for real q < 1 within the vertex cap, and a descent elsewhere.  Off the
-    Hilbert case each candidate's basis is factored once, and every image's
-    distance and cap are read from that one factorization.  For
+    Hilbert case the candidates' bases are factored by one stacked
+    ``np.linalg.svd`` and the images capped by one stacked
+    ``spaces._distance_caps`` (``_factored_candidates``), and every image's
+    distance and cap are read from its candidate's share.  numpy's linalg
+    gufuncs run the same LAPACK routine on each matrix of a stack, so each
+    basis, span and cap has the bits of its own call.  For
     k - 1 >= min(m, n) a (k-1)-dimensional subspace contains the range, so
     the result is exactly 0, and no candidate is evaluated (``(0.0, [])``
     with details).
@@ -547,14 +585,15 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     are solved are the same floats as in a full evaluation, so the result is
     the same float; at q = 2 the cap is the distance, and one solve per
     candidate is made.  ``return_details=True`` evaluates every image for
-    every candidate, on the same images, since its diagnostics report each
-    candidate's full value.
+    every candidate, on the same images, and every candidate at p = q = 2,
+    since its diagnostics report each candidate's full value.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     q = T.codomain.p
     M = T.matrix
     dim = k - 1
+    hilbert = T.domain.p == 2.0 and q == 2.0
 
     if dim >= min(M.shape):
         return (0.0, []) if return_details else 0.0
@@ -563,27 +602,35 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
         cands = [SubspaceCandidate("svd", v, v, v)]
         return (v, cands) if return_details else v
 
-    U, s, Vh = np.linalg.svd(M)
-    hilbert = T.domain.p == 2.0 and q == 2.0
+    U = np.linalg.svd(M)[0]
+    if hilbert and not return_details:
+        # Eckart-Young-Mirsky: the span of the top dim left singular vectors
+        # attains d_k = sigma_k, so no other candidate can be smaller
+        return float(_kolmogorov_candidate_value(T, U[:, :dim], q, None, seed)[0])
     n_cand = max(5, min(20, budget // 500))
     n_svd = max(1, n_cand // 5)
     n_samples = max(8, min(64, budget // (n_cand * 2)))
 
+    # every candidate's Gaussian matrix is drawn first, in the generator's
+    # order, and the drawn matrices are orthonormalised by one stacked QR
     rng = np.random.default_rng(_stable_seed(seed, M, k, 77))
-    bases = [("svd", U[:, :dim])]
-    for _ in range(n_svd - 1):
-        J = U[:, :dim] + 0.05 * _random_like(rng, U[:, :dim])
-        bases.append(("svd-jitter", np.linalg.qr(J)[0]))
-    for _ in range(n_cand - len(bases)):
-        G = _random_like(rng, U[:, :dim])
-        bases.append(("random", np.linalg.qr(G)[0]))
+    top = U[:, :dim]
+    drawn = [top + 0.05 * _random_like(rng, top) for _ in range(n_svd - 1)]
+    drawn += [_random_like(rng, top) for _ in range(n_cand - n_svd)]
+    kinds = ["svd"] + ["svd-jitter"] * (n_svd - 1) + ["random"] * (n_cand - n_svd)
+    bases = [top, *np.linalg.qr(np.array(drawn))[0]]
 
-    images = None if hilbert else _sample_images(T, n_samples, seed)
+    if hilbert:
+        images, factored = None, [None] * n_cand
+    else:
+        images = _sample_images(T, n_samples, seed)
+        factored = _factored_candidates(bases, images, q)
     cands = []
     best = math.inf
-    for i, (kind, basis) in enumerate(bases):
+    for i, (kind, basis) in enumerate(zip(kinds, bases)):
         value, direct, quotient = _kolmogorov_candidate_value(
-            T, basis, q, images, seed + i, bound=None if return_details else best
+            T, basis, q, images, seed + i, bound=None if return_details else best,
+            factored=factored[i],
         )
         cands.append(SubspaceCandidate(kind, value, direct, quotient))
         best = min(best, value)

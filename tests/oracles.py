@@ -172,3 +172,26 @@ def norm_lower(A, p, q, starts=6, seed=0):
                        options={"maxfev": 150 * z0.size, "xatol": 1e-12, "fatol": 1e-15})
         best = max(best, ratio(z0), -float(res.fun))
     return best * s
+
+
+def vertex_min_one_solve_each(x, B, q, norm, limit):
+    """The best residual norm over the vertices of {x_i = (Bc)_i}, one
+    ``np.linalg.solve`` per choice of m = B.shape[1] rows, for the first
+    ``limit`` choices in lexicographic order.  A singular subsystem is
+    skipped, and the solved rows of a residual count as 0.  ``norm`` is
+    passed in, so that a comparison with the library's stacked kernel tests
+    its solves and residuals, bit for bit.  Returns (value, residual), or
+    (inf, None) when every subsystem is singular."""
+    best, best_r = math.inf, None
+    for rows in itertools.islice(itertools.combinations(range(B.shape[0]), B.shape[1]), limit):
+        rows = list(rows)
+        try:
+            c = np.linalg.solve(B[rows], x[rows])
+        except np.linalg.LinAlgError:
+            continue
+        r = x - B @ c
+        r[rows] = 0.0
+        value = norm(r, q)
+        if value < best:
+            best, best_r = value, r
+    return best, best_r

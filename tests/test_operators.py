@@ -452,6 +452,22 @@ def test_bracket_refuses_out_of_order_sides_unless_one_is_an_estimate():
     assert issubclass(BracketError, ValueError)
 
 
+def test_bracket_refuses_crossed_sides_at_every_scale():
+    # below 1 the slack is relative to the upper: sides 1e-13 apart cross by
+    # the whole of the upper, and an absolute 1e-12 would hide that
+    with pytest.raises(BracketError, match="inconsistent Bracket"):
+        Bracket(2e-13, 1e-13, CERTIFIED, CERTIFIED, "x")
+    Bracket(1e-13 * (1.0 + 1e-13), 1e-13, CERTIFIED, CERTIFIED, "x")  # within the slack
+    # a negative exact point, such as a log-volume, still meets itself
+    assert Bracket.point(-3.5, EXACT, "logvol").lower == -3.5
+    with pytest.raises(BracketError, match="inconsistent Bracket"):
+        Bracket(-3.4, -3.5, CERTIFIED, CERTIFIED, "x")
+    # a subnormal operator whose sampled lower crosses its interpolation
+    # upper is refused, not returned
+    with pytest.raises(BracketError):
+        op_norm(operator(np.diag([3e-320, 3e-320]), 3, 1.5))
+
+
 @pytest.mark.parametrize("lower, upper, lower_kind, upper_kind", [
     (1.0, 1.0, EXACT, CERTIFIED),  # one exact side
     (1.0, 1.0, SHAPE, EXACT),

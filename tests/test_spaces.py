@@ -361,6 +361,50 @@ def test_dist_quasi_full_rank_skips_descent(monkeypatch):
         assert d == pytest.approx(_vertex_oracle(x, B, q), rel=1e-10)
 
 
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("q", [0.3, 0.5, 1.0])
+def test_stacked_vertex_minimum_has_the_bits_of_one_solve_per_subsystem(field, q):
+    # one stacked solve and one stacked residual product against a loop of
+    # one solve per subsystem: the same value and residual, bit for bit,
+    # also where a subsystem is singular (the loop's fallback) and on a
+    # rank-deficient basis, whose subsystems are singular or nearly so
+    rng = np.random.default_rng(61)
+    singular = 0
+    for t in range(120):
+        n = int(rng.integers(2, 8))
+        m = int(rng.integers(1, min(3, n) + 1))
+        x, B = rng.standard_normal(n), rng.standard_normal((n, m))
+        if field == COMPLEX:
+            x, B = x + 1j * rng.standard_normal(n), B + 1j * rng.standard_normal((n, m))
+        if t % 4 == 1:
+            B[int(rng.integers(n)), 0] = 0.0  # a zero entry: some subsystem is singular
+        if t % 4 == 2 and m > 1:
+            B[:, -1] = 2.0 * B[:, 0]  # rank-deficient
+        if t % 5 == 0:
+            x = x * 10.0 ** int(rng.integers(-150, 150))
+        got = spaces._arrangement_vertex_min(x, B, q)
+        want = oracles.vertex_min_one_solve_each(x, B, q, lp_norm, spaces.MAX_VERTEX_SYSTEMS)
+        assert got[0] == want[0] or (math.isnan(got[0]) and math.isnan(want[0]))
+        assert (got[1] is None) == (want[1] is None)
+        if want[1] is not None:
+            assert np.array_equal(got[1], want[1])
+        singular += t % 4 == 1
+    assert singular == 30
+
+
+def test_stacked_vertex_minimum_above_the_cap_takes_the_prefix():
+    # q = 1 anchors at n = 14, m = 4: 1001 subsets, of which the stack solves
+    # the first MAX_VERTEX_SYSTEMS, as the loop does
+    rng = np.random.default_rng(62)
+    x, B = rng.standard_normal(14), np.linalg.qr(rng.standard_normal((14, 4)))[0]
+    assert math.comb(14, 4) > spaces.MAX_VERTEX_SYSTEMS
+    got = spaces._arrangement_vertex_min(x, B, 1.0)
+    want = oracles.vertex_min_one_solve_each(x, B, 1.0, lp_norm, spaces.MAX_VERTEX_SYSTEMS)
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    every = oracles.vertex_min_one_solve_each(x, B, 1.0, lp_norm, math.comb(14, 4))
+    assert every[0] <= got[0]
+
+
 def _factored(x, basis):
     """(x, B, Q, tilt) as dist_to_subspace factors its arguments: x and the
     stacked basis B in one field, and (Q, tilt) = _orthonormal_span(B)."""

@@ -489,11 +489,11 @@ def test_dist_raw_and_orthonormal_bases_agree():
 def test_kolmogorov_search_one_distance_per_sample_point(monkeypatch, n, field, p, q, k, columns):
     # the search draws one sample set and forms its images once: the n
     # columns M @ e_j, then the sphere points' images.  Under details every
-    # candidate factors its basis once and solves every shared image, in
-    # order, with its own seed; each distance is the float dist_to_subspace
-    # gives
+    # candidate's basis is factored once (its share of the stacked SVD) and
+    # solves every shared image, in order, with its own seed; each distance
+    # is the float dist_to_subspace gives
     points, calls, factored = [], [], []
-    solve, sphere, span = widths._subspace_distance, widths.sample_sphere, widths._orthonormal_span
+    solve, sphere, span = widths._subspace_distance, widths.sample_sphere, widths._span_of_svd
 
     def count_solve(*args, **kwargs):
         d = solve(*args, **kwargs)
@@ -505,13 +505,13 @@ def test_kolmogorov_search_one_distance_per_sample_point(monkeypatch, n, field, 
         points.append(n + X.shape[0])
         return X
 
-    def count_span(B):
+    def count_span(*args):
         factored.append(1)
-        return span(B)
+        return span(*args)
 
     monkeypatch.setattr(widths, "_subspace_distance", count_solve)
     monkeypatch.setattr(widths, "sample_sphere", count_sphere)
-    monkeypatch.setattr(widths, "_orthonormal_span", count_span)
+    monkeypatch.setattr(widths, "_span_of_svd", count_span)
     rng = np.random.default_rng(19)
     M = rng.standard_normal((n, n))
     if field == COMPLEX:
@@ -680,6 +680,150 @@ def test_kolmogorov_search_at_q2_solves_one_distance_per_candidate(monkeypatch, 
     T = operator(M, 1.0, 2.0, field=field)
     kolmogorov_upper_search(T, 3, budget=budget, seed=4)
     assert len(calls) == n_cand
+
+
+@pytest.mark.parametrize("field, p", [(REAL, 1.0), (REAL, 0.5), (REAL, INF), (COMPLEX, 1.5)])
+def test_sample_images_have_the_bits_of_one_product_per_point(field, p):
+    # one stacked matmul against column vectors: each image is the float
+    # that M @ x gives for its own point, on square and non-square matrices
+    for m, n in [(4, 4), (3, 5), (6, 2)]:
+        rng = np.random.default_rng(m * n)
+        M = rng.standard_normal((m, n))
+        if field == COMPLEX:
+            M = M + 1j * rng.standard_normal((m, n))
+        T = operator(M, p, 2.0, field=field)
+        images = widths._sample_images(T, 24, 9)
+        points = np.random.default_rng([9, n, 24])
+        X = np.vstack([np.eye(n), spaces.sample_sphere(points, n, p, field, 24)])
+        assert images.shape == (n + 24, m)
+        for y, x in zip(images, X, strict=True):
+            assert np.array_equal(y, M @ x)
+
+
+def _drawn_bases(M, k, budget, seed):
+    """The candidate bases of a Kolmogorov search drawn one at a time: the
+    SVD span, then one QR per jitter and per random frame, in the order the
+    search's generator draws them."""
+    U = np.linalg.svd(M)[0][:, :k - 1]
+    n_cand = max(5, min(20, budget // 500))
+    n_svd = max(1, n_cand // 5)
+    rng = np.random.default_rng(spaces._stable_seed(seed, M, k, 77))
+    bases = [U]
+    for _ in range(n_svd - 1):
+        bases.append(np.linalg.qr(U + 0.05 * widths._random_like(rng, U))[0])
+    for _ in range(n_cand - n_svd):
+        bases.append(np.linalg.qr(widths._random_like(rng, U))[0])
+    return bases
+
+
+@pytest.mark.parametrize("field, p, q, budget", [
+    (REAL, 1.0, 1.0, 100), (REAL, 2.0, INF, 6000), (COMPLEX, 2.0, 1.0, 100),
+    (COMPLEX, 1.0, 1.5, 12000), (REAL, 2.0, 2.0, 5000),
+])
+def test_stacked_candidate_bases_have_the_bits_of_one_qr_each(monkeypatch, field, p, q, budget):
+    # the search draws every Gaussian matrix first and orthonormalises them
+    # in one stacked QR: each basis is the one a QR per candidate gives
+    bases = []
+    candidate = widths._kolmogorov_candidate_value
+
+    def record(T, basis, *args, **kwargs):
+        bases.append(basis)
+        return candidate(T, basis, *args, **kwargs)
+
+    monkeypatch.setattr(widths, "_kolmogorov_candidate_value", record)
+    rng = np.random.default_rng(71)
+    M = rng.standard_normal((5, 5))
+    if field == COMPLEX:
+        M = M + 1j * rng.standard_normal((5, 5))
+    kolmogorov_upper_search(operator(M, p, q, field=field), 3, budget=budget, seed=2,
+                            return_details=True)
+    want = _drawn_bases(M, 3, budget, 2)
+    assert len(bases) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(bases, want))
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.0, INF])
+def test_stacked_spans_and_caps_have_the_bits_of_one_candidate_each(field, q):
+    # one stacked SVD factors every candidate and, where their ranks agree,
+    # one stacked _distance_caps caps every image: each candidate's basis,
+    # span, tilt and caps are the floats its own calls give.  A candidate
+    # of lower rank makes the ranks disagree, and the caps are then one
+    # call per candidate
+    rng = np.random.default_rng(73)
+    for t in range(12):
+        m = int(rng.integers(2, 9))
+        d = int(rng.integers(1, m))
+        M = rng.standard_normal((m, m))
+        G = rng.standard_normal((6, m, d))
+        if field == COMPLEX:
+            M, G = M + 1j * rng.standard_normal((m, m)), G + 1j * rng.standard_normal((6, m, d))
+        bases = [np.linalg.svd(M)[0][:, :d]] + list(np.linalg.qr(G)[0])
+        if t % 3 == 2 and d > 1:
+            bases[-1] = bases[-1].copy()
+            bases[-1][:, -1] = bases[-1][:, 0]  # a rank below d
+        images = widths._sample_images(operator(M, 1.0, q, field=field), 16, t)
+        got = widths._factored_candidates(bases, images, q)
+        assert len(got) == len(bases)
+        for basis, (B, Q, tilt, caps) in zip(bases, got):
+            B1 = basis.astype(images.dtype)
+            Q1, tilt1 = spaces._orthonormal_span(B1)
+            assert np.array_equal(B, B1) and np.array_equal(Q, Q1) and tilt == tilt1
+            assert caps == spaces._distance_caps(images, Q1, q).tolist()
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_hilbert_kolmogorov_search_stops_at_the_svd_candidate(field):
+    # at p = q = 2 the SVD span attains d_k = sigma_k (Eckart-Young-Mirsky):
+    # the search evaluates it alone, and its value is the minimum of the
+    # full evaluation that return_details still makes
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        M = rng.standard_normal((n, n))
+        if field == COMPLEX:
+            M = M + 1j * rng.standard_normal((n, n))
+        T = operator(M, 2.0, 2.0, field=field)
+        sigma = np.linalg.svd(M, compute_uv=False)
+        for k in range(2, n + 1):
+            budget = (2000, 6000)[seed % 2]
+            v = kolmogorov_upper_search(T, k, budget=budget, seed=seed)
+            full, cands = kolmogorov_upper_search(T, k, budget=budget, seed=seed,
+                                                  return_details=True)
+            assert len(cands) == max(5, min(20, budget // 500))
+            assert v == full == cands[0].value == min(c.value for c in cands)
+            assert v == pytest.approx(sigma[k - 1], rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_hilbert_approx_search_stops_at_the_svd_truncation(field):
+    # at p = q = 2 the truncation attains a_k = sigma_k (Eckart-Young-Mirsky):
+    # the search returns its rounded residual norm, and no restart around it
+    # and no coordinate step of its factors improves on it by the 1e-15 the
+    # descent asks of a step (a step can round an ulp below it)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        M = rng.standard_normal((n, n))
+        if field == COMPLEX:
+            M = M + 1j * rng.standard_normal((n, n))
+        T = operator(M, 2.0, 2.0, field=field)
+        U, s, Vh = np.linalg.svd(M)
+        for k in range(2, n + 1):
+            A0, B0 = U[:, :k - 1] * s[:k - 1], Vh[:k - 1]
+            truncation = widths._residual_norms(T, (A0 @ B0)[None])[0]
+            v, (A, B) = widths._approx_search(T, k, 400, seed)
+            assert np.array_equal(A, A0) and np.array_equal(B, B0)
+            assert v == widths._product_rounding(T, A0, B0, truncation)
+            assert v == approx_upper_search(T, k, budget=400, seed=seed)
+            assert s[k - 1] * (1.0 - 1e-12) <= v <= s[k - 1] * (1.0 + 1e-9) + 1e-12
+            x = np.concatenate([A0.ravel(), B0.ravel()])
+            tries = [widths._coordinate_tries(x, np.arange(x.size), step)[0]
+                     for step in (0.1 * s[0], 1e-3 * s[0], 1e-6 * s[0])]
+            tries.append(x + 0.05 * s[0] * widths._random_like(rng, np.zeros((3, x.size))))
+            X = np.vstack(tries)
+            products = widths._low_rank(*widths._factors(X, A0.shape, B0.shape))
+            assert min(widths._residual_norms(T, products)) >= truncation - 1e-15
 
 
 def test_kolmogorov_search_never_below_sigma():
