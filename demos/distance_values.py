@@ -4,10 +4,10 @@ two checkouts of the library.
 The instances cover every (field, q) cell, q in {0.5, 1, 1.5, 2, 3, inf} on
 real and complex data, with n <= 6 coordinates and m <= 3 basis vectors;
 every third instance gets a dependent extra basis vector, so its basis is
-rank-deficient.  Each is solved at the default seed.  A record holds every
-value by ``float.hex`` and, where the checkout's dist_to_subspace takes
-``spaces._convex_distance`` (1 <= q < inf but the exact q = 2, and real
-q = inf), its certified gap value - lower.
+rank-deficient.  A record holds every value by ``float.hex`` and, where the
+checkout's dist_to_subspace takes ``spaces._convex_distance`` (q >= 1 but
+the exact q = 2; complex q = inf only once it has ``_lawson_distance``),
+its certified gap value - lower.
 
 Run bare, it prints this checkout's count per cell and the median and
 largest certified gap.  Record each checkout with its own source on the
@@ -53,7 +53,9 @@ def certified(spaces, field, q):
     """Whether this checkout's dist_to_subspace takes _convex_distance."""
     if not hasattr(spaces, "_convex_distance"):
         return False
-    return (1.0 <= q < math.inf and q != 2.0) or (field == "real" and math.isinf(q))
+    if math.isinf(q):
+        return field == "real" or hasattr(spaces, "_lawson_distance")
+    return 1.0 <= q != 2.0
 
 
 def convex_pair(spaces, x, B, q):

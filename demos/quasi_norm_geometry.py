@@ -51,7 +51,7 @@ if __name__ == "__main__":
     print("  which the vertex search over the kinks finds exactly")
     x = np.array([1.0, 0.0, -0.5])
     direction = np.array([1.0, 1.0, 1.0])
-    d = dist_to_subspace(x, [direction], 0.7, seed=1)
+    d = dist_to_subspace(x, [direction], 0.7)
     # compare against a fine scan of the single coefficient
     ts = np.linspace(-2, 2, 20001)
     scan = min(lp_norm(x - t * direction, 0.7) for t in ts)

@@ -233,8 +233,8 @@ def aoki_norm(x, p):
 # ---------------------------------------------------------------------------
 
 
-# most m x m subsystems the exact q < 1 distance solves, and the most q = 1
-# vertex anchors; larger real q < 1 bases descend
+# most m x m subsystems the q < 1 distance solves, and the most q = 1 vertex
+# anchors; larger real q < 1 bases are also reweighted
 MAX_VERTEX_SYSTEMS = 512
 
 
@@ -302,9 +302,12 @@ def _dual(y, a, r):
 # ``_convex_distance`` stops at the first try whose certified relative gap is
 # at most this
 CERTIFIED_GAP = 1e-9
-# the objective evaluations of the Nelder-Mead descent, shared by its starts
-DESCENT_BUDGET = 2000
 _NEWTON_STEPS = 60
+# Lawson's iteration converges linearly: on 60 random complex q = inf
+# instances with n <= 6 it certified within 2436 steps (median 78)
+_LAWSON_STEPS = 5000
+# the steps of each smoothing stage of ``_reweighted_distance``
+_REWEIGHTED_STEPS = 50
 # the q = 1 smoothing mu is max |r| times 10^-s for these s, in turn
 _SMOOTHING = (1, 3, 5, 7, 9, 11)
 
@@ -522,9 +525,44 @@ def _exchange_distance(x, Q, q):
     return float(np.abs(res).max()), y
 
 
+def _weighted_residual(x, Q, w):
+    """x - Q c for the c minimising sum_i w_i |x_i - (Q c)_i|^2, w >= 0, by
+    least squares on the rows scaled by sqrt(w).  Its normal equations
+    Q^H W (x - Q c) = 0 make w (x - Q c) orthogonal to span Q."""
+    s = np.sqrt(w)
+    return x - Q @ np.linalg.lstsq(s[:, None] * Q, s * x, rcond=None)[0]
+
+
+def _lawson_distance(x, Q, q):
+    """min_c ||x - Q c||_inf over complex c, by Lawson's iteration (C. L.
+    Lawson, PhD thesis, UCLA, 1961); returns (value, y) as
+    ``_newton_distance`` does.
+
+    From uniform weights w, each step takes the weighted least-squares
+    residual r (``_weighted_residual``), then sets w_i <- w_i |r_i|, divided
+    by their sum.  y = w r is orthogonal to span Q, so |y^H x| / ||y||_1 =
+    sum w |r|^2 / sum w |r| is a lower bound, which rises to the distance;
+    ``_convex_distance`` certifies it.  The value is the least max |r| met.
+    The steps end once that lower bound is within CERTIFIED_GAP / 2 of the
+    value, or after _LAWSON_STEPS steps.
+    """
+    w = np.full(x.size, 1.0 / x.size)
+    value = math.inf
+    for _ in range(_LAWSON_STEPS):
+        r = _weighted_residual(x, Q, w)
+        a = np.abs(r)
+        value = min(value, float(a.max()))
+        y, wa = w * r, w * a
+        total = wa.sum()
+        if total == 0.0 or value - wa @ a / total <= 0.5 * CERTIFIED_GAP * value:
+            break
+        w = wa / total
+    return value, y
+
+
 def _convex_distance(x, Q, tilt, q):
-    """(value, lower) for dist(x, span B) on either field for 1 <= q < inf,
-    and on real data for q = inf, where (Q, tilt) is ``_orthonormal_span(B)``.
+    """(value, lower) for dist(x, span B) on either field for 1 <= q <= inf,
+    where (Q, tilt) is ``_orthonormal_span(B)``.
 
     ``value`` is the l_q norm of a computed residual x - Q c, so it is at
     least the distance (up to rounding), and ``lower`` is ``_dual_lower``'s
@@ -533,7 +571,8 @@ def _convex_distance(x, Q, tilt, q):
     x and Q both vanish add nothing to either side and are dropped.  q = 1
     tries the vertex anchors first (for one basis vector u these are the
     Fermat-Weber anchors x_i / u_i), then ``_newton_distance``; q = inf
-    takes ``_exchange_distance``; any other q tries ``_newton_distance``
+    takes ``_exchange_distance`` on real data and ``_lawson_distance`` on
+    complex; any other q tries ``_newton_distance``
     plain, then smoothed.  The tries stop at the first that certifies the
     value to CERTIFIED_GAP, and the best value and lower over them are
     returned.
@@ -552,7 +591,7 @@ def _convex_distance(x, Q, tilt, q):
     if q == 1.0:
         tries = (_vertex_anchors, _newton_distance)
     elif math.isinf(q):
-        tries = (_exchange_distance,)
+        tries = (_lawson_distance if np.iscomplexobj(x) else _exchange_distance,)
     else:
         tries = (_newton_distance, lambda x, Q, q: _newton_distance(x, Q, q, smooth=True))
     value, lower = math.inf, 0.0
@@ -564,14 +603,34 @@ def _convex_distance(x, Q, tilt, q):
     return value * scale, lower * scale
 
 
-def _derivative_free_descent(objective, starts, maxfev):
-    from scipy import optimize
+def _reweighted_distance(x, Q, q, vertex):
+    """The least ||r||_q over majorize-minimize steps for min_c ||x - Q c||_q,
+    0 < q < 1, started from the least-squares residual, from x and from
+    ``vertex`` (a residual of x modulo span Q, or None).
 
+    Each step replaces r by the ``_weighted_residual`` with weights
+    (|r_i|^2 + mu^2)^(q/2 - 1): t -> (t + mu^2)^(q/2) is concave, so its
+    tangent at |r_i|^2 majorizes it, and the step cannot raise
+    sum_i (|r_i|^2 + mu^2)^(q/2).  mu runs through max |r| 10^-s for s in
+    _SMOOTHING, as in ``_newton_distance``, each stage started from the
+    last; a stage ends when r moves by at most 1e-15 max |r|, or after
+    _REWEIGHTED_STEPS steps.  The weights are taken of |r| / max |r|, which
+    only scales them.  Every value is the norm of a computed residual, so
+    at least the distance, up to rounding.
+    """
     best = math.inf
-    for c0 in starts:
-        res = optimize.minimize(objective, c0, method="Nelder-Mead",
-                                options={"maxfev": maxfev, "xatol": 1e-12, "fatol": 1e-14})
-        best = min(best, float(res.fun))
+    for r in [x - Q @ (Q.conj().T @ x), x] + ([] if vertex is None else [vertex]):
+        top = float(np.abs(r).max())
+        for mu in (top * 10.0**-s for s in _SMOOTHING):
+            for _ in range(_REWEIGHTED_STEPS):
+                scale = float(np.abs(r).max())
+                if scale == 0.0:
+                    return 0.0
+                w = ((np.abs(r) / scale) ** 2 + (mu / scale) ** 2) ** (q / 2.0 - 1.0)
+                r, last = _weighted_residual(x, Q, w), r
+                if np.abs(r - last).max() <= 1e-15 * scale:
+                    break
+            best = min(best, lp_norm(r, q))
     return best
 
 
@@ -599,46 +658,27 @@ def _distance_caps(Y, Q, q):
     return residual if q == 2.0 else np.minimum(_scaled_norm_rows(Y, q), residual)
 
 
-def _subspace_distance(x, B, Q, tilt, cap, q, seed=0):
-    """dist_to_subspace(x, list(B.T), q, seed) from its one
-    factorization: x and B of one field (``_one_field``), (Q, tilt) =
-    ``_orthonormal_span(B)`` and cap, x's ``_distance_caps``.  The value
-    is min(cap, the branch's value), so it never exceeds cap, bit for bit,
-    and at q = 2 it is cap."""
+def _subspace_distance(x, Q, tilt, cap, q):
+    """dist_to_subspace(x, list(B.T), q) from its one factorization: x cast to
+    B's field (``_one_field``), (Q, tilt) = ``_orthonormal_span(B)`` and cap,
+    x's ``_distance_caps``.  The value is min(cap, the branch's value), so
+    it never exceeds cap, bit for bit, and at q = 2 it is cap."""
     if q == 2.0:
         return cap
-    iscomplex = np.iscomplexobj(x)
-    n, m = B.shape
-
-    if 1.0 <= q < math.inf or (math.isinf(q) and not iscomplex):
+    if q >= 1.0:
         return float(min(cap, _convex_distance(x, Q, tilt, q)[0]))
-    if not iscomplex and q < 1.0 and math.comb(n, Q.shape[1]) <= MAX_VERTEX_SYSTEMS:
-        # q < 1: the objective is concave on every cell of the arrangement
-        # {x_i = (Qc)_i}.  Q has independent columns, so every cell is a
-        # pointed polyhedron, and a concave function that is bounded below on
-        # one is smallest at a vertex, so the vertex minimum is the distance
-        return float(min(cap, _arrangement_vertex_min(x, Q, q)[0]))
-
-    # the descent, over z = c for real data and z = (Re c, Im c) for complex,
-    # from the least-squares coefficients of B
-    c_ls = np.linalg.lstsq(B, x, rcond=None)[0]
-    z0 = np.concatenate([c_ls.real, c_ls.imag]) if iscomplex else c_ls
-    starts = [z0, np.zeros(z0.size)]
-    if q < 1.0:
-        coords = x.view(float)
-        rng = np.random.default_rng(_stable_seed(seed, coords, coords.size))
-        scale = max(1.0, float(np.abs(z0).max(initial=0.0)))
-        starts += [z0 + 0.5 * scale * rng.standard_normal(z0.size) for _ in range(6)]
-
-    def objective(z):
-        r = np.abs(x - B @ (z[:m] + 1j * z[m:] if iscomplex else z))
-        return float(r.max() if math.isinf(q) else _power_sums(r, q))
-
-    val = _derivative_free_descent(objective, starts, max(200, DESCENT_BUDGET // len(starts)))
-    return float(min(cap, val if math.isinf(q) else val ** (1.0 / q)))
+    # q < 1: the objective is concave on every cell of the arrangement
+    # {x_i = (Qc)_i}.  Q has independent columns, so every cell is a pointed
+    # polyhedron, and a concave function that is bounded below on one is
+    # smallest at a vertex: on real data the vertex minimum is the distance
+    # when it takes every vertex
+    value, r = _arrangement_vertex_min(x, Q, q)
+    if np.iscomplexobj(x) or math.comb(x.size, Q.shape[1]) > MAX_VERTEX_SYSTEMS:
+        value = min(value, _reweighted_distance(x, Q, q, r))
+    return float(min(cap, value))
 
 
-def dist_to_subspace(x, basis, q, seed=0):
+def dist_to_subspace(x, basis, q):
     """Distance from x to span(basis) in the l_q (quasi-)norm.
 
     This equals the quotient norm of the class of x in l_q^n / span(basis).
@@ -647,39 +687,37 @@ def dist_to_subspace(x, basis, q, seed=0):
     numerical span.  Every branch reads that one factorization, and each
     value is capped by ``_distance_caps``, min(||x||_q, ||x - Q Q^H x||_q),
     the norm of x and of its residual after orthogonal projection.  Each
-    branch is exact, certified or a descent:
+    branch is exact, certified or a numpy upper bound, all in numpy alone:
 
     - q = 2, either field: exact, the cap ||x - Q Q^H x||_2 (orthogonal
       projection).
-    - Every other 1 <= q < inf, either field, and real q = inf: certified,
-      never a descent.  ``_convex_distance`` solves the convex problem on
-      Q in numpy alone (at q = 1 the vertex anchors, where as many
-      residuals vanish as Q has columns, then smoothed Newton steps; plain
-      Newton steps for 1 < q < inf; Stiefel's exchange method for real
+    - Every other q >= 1, either field: certified.  ``_convex_distance``
+      solves the convex problem on Q (at q = 1 the vertex anchors, where as
+      many residuals vanish as Q has columns, then smoothed Newton steps;
+      plain Newton steps for 1 < q < inf; Stiefel's exchange method for
+      real q = inf and Lawson's reweighted least squares for complex
       q = inf) and bounds the distance from below by a Hahn-Banach
       certificate: dist(x, V) >= |y^H x| / ||y||_q' for every y orthogonal
       to V (Singer, Best Approximation in Normed Linear Spaces, 1970), with
       y the Hölder dual of the final residual (the exchange method's
-      reference vector at q = inf), less the rounding margin that
-      ``_dual_lower`` proves.  The value, the norm of a computed residual,
-      is an upper bound whatever the certificate says, and is returned as
-      it is.  It exceeds the distance by at most value - lower, which the
-      tries aim to bring within CERTIFIED_GAP (relative); at a point in
-      span(basis) the bound is 0 and the value is rounding at the scale of
-      x.
+      reference vector, Lawson's weighted residual at q = inf), less the
+      rounding margin that ``_dual_lower`` proves.  The value, the norm of
+      a computed residual, is an upper bound whatever the certificate says,
+      and is returned as it is.  It exceeds the distance by at most
+      value - lower, which the tries aim to bring within CERTIFIED_GAP
+      (relative); at a point in span(basis) the bound is 0 and the value is
+      rounding at the scale of x.
     - Real q < 1: not convex, but concave on each cell of the arrangement
       {x_i = (Qc)_i}.  Exact, up to rounding, when comb(n, rank) <=
       MAX_VERTEX_SYSTEMS, by minimising over the cell vertices; Q's columns
       are independent, so a rank-deficient basis takes this route too.
-    - Everything else (complex q = inf, complex q < 1, and real q < 1 above
-      the vertex cap): a descent, Nelder-Mead from the least-squares and
-      the zero coefficients of the stacked basis over their real
-      coordinates (the real and imaginary parts for complex data), with six
-      more seeded starts for q < 1, DESCENT_BUDGET objective evaluations in
-      all.  scipy is loaded only for it.
+    - Complex q < 1, and real q < 1 above the vertex cap: a numpy upper
+      bound, the least l_q norm of a computed residual over the first
+      MAX_VERTEX_SYSTEMS vertices and ``_reweighted_distance``'s
+      majorize-minimize steps from the least-squares residual, from x and
+      from the best vertex.
 
-    A descent returns an upper approximation of the infimum.  Every value
-    is at most the cap.
+    Every value is at most the cap.
     """
     q = _check_exponent(q, "q")
     x = np.asarray(x)
@@ -694,7 +732,7 @@ def dist_to_subspace(x, basis, q, seed=0):
     x, B = _one_field(x, np.column_stack(basis))
     Q, tilt = _orthonormal_span(B)
     cap = float(_distance_caps(x[None], Q, q)[0])
-    return _subspace_distance(x, B, Q, tilt, cap, q, seed)
+    return _subspace_distance(x, Q, tilt, cap, q)
 
 
 # ---------------------------------------------------------------------------

@@ -441,8 +441,8 @@ def _sample_images(T, n_samples, seed):
 
 
 def _factored_candidates(bases, images, q):
-    """(B, Q, tilt, caps) for each candidate basis: the basis cast to the
-    images' field, ``spaces._orthonormal_span`` of it, and the images'
+    """(Q, tilt, caps) for each candidate basis: ``spaces._orthonormal_span``
+    of the basis cast to the images' field, and the images'
     ``spaces._distance_caps`` on that span, as a list.  The bases are
     factored by one stacked ``np.linalg.svd`` and capped by one stacked
     ``_distance_caps`` when their ranks agree (one call per candidate when
@@ -456,10 +456,10 @@ def _factored_candidates(bases, images, q):
         caps = _distance_caps(images, np.array([Q for Q, _ in spans]), q)
     else:
         caps = [_distance_caps(images, Q, q) for Q, _ in spans]
-    return [(B, Q, tilt, c.tolist()) for B, (Q, tilt), c in zip(Bs, spans, caps)]
+    return [(Q, tilt, c.tolist()) for (Q, tilt), c in zip(spans, caps)]
 
 
-def _kolmogorov_candidate_value(T, basis, q, images, seed, bound=None, factored=None):
+def _kolmogorov_candidate_value(T, basis, q, images, bound=math.inf, factored=None):
     """sup over the unit ball of the distance to span(basis), a matrix with
     orthonormal columns.
 
@@ -486,13 +486,11 @@ def _kolmogorov_candidate_value(T, basis, q, images, seed, bound=None, factored=
     search's ``_factored_candidates``, or that of the basis alone.  The two
     are the same floats, since numpy's linalg gufuncs run the same LAPACK
     routine on each matrix of a stack.  The distance is the one
-    dist_to_subspace(y, list(basis.T), q, seed=seed) gives, which is at most
-    the cap, bit for bit; ``seed`` seeds only the descents of these solves.
-    With ``bound=None`` every image's distance is solved, in order.  With a
-    bound, the images are taken in descending order of their caps (a stable
-    sort, so ties go to the lower index), so the first one solved has the
-    largest cap, which at q = 2 is the candidate's value, and two stops skip
-    the solves that cannot change the search's result:
+    dist_to_subspace(y, list(basis.T), q) gives, which is at most the cap,
+    bit for bit.  The images are taken in descending order of their caps (a
+    stable sort, so ties go to the lower index), so the first one solved has
+    the largest cap, which at q = 2 is the candidate's value, and two stops
+    skip the solves that cannot change the search's result:
 
     - at the first image whose cap is <= the running max, since every
       later cap, and so every later distance, is no larger: the running
@@ -501,13 +499,15 @@ def _kolmogorov_candidate_value(T, basis, q, images, seed, bound=None, factored=
       no longer lower a minimum that is already <= bound; the value
       returned is the running max, which is below the full max or equal.
 
-    An image's distance depends only on (y, basis, q, seed), so taking
-    fewer images, in another order, changes no evaluated distance.  Each
-    distance is the quotient norm of y modulo span(basis), of the kind its
-    dist_to_subspace branch gives: exact (q = 2), certified to
-    spaces.CERTIFIED_GAP or an upper bound (every other 1 <= q < inf, and
-    real q = inf), exact up to rounding (real q < 1 within the vertex cap),
-    or a descent, which can only overshoot.
+    With the default bound, inf, only the first stop applies, so the value
+    is the full max over every image.  An image's distance depends only on
+    (y, basis, q), so taking fewer images, in another order, changes no
+    evaluated distance.  Each distance is the quotient norm of y modulo
+    span(basis), of the kind its dist_to_subspace branch gives: exact
+    (q = 2), exact up to rounding (real q < 1 within the vertex cap),
+    certified to spaces.CERTIFIED_GAP (every other q >= 1), or a numpy
+    upper bound, which can only overshoot (complex q < 1, and real q < 1
+    above the vertex cap).
     """
     M = T.matrix
     if T.domain.p == 2.0 and q == 2.0:
@@ -524,19 +524,13 @@ def _kolmogorov_candidate_value(T, basis, q, images, seed, bound=None, factored=
 
     if factored is None:
         factored = _factored_candidates([basis], images, q)[0]
-    B, Q, tilt, caps = factored
+    Q, tilt, caps = factored
 
-    def distance(j):
-        return _subspace_distance(images[j], B, Q, tilt, caps[j], q, seed=seed)
-
-    if bound is None:
-        direct = max(distance(j) for j in range(len(images)))
-        return direct, direct, None
     direct = -math.inf
     for j in np.argsort(-np.array(caps), kind="stable"):
         if caps[j] <= direct or direct >= bound:
             break
-        direct = max(direct, distance(j))
+        direct = max(direct, _subspace_distance(images[j], Q, tilt, caps[j], q))
     return direct, direct, None
 
 
@@ -561,12 +555,11 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     include the columns (the images of the +e_j), whose maximum is the
     exact supremum.  At k = 1 the result is ``_norm_upper(T)``'s value,
     op_norm's upper, as in ``approx_upper_search``.  Each distance is the
-    quotient norm dist_to_subspace gives, with candidate i's ``seed + i``
-    seeding its descents: exact for q = 2, certified to spaces.CERTIFIED_GAP or an upper bound
-    for 1 <= q < inf and real q = inf, exact up to rounding
-    for real q < 1 within the vertex cap, and a descent elsewhere.  Off the
-    Hilbert case the candidates' bases are factored by one stacked
-    ``np.linalg.svd`` and the images capped by one stacked
+    quotient norm dist_to_subspace gives: exact for q = 2, exact up to
+    rounding for real q < 1 within the vertex cap, certified to
+    spaces.CERTIFIED_GAP for every other q >= 1, and a numpy upper bound
+    elsewhere.  Off the Hilbert case the candidates' bases are factored by
+    one stacked ``np.linalg.svd`` and the images capped by one stacked
     ``spaces._distance_caps`` (``_factored_candidates``), and every image's
     distance and cap are read from its candidate's share.  numpy's linalg
     gufuncs run the same LAPACK routine on each matrix of a stack, so each
@@ -584,9 +577,10 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     and the candidate can no longer lower the minimum.  The distances that
     are solved are the same floats as in a full evaluation, so the result is
     the same float; at q = 2 the cap is the distance, and one solve per
-    candidate is made.  ``return_details=True`` evaluates every image for
-    every candidate, on the same images, and every candidate at p = q = 2,
-    since its diagnostics report each candidate's full value.
+    candidate is made.  ``return_details=True`` evaluates every candidate to
+    its full value, on the same images (bound inf, so only the first stop
+    applies), and every candidate at p = q = 2, since its diagnostics report
+    each candidate's full value.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -606,7 +600,7 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
     if hilbert and not return_details:
         # Eckart-Young-Mirsky: the span of the top dim left singular vectors
         # attains d_k = sigma_k, so no other candidate can be smaller
-        return float(_kolmogorov_candidate_value(T, U[:, :dim], q, None, seed)[0])
+        return float(_kolmogorov_candidate_value(T, U[:, :dim], q, None)[0])
     n_cand = max(5, min(20, budget // 500))
     n_svd = max(1, n_cand // 5)
     n_samples = max(8, min(64, budget // (n_cand * 2)))
@@ -627,10 +621,9 @@ def kolmogorov_upper_search(T, k, budget=10000, seed=0, return_details=False):
         factored = _factored_candidates(bases, images, q)
     cands = []
     best = math.inf
-    for i, (kind, basis) in enumerate(zip(kinds, bases)):
+    for kind, basis, share in zip(kinds, bases, factored):
         value, direct, quotient = _kolmogorov_candidate_value(
-            T, basis, q, images, seed + i, bound=None if return_details else best,
-            factored=factored[i],
+            T, basis, q, images, bound=math.inf if return_details else best, factored=share,
         )
         cands.append(SubspaceCandidate(kind, value, direct, quotient))
         best = min(best, value)

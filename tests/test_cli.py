@@ -571,9 +571,9 @@ def test_sphere_overflow_at_tiny_p_exits_two_and_names_p(p):
 
 
 def test_cli_commands_load_no_scipy():
-    # scipy is imported only by the Nelder-Mead distance descent, which
-    # these commands do not reach; the certified norm uppers, in estimate at
-    # (3, 1.5) and (2, 0.5) and in the approximation search, are numpy only
+    # the package imports no scipy; these commands, the certified norm
+    # uppers in estimate at (3, 1.5) and (2, 0.5) and in the approximation
+    # search among them, load none
     matrix = os.path.join(os.path.dirname(__file__), "golden", "matrix.csv")
     code = textwrap.dedent(f"""
         import contextlib, io, sys

@@ -227,10 +227,11 @@ def test_dist_linf_and_l1_lines():
     assert dist_to_subspace(x, b, 1.0) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_dist_real_l1_and_linf_in_fresh_interpreter_load_no_scipy():
-    # at q = 1 the median point c = 1 gives 9, below ||x||_1 = 13 and the
+def test_dist_every_branch_loads_no_scipy():
+    # a fresh interpreter runs every dist_to_subspace branch.  At real q = 1
+    # the median point c = 1 gives 9, below ||x||_1 = 13 and the
     # least-squares residual's 13.5, so only the certified route reaches it;
-    # at q = inf the midrange point c = 5.5 gives 4.5
+    # at real q = inf the midrange point c = 5.5 gives 4.5
     code = textwrap.dedent("""
         import math, sys
         import numpy as np
@@ -238,6 +239,13 @@ def test_dist_real_l1_and_linf_in_fresh_interpreter_load_no_scipy():
 
         x, b = np.array([1.0, 1.0, 1.0, 10.0]), [np.ones(4)]
         print(repr(dist_to_subspace(x, b, 1.0)), repr(dist_to_subspace(x, b, math.inf)))
+        x = np.array([1.0 + 2.0j, -0.5j, 3.0, 1.0 - 1.0j])
+        B = np.array([[1.0, 0.5j], [1.0j, 2.0], [-1.0, 1.0], [0.5, 1.0 + 1.0j]])
+        for q in (0.5, 1.0, 1.5, 2.0, math.inf):
+            dist_to_subspace(x, [B[:, 0]], q)
+            dist_to_subspace(x.real, list(B.real.T), q)
+        rng = np.random.default_rng(0)
+        dist_to_subspace(rng.standard_normal(14), list(rng.standard_normal((5, 14))), 0.5)
         print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     """)
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -256,7 +264,7 @@ def test_dist_quasi_matches_kink_oracle():
         x = rng.standard_normal(3)
         v = rng.standard_normal(3)
         oracle = min(lp_norm(_kink_residual(x, v, i), q) for i in range(3))
-        d = dist_to_subspace(x, [v], q, seed=0)
+        d = dist_to_subspace(x, [v], q)
         assert d <= lp_norm(x, q) + TOL
         assert d == pytest.approx(oracle, rel=1e-9)
 
@@ -335,29 +343,25 @@ def _random_quasi_instances(seed, count):
 
 def test_dist_quasi_full_rank_is_exact_vertex_minimum():
     for x, B, q in _random_quasi_instances(11, 48):
-        d = dist_to_subspace(x, list(B.T), q, seed=3)
+        d = dist_to_subspace(x, list(B.T), q)
         assert d <= _old_quasi_distance(x, B, q, seed=3) * (1.0 + 1e-12)
         assert d == pytest.approx(_vertex_oracle(x, B, q), rel=1e-10)
 
 
-def test_dist_quasi_full_rank_skips_descent(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("Nelder-Mead ran on a real q < 1 basis within the vertex cap")
-
-    monkeypatch.setattr(spaces, "_derivative_free_descent", forbidden)
+def test_dist_quasi_full_rank_skips_descent():
     for x, B, q in _random_quasi_instances(12, 40):
-        dist_to_subspace(x, list(B.T), q, seed=0)
+        dist_to_subspace(x, list(B.T), q)
         # a dependent column (exactly: a power-of-two multiple): the vertex
         # minimum runs on independent columns of the same span, and is never
         # above the previous route's value
         dependent = np.column_stack([B, -2.0 * B[:, -1]])
-        d = dist_to_subspace(x, list(dependent.T), q, seed=0)
+        d = dist_to_subspace(x, list(dependent.T), q)
         assert d == pytest.approx(_vertex_oracle(x, B, q), rel=1e-10)
         assert d <= _old_quasi_distance(x, dependent, q) * (1.0 + 1e-12)
         # a rounded combination is dependent up to rounding, which the rank
         # rule of _orthonormal_span drops
         rounded = np.column_stack([B, B @ np.linspace(1.0, -2.0, B.shape[1])])
-        d = dist_to_subspace(x, list(rounded.T), q, seed=0)
+        d = dist_to_subspace(x, list(rounded.T), q)
         assert d == pytest.approx(_vertex_oracle(x, B, q), rel=1e-10)
 
 
@@ -406,10 +410,10 @@ def test_stacked_vertex_minimum_above_the_cap_takes_the_prefix():
 
 
 def _factored(x, basis):
-    """(x, B, Q, tilt) as dist_to_subspace factors its arguments: x and the
-    stacked basis B in one field, and (Q, tilt) = _orthonormal_span(B)."""
+    """(x, Q, tilt) as dist_to_subspace factors its arguments: x cast to the
+    field of the stacked basis B, and (Q, tilt) = _orthonormal_span(B)."""
     x, B = spaces._one_field(np.asarray(x), np.column_stack(basis))
-    return (x, B, *spaces._orthonormal_span(B))
+    return (x, *spaces._orthonormal_span(B))
 
 
 @pytest.mark.parametrize("field, q, deficient", [
@@ -441,9 +445,9 @@ def test_dist_never_exceeds_its_cap(field, q, deficient):
         basis = list(B.T)
         if deficient:
             basis.append(2.0 * basis[0])
-        x_, _, Q, _ = _factored(x, basis)
+        x_, Q, _ = _factored(x, basis)
         cap = spaces._distance_caps(x_[None], Q, q)[0]
-        d = dist_to_subspace(x, basis, q, seed=s)
+        d = dist_to_subspace(x, basis, q)
         assert d <= cap
         if q == 2.0:
             assert d == cap
@@ -461,7 +465,6 @@ def test_dist_factors_its_basis_once(monkeypatch, field, q):
         return span(B)
 
     monkeypatch.setattr(spaces, "_orthonormal_span", counting)
-    monkeypatch.setattr(spaces, "_derivative_free_descent", lambda objective, starts, maxfev: 1.0)
     for deficient in (False, True):
         x, basis = _convex_instance(5, 4, 2, deficient, field)
         dist_to_subspace(x, basis, q)
@@ -535,20 +538,7 @@ def _convex_instance(seed, n, m, deficient, field=COMPLEX):
     return x, basis
 
 
-def _recording_descent(monkeypatch):
-    calls = []
-    descent = spaces._derivative_free_descent
-
-    def recording(*args, **kwargs):
-        calls.append(1)
-        return descent(*args, **kwargs)
-
-    monkeypatch.setattr(spaces, "_derivative_free_descent", recording)
-    return calls
-
-
-def test_dist_complex_l1_closed_forms(monkeypatch):
-    calls = _recording_descent(monkeypatch)
+def test_dist_complex_l1_closed_forms():
     b = [np.ones(3, dtype=complex)]
     # the cube roots of unity: their Fermat-Weber point is the interior c = 0
     w = np.exp(2j * np.pi / 3)
@@ -556,7 +546,6 @@ def test_dist_complex_l1_closed_forms(monkeypatch):
     # the anchor c = 0 is optimal: |-1 + (1 - 0.1i) / sqrt(1.01)| <= 1
     x = np.array([0.0, 1.0, -1.0 + 0.1j])
     assert dist_to_subspace(x, b, 1.0) == pytest.approx(1.0 + math.sqrt(1.01), rel=1e-14)
-    assert not calls
 
 
 # the convex route on both fields: the complex cases keep their q as the id
@@ -569,21 +558,18 @@ _CONVEX_CASES = ([pytest.param(COMPLEX, q, id=str(q)) for q in (1.0, 1.5, 3.0)]
 @given(seed=st.integers(0, 2**16), n=st.integers(1, 5), m=st.integers(1, 3),
        deficient=st.booleans())
 def test_dist_complex_convex_is_certified_or_falls_back(field, q, seed, n, m, deficient):
-    # every value is the solver's, capped, and runs no Nelder-Mead descent;
-    # it stays above the previous route's value (Nelder-Mead for complex
-    # data, L-BFGS for real) by at most its certified gap
-    # (lower <= dist <= old), up to the rounding of the sums that the
-    # certificate states (a few n eps)
+    # every value is the solver's, capped; it stays above the previous
+    # route's value (Nelder-Mead for complex data, L-BFGS for real) by at
+    # most its certified gap (lower <= dist <= old), up to the rounding of
+    # the sums that the certificate states (a few n eps)
     x, basis = _convex_instance(seed, n, m, deficient, field)
-    _, _, Q, tilt = _factored(x, basis)
+    _, Q, tilt = _factored(x, basis)
     value, lower = spaces._convex_distance(x, Q, tilt, q)
     assert 0.0 <= lower <= value * (1.0 + 1e-15)
-    with pytest.MonkeyPatch.context() as mp:
-        calls = _recording_descent(mp)
-        d = dist_to_subspace(x, basis, q, seed=seed)
+    d = dist_to_subspace(x, basis, q)
     cap = spaces._distance_caps(x[None], Q, q)[0]
     assert d <= cap
-    assert not calls and d == min(cap, value)
+    assert d == min(cap, value)
     old = _old_complex_distance if field == COMPLEX else _old_smooth_distance
     rounding = 8.0 * n * np.finfo(float).eps * value
     assert d <= old(x, basis, q) + (value - lower) + rounding
@@ -593,16 +579,14 @@ def test_dist_complex_convex_is_certified_or_falls_back(field, q, seed, n, m, de
                                                       pytest.param(REAL, math.inf, id="real-inf")])
 def test_dist_convex_uncertified_value_is_returned_without_descent(monkeypatch, field, q):
     # a value whose certificate misses CERTIFIED_GAP is still the norm of a
-    # residual, an upper bound: it is returned capped, and nothing descends
+    # residual, an upper bound: it is returned capped
     x, basis = _convex_instance(3, 4, 2, False, field)
-    _, _, Q, tilt = _factored(x, basis)
+    _, Q, tilt = _factored(x, basis)
     value = spaces._convex_distance(x, Q, tilt, q)[0]
     assert value > 1e-3 * lp_norm(x, q)  # x is not in span(basis)
     monkeypatch.setattr(spaces, "_convex_distance", lambda *args: (value, 0.0))
-    calls = _recording_descent(monkeypatch)
     cap = float(spaces._distance_caps(x[None], Q, q)[0])
     assert dist_to_subspace(x, basis, q) == min(cap, value)
-    assert not calls
 
 
 @pytest.mark.parametrize("field, q", _CONVEX_CASES)
@@ -612,7 +596,7 @@ def test_dist_complex_convex_certifies_random_instances(field, q):
     for seed in range(30):
         n = 2 + seed % 4
         x, basis = _convex_instance(seed, n, 1 + seed % min(3, n - 1), seed % 5 == 0, field)
-        _, _, Q, tilt = _factored(x, basis)
+        _, Q, tilt = _factored(x, basis)
         value, lower = spaces._convex_distance(x, Q, tilt, q)
         assert value - lower <= spaces.CERTIFIED_GAP * value
 
@@ -651,7 +635,7 @@ def test_dist_real_l1_and_linf_match_rational_oracle(seed, n, m, deficient, q):
 
 @pytest.mark.parametrize("field, q", [(REAL, 1.0), (REAL, 1.5), (REAL, math.inf),
                                       (COMPLEX, 1.0)])
-def test_points_in_span_take_no_descent(monkeypatch, field, q):
+def test_points_in_span_take_no_descent(field, q):
     # the certified lower is 0 on span(B), so no relative gap certifies the
     # rounding-level value; it is returned as it is, within 8 n eps ||x||_q
     rng = np.random.default_rng(4)
@@ -661,56 +645,80 @@ def test_points_in_span_take_no_descent(monkeypatch, field, q):
     x = B @ rng.standard_normal(2)
     value, lower = spaces._convex_distance(x, *spaces._orthonormal_span(B), q)
     assert lower == 0.0 < value
-    calls = _recording_descent(monkeypatch)
     d = dist_to_subspace(x, list(B.T), q)
-    assert not calls
     assert d == value <= 8.0 * 5 * np.finfo(float).eps * lp_norm(x, q)
 
 
 @pytest.mark.parametrize("q, n, m", [(1.0, 12, 5), (1.0, 14, 4), (math.inf, 12, 5),
                                      (math.inf, 40, 6)])
-def test_dist_real_l1_and_linf_above_the_enumeration_cap(monkeypatch, q, n, m):
+def test_dist_real_l1_and_linf_above_the_enumeration_cap(q, n, m):
     # more vertex systems than MAX_VERTEX_SYSTEMS: q = 1 has only part of its
     # anchors and ends in Newton steps, q = inf's exchange method has no cap
     size = m if q == 1.0 else m + 1
     assert math.comb(n, size) > spaces.MAX_VERTEX_SYSTEMS
-    calls = _recording_descent(monkeypatch)
     rng = np.random.default_rng(31)
     for _ in range(4):
         x, B = rng.standard_normal(n), rng.standard_normal((n, m))
         d = dist_to_subspace(x, list(B.T), q)
         assert d == pytest.approx(_linprog_distance(x, B, q), rel=1e-9)
-    assert not calls
 
 
-def test_dist_descent_draws_are_pinned():
-    # one Nelder-Mead descent serves both fields; these values were computed
-    # when real q < 1 and the complex field had a descent each, so the merged
-    # descent makes the same starts and draws (exact under the versions that
-    # wrote them: Python 3.11.7, numpy 2.4.6, scipy 1.17.1).  Three
-    # rank-deficient real q < 1 instances were drawn first; they are still
-    # drawn, so the complex instances keep their inputs, but such bases now
-    # take the vertex minimum (test_dist_quasi_full_rank_skips_descent)
-    import platform
+# the Nelder-Mead descent's values on instances of every branch it served,
+# as ``float.hex`` (Python 3.11.7, numpy 2.4.6, scipy 1.17.1): (field, q, n,
+# m, value).  The first three, drawn after three unused real triples, were
+# descended with the seed 7, the rest with the seed 0
+_DESCENT_VALUES = [
+    (COMPLEX, math.inf, 3, 2, "0x1.c7228b68875f5p+0"),
+    (COMPLEX, math.inf, 4, 2, "0x1.4f176f1400680p-1"),
+    (COMPLEX, 0.5, 4, 2, "0x1.35fb99bd9d416p+3"),
+    (COMPLEX, math.inf, 3, 1, "0x1.d6ad34dc0202cp-1"),
+    (COMPLEX, math.inf, 5, 2, "0x1.a9269e1cd9bfcp-1"),
+    (COMPLEX, math.inf, 6, 3, "0x1.6da192aeaff44p+0"),
+    (COMPLEX, 0.3, 3, 1, "0x1.298a7a74d442fp+4"),
+    (COMPLEX, 0.3, 5, 2, "0x1.40764ab02d4ddp+6"),
+    (COMPLEX, 0.5, 6, 3, "0x1.93d4d1086f862p+4"),
+    (COMPLEX, 0.8, 4, 2, "0x1.fb388aaa3ca86p+0"),
+    (COMPLEX, 0.8, 5, 3, "0x1.0a2db050e6c10p+2"),
+    (REAL, 0.5, 14, 5, "0x1.fa2c4a8a086f2p+5"),
+    (REAL, 0.7, 13, 4, "0x1.3be0add058e32p+4"),
+]
 
-    import scipy
 
-    pinned = ["0x1.c7228b68875f5p+0", "0x1.4f176f1400680p-1", "0x1.35fb99bd9d416p+3"]
+def test_dist_numpy_routes_stay_below_the_descent():
+    # every value is the norm of a computed residual, as the descent's was,
+    # and is never above it; a complex q = inf value is also certified
     rng = np.random.default_rng(2026)
     for _ in range(3):
         rng.standard_normal(5), rng.standard_normal(5), rng.standard_normal(5)
-    values = []
-    for n in (3, 4):
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        B = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-        values.append(dist_to_subspace(x, list(B.T), math.inf, seed=7))
-    x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    B = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    values.append(dist_to_subspace(x, list(B.T), 0.5, seed=7))  # seeded starts
-    if (platform.python_version(), np.__version__, scipy.__version__) == ("3.11.7", "2.4.6", "1.17.1"):
-        assert [v.hex() for v in values] == pinned
-    else:
-        assert values == pytest.approx([float.fromhex(h) for h in pinned], rel=1e-9)
+    for i, (field, q, n, m, pinned) in enumerate(_DESCENT_VALUES):
+        if i == 3:
+            rng = np.random.default_rng(2027)
+        if i < 3:
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            B = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        else:
+            x, B = rng.standard_normal(n), rng.standard_normal((n, m))
+            if field == COMPLEX:
+                x, B = x + 1j * rng.standard_normal(n), B + 1j * rng.standard_normal((n, m))
+        assert math.comb(n, m) > spaces.MAX_VERTEX_SYSTEMS or field == COMPLEX
+        d = dist_to_subspace(x, list(B.T), q)
+        assert d <= float.fromhex(pinned) * (1.0 + 1e-9)
+        if math.isinf(q):
+            _, Q, tilt = _factored(x, list(B.T))
+            value, lower = spaces._convex_distance(x, Q, tilt, q)
+            assert d == value and value - lower <= spaces.CERTIFIED_GAP * value
+
+
+def test_dist_quasi_above_the_vertex_cap_improves_on_every_start():
+    # 14 coordinates, 5 basis vectors: the reweighted steps from the best
+    # vertex reach a value that neither the first MAX_VERTEX_SYSTEMS
+    # vertices nor the steps from the other two starts reach
+    rng = np.random.default_rng([20261021, 2, 22])
+    x, B = rng.standard_normal(14), rng.standard_normal((14, 5))
+    _, Q, _ = _factored(x, list(B.T))
+    d = dist_to_subspace(x, list(B.T), 0.5)
+    assert d < spaces._arrangement_vertex_min(x, Q, 0.5)[0]
+    assert d < spaces._reweighted_distance(x, Q, 0.5, None)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -749,23 +757,6 @@ def test_lp_norm_rescales_powers_out_of_range():
     assert lp_norm(np.array([1.7e308, 1.7e308]), 1.0) == math.inf
     assert lp_norm(np.array([math.inf, 1.0]), 3.0) == math.inf
     assert math.isnan(lp_norm(np.array([math.nan, 1.0]), 3.0))
-
-
-def test_dist_complex_l1_loads_no_scipy():
-    code = textwrap.dedent("""
-        import sys
-        import numpy as np
-        from snumbers.spaces import dist_to_subspace
-
-        x = np.array([1.0 + 2.0j, -0.5j, 3.0, 1.0 - 1.0j])
-        B = np.array([[1.0, 0.5j], [1.0j, 2.0], [-1.0, 1.0], [0.5, 1.0 + 1.0j]])
-        print(repr(dist_to_subspace(x, [B[:, 0]], 1.0)), repr(dist_to_subspace(x, list(B.T), 1.5)),
-              repr(dist_to_subspace(x.real, list(B.real.T), 1.5)))
-        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
-    """)
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[-1] == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -474,8 +474,8 @@ def test_dist_raw_and_orthonormal_bases_agree():
         B = rng.standard_normal((n, m))
         Q = np.linalg.qr(B)[0]
         for q in (1.0, INF, 0.5):
-            raw = dist_to_subspace(x, list(B.T), q, seed=t)
-            ortho = dist_to_subspace(x, list(Q.T), q, seed=t + 1)
+            raw = dist_to_subspace(x, list(B.T), q)
+            ortho = dist_to_subspace(x, list(Q.T), q)
             assert abs(raw - ortho) <= 1e-9 * max(1.0, raw, ortho)
 
 
@@ -489,15 +489,16 @@ def test_dist_raw_and_orthonormal_bases_agree():
 def test_kolmogorov_search_one_distance_per_sample_point(monkeypatch, n, field, p, q, k, columns):
     # the search draws one sample set and forms its images once: the n
     # columns M @ e_j, then the sphere points' images.  Under details every
-    # candidate's basis is factored once (its share of the stacked SVD) and
-    # solves every shared image, in order, with its own seed; each distance
-    # is the float dist_to_subspace gives
-    points, calls, factored = [], [], []
+    # candidate's basis is factored once (its share of the stacked SVD), and
+    # its value is the largest distance over every shared image; each
+    # distance solved is the float dist_to_subspace gives
+    points, calls, factored, shares = [], [], [], []
     solve, sphere, span = widths._subspace_distance, widths.sample_sphere, widths._span_of_svd
+    candidate = widths._kolmogorov_candidate_value
 
-    def count_solve(*args, **kwargs):
-        d = solve(*args, **kwargs)
-        calls.append((np.array(args[0]), args[1], kwargs["seed"], d))
+    def count_solve(*args):
+        d = solve(*args)
+        calls.append((np.array(args[0]), shares[-1][1], d))
         return d
 
     def count_sphere(*args, **kwargs):
@@ -509,9 +510,14 @@ def test_kolmogorov_search_one_distance_per_sample_point(monkeypatch, n, field, 
         factored.append(1)
         return span(*args)
 
+    def record(T, basis, q, images, **kwargs):
+        shares.append((images, basis, kwargs["factored"]))
+        return candidate(T, basis, q, images, **kwargs)
+
     monkeypatch.setattr(widths, "_subspace_distance", count_solve)
     monkeypatch.setattr(widths, "sample_sphere", count_sphere)
     monkeypatch.setattr(widths, "_span_of_svd", count_span)
+    monkeypatch.setattr(widths, "_kolmogorov_candidate_value", record)
     rng = np.random.default_rng(19)
     M = rng.standard_normal((n, n))
     if field == COMPLEX:
@@ -520,23 +526,22 @@ def test_kolmogorov_search_one_distance_per_sample_point(monkeypatch, n, field, 
                                        seed=1, return_details=True)
     assert all(c.quotient is None and c.agreement_gap is None for c in cands)
     assert len(points) == 1
-    assert len(calls) == len(cands) * points[0]
-    assert len(factored) == len(cands)
-    images = [y for y, _, _, _ in calls[:points[0]]]
-    for i in range(len(cands)):
-        solved = calls[i * points[0]:(i + 1) * points[0]]
-        assert all(np.array_equal(y, z) and seed == 1 + i
-                   for (y, _, seed, _), z in zip(solved, images))
-    for y, B, seed, d in calls:
-        assert d == dist_to_subspace(y, list(B.T), q, seed=seed)
+    assert len(factored) == len(shares) == len(cands)
+    assert len(calls) <= len(cands) * points[0]
+    images = shares[0][0]
+    assert len(images) == points[0] and all(y is images for y, _, _ in shares)
+    for y, basis, d in calls:
+        assert d == dist_to_subspace(y, list(basis.T), q)
     # the first n images are the columns, bit for bit
     for j in range(n):
         assert np.array_equal(images[j], M[:, j])
-    if columns:
-        # p <= min(1, q): the columns' distance maximum is each candidate's
-        # supremum, so no separate column pass is needed
-        for i, c in enumerate(cands):
-            assert c.value == max(d for _, _, _, d in calls[i * points[0]:i * points[0] + n])
+    for c, (_, _, (Q, tilt, caps)) in zip(cands, shares):
+        full = [solve(y, Q, tilt, cap, q) for y, cap in zip(images, caps)]
+        assert c.value == max(full)
+        if columns:
+            # p <= min(1, q): the columns' distance maximum is each
+            # candidate's supremum, so no separate column pass is needed
+            assert c.value == max(full[:n])
 
 
 # (field, n, p, q, rank-deficient): every dist_to_subspace branch, and q = 2
@@ -562,11 +567,8 @@ PRUNED_SEARCH_CASES = [
 @given(mseed=st.integers(0, 2**16), k=st.integers(2, 4))
 def test_pruned_kolmogorov_search_equals_full_evaluation(field, n, p, q, deficient, mseed, k):
     # The search without details skips the distance solves that cannot change
-    # its min-max; return_details=True solves every one.  The two must agree
-    # bit for bit.  Multi-start Nelder-Mead (the complex q = inf and q < 1
-    # solves) is held to 20 evaluations per start so that the full
-    # evaluation stays cheap; the skipping relies only on the
-    # caps and the per-point seeds, which this leaves as they are.
+    # its min-max; return_details=True takes every candidate to its full
+    # value.  The two must agree bit for bit.
     rng = np.random.default_rng(mseed)
     M = rng.standard_normal((n, n))
     if field == COMPLEX:
@@ -575,12 +577,8 @@ def test_pruned_kolmogorov_search_equals_full_evaluation(field, n, p, q, deficie
         M[:, -1] = 2.0 * M[:, 0]
     T = operator(M, p, q, field=field)
     k = min(k, n)
-    descent = spaces._derivative_free_descent
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spaces, "_derivative_free_descent",
-                   lambda objective, starts, maxfev: descent(objective, starts, 20))
-        v = kolmogorov_upper_search(T, k, budget=60, seed=mseed)
-        _, cands = kolmogorov_upper_search(T, k, budget=60, seed=mseed, return_details=True)
+    v = kolmogorov_upper_search(T, k, budget=60, seed=mseed)
+    _, cands = kolmogorov_upper_search(T, k, budget=60, seed=mseed, return_details=True)
     assert v == min(c.value for c in cands)
 
 
@@ -600,10 +598,12 @@ def test_kolmogorov_candidate_value_is_exact_below_its_bound(field, p, q):
         T = operator(M, p, q, field=field)
         basis = np.linalg.qr(G)[0]
         images = widths._sample_images(T, 16, 3)
-        full = widths._kolmogorov_candidate_value(T, basis, q, images, 3)[0]
+        Q, tilt, caps = widths._factored_candidates([basis], images, q)[0]
+        full = max(spaces._subspace_distance(y, Q, tilt, cap, q) for y, cap in zip(images, caps))
+        assert widths._kolmogorov_candidate_value(T, basis, q, images)[0] == full
         for factor in (0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0, INF):
             bound = full * factor
-            v = widths._kolmogorov_candidate_value(T, basis, q, images, 3, bound=bound)[0]
+            v = widths._kolmogorov_candidate_value(T, basis, q, images, bound=bound)[0]
             if full < bound:
                 assert v == full
             else:
@@ -746,8 +746,8 @@ def test_stacked_candidate_bases_have_the_bits_of_one_qr_each(monkeypatch, field
 @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.0, INF])
 def test_stacked_spans_and_caps_have_the_bits_of_one_candidate_each(field, q):
     # one stacked SVD factors every candidate and, where their ranks agree,
-    # one stacked _distance_caps caps every image: each candidate's basis,
-    # span, tilt and caps are the floats its own calls give.  A candidate
+    # one stacked _distance_caps caps every image: each candidate's span,
+    # tilt and caps are the floats its own calls give.  A candidate
     # of lower rank makes the ranks disagree, and the caps are then one
     # call per candidate
     rng = np.random.default_rng(73)
@@ -765,10 +765,9 @@ def test_stacked_spans_and_caps_have_the_bits_of_one_candidate_each(field, q):
         images = widths._sample_images(operator(M, 1.0, q, field=field), 16, t)
         got = widths._factored_candidates(bases, images, q)
         assert len(got) == len(bases)
-        for basis, (B, Q, tilt, caps) in zip(bases, got):
-            B1 = basis.astype(images.dtype)
-            Q1, tilt1 = spaces._orthonormal_span(B1)
-            assert np.array_equal(B, B1) and np.array_equal(Q, Q1) and tilt == tilt1
+        for basis, (Q, tilt, caps) in zip(bases, got):
+            Q1, tilt1 = spaces._orthonormal_span(basis.astype(images.dtype))
+            assert np.array_equal(Q, Q1) and tilt == tilt1
             assert caps == spaces._distance_caps(images, Q1, q).tolist()
 
 
